@@ -4,17 +4,14 @@
 from .algebra import (
     CliffordTriple,
     OccupationConfig,
-    PhaseRoot,
     block_dimension,
     block_dimension_closed_form,
     build_mode_matrix,
     clifford_mode,
     clifford_triple,
-    destruction_phase,
     destruction_phase_exponent,
     enumerate_block_basis,
     number_operator_matrix,
-    total_number_matrix,
     weight,
 )
 from .blocks import (
@@ -25,7 +22,7 @@ from .blocks import (
     build_full_truncated,
     build_higher_spin_block,
 )
-from .deformations import Deformation, evaluate, ladder_amplitudes
+from .deformations import Deformation, evaluate
 from .eigensolver import Spectrum, cluster_eigenvalues, eigendecompose, eigenvalues_only
 from .errors import (
     ConvergenceError,
@@ -70,7 +67,6 @@ __all__ = [
     "OccupationConfig",
     "OutOfRegimeError",
     "ParameterError",
-    "PhaseRoot",
     "PlateauReport",
     "Spectrum",
     "ThermoObservables",
@@ -84,7 +80,6 @@ __all__ = [
     "clifford_mode",
     "clifford_triple",
     "cluster_eigenvalues",
-    "destruction_phase",
     "destruction_phase_exponent",
     "detect_plateaus",
     "eigendecompose",
@@ -94,7 +89,6 @@ __all__ = [
     "exact_f2_deformed",
     "exact_f2_undeformed",
     "exact_f3_k1",
-    "ladder_amplitudes",
     "log_sum_exp",
     "n_via_mu_derivative",
     "number_operator_matrix",
@@ -106,6 +100,5 @@ __all__ = [
     "semiclassical_z_k1",
     "thermo_from_block",
     "thermo_from_spectrum",
-    "total_number_matrix",
     "weight",
 ]

@@ -144,21 +144,11 @@ def root_of_unity_power(F: int, exponent: int) -> complex:
     return cmath.exp(2j * cmath.pi * (exponent % F) / F)
 
 
-def destruction_phase(
-    bra: Sequence[int], m: int, ket: Sequence[int], F: int
-) -> Optional[complex]:
-    """Matrix element <bra| theta_m |ket>; None when it vanishes."""
-    exponent = destruction_phase_exponent(bra, m, ket, F)
-    if exponent is None:
-        return None
-    return root_of_unity_power(F, exponent)
-
-
 def build_mode_matrix(F: int, k: int, m: int) -> np.ndarray:
     """Destruction operator theta_m on the full F^k-dimensional Fock space.
 
     Lexicographic basis; element (bra, ket) nonzero when ket raises bra at
-    mode m, carrying the q-phase of ``destruction_phase``.
+    mode m, carrying the q-phase of ``destruction_phase_exponent``.
     """
     _check_order_and_modes(F, k)
     if not 1 <= m <= k:
@@ -188,25 +178,6 @@ def number_operator_matrix(F: int, k: int, i: int) -> np.ndarray:
         raise ParameterError(f"mode index i={i} outside 1..{k}")
     basis = enumerate_block_basis(F, k, k * (F - 1))
     return np.diag(np.array([p[i - 1] for p in basis], dtype=np.complex128))
-
-
-def total_number_matrix(F: int, k: int) -> np.ndarray:
-    """Sum of all mode number operators; diagonal entry is the weight W(P)."""
-    basis = enumerate_block_basis(F, k, k * (F - 1))
-    return np.diag(np.array([sum(p) for p in basis], dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class PhaseRoot:
-    """Primitive F-th root of unity q = exp(2*pi*i/F)."""
-
-    F: int
-    q: complex
-
-    @classmethod
-    def for_order(cls, F: int) -> "PhaseRoot":
-        _check_order_and_modes(F, 1)
-        return cls(F, cmath.exp(2j * cmath.pi / F))
 
 
 @dataclass(frozen=True)

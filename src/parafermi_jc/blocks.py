@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +34,8 @@ from .algebra import (
     weight,
 )
 from .deformations import Deformation, evaluate
-from .errors import NumericalError, ParameterError
-
-#: Build-stage Hermiticity tolerance, relative to max(1, max|H|).
-BUILD_HERMITICITY_RTOL = 1e-12
+from .eigensolver import _require_hermitian
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,9 @@ class ModelParams:
             raise ParameterError(f"F must be an integer >= 2, got {self.F}")
         if int(self.k) != self.k or self.k < 1:
             raise ParameterError(f"k must be an integer >= 1, got {self.k}")
+        for name in ("omega", "delta", "g", "hbar", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise ParameterError(f"hbar must be positive, got {self.hbar}")
         if not self.beta > 0:
@@ -79,7 +81,7 @@ class BlockHamiltonian:
     def __post_init__(self):
         if self.matrix.shape != (len(self.basis), len(self.basis)):
             raise ParameterError("matrix dimension does not match basis length")
-        _assert_hermitian(self.matrix)
+        _require_hermitian(self.matrix)
         self.matrix.flags.writeable = False
 
     @property
@@ -87,19 +89,14 @@ class BlockHamiltonian:
         return len(self.basis)
 
 
-def _assert_hermitian(H: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    dev = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if dev > BUILD_HERMITICITY_RTOL * scale:
-        raise NumericalError(f"assembled block is not Hermitian: max deviation {dev:.3e}")
-
-
 def _lowered(p: OccupationConfig, l: int) -> OccupationConfig:
     return p[:l] + (p[l] - 1,) + p[l + 1:]
 
 
-def build_block(params: ModelParams, n: int) -> BlockHamiltonian:
-    """Assemble the dense block H_n of the parafermion-oscillator Hamiltonian."""
+def _assemble(
+    params: ModelParams, n: int, hop_factor: Callable[[OccupationConfig, int], complex]
+) -> BlockHamiltonian:
+    """Block H_n whose hop from P to P lowered at mode l carries hop_factor(P, l)."""
     basis = enumerate_block_basis(params.F, params.k, n)
     index = {p: i for i, p in enumerate(basis)}
     dim = len(basis)
@@ -115,10 +112,15 @@ def build_block(params: ModelParams, n: int) -> BlockHamiltonian:
         amp_base = params.g * math.sqrt(evaluate(phi, n + 1 - W))
         for l in hop_modes:
             row = index[_lowered(p, l)]
-            phase = root_of_unity_power(params.F, -sum(p[l + 1:]))
-            H[row, col] += amp_base * phase
-            H[col, row] += amp_base * phase.conjugate()
+            factor = hop_factor(p, l)
+            H[row, col] += amp_base * factor
+            H[col, row] += amp_base * factor.conjugate()
     return BlockHamiltonian(n, tuple(basis), H)
+
+
+def build_block(params: ModelParams, n: int) -> BlockHamiltonian:
+    """Assemble the dense block H_n of the parafermion-oscillator Hamiltonian."""
+    return _assemble(params, n, lambda p, l: root_of_unity_power(params.F, -sum(p[l + 1:])))
 
 
 def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
@@ -128,24 +130,7 @@ def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
     carries sqrt(i_l * (F - i_l)) instead of a root-of-unity phase, so the
     matrix is real symmetric.
     """
-    basis = enumerate_block_basis(params.F, params.k, n)
-    index = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
-    phi = params.deformation
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    for p, col in index.items():
-        W = weight(p)
-        H[col, col] = params.omega * evaluate(phi, n - W) + params.delta * W
-        hop_modes = [l for l in range(params.k) if p[l] > 0]
-        if not hop_modes:
-            continue
-        amp_base = params.g * math.sqrt(evaluate(phi, n + 1 - W))
-        for l in hop_modes:
-            row = index[_lowered(p, l)]
-            spin_factor = math.sqrt(p[l] * (params.F - p[l]))
-            H[row, col] += amp_base * spin_factor
-            H[col, row] += amp_base * spin_factor
-    return BlockHamiltonian(n, tuple(basis), H)
+    return _assemble(params, n, lambda p, l: math.sqrt(p[l] * (params.F - p[l])))
 
 
 def add_mu_number_term(block: BlockHamiltonian, mu: float) -> BlockHamiltonian:
@@ -187,6 +172,6 @@ def build_full_truncated(
     for m in range(1, params.k + 1):
         theta = build_mode_matrix(params.F, params.k, m)
         H += params.g * (np.kron(lowering, theta.conj().T) + np.kron(raising, theta))
-    _assert_hermitian(H)
+    _require_hermitian(H)
     labels = [(occ, p) for occ in range(nb) for p in pf_basis]
     return H, labels

@@ -7,8 +7,8 @@ Commands: ``dims``, ``spectrum``, ``thermo-scan``, ``semiclassical-compare``,
 Values may come from ``--config`` (one flat JSON object, underscore keys);
 explicit flags override the file.  Floats are printed with ``repr``, the
 shortest decimal that round-trips (at most 17 significant digits), so equal
-configurations produce byte-identical output.  ``PARAFERMI_JC_THREADS`` caps
-the thread count used for scan grids; ordering of rows never depends on it.
+configurations produce byte-identical output.  Scans run serially;
+``PARAFERMI_JC_THREADS`` is ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -28,7 +27,7 @@ from .deformations import Deformation
 from .eigensolver import eigenvalues_only
 from .errors import NumericalError, ParameterError
 from .exact import exact_f2_deformed, exact_f3_k1, semiclassical_z_f2, semiclassical_z_k1
-from .thermo import omega_scan
+from .thermo import log_sum_exp, omega_scan
 from .verify import run_checks
 
 #: |numeric - exact| beyond which the spectrum command reports a failure.
@@ -195,17 +194,6 @@ def _write_text(out: str, text: str) -> None:
         raise ParameterError(f"cannot write output file: {exc}") from exc
 
 
-def _scan_workers() -> int:
-    raw = os.environ.get("PARAFERMI_JC_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"PARAFERMI_JC_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ParameterError(f"PARAFERMI_JC_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def cmd_dims(cfg: RunConfig) -> int:
     from .algebra import block_dimension
 
@@ -251,7 +239,7 @@ def cmd_thermo_scan(cfg: RunConfig) -> int:
     if cfg.n is None:
         raise ParameterError("thermo-scan needs --n")
     grid = _omega_grid(cfg)
-    scan = omega_scan(params, cfg.n, grid, max_workers=_scan_workers())
+    scan = omega_scan(params, cfg.n, grid)
     rows = [
         [omega, obs.z, obs.free_energy, obs.phi_n_expect, obs.n_expect, obs.w_expect]
         for omega, obs in scan
@@ -278,10 +266,7 @@ def cmd_semiclassical_compare(cfg: RunConfig) -> int:
     rows = []
     for omega in grid:
         eigenvalues = eigenvalues_only(build_block(params.with_omega(omega), cfg.n).matrix)
-        exponents = -beta * eigenvalues
-        shift = float(np.max(exponents))
-        log_z = shift + math.log(float(np.sum(np.exp(exponents - shift))))
-        f_numeric = -log_z / beta
+        f_numeric = -log_sum_exp(-beta * eigenvalues) / beta
         if cfg.F == 2:
             z_sc = semiclassical_z_f2(cfg.k, cfg.n, hbar, omega, params.delta, params.g, beta)
         else:

@@ -148,10 +148,3 @@ def evaluate(phi: Deformation, x: float) -> float:
             return 0.0
         raise DeformationError(f"structure function is negative at x={x}: phi(x)={value}")
     return value
-
-
-def ladder_amplitudes(phi: Deformation, n: int) -> tuple[float, float]:
-    """Amplitudes (sqrt(phi(n)), sqrt(phi(n+1))) of the lowering/raising action at |n>."""
-    if n < 0:
-        raise ParameterError(f"occupation must be nonnegative, got {n}")
-    return math.sqrt(evaluate(phi, n)), math.sqrt(evaluate(phi, n + 1))

@@ -18,6 +18,7 @@ sweeps per eigenvalue suffice).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
-#: Hermiticity tolerance for accepting an input matrix (relative to max|H|).
+#: Hermiticity tolerance for accepting a matrix, relative to max(1, max|H|).
 HERMITICITY_RTOL = 1e-12
 
 #: Residual/orthonormality contract for returned eigenpairs.
@@ -49,13 +50,19 @@ class Spectrum:
 
 
 def _require_hermitian(H: np.ndarray) -> np.ndarray:
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ParameterError(f"matrix must be square, got shape {H.shape}")
-    A = H.astype(np.complex128, copy=True)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
+    """H as a complex array, once it is known to be square, finite and Hermitian.
+
+    The package's one Hermiticity check: the eigensolver and block assembly
+    both call it.  Raises ParameterError otherwise.
+    """
+    A = np.asarray(H, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ParameterError(f"matrix must be square, got shape {A.shape}")
+    peak = float(np.max(np.abs(A))) if A.size else 0.0
+    if not math.isfinite(peak):
+        raise ParameterError("matrix has non-finite entries")
     dev = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if dev > HERMITICITY_RTOL * scale:
+    if dev > HERMITICITY_RTOL * max(1.0, peak):
         raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")
     return A
 
@@ -90,11 +97,14 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
             Q[:, j + 1:] -= tau * np.outer(Qv, v.conj())
     d = np.real(np.diag(A)).copy()
     e = np.diag(A, -1).copy()
-    # rotate residual phases into the basis so the off-diagonal is |e_j|
+    # rotate residual phases into the basis so the off-diagonal is |e_j|; a
+    # subnormal |e_j| would overflow the division and is zero to working
+    # precision anyway, so the phase carries over unchanged
+    tiny = np.finfo(np.float64).tiny
     s = np.ones(n, dtype=np.complex128)
     for j in range(n - 1):
         mag = abs(e[j])
-        s[j + 1] = (e[j] * s[j]) / mag if mag > 0.0 else s[j]
+        s[j + 1] = (e[j] * s[j]) / mag if mag >= tiny else s[j]
     if Q is not None:
         Q *= s[np.newaxis, :]
     return d, np.abs(e).astype(np.float64), Q
@@ -157,8 +167,8 @@ def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, Q: Optional[np.ndarray]):
 def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Eigendecompose a dense complex Hermitian matrix.
 
-    Raises ParameterError for non-square or non-Hermitian input and
-    ConvergenceError if the QL stage exceeds its sweep cap.
+    Raises ParameterError for non-square, non-finite or non-Hermitian input
+    and ConvergenceError if the QL stage exceeds its sweep cap.
     """
     A = _require_hermitian(H)
     n = A.shape[0]
@@ -168,7 +178,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     if n == 1:
         vec = np.ones((1, 1), dtype=np.complex128) if want_vectors else None
         return Spectrum(np.array([A[0, 0].real]), vec)
-    d, e, Q = _tridiagonalize(A, want_vectors)
+    d, e, Q = _tridiagonalize(A.copy(), want_vectors)
     d, Q = _ql_implicit_shift(d, e, Q)
     order = np.argsort(d, kind="stable")
     values = d[order]

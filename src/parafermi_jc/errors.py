@@ -6,7 +6,7 @@ NumericalError -> 2, verification failures -> 3.
 
 
 class ParameterError(ValueError):
-    """Invalid input: bad F/k/n, malformed grid, unknown config key, ..."""
+    """Invalid input: bad F/k/n, non-finite value, malformed grid, non-Hermitian matrix, ..."""
 
 
 class DeformationError(ParameterError):
@@ -18,7 +18,7 @@ class OutOfRegimeError(ParameterError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: negative radicand, invalid matrix, ..."""
+    """Numerical failure: negative radicand, a partition function beyond the float range, ..."""
 
 
 class ConvergenceError(NumericalError):

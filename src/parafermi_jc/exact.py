@@ -141,8 +141,9 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
     with principal branches; when all three real eigenvalues are distinct the
     inner square root is imaginary and the principal-branch combination is
     automatically real.  If residual imaginary parts exceed tolerance the
-    trigonometric real-root solver takes over, and a vanishing W falls back to
-    companion-matrix roots.
+    trigonometric real-root solver takes over; it also handles a vanishing W,
+    except at c = 0 (g = 0 with delta = omega), where the cubic x^3 has the
+    triple root 0.
     """
     if int(n) != n:
         raise ParameterError(f"n must be an integer, got {n}")
@@ -155,12 +156,8 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
     w_cubed = cmath.sqrt(inner) + 27.0 * g * g * (omega - delta)
     scale = 1.0 + abs(shift) + math.sqrt(c)
     if abs(w_cubed) < 1e-30:
-        # degenerate cubic; companion-matrix roots of x^3 - c x + q0
-        logger.info("cubic solver: W = 0, falling back to companion-matrix roots")
-        roots = np.roots([1.0, 0.0, -c, q0])
-        if np.max(np.abs(roots.imag)) > _REALNESS_TOL * scale:
-            raise NumericalError(f"companion roots not real (n={n}, omega={omega}, delta={delta}, g={g})")
-        values = sorted(float(r) for r in roots.real)
+        logger.info("cubic solver: W = 0, using trigonometric roots")
+        values = sorted(_depressed_cubic_roots_real(c, q0)) if c > 0 else [0.0, 0.0, 0.0]
     else:
         w = w_cubed ** (1.0 / 3.0)
         candidates = []

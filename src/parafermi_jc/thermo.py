@@ -4,7 +4,8 @@ Within the block of total excitation number n, the canonical partition
 function is Z = sum_j exp(-beta lambda_j), evaluated through log-sum-exp so
 deep Boltzmann suppression (for example delta ~ 1000 at beta = 1) cannot
 underflow intermediate results; Z itself may still round to 0.0 as a float,
-in which case log_z and free_energy remain exact.
+in which case log_z and free_energy remain exact.  A log Z beyond the float
+range of Z raises NumericalError instead.
 
 Diagonal observables come from the eigenvector trace: for the diagonal
 operator O(P), <O> = sum_j w_j sum_P |v_P(j)|^2 O(P) with Boltzmann weights
@@ -16,7 +17,6 @@ the boson number <N>.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 from .blocks import BlockHamiltonian, ModelParams, add_mu_number_term, build_block
 from .deformations import evaluate
 from .eigensolver import eigendecompose, eigenvalues_only
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -79,8 +79,14 @@ def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObs
     n_expect = float(weights @ (per_state @ boson_vals))
     w_expect = float(weights @ (per_state @ w_vals))
     phi_expect = float(weights @ (per_state @ phi_vals))
+    try:
+        z = math.exp(log_z) if log_z > -745.0 else 0.0  # exp underflows below ~-745
+    except OverflowError:
+        raise NumericalError(
+            f"partition function exceeds the float range: log Z = {log_z!r} (n={block.n})"
+        ) from None
     return ThermoObservables(
-        z=math.exp(log_z) if log_z > -745.0 else 0.0,  # exp underflows below ~-745
+        z=z,
         log_z=log_z,
         free_energy=-log_z / params.beta,
         phi_n_expect=phi_expect,
@@ -94,18 +100,17 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
     return thermo_from_block(build_block(params, n), params)
 
 
-def log_partition(params: ModelParams, n: int) -> float:
-    """log Z of block n from eigenvalues alone (no eigenvector cost)."""
-    eigenvalues = eigenvalues_only(build_block(params, n).matrix)
-    return log_sum_exp(-params.beta * eigenvalues)
+def log_partition(block: BlockHamiltonian, beta: float) -> float:
+    """log Z of a block from eigenvalues alone (no eigenvector cost)."""
+    return log_sum_exp(-beta * eigenvalues_only(block.matrix))
 
 
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
     """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega)."""
     if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
-    log_hi = log_partition(params.with_omega(params.omega + step), n)
-    log_lo = log_partition(params.with_omega(params.omega - step), n)
+    log_hi = log_partition(build_block(params.with_omega(params.omega + step), n), params.beta)
+    log_lo = log_partition(build_block(params.with_omega(params.omega - step), n), params.beta)
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
@@ -114,40 +119,23 @@ def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
     block = build_block(params, n)
-
-    def log_z(mu: float) -> float:
-        eigenvalues = eigenvalues_only(add_mu_number_term(block, mu).matrix)
-        return log_sum_exp(-params.beta * eigenvalues)
-
-    return -(log_z(step) - log_z(-step)) / (2.0 * step * params.beta)
+    log_hi = log_partition(add_mu_number_term(block, step), params.beta)
+    log_lo = log_partition(add_mu_number_term(block, -step), params.beta)
+    return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
 def omega_scan(
     params: ModelParams,
     n: int,
     omega_grid: Sequence[float],
-    max_workers: int = 1,
 ) -> list[tuple[float, ThermoObservables]]:
-    """Thermal observables of block n at each frequency of an ascending grid.
-
-    Grid points are independent; with max_workers > 1 they are evaluated on a
-    thread pool.  Output order follows the grid regardless of scheduling.
-    """
+    """Thermal observables of block n at each frequency of an ascending grid."""
     grid = [float(w) for w in omega_grid]
     if not grid:
         raise ParameterError("omega grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("omega grid must be strictly ascending")
-
-    def point(omega: float) -> ThermoObservables:
-        return thermo_from_spectrum(params.with_omega(omega), n)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            observables = list(pool.map(point, grid))
-    else:
-        observables = [point(w) for w in grid]
-    return list(zip(grid, observables))
+    return [(w, thermo_from_spectrum(params.with_omega(w), n)) for w in grid]
 
 
 def detect_plateaus(

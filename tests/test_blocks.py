@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafermi_jc import (
+    BlockHamiltonian,
     Deformation,
     DeformationError,
     ModelParams,
@@ -39,6 +40,8 @@ class TestModelParams:
             ModelParams(2, 1, 1.0, 1.0, 1.0, hbar=0.0)
         with pytest.raises(ParameterError):
             ModelParams(2, 1, 1.0, 1.0, 1.0, beta=-1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            ModelParams(2, 1, 1.0, 1.0, 1.0, hbar=math.inf)
         with pytest.raises(ParameterError):
             ModelParams(2, 1, 1.0, 1.0, 1.0, deformation="qexp")
 
@@ -83,6 +86,11 @@ class TestBuildBlock:
             block = build_block(params(F=F, omega=0.7, delta=2.0, g=1.1), F)
             assert np.max(np.abs(block.matrix.imag)) == 0.0
             assert np.all(np.diag(block.matrix, -1).real >= 0)
+
+    def test_non_hermitian_matrix_rejected(self):
+        basis = tuple(enumerate_block_basis(2, 1, 1))
+        with pytest.raises(ParameterError, match="not Hermitian"):
+            BlockHamiltonian(1, basis, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_matrix_immutable(self):
         block = build_block(params(), 1)

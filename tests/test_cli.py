@@ -55,6 +55,12 @@ class TestSpectrum:
         assert values == pytest.approx([0.0, 2.0], abs=1e-12)
         assert all(float(r[3]) <= 1e-8 for r in rows)
 
+    @pytest.mark.parametrize("flag", ["--omega=inf", "--g=nan", "--delta=-inf", "--beta=nan"])
+    def test_non_finite_input_rejected(self, capsys, flag):
+        code, out, err = run_cli(capsys, "spectrum", "--F", "2", "--k", "1", "--n", "2", flag)
+        assert code == 1 and out == ""
+        assert "must be finite" in err
+
     def test_cubic_comparison_columns(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--F", "3", "--k", "1", "--n", "3",
                                "--omega", "1", "--delta", "2", "--g", "1")
@@ -108,11 +114,19 @@ class TestThermoScan:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
-    def test_bad_thread_env_rejected(self, capsys, monkeypatch):
+    def test_thread_env_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAFERMI_JC_THREADS", "many")
         code, _, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "1",
                                "--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
-        assert code == 1 and "PARAFERMI_JC_THREADS" in err
+        assert code == 0 and err == ""
+
+    def test_overflowing_partition_function_exits_2(self, capsys):
+        # delta = -1000 puts the occupied level near -1000, so log Z ~ 1000 > log(float max)
+        code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "1",
+                                 "--delta", "-1000", "--omega-min", "1", "--omega-max", "2",
+                                 "--omega-count", "2")
+        assert code == 2 and out == ""
+        assert "numerical error" in err and "log Z" in err
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafermi_jc import Deformation, DeformationError, ParameterError, evaluate, ladder_amplitudes
+from parafermi_jc import Deformation, DeformationError, ParameterError, evaluate
 
 ALL_VARIANTS = [
     Deformation.undeformed(),
@@ -29,14 +29,18 @@ def test_point_values():
 
 
 def test_ladder_amplitudes():
-    assert ladder_amplitudes(Deformation.undeformed(), 0) == (0.0, 1.0)
-    lo, hi = ladder_amplitudes(Deformation.linear(2.0), 3)
+    # a|n> = sqrt(phi(n))|n-1> and a^dag|n> = sqrt(phi(n+1))|n+1>, read off evaluate
+    def amplitudes(phi, n):
+        return math.sqrt(evaluate(phi, n)), math.sqrt(evaluate(phi, n + 1))
+
+    assert amplitudes(Deformation.undeformed(), 0) == (0.0, 1.0)
+    lo, hi = amplitudes(Deformation.linear(2.0), 3)
     assert (lo, hi) == (pytest.approx(math.sqrt(6)), pytest.approx(math.sqrt(8)))
-    lo, hi = ladder_amplitudes(Deformation.q_exp(1.0), 2)
+    lo, hi = amplitudes(Deformation.q_exp(1.0), 2)
     assert lo == pytest.approx(math.sqrt(math.sinh(2) / math.sinh(1)))
     assert hi == pytest.approx(math.sqrt(math.sinh(3) / math.sinh(1)))
     with pytest.raises(ParameterError):
-        ladder_amplitudes(Deformation.undeformed(), -1)
+        evaluate(Deformation.undeformed(), -1)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,13 @@ class TestBasicCases:
         with pytest.raises(ParameterError):
             eigendecompose(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        H = np.eye(3, dtype=complex)
+        H[1, 1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            eigendecompose(H)
+
 
 class TestContracts:
     @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1), (50, 2), (128, 3), (256, 4)])

@@ -126,6 +126,13 @@ class TestF3Cubic:
         exact = exact_f3_k1(4, 1.0, 1.0, 0.0).values()
         assert exact == pytest.approx([4.0, 4.0, 4.0], abs=1e-12)
 
+    @pytest.mark.parametrize("g", [0.0, 1e-12])
+    def test_vanishing_w_matches_numerics(self, g):
+        # delta = omega with g <= 1e-12 makes |W^3| < 1e-30: the W = 0 branch
+        exact = exact_f3_k1(3, 1.0, 1.0, g).values()
+        numeric = numeric_spectrum(3, 1, 3, 1.0, 1.0, g)
+        assert np.max(np.abs(exact - numeric)) <= 1e-8
+
     def test_trace_identity(self):
         # the root phases sum to zero, leaving 3*(delta + (n-1)*omega)
         for n in (3, 6):
