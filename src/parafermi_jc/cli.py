@@ -1,14 +1,17 @@
 """Batch command-line interface with deterministic CSV/JSON output.
 
 Commands: ``dims``, ``spectrum``, ``thermo-scan``, ``semiclassical-compare``,
-``verify``.  Exit codes: 0 success, 1 parameter error, 2 numerical error,
-3 verification failure.
+``verify``.  Exit codes: 0 success, 1 parameter error (usage errors
+included), 2 numerical error, 3 verification failure.
 
-Values may come from ``--config`` (one flat JSON object, underscore keys);
-explicit flags override the file.  Floats are printed with ``repr``, the
-shortest decimal that round-trips (at most 17 significant digits), so equal
-configurations produce byte-identical output.  Scans run serially;
-``PARAFERMI_JC_THREADS`` is ignored.
+Each input is declared once in ``_INPUTS``; ``_COMMANDS`` lists the flags of
+each command.  Values may also come from ``--config`` (one flat JSON object,
+underscore keys): a config value is read as the same text typed after its
+flag would be, ``null`` means "not given", and explicit flags override the
+file.  Floats are printed with ``repr``, the shortest decimal that
+round-trips (at most 17 significant digits), so equal configurations produce
+byte-identical output; a non-finite cell is a numerical error, never written.
+Scans run serially; ``PARAFERMI_JC_THREADS`` is ignored.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +27,12 @@ from .blocks import ModelParams, build_block
 from .deformations import Deformation
 from .eigensolver import eigenvalues_only
 from .errors import NumericalError, ParameterError
-from .exact import exact_f2_deformed, exact_f3_k1, semiclassical_z_f2, semiclassical_z_k1
+from .exact import (
+    exact_f2_deformed,
+    exact_f3_k1,
+    semiclassical_levels_f2,
+    semiclassical_levels_k1,
+)
 from .thermo import log_sum_exp, omega_scan
 from .verify import run_checks
 
@@ -39,122 +45,124 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
 
-@dataclass
-class RunConfig:
-    """Merged flag/config values for one command; validated before any computation."""
+#: Every input, declared once: key -> (type or choices, default, help).  The
+#: flag is ``--`` plus the key with ``-`` for ``_``.  A ``--config`` value is
+#: read as the same text typed after the flag would be, and ``null`` means
+#: "not given"; ``deformation`` may also be a tagged record.  A default of
+#: None marks an input that the commands using it require.
+_INPUTS = {
+    "F": (int, None, "nilpotency order (>= 2)"),
+    "k": (int, None, "number of parafermion modes (>= 1)"),
+    "n": (int, None, "total excitation number"),
+    "n_max": (int, None, None),
+    "omega": (float, 1.0, "oscillator frequency (default 1)"),
+    "omega_min": (float, None, None),
+    "omega_max": (float, None, None),
+    "omega_count": (int, None, None),
+    "omega_scale": (("linear", "log"), "log", None),
+    "delta": (float, 1.0, "level splitting (default 1)"),
+    "g": (float, 1.0, "coupling strength (default 1)"),
+    "hbar": (float, 1.0, "deformation scale (default 1)"),
+    "beta": (float, 1.0, "inverse temperature (default 1)"),
+    "deformation": (str, "undeformed", "undeformed|linear|qexp|parafermionic (default undeformed)"),
+    "mu_step": (float, 1e-4, None),
+    "scope": (("all", "algebra", "oracles", "thermo"), "all", None),
+    "out": (str, "-", "output path, '-' for stdout"),
+    "format": (("csv", "json"), "csv", None),
+}
 
-    command: str
-    F: Optional[int] = None
-    k: Optional[int] = None
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    omega: Optional[float] = None
-    omega_min: Optional[float] = None
-    omega_max: Optional[float] = None
-    omega_count: Optional[int] = None
-    omega_scale: Optional[str] = None
-    delta: Optional[float] = None
-    g: Optional[float] = None
-    hbar: Optional[float] = None
-    beta: Optional[float] = None
-    deformation: object = None
-    mu_step: Optional[float] = None
-    scope: Optional[str] = None
-    out: str = "-"
-    format: str = "csv"
+_COMMON = ("F", "k", "delta", "g", "hbar", "beta", "deformation", "out", "format")
+_GRID = ("omega_min", "omega_max", "omega_count", "omega_scale")
+
+#: ``--deformation`` names, each with the inputs that fill its tagged record.
+_NAMED_DEFORMATIONS = {"undeformed": (), "linear": ("hbar",), "qexp": ("hbar",),
+                       "parafermionic": ("F",)}
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ParameterError("config file must hold one flat JSON object")
+    unknown = set(loaded) - set(_INPUTS)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    return loaded
+
+
+def _config_value(key: str, value):
+    """A config value converted exactly as its flag's text would be."""
+    if key == "deformation" and isinstance(value, dict):
+        return value
+    kind = _INPUTS[key][0]
+    text = value if isinstance(value, str) else json.dumps(value)
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+    else:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ParameterError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ParameterError("config file must hold one flat JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ParameterError(f"config value {key}={value!r} is not valid for {_flag(key)}")
+
+
+def _inputs(args: argparse.Namespace) -> argparse.Namespace:
+    """Every input: the flag if given, else the config value, else the default."""
+    config = _read_config(args.config) if args.config else {}
+    cfg = argparse.Namespace(command=args.command)
+    for key, (_, default, _) in _INPUTS.items():
         value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    # defaults shared by the physics commands
-    if cfg.delta is None:
-        cfg.delta = 1.0
-    if cfg.g is None:
-        cfg.g = 1.0
-    if cfg.hbar is None:
-        cfg.hbar = 1.0
-    if cfg.beta is None:
-        cfg.beta = 1.0
-    if cfg.omega is None:
-        cfg.omega = 1.0
-    if cfg.omega_scale is None:
-        cfg.omega_scale = "log"
-    if cfg.mu_step is None:
-        cfg.mu_step = 1e-4
-    if cfg.deformation is None:
-        cfg.deformation = "undeformed"
-    if cfg.format not in ("csv", "json"):
-        raise ParameterError(f"format must be csv or json, got {cfg.format!r}")
+        if value is None and config.get(key) is not None:
+            value = _config_value(key, config[key])
+        setattr(cfg, key, default if value is None else value)
     return cfg
 
 
-def _resolve_deformation(cfg: RunConfig) -> Deformation:
+def _require(cfg: argparse.Namespace, *keys: str) -> None:
+    missing = [_flag(key) for key in keys if getattr(cfg, key) is None]
+    if missing:
+        raise ParameterError(f"{cfg.command} needs {', '.join(missing)}")
+
+
+def _deformation(cfg: argparse.Namespace) -> Deformation:
     choice = cfg.deformation
-    if isinstance(choice, Deformation):
-        return choice
-    if isinstance(choice, dict):
-        return Deformation.from_dict(choice)
-    if choice == "undeformed":
-        return Deformation.undeformed()
-    if choice == "linear":
-        return Deformation.linear(cfg.hbar)
-    if choice == "qexp":
-        return Deformation.q_exp(cfg.hbar)
-    if choice == "parafermionic":
-        return Deformation.parafermionic(cfg.F)
-    raise ParameterError(
-        f"unknown deformation {choice!r}; use undeformed|linear|qexp|parafermionic "
-        "or a tagged record such as {\"type\": \"qexp\", \"hbar\": 1.0}"
-    )
+    if isinstance(choice, str):
+        if choice not in _NAMED_DEFORMATIONS:
+            raise ParameterError(
+                f"unknown deformation {choice!r}; use undeformed|linear|qexp|parafermionic "
+                "or a tagged record such as {\"type\": \"qexp\", \"hbar\": 1.0}"
+            )
+        choice = {"type": choice, **{key: getattr(cfg, key) for key in _NAMED_DEFORMATIONS[choice]}}
+    return Deformation.from_dict(choice)
 
 
-def _model_params(cfg: RunConfig) -> ModelParams:
-    for name in ("F", "k"):
-        if getattr(cfg, name) is None:
-            raise ParameterError(f"--{name} is required for {cfg.command}")
-    return ModelParams(
-        F=cfg.F, k=cfg.k, omega=float(cfg.omega), delta=float(cfg.delta), g=float(cfg.g),
-        hbar=float(cfg.hbar), beta=float(cfg.beta), deformation=_resolve_deformation(cfg),
-    )
+def _model_params(cfg: argparse.Namespace) -> ModelParams:
+    _require(cfg, "F", "k", "n")
+    return ModelParams(F=cfg.F, k=cfg.k, omega=cfg.omega, delta=cfg.delta, g=cfg.g,
+                       hbar=cfg.hbar, beta=cfg.beta, deformation=_deformation(cfg))
 
 
-def _omega_grid(cfg: RunConfig) -> np.ndarray:
-    for name in ("omega_min", "omega_max", "omega_count"):
-        if getattr(cfg, name) is None:
-            raise ParameterError(f"--{name.replace('_', '-')} is required for {cfg.command}")
+def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
+    _require(cfg, "omega_min", "omega_max", "omega_count")
     if cfg.omega_count < 1:
         raise ParameterError("omega count must be >= 1")
     if not cfg.omega_max > cfg.omega_min:
         raise ParameterError("omega-max must exceed omega-min")
     if cfg.omega_scale == "linear":
         return np.linspace(cfg.omega_min, cfg.omega_max, cfg.omega_count)
-    if cfg.omega_scale == "log":
-        if cfg.omega_min <= 0:
-            raise ParameterError("log-scaled grids need omega-min > 0")
-        return np.logspace(math.log10(cfg.omega_min), math.log10(cfg.omega_max), cfg.omega_count)
-    raise ParameterError(f"omega-scale must be linear or log, got {cfg.omega_scale!r}")
+    if cfg.omega_min <= 0:
+        raise ParameterError("log-scaled grids need omega-min > 0")
+    return np.logspace(math.log10(cfg.omega_min), math.log10(cfg.omega_max), cfg.omega_count)
 
 
 def _format_cell(value) -> str:
@@ -165,7 +173,11 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _emit(cfg: RunConfig, params_record: dict, header: list[str], rows: list[list]) -> None:
+def _emit(cfg: argparse.Namespace, params_record: dict, header: list[str], rows: list[list]) -> None:
+    for row in rows:
+        for key, cell in zip(header, row):
+            if cell is not None and not math.isfinite(cell):
+                raise NumericalError(f"{cfg.command} computed a non-finite {key}: {cell!r}")
     if cfg.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
@@ -194,21 +206,20 @@ def _write_text(out: str, text: str) -> None:
         raise ParameterError(f"cannot write output file: {exc}") from exc
 
 
-def cmd_dims(cfg: RunConfig) -> int:
+def cmd_dims(cfg: argparse.Namespace) -> int:
     from .algebra import block_dimension
 
-    if cfg.F is None or cfg.k is None or cfg.n_max is None:
-        raise ParameterError("dims needs --F, --k and --n-max")
+    _require(cfg, "F", "k", "n_max")
+    if cfg.n_max < 0:
+        raise ParameterError(f"n-max must be >= 0, got {cfg.n_max}")
     rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(cfg.n_max + 1)]
     _emit(cfg, {"command": "dims", "F": cfg.F, "k": cfg.k, "n_max": cfg.n_max},
           ["n", "dim"], rows)
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     params = _model_params(cfg)
-    if cfg.n is None:
-        raise ParameterError("spectrum needs --n")
     numeric = eigenvalues_only(build_block(params, cfg.n).matrix)
     exact_values = None
     if params.F == 2 and cfg.n >= params.k:
@@ -234,10 +245,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_VERIFICATION if mismatch else EXIT_OK
 
 
-def cmd_thermo_scan(cfg: RunConfig) -> int:
+def cmd_thermo_scan(cfg: argparse.Namespace) -> int:
     params = _model_params(cfg)
-    if cfg.n is None:
-        raise ParameterError("thermo-scan needs --n")
     grid = _omega_grid(cfg)
     scan = omega_scan(params, cfg.n, grid)
     rows = [
@@ -253,113 +262,85 @@ def cmd_thermo_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_semiclassical_compare(cfg: RunConfig) -> int:
-    if cfg.F is None or cfg.k is None or cfg.n is None:
-        raise ParameterError("semiclassical-compare needs --F, --k and --n")
+def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
+    _require(cfg, "F", "k", "n")
     if cfg.F != 2 and cfg.k != 1:
         raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
-    hbar = float(cfg.hbar)
-    beta = float(cfg.beta)
-    params = ModelParams(cfg.F, cfg.k, 1.0, float(cfg.delta), float(cfg.g),
-                         hbar=hbar, beta=beta, deformation=Deformation.linear(hbar))
+    params = ModelParams(cfg.F, cfg.k, 1.0, cfg.delta, cfg.g, hbar=cfg.hbar, beta=cfg.beta,
+                         deformation=Deformation.linear(cfg.hbar))
     grid = _omega_grid(cfg)
     rows = []
     for omega in grid:
         eigenvalues = eigenvalues_only(build_block(params.with_omega(omega), cfg.n).matrix)
-        f_numeric = -log_sum_exp(-beta * eigenvalues) / beta
         if cfg.F == 2:
-            z_sc = semiclassical_z_f2(cfg.k, cfg.n, hbar, omega, params.delta, params.g, beta)
+            levels = semiclassical_levels_f2(cfg.k, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
         else:
-            z_sc = semiclassical_z_k1(cfg.F, cfg.n, hbar, omega, params.delta, params.g, beta)
-        f_semiclassical = -math.log(z_sc) / beta
+            levels = semiclassical_levels_k1(cfg.F, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
+        f_numeric = -log_sum_exp(-cfg.beta * eigenvalues) / cfg.beta
+        f_semiclassical = -log_sum_exp(-cfg.beta * levels.values()) / cfg.beta
         rel_err = abs(f_numeric - f_semiclassical) / max(abs(f_numeric), 1e-300)
         rows.append([float(omega), f_numeric, f_semiclassical, rel_err])
     record = {"command": "semiclassical-compare", "F": cfg.F, "k": cfg.k, "n": cfg.n,
               "omega_min": cfg.omega_min, "omega_max": cfg.omega_max,
               "omega_count": cfg.omega_count, "omega_scale": cfg.omega_scale,
-              "delta": params.delta, "g": params.g, "hbar": hbar, "beta": beta}
+              "delta": cfg.delta, "g": cfg.g, "hbar": cfg.hbar, "beta": cfg.beta}
     _emit(cfg, record, ["omega", "F_numeric", "F_semiclassical", "rel_err"], rows)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    scope = cfg.scope or "all"
-    summary = run_checks(scope, step=float(cfg.mu_step))
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    summary = run_checks(cfg.scope, step=cfg.mu_step)
     _write_text(cfg.out, json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if summary["passed"] else EXIT_VERIFICATION
 
 
+#: command -> (handler, help, flags in --help order); every command also takes --config.
+_COMMANDS = {
+    "dims": (cmd_dims, "block dimensions d_n for n = 0..n_max", _COMMON + ("n_max",)),
+    "spectrum": (cmd_spectrum, "eigenvalues of one block, with exact columns in regime",
+                 _COMMON + ("omega", "n")),
+    "thermo-scan": (cmd_thermo_scan, "thermal observables over a frequency grid",
+                    _COMMON + _GRID + ("n",)),
+    "semiclassical-compare": (cmd_semiclassical_compare,
+                              "free energy: numerical vs linearized closed form",
+                              _COMMON + _GRID + ("n",)),
+    "verify": (cmd_verify, "run self-check suites, emit JSON summary",
+               _COMMON + ("scope", "mu_step")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ParameterError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parafermi-jc",
         description="Block diagonalization and thermodynamics of parafermion"
                     " modes coupled to a (deformed) oscillator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, grid=False, single_omega=False):
+    for command, (_, command_help, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--F", type=int, help="nilpotency order (>= 2)")
-        p.add_argument("--k", type=int, help="number of parafermion modes (>= 1)")
-        p.add_argument("--delta", type=float, help="level splitting (default 1)")
-        p.add_argument("--g", type=float, help="coupling strength (default 1)")
-        p.add_argument("--hbar", type=float, help="deformation scale (default 1)")
-        p.add_argument("--beta", type=float, help="inverse temperature (default 1)")
-        p.add_argument("--deformation",
-                       help="undeformed|linear|qexp|parafermionic (default undeformed)")
-        p.add_argument("--out", default=None, help="output path, '-' for stdout")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        if single_omega:
-            p.add_argument("--omega", type=float, help="oscillator frequency (default 1)")
-        if grid:
-            p.add_argument("--omega-min", dest="omega_min", type=float)
-            p.add_argument("--omega-max", dest="omega_max", type=float)
-            p.add_argument("--omega-count", dest="omega_count", type=int)
-            p.add_argument("--omega-scale", dest="omega_scale", choices=("linear", "log"))
-
-    p = sub.add_parser("dims", help="block dimensions d_n for n = 0..n_max")
-    add_common(p)
-    p.add_argument("--n-max", dest="n_max", type=int)
-
-    p = sub.add_parser("spectrum", help="eigenvalues of one block, with exact columns in regime")
-    add_common(p, single_omega=True)
-    p.add_argument("--n", type=int, help="total excitation number")
-
-    p = sub.add_parser("thermo-scan", help="thermal observables over a frequency grid")
-    add_common(p, grid=True)
-    p.add_argument("--n", type=int, help="total excitation number")
-
-    p = sub.add_parser("semiclassical-compare",
-                       help="free energy: numerical vs linearized closed form")
-    add_common(p, grid=True)
-    p.add_argument("--n", type=int, help="total excitation number")
-
-    p = sub.add_parser("verify", help="run self-check suites, emit JSON summary")
-    add_common(p)
-    p.add_argument("--scope", choices=("all", "algebra", "oracles", "thermo"))
-    p.add_argument("--mu-step", dest="mu_step", type=float)
+        for key in keys:
+            kind, _, key_help = _INPUTS[key]
+            convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(_flag(key), dest=key, help=key_help, **convert)
     return parser
 
 
-_COMMANDS = {
-    "dims": cmd_dims,
-    "spectrum": cmd_spectrum,
-    "thermo-scan": cmd_thermo_scan,
-    "semiclassical-compare": cmd_semiclassical_compare,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_inputs(args))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -49,10 +49,13 @@ class Deformation:
             raise ParameterError(f"unknown deformation kind {self.kind!r}")
         if self.kind in ("linear", "qexp", "qsym", "parafermionic") and self.param is None:
             raise ParameterError(f"{self.kind} deformation needs a parameter")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ParameterError(f"{self.kind} deformation needs a finite parameter, got {self.param}")
         if self.kind == "linear" and not self.param > 0:
             raise ParameterError("linear deformation needs hbar > 0")
-        if self.kind == "qexp" and not self.param > 0:
-            raise ParameterError("qexp deformation needs hbar > 0")
+        if self.kind == "qexp" and not (self.param > 0 and math.exp(-self.param) < 1.0):
+            # also rejects an hbar so small that e^hbar - e^-hbar rounds to 0
+            raise ParameterError(f"qexp deformation needs hbar > 0 with e^-hbar < 1, got {self.param}")
         if self.kind == "qsym":
             if not (self.param > 0) or self.param == 1.0:
                 raise ParameterError("qsym deformation needs real q > 0, q != 1")
@@ -127,17 +130,19 @@ class Deformation:
         if kind not in needs:
             raise ParameterError(f"unknown deformation type {kind!r}")
         key = needs[kind]
-        if key is not None and key not in record:
-            raise ParameterError(f"{kind} deformation record needs a {key!r} entry")
-        if kind == "undeformed":
+        if key is None:
             return cls.undeformed()
-        if kind == "linear":
-            return cls.linear(record["hbar"])
-        if kind == "qexp":
-            return cls.q_exp(record["hbar"])
-        if kind == "qsym":
-            return cls.q_sym(record["q"])
-        return cls.parafermionic(record["F"])
+        if key not in record:
+            raise ParameterError(f"{kind} deformation record needs a {key!r} entry")
+        try:
+            value = float(record[key])
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"{kind} deformation needs a number for {key!r}, got {record[key]!r}"
+            ) from None
+        constructor = {"linear": cls.linear, "qexp": cls.q_exp, "qsym": cls.q_sym,
+                       "parafermionic": cls.parafermionic}[kind]
+        return constructor(value)
 
 
 def evaluate(phi: Deformation, x: float) -> float:

@@ -71,6 +71,7 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     """In-place Householder reduction; returns (diag, offdiag >= 0, Q or None)."""
     n = A.shape[0]
     Q = np.eye(n, dtype=np.complex128) if want_vectors else None
+    tiny = np.finfo(np.float64).tiny
     for j in range(n - 2):
         x = A[j + 1:, j].copy()
         xnorm = np.linalg.norm(x)
@@ -81,7 +82,9 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
         v = x
         v[0] -= alpha
         vnorm2 = np.real(np.vdot(v, v))
-        if vnorm2 == 0.0:
+        if vnorm2 < tiny:
+            # 2/vnorm2 would overflow; the column below the subdiagonal is
+            # under 1e-154 and is dropped, within the residual contract
             continue
         tau = 2.0 / vnorm2
         sub = A[j + 1:, j + 1:]
@@ -90,8 +93,6 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
         sub -= np.outer(w, v.conj())
         sub -= np.outer(v, w.conj())
         A[j + 1, j] = alpha
-        A[j + 2:, j] = 0.0
-        A[j, j + 1:] = A[j + 1:, j].conj()
         if Q is not None:
             Qv = Q[:, j + 1:] @ v
             Q[:, j + 1:] -= tau * np.outer(Qv, v.conj())
@@ -100,7 +101,6 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     # rotate residual phases into the basis so the off-diagonal is |e_j|; a
     # subnormal |e_j| would overflow the division and is zero to working
     # precision anyway, so the phase carries over unchanged
-    tiny = np.finfo(np.float64).tiny
     s = np.ones(n, dtype=np.complex128)
     for j in range(n - 1):
         mag = abs(e[j])
@@ -171,13 +171,6 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     and ConvergenceError if the QL stage exceeds its sweep cap.
     """
     A = _require_hermitian(H)
-    n = A.shape[0]
-    if n == 0:
-        return Spectrum(np.array([], dtype=np.float64),
-                        np.zeros((0, 0), dtype=np.complex128) if want_vectors else None)
-    if n == 1:
-        vec = np.ones((1, 1), dtype=np.complex128) if want_vectors else None
-        return Spectrum(np.array([A[0, 0].real]), vec)
     d, e, Q = _tridiagonalize(A.copy(), want_vectors)
     d, Q = _ql_implicit_shift(d, e, Q)
     order = np.argsort(d, kind="stable")

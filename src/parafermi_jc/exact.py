@@ -28,6 +28,7 @@ import numpy as np
 
 from .deformations import Deformation, evaluate
 from .errors import NumericalError, OutOfRegimeError, ParameterError
+from .thermo import log_sum_exp
 
 logger = logging.getLogger(__name__)
 
@@ -208,16 +209,14 @@ def semiclassical_z_f2(
 ) -> float:
     """Degeneracy-weighted Boltzmann sum over the linearized F=2 levels.
 
-    Evaluated through a shifted exponential sum so large exponents cannot
-    overflow; at beta = 1 it reproduces ``semiclassical_z_f2_closed_form``.
+    Evaluated through log-sum-exp so large exponents cannot overflow before
+    the final exponential; at beta = 1 it reproduces
+    ``semiclassical_z_f2_closed_form``.
     """
     if not beta > 0:
         raise ParameterError(f"beta must be positive, got {beta}")
-    spectrum = semiclassical_levels_f2(k, n, hbar, omega, delta, g)
-    exponents = np.array([-beta * value for value, _ in spectrum.levels])
-    weights = np.array([degeneracy for _, degeneracy in spectrum.levels], dtype=np.float64)
-    shift = float(np.max(exponents))
-    return float(math.exp(shift) * np.sum(weights * np.exp(exponents - shift)))
+    levels = semiclassical_levels_f2(k, n, hbar, omega, delta, g)
+    return math.exp(log_sum_exp(-beta * levels.values()))
 
 
 def semiclassical_z_f2_closed_form(
@@ -252,29 +251,34 @@ def semiclassical_z_f2_closed_form(
     return term_minus + term_plus
 
 
-def semiclassical_z_k1(
-    F: int, n: int, hbar: float, omega: float, delta: float, g: float, beta: float = 1.0
-) -> float:
-    """Linearized partition sum for a single mode of generic order F, n > F-1.
+def semiclassical_levels_k1(
+    F: int, n: int, hbar: float, omega: float, delta: float, g: float
+) -> LabeledSpectrum:
+    """Levels of a single mode of generic order F linearized in hbar, n > F-1.
 
-    Three groups of terms: the weight-0 branch, the fully occupied branch, and
-    a ladder over intermediate weights s = 1..F-2; every exponent is
-    multiplied by beta.
+    Three groups of levels, each of degeneracy 1: the weight-0 branch, the
+    fully occupied branch, and a ladder over intermediate weights s = 1..F-2.
     """
     if int(F) != F or F < 2:
         raise ParameterError(f"F must be an integer >= 2, got {F}")
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
     if delta == 0.0:
-        raise ParameterError("linearized Z expands about delta != 0")
+        raise ParameterError("linearized levels expand about delta != 0")
     if n <= F - 1:
-        raise OutOfRegimeError(f"single-mode linearized Z needs n > F-1, got n={n}, F={F}")
-    exponents = [
-        -hbar * n * (delta * omega - g * g) / delta,
-        delta * (1 - F) - g * g * (n - F + 2) * hbar / delta - (n + 1 - F) * omega * hbar,
+        raise OutOfRegimeError(f"single-mode linearized levels need n > F-1, got n={n}, F={F}")
+    values = [
+        hbar * n * (delta * omega - g * g) / delta,
+        delta * (F - 1) + g * g * (n - F + 2) * hbar / delta + (n + 1 - F) * omega * hbar,
     ]
     for s in range(1, F - 1):
-        exponents.append(-omega * hbar * (n - s) - g * g * hbar / delta - delta * s)
-    arr = beta * np.asarray(exponents)
-    shift = float(np.max(arr))
-    return float(math.exp(shift) * np.sum(np.exp(arr - shift)))
+        values.append(omega * hbar * (n - s) + g * g * hbar / delta + delta * s)
+    return LabeledSpectrum(tuple((value, 1) for value in values))
+
+
+def semiclassical_z_k1(
+    F: int, n: int, hbar: float, omega: float, delta: float, g: float, beta: float = 1.0
+) -> float:
+    """Boltzmann sum over ``semiclassical_levels_k1``, through log-sum-exp."""
+    if not beta > 0:
+        raise ParameterError(f"beta must be positive, got {beta}")
+    levels = semiclassical_levels_k1(F, n, hbar, omega, delta, g)
+    return math.exp(log_sum_exp(-beta * levels.values()))

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafermi_jc import algebra
 from parafermi_jc.cli import main
@@ -42,6 +47,11 @@ class TestDims:
     def test_parameter_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "dims", "--F", "1", "--k", "1", "--n-max", "2")
         assert code == 1
+        assert "parameter error" in err
+
+    def test_negative_n_max_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--F", "1", "--k", "1", "--n-max", "-1")
+        assert code == 1 and out == ""
         assert "parameter error" in err
 
 
@@ -128,6 +138,14 @@ class TestThermoScan:
         assert code == 2 and out == ""
         assert "numerical error" in err and "log Z" in err
 
+    def test_non_finite_cell_exits_2(self, capsys):
+        # a subnormal beta overflows free_energy = -log Z / beta to -inf
+        code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "1",
+                                 "--beta", "5e-324", "--omega-min", "1", "--omega-max", "2",
+                                 "--omega-count", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("numerical error:") and "free_energy" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -171,6 +189,116 @@ class TestThermoScan:
         assert b"\r" not in data and data.endswith(b"\n")
 
 
+BASE_CONFIG = {"F": 2, "k": 1, "n": 2, "omega_min": 1.0, "omega_max": 10.0, "omega_count": 3}
+
+
+def run_with_config(capsys, tmp_path, values, *argv):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**BASE_CONFIG, **values}))
+    return run_cli(capsys, "thermo-scan", "--config", str(config), *argv)
+
+
+class TestInputs:
+    def test_usage_error_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--F", "abc")
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error:") and "--F" in err
+
+    @pytest.mark.parametrize("values", [{"delta": "x"}, {"omega_count": 2.5}, {"F": 3.0},
+                                        {"beta": True}, {"omega_scale": "cubic"}])
+    def test_config_value_rejected_like_flag_text(self, capsys, tmp_path, values):
+        code, out, err = run_with_config(capsys, tmp_path, values)
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error:") and next(iter(values)) in err
+
+    @pytest.mark.parametrize("values,flags", [
+        ({"delta": "2.0"}, ["--delta", "2.0"]),
+        ({"delta": 2}, ["--delta", "2"]),
+        ({"delta": None, "g": None, "deformation": None}, []),
+    ])
+    def test_config_value_read_like_flag_text(self, capsys, tmp_path, values, flags):
+        code, from_config, _ = run_with_config(capsys, tmp_path, values)
+        assert code == 0
+        code, from_flags, _ = run_with_config(capsys, tmp_path, {}, *flags)
+        assert code == 0 and from_config == from_flags
+
+    @pytest.mark.parametrize("record", [
+        {"type": "qexp", "hbar": None},
+        {"type": "parafermionic", "F": "x"},
+        {"type": "linear", "hbar": [1]},
+        {"type": "parafermionic", "F": float("nan")},
+    ])
+    def test_bad_deformation_record(self, capsys, tmp_path, record):
+        code, out, err = run_with_config(capsys, tmp_path, {"deformation": record})
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error:") and "deformation" in err
+
+
+COMMON_KEYS = ("F", "k", "delta", "g", "hbar", "beta", "deformation")
+GRID_KEYS = ("omega_min", "omega_max", "omega_count", "omega_scale")
+COMMAND_KEYS = {
+    "dims": COMMON_KEYS + ("n_max",),
+    "spectrum": COMMON_KEYS + ("omega", "n"),
+    "thermo-scan": COMMON_KEYS + GRID_KEYS + ("n",),
+    "semiclassical-compare": COMMON_KEYS + GRID_KEYS + ("n",),
+}
+#: (plain, extreme) pools per input; an extreme int pool spans the whole drawn range.
+POOLS = {
+    "F": (range(2, 5), range(-1, 5)),
+    "k": (range(1, 4), range(0, 4)),
+    "n": (range(0, 7), range(-1, 7)),
+    "n_max": (range(0, 7), range(-1, 7)),
+    "omega_count": (range(1, 21), range(0, 21)),
+    "omega_min": ([0.5, 1.0, 2.0], None),
+    "omega_max": ([20.0, 80.0], None),
+    "omega_scale": (["linear", "log"], ["linear", "log", None]),
+    "deformation": (["undeformed", "linear", "qexp", "parafermionic"],
+                    [None, {"type": "qexp", "hbar": 0.5}, {"type": "qsym", "q": 2.0},
+                     {"type": "parafermionic", "F": 3}]),
+}
+PLAIN_FLOATS = [0.5, 1.0, 2.0, 20.0]
+EXTREME_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300,
+                  "x", "2.0", True, False, None]
+
+
+@st.composite
+def cli_cases(draw):
+    """A command with plain inputs, except at most two drawn from the extreme pools."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    keys = COMMAND_KEYS[command]
+    extreme = draw(st.sets(st.sampled_from(keys), max_size=2))
+    flags, config = [], {}
+    for key in keys:
+        plain, wild = POOLS.get(key, (PLAIN_FLOATS, None))
+        value = draw(st.sampled_from((wild or EXTREME_FLOATS) if key in extreme else plain))
+        if isinstance(value, dict) or draw(st.booleans()):
+            config[key] = value
+        elif value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"--{key.replace('_', '-')}={text}")
+    return command, flags, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cli_cases())
+def test_cli_property_clean_exit(tmp_path_factory, case):
+    command, flags, config = case
+    path = tmp_path_factory.getbasetemp() / "cli_property.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), *flags])
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out.getvalue() == ""
+        # numpy may warn about an overflow before the error line
+        last_line = err.getvalue().strip().split("\n")[-1]
+        assert last_line.startswith(("parameter error:", "numerical error:"))
+    if code == 0:
+        for line in out.getvalue().strip().split("\n")[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",") if cell)
+
+
 class TestSemiclassicalCompare:
     def test_small_hbar_tracks_numerics(self, capsys):
         code, out, _ = run_cli(capsys, "semiclassical-compare", "--F", "2", "--k", "1",
@@ -181,6 +309,16 @@ class TestSemiclassicalCompare:
         lines = out.strip().split("\n")
         assert lines[0] == "omega,F_numeric,F_semiclassical,rel_err"
         assert all(float(line.split(",")[3]) <= 1e-3 for line in lines[1:])
+
+    @pytest.mark.parametrize("F,k,n", [(2, 1, 4), (3, 1, 5)])
+    def test_low_temperature_stays_finite(self, capsys, F, k, n):
+        # Z underflows at beta = 100; both free energies come from log Z
+        code, out, err = run_cli(capsys, "semiclassical-compare", "--F", str(F), "--k", str(k),
+                                 "--n", str(n), "--beta", "100", "--omega-min", "0.5",
+                                 "--omega-max", "80", "--omega-count", "9")
+        assert code == 0 and err == ""
+        cells = [float(c) for line in out.strip().split("\n")[1:] for c in line.split(",")]
+        assert len(cells) == 36 and all(math.isfinite(c) for c in cells)
 
     def test_regime_validation(self, capsys):
         code, _, err = run_cli(capsys, "semiclassical-compare", "--F", "3", "--k", "2",

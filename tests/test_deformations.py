@@ -98,6 +98,12 @@ def test_constructor_validation():
     with pytest.raises(ParameterError):
         Deformation.q_exp(-1.0)
     with pytest.raises(ParameterError):
+        Deformation.q_exp(-1000.0)
+    with pytest.raises(ParameterError):
+        Deformation.q_exp(1e-310)  # e^h - e^-h rounds to 0
+    with pytest.raises(ParameterError):
+        Deformation.parafermionic(math.nan)
+    with pytest.raises(ParameterError):
         Deformation.q_sym(1.0)
     with pytest.raises(ParameterError):
         Deformation.parafermionic(1)

@@ -29,6 +29,10 @@ class TestBasicCases:
     def test_one_by_one_and_zero(self):
         assert eigendecompose(np.array([[4.0]])).eigenvalues == pytest.approx([4.0])
         assert eigenvalues_only(np.zeros((3, 3))) == pytest.approx([0.0, 0.0, 0.0])
+        one = eigendecompose(np.array([[4.0]]), want_vectors=True)
+        assert one.eigenvectors.tolist() == [[1.0]]
+        empty = eigendecompose(np.zeros((0, 0)), want_vectors=True)
+        assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (0, 0)
 
     def test_ascending_order(self):
         w = eigenvalues_only(random_hermitian(40, 3))
@@ -49,6 +53,15 @@ class TestBasicCases:
 
 
 class TestContracts:
+    def test_tiny_reflector_skipped(self):
+        # the column below the subdiagonal has norm 1e-160: 2/||v||^2 would overflow
+        H = np.array([[0.0, 0.0, 1e-160], [0.0, 1.0, 0.0], [1e-160, 0.0, 2.0]], dtype=complex)
+        spec = eigendecompose(H, want_vectors=True)
+        V, w = spec.eigenvectors, spec.eigenvalues
+        assert w == pytest.approx([0.0, 1.0, 2.0], abs=1e-15)
+        assert np.max(np.linalg.norm(H @ V - V * w, axis=0)) <= residual_bound(H)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(3))) <= 1e-10
+
     @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1), (50, 2), (128, 3), (256, 4)])
     def test_residual_and_orthonormality(self, n, seed):
         H = random_hermitian(n, seed)
