@@ -39,6 +39,10 @@ from .verify import run_checks
 #: |numeric - exact| beyond which the spectrum command reports a failure.
 SPECTRUM_MATCH_TOL = 1e-8
 
+#: Longest omega grid.  Each point costs one eigendecomposition and one output
+#: row held in memory until the scan is written, so a longer grid cannot finish.
+MAX_OMEGA_COUNT = 10**6
+
 EXIT_OK = 0
 EXIT_PARAMETER = 1
 EXIT_NUMERICAL = 2
@@ -154,8 +158,10 @@ def _model_params(cfg: argparse.Namespace) -> ModelParams:
 
 def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
     _require(cfg, "omega_min", "omega_max", "omega_count")
-    if cfg.omega_count < 1:
-        raise ParameterError("omega count must be >= 1")
+    if not 1 <= cfg.omega_count <= MAX_OMEGA_COUNT:
+        raise ParameterError(
+            f"omega count must be between 1 and {MAX_OMEGA_COUNT}, got {cfg.omega_count}"
+        )
     if not cfg.omega_max > cfg.omega_min:
         raise ParameterError("omega-max must exceed omega-min")
     if cfg.omega_scale == "linear":

@@ -4,10 +4,15 @@ Self-contained two-stage reduction, no LAPACK eigenroutine involved:
 
 1. Householder similarity transformations bring the Hermitian matrix to
    tridiagonal form; a diagonal phase rotation then makes the off-diagonal
-   real and nonnegative.
+   real and nonnegative.  A matrix whose largest entry lies outside
+   [2**-500, 2**500] is first scaled by an exact power of two, and its
+   eigenvalues scaled back, as LAPACK's zheev does.
 2. Implicit-shift QL iteration (Wilkinson shift) diagonalizes the real
-   symmetric tridiagonal matrix, with the plane rotations accumulated into
-   the unitary transform when eigenvectors are requested.
+   symmetric tridiagonal matrix.  When eigenvectors are requested, each
+   sweep's plane rotations are multiplied, up to ROTATION_BLOCK at a time,
+   into real transforms that update a real orthogonal accumulator, one
+   matrix product per block; the eigenvectors are the Householder unitary
+   times that accumulator.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
@@ -19,12 +24,13 @@ sweeps per eigenvalue suffice).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, NumericalError, ParameterError
 
 #: Hermiticity tolerance for accepting a matrix, relative to max(1, max|H|).
 HERMITICITY_RTOL = 1e-12
@@ -35,13 +41,27 @@ RESIDUAL_RTOL = 1e-10
 #: Implicit-shift sweeps allowed per matrix dimension before giving up.
 MAX_SWEEPS_PER_DIM = 64
 
+#: Rotations multiplied into one transform.  A sweep's chain of K rotations is
+#: applied in blocks of this many, one matrix product each, so accumulating it
+#: costs O(K * ROTATION_BLOCK * dim) flops instead of O(K^2 * dim).
+ROTATION_BLOCK = 32
+
+#: Strictly lower triangle of the largest block transform.
+_BLOCK_LOWER = np.tri(ROTATION_BLOCK + 1, ROTATION_BLOCK + 1, -1, dtype=bool)
+
+#: The Householder stage takes a matrix unscaled when its largest entry lies in
+#: [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT]; otherwise it is scaled into [0.5, 1).
+SAFE_EXPONENT = 500
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and, optionally, the unitary of column eigenvectors."""
+    """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
+    and the number of QL implicit-shift sweeps the solve took."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None
+    sweeps: int = 0
 
     def __post_init__(self):
         self.eigenvalues.flags.writeable = False
@@ -49,8 +69,8 @@ class Spectrum:
             self.eigenvectors.flags.writeable = False
 
 
-def _require_hermitian(H: np.ndarray) -> np.ndarray:
-    """H as a complex array, once it is known to be square, finite and Hermitian.
+def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """H as a complex array, and max|H|, once H is known to be square, finite and Hermitian.
 
     The package's one Hermiticity check: the eigensolver and block assembly
     both call it.  Raises ParameterError otherwise.
@@ -64,7 +84,7 @@ def _require_hermitian(H: np.ndarray) -> np.ndarray:
     dev = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
     if dev > HERMITICITY_RTOL * max(1.0, peak):
         raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")
-    return A
+    return A, peak
 
 
 def _tridiagonalize(A: np.ndarray, want_vectors: bool):
@@ -110,12 +130,41 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     return d, np.abs(e).astype(np.float64), Q
 
 
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, Q: Optional[np.ndarray]):
-    """Wilkinson-shifted QL on the tridiagonal (d, e); rotations go into Q's columns."""
-    n = d.size
-    d = d.copy()
-    e = np.concatenate([e, [0.0]])
-    eps = np.finfo(np.float64).eps
+def _sweep_transform(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The K x K product G_0 G_1 ... G_{K-2} of K - 1 <= ROTATION_BLOCK plane rotations.
+
+    G_j = [[c_j, -s_j], [s_j, c_j]] acts on rows (j, j+1), and the sweep
+    applies G_{K-2} first.  Column k of the product is therefore
+    c_k e_k + s_k e_{k+1} carried up through G_{k-1}, ..., G_0:
+    P[k+1, k] = s_k and, for i <= k,
+    P[i, k] = c_{i-1} (-s_i) (-s_{i+1}) ... (-s_{k-1}) c_k with c_{-1} = c_{K-1} = 1.
+    Row i's running products come from one cumprod, without division; an
+    entry that underflows is below anything the transform can resolve.
+    """
+    K = s.size + 1
+    P = np.empty((K, K))
+    P[0, 0] = 1.0
+    P[1:, 0] = c
+    P[:, 1:] = -s
+    np.copyto(P[:, 1:], 1.0, where=_BLOCK_LOWER[:K, :K - 1])
+    np.cumprod(P, axis=1, out=P)
+    np.copyto(P, 0.0, where=_BLOCK_LOWER[:K, :K])
+    P[:, :-1] *= c
+    P.flat[K::K + 1] = s
+    return P
+
+
+def _ql_implicit_shift(d: list, e: list, Zt: Optional[np.ndarray]) -> int:
+    """Wilkinson-shifted QL on the tridiagonal (d, e), in place; returns the sweep count.
+
+    d and e are Python float lists (len(e) == len(d) - 1): the scalar chain
+    runs faster on them than on numpy scalars.  Each sweep's rotations are
+    recorded and, when Zt is given, applied to its rows once the sweep ends,
+    ROTATION_BLOCK rotations per real matrix product.
+    """
+    n = len(d)
+    e.append(0.0)
+    eps = sys.float_info.epsilon
     sweeps = 0
     cap = MAX_SWEEPS_PER_DIM * max(n, 1)
     for l in range(n):
@@ -133,13 +182,14 @@ def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, Q: Optional[np.ndarray]):
                     f"eigensolver exceeded {cap} implicit-shift sweeps on a {n}x{n} matrix"
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
+            r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
             s_rot, c_rot, p = 1.0, 1.0, 0.0
+            s_seq, c_seq = [], []
             for i in range(m - 1, l - 1, -1):
                 f = s_rot * e[i]
                 b = c_rot * e[i]
-                r = np.hypot(f, g)
+                r = math.hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -152,31 +202,64 @@ def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, Q: Optional[np.ndarray]):
                 p = s_rot * r
                 d[i + 1] = g + p
                 g = c_rot * r - b
-                if Q is not None:
-                    col_i = Q[:, i].copy()
-                    col_next = Q[:, i + 1].copy()
-                    Q[:, i + 1] = s_rot * col_i + c_rot * col_next
-                    Q[:, i] = c_rot * col_i - s_rot * col_next
+                s_seq.append(s_rot)
+                c_seq.append(c_rot)
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return d, Q
+            if Zt is not None and s_seq:
+                # rotation j of s_arr acts on rows lo + j and lo + j + 1; the
+                # sweep made the highest j first, so blocks go bottom up
+                lo = m - len(s_seq)
+                s_arr, c_arr = np.array(s_seq[::-1]), np.array(c_seq[::-1])
+                for stop in range(len(s_seq), 0, -ROTATION_BLOCK):
+                    start = max(stop - ROTATION_BLOCK, 0)
+                    rows = slice(lo + start, lo + stop + 1)
+                    P = _sweep_transform(s_arr[start:stop], c_arr[start:stop])
+                    Zt[rows] = P @ Zt[rows]
+    return sweeps
 
 
 def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Eigendecompose a dense complex Hermitian matrix.
 
-    Raises ParameterError for non-square, non-finite or non-Hermitian input
-    and ConvergenceError if the QL stage exceeds its sweep cap.
+    Raises ParameterError for non-square, non-finite or non-Hermitian input,
+    NumericalError if the tridiagonal stage or the eigenvalues leave the
+    float range, and ConvergenceError if the QL stage exceeds its sweep cap.
     """
-    A = _require_hermitian(H)
-    d, e, Q = _tridiagonalize(A.copy(), want_vectors)
-    d, Q = _ql_implicit_shift(d, e, Q)
+    A, peak = _require_hermitian(H)
+    n = A.shape[0]
+    # like LAPACK's zheev, scale extreme matrices by an exact power of two so
+    # the Householder norms neither overflow nor drop columns that underflow;
+    # at ordinary magnitudes the bits are those of the unscaled solve
+    exponent = math.frexp(peak)[1]
+    if abs(exponent) <= SAFE_EXPONENT:
+        exponent = 0
+    work = A.copy()
+    if exponent:
+        parts = work.view(np.float64)
+        np.ldexp(parts, -exponent, out=parts)
+    d, e, Q = _tridiagonalize(work, want_vectors)
+    levels, off = d.tolist(), e.tolist()
+    # entries of the scaled tridiagonal are at most n * 2**500, so their sum is
+    # finite exactly when every entry is
+    if not math.isfinite(sum(levels) + sum(off)):
+        raise NumericalError(
+            f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries"
+        )
+    Zt = np.eye(n) if want_vectors else None
+    sweeps = _ql_implicit_shift(levels, off, Zt)
+    d = np.array(levels)
     order = np.argsort(d, kind="stable")
     values = d[order]
-    vectors = Q[:, order] if Q is not None else None
-    return Spectrum(values, vectors)
+    if exponent:
+        with np.errstate(over="ignore"):
+            values = np.ldexp(values, exponent)
+        if not np.isfinite(values).all():
+            raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range")
+    vectors = Q @ Zt[order].T if want_vectors else None
+    return Spectrum(values, vectors, sweeps)
 
 
 def eigenvalues_only(H: np.ndarray) -> np.ndarray:

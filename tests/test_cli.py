@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,17 @@ class TestSpectrum:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert all(r[2] == "" and r[3] == "" for r in rows)
 
+    @pytest.mark.parametrize("F,k,n", [(2, 3, 6), (4, 2, 2)])
+    def test_huge_delta_never_hits_the_sweep_cap(self, capsys, F, k, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", "--F", str(F), "--k", str(k),
+                                     "--n", str(n), "--delta", "1e300")
+        assert code in (0, 2) and "sweeps" not in err
+        if code == 0:
+            assert all(math.isfinite(float(line.split(",")[1]))
+                       for line in out.strip().split("\n")[1:])
+
 
 class TestThermoScan:
     def test_header_and_shape(self, capsys):
@@ -123,6 +135,14 @@ class TestThermoScan:
         monkeypatch.setenv("PARAFERMI_JC_THREADS", "3")
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("command", ["thermo-scan", "semiclassical-compare"])
+    @pytest.mark.parametrize("count", ["1000001", "100000000000000000000"])
+    def test_huge_omega_count_rejected(self, capsys, command, count):
+        code, out, err = run_cli(capsys, command, "--F", "2", "--k", "1", "--n", "1",
+                                 "--omega-min", "1", "--omega-max", "2", "--omega-count", count)
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error:") and "omega count" in err
 
     def test_thread_env_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAFERMI_JC_THREADS", "many")

@@ -1,10 +1,31 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafermi_jc import ParameterError, cluster_eigenvalues, eigendecompose, eigenvalues_only
-from parafermi_jc.eigensolver import RESIDUAL_RTOL
+from parafermi_jc import (
+    Deformation,
+    ModelParams,
+    NumericalError,
+    ParameterError,
+    build_block,
+    cluster_eigenvalues,
+    eigendecompose,
+    eigenvalues_only,
+)
+from parafermi_jc import eigensolver
+from parafermi_jc.eigensolver import (
+    RESIDUAL_RTOL,
+    ROTATION_BLOCK,
+    _ql_implicit_shift,
+    _sweep_transform,
+)
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_hermitian(n, seed):
@@ -15,6 +36,14 @@ def random_hermitian(n, seed):
 
 def residual_bound(H):
     return RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(H))) * H.shape[0])
+
+
+def max_residual(H, V, w):
+    """max_j ||H v_j - w_j v_j||, normed at unit scale: squares of 1e300 would overflow."""
+    exponent = math.frexp(float(np.max(np.abs(H))))[1]
+    R = H @ V - V * w
+    unit = np.ldexp(R.real, -exponent) + 1j * np.ldexp(R.imag, -exponent)
+    return math.ldexp(float(np.max(np.linalg.norm(unit, axis=0))), exponent)
 
 
 class TestBasicCases:
@@ -124,6 +153,175 @@ class TestContracts:
             spec.eigenvalues[0] = 0.0
         with pytest.raises(ValueError):
             spec.eigenvectors[0, 0] = 0.0
+
+
+def rotate_rows_one_by_one(s, c, Z):
+    """Apply G_{K-2}, ..., G_0 to the rows of Z in turn, as the sweep does."""
+    for j in range(len(s) - 1, -1, -1):
+        row_j, row_next = Z[j].copy(), Z[j + 1].copy()
+        Z[j + 1] = s[j] * row_j + c[j] * row_next
+        Z[j] = c[j] * row_j - s[j] * row_next
+    return Z
+
+
+def reference_ql(d, e, Zt):
+    """The QL iteration with each rotation applied to Zt's rows as it is made.
+
+    Returns the sweep count and the (l, m, i) of every sweep that the r == 0
+    branch cut short.
+    """
+    n = len(d)
+    e.append(0.0)
+    sweeps, cuts = 0, []
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > sys.float_info.epsilon * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    cuts.append((l, m, i))
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                rotate_rows_one_by_one([s], [c], Zt[i:i + 2])
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return sweeps, cuts
+
+
+class TestSweepTransform:
+    @pytest.mark.parametrize("rotations", [0, 1, 2, 27, ROTATION_BLOCK])
+    def test_matches_rotations_one_by_one(self, rotations):
+        theta = np.random.default_rng(rotations).uniform(-np.pi, np.pi, rotations)
+        s, c = np.sin(theta), np.cos(theta)
+        K = rotations + 1
+        P = _sweep_transform(s, c)
+        expected = rotate_rows_one_by_one(s, c, np.eye(K))
+        assert np.max(np.abs(P - expected), initial=0.0) <= 4 * K * EPS
+        assert np.max(np.abs(P @ P.T - np.eye(K))) <= 4 * K * EPS
+
+    # n = 80: the first sweeps hold more than two blocks of rotations
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (27, 2), (40, 3), (80, 4)])
+    def test_ql_matches_rotation_by_rotation(self, n, seed):
+        rng = np.random.default_rng(seed)
+        d, e = rng.standard_normal(n).tolist(), rng.standard_normal(n - 1).tolist()
+        d_ref, Zt_ref = list(d), np.eye(n)
+        sweeps_ref, _ = reference_ql(d_ref, list(e), Zt_ref)
+        Zt = np.eye(n)
+        assert _ql_implicit_shift(d, list(e), Zt) == sweeps_ref
+        assert d == d_ref
+        assert np.max(np.abs(Zt - Zt_ref)) <= 1e-12
+
+    def test_chain_cut_short_by_zero_rotation(self):
+        # subnormal off-diagonals: the first sweep's rotation radius underflows to
+        # 0 after two rotations, so only rows 2..4 take the sweep's transform
+        d = [0.0] * 5
+        e = [3e-323, 8e-323, 2.37e-322, 6.3e-322]
+        d_ref, Zt_ref = list(d), np.eye(5)
+        sweeps_ref, cuts = reference_ql(d_ref, list(e), Zt_ref)
+        assert cuts[0] == (0, 4, 1)
+        Zt = np.eye(5)
+        assert _ql_implicit_shift(d, list(e), Zt) == sweeps_ref
+        assert d == d_ref
+        assert np.max(np.abs(Zt - Zt_ref)) <= 1e-15
+
+
+STAIRCASE = ModelParams(3, 3, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))
+
+
+@pytest.mark.parametrize("H,sweeps", [
+    (np.diag([3.0, -1.0, 2.0]), 0),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), 1),
+    (random_hermitian(8, 1), 18),
+    (random_hermitian(50, 2), 114),
+    (build_block(STAIRCASE, 8).matrix, 49),
+], ids=["diagonal", "two_by_two", "random_8", "random_50", "staircase_block"])
+def test_sweep_count_pinned(H, sweeps):
+    assert eigendecompose(H, want_vectors=True).sweeps == sweeps
+    assert eigendecompose(H).sweeps == sweeps
+
+
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-310])
+    @pytest.mark.parametrize("n,seed", [(8, 20), (27, 21)])
+    def test_matches_lapack(self, n, seed, scale):
+        # unscaled, 1e300 overflows the Householder norms to NaN, and 1e-200
+        # drops reflectors whose ||v||^2 underflows, so eigenvalues go wrong
+        H = scale * random_hermitian(n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = eigendecompose(H, want_vectors=True)
+        ref = np.linalg.eigvalsh(H)
+        assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert max_residual(H, spec.eigenvectors, spec.eigenvalues) <= residual_bound(H)
+
+    def test_eigenvalue_beyond_float_range(self):
+        H = np.full((2, 2), 1.7e308)
+        with pytest.raises(NumericalError, match="float range"):
+            eigendecompose(H)
+
+    def test_non_finite_tridiagonal_named(self, monkeypatch):
+        def broken(A, want_vectors):
+            n = A.shape[0]
+            return np.full(n, np.nan), np.zeros(n - 1), None
+        monkeypatch.setattr(eigensolver, "_tridiagonalize", broken)
+        with pytest.raises(NumericalError, match="tridiagonal"):
+            eigendecompose(np.eye(3))
+
+
+@st.composite
+def hermitian_cases(draw):
+    """Random, diagonal or repeated-eigenvalue Hermitian matrices of size 0-16,
+    scaled anywhere from 1e-300 to 1e300."""
+    n = draw(st.integers(0, 16))
+    kind = draw(st.sampled_from(["random", "diagonal", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-300, 1e300))
+    if kind == "random":
+        H = random_hermitian(n, rng)
+    elif kind == "diagonal":
+        H = np.diag(rng.standard_normal(n)).astype(complex)
+    else:
+        values = rng.choice([-1.0, 0.5, 2.0], size=n)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        H = U @ np.diag(values) @ U.conj().T
+        H = (H + H.conj().T) / 2
+    return scale * H
+
+
+@given(hermitian_cases())
+@settings(max_examples=60, deadline=None)
+def test_contracts_over_full_range(H):
+    n = H.shape[0]
+    spec = eigendecompose(H, want_vectors=True)
+    values = eigenvalues_only(H)
+    assert np.array_equal(values, spec.eigenvalues)
+    assert spec.eigenvectors.shape == (n, n)
+    if n == 0:
+        return
+    V, w = spec.eigenvectors, spec.eigenvalues
+    assert np.all(np.diff(w) >= 0)
+    assert max_residual(H, V, w) <= residual_bound(H)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= RESIDUAL_RTOL
 
 
 class TestClustering:
