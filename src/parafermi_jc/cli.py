@@ -164,6 +164,10 @@ def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
         )
     if not cfg.omega_max > cfg.omega_min:
         raise ParameterError("omega-max must exceed omega-min")
+    if not math.isfinite(cfg.omega_max - cfg.omega_min):
+        raise ParameterError(
+            f"omega-max - omega-min must be finite, got {cfg.omega_max} - {cfg.omega_min}"
+        )
     if cfg.omega_scale == "linear":
         return np.linspace(cfg.omega_min, cfg.omega_max, cfg.omega_count)
     if cfg.omega_min <= 0:
@@ -276,16 +280,16 @@ def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
                          deformation=Deformation.linear(cfg.hbar))
     grid = _omega_grid(cfg)
     rows = []
-    for omega in grid:
+    for omega in grid.tolist():
         eigenvalues = eigenvalues_only(build_block(params.with_omega(omega), cfg.n).matrix)
         if cfg.F == 2:
             levels = semiclassical_levels_f2(cfg.k, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
         else:
             levels = semiclassical_levels_k1(cfg.F, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
-        f_numeric = -log_sum_exp(-cfg.beta * eigenvalues) / cfg.beta
-        f_semiclassical = -log_sum_exp(-cfg.beta * levels.values()) / cfg.beta
+        f_numeric = -log_sum_exp(eigenvalues, -cfg.beta) / cfg.beta
+        f_semiclassical = -log_sum_exp(levels.values(), -cfg.beta) / cfg.beta
         rel_err = abs(f_numeric - f_semiclassical) / max(abs(f_numeric), 1e-300)
-        rows.append([float(omega), f_numeric, f_semiclassical, rel_err])
+        rows.append([omega, f_numeric, f_semiclassical, rel_err])
     record = {"command": "semiclassical-compare", "F": cfg.F, "k": cfg.k, "n": cfg.n,
               "omega_min": cfg.omega_min, "omega_max": cfg.omega_max,
               "omega_count": cfg.omega_count, "omega_scale": cfg.omega_scale,

@@ -13,10 +13,11 @@ Named variants:
 * ``linear``          phi(x) = hbar*x, a dimensionful boson used for the
                       semiclassical expansion in hbar.
 * ``qexp``            phi(x) = (e^{hbar x} - e^{-hbar x})/(e^hbar - e^{-hbar}),
-                      the q-number with real q = e^hbar.
+                      the q-number with real q = e^hbar, evaluated as
+                      sinh(hbar x)/sinh(hbar).
 * ``qsym``            phi(x) = (q^{-x} - q^x)/(q^{-1} - q) for real q > 0.
                       Identical to ``qexp`` with hbar = ln q (both numerator
-                      and denominator flip sign together).
+                      and denominator flip sign together), and evaluated so.
 * ``parafermionic``   phi(x) = x*(F - x); realizes spin-(F-1)/2 ladder
                       operators, vanishing at x = 0 and x = F.
 * ``custom``          any user callable with phi(0) = 0.
@@ -54,7 +55,7 @@ class Deformation:
         if self.kind == "linear" and not self.param > 0:
             raise ParameterError("linear deformation needs hbar > 0")
         if self.kind == "qexp" and not (self.param > 0 and math.exp(-self.param) < 1.0):
-            # also rejects an hbar so small that e^hbar - e^-hbar rounds to 0
+            # also rejects an hbar below about 5.6e-17, where e^-hbar rounds to 1
             raise ParameterError(f"qexp deformation needs hbar > 0 with e^-hbar < 1, got {self.param}")
         if self.kind == "qsym":
             if not (self.param > 0) or self.param == 1.0:
@@ -96,12 +97,11 @@ class Deformation:
             return float(x)
         if self.kind == "linear":
             return self.param * x
-        if self.kind == "qexp":
-            h = self.param
-            return (math.exp(h * x) - math.exp(-h * x)) / (math.exp(h) - math.exp(-h))
-        if self.kind == "qsym":
-            q = self.param
-            return (q ** (-x) - q ** x) / (1.0 / q - q)
+        if self.kind in ("qexp", "qsym"):
+            # the sinh form keeps full relative accuracy for small hbar, where
+            # the differences of exponentials cancel
+            h = self.param if self.kind == "qexp" else math.log(self.param)
+            return math.sinh(h * x) / math.sinh(h)
         if self.kind == "parafermionic":
             return x * (self.param - x)
         return float(self.fn(x))

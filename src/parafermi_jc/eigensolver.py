@@ -3,16 +3,22 @@
 Self-contained two-stage reduction, no LAPACK eigenroutine involved:
 
 1. Householder similarity transformations bring the Hermitian matrix to
-   tridiagonal form; a diagonal phase rotation then makes the off-diagonal
-   real and nonnegative.  A matrix whose largest entry lies outside
-   [2**-500, 2**500] is first scaled by an exact power of two, and its
-   eigenvalues scaled back, as LAPACK's zheev does.
+   tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
+   a panel each column is brought up to date from the panel's reflectors
+   when it is reached, and the trailing matrix takes the whole panel as one
+   rank-2*PANEL product.  A diagonal phase rotation then makes the
+   off-diagonal real and nonnegative.  With eigenvectors requested, the
+   reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
+   they are applied to its accumulator, one panel per compact-WY product as
+   in zunmtr (the back-transform), so the Householder unitary is never
+   formed.  A matrix whose largest entry lies outside [2**-500, 2**500] is
+   first scaled by an exact power of two, and its eigenvalues scaled back,
+   as LAPACK's zheev does.
 2. Implicit-shift QL iteration (Wilkinson shift) diagonalizes the real
    symmetric tridiagonal matrix.  When eigenvectors are requested, each
    sweep's plane rotations are multiplied, up to ROTATION_BLOCK at a time,
    into real transforms that update a real orthogonal accumulator, one
-   matrix product per block; the eigenvectors are the Householder unitary
-   times that accumulator.
+   matrix product per block.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
@@ -48,6 +54,11 @@ ROTATION_BLOCK = 32
 
 #: Strictly lower triangle of the largest block transform.
 _BLOCK_LOWER = np.tri(ROTATION_BLOCK + 1, ROTATION_BLOCK + 1, -1, dtype=bool)
+
+#: Householder reflectors per panel.  A panel's rank-2 updates reach the
+#: trailing matrix as one product, and its reflectors reach the eigenvectors as
+#: one compact-WY transform.
+PANEL = 32
 
 #: The Householder stage takes a matrix unscaled when its largest entry lies in
 #: [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT]; otherwise it is scaled into [0.5, 1).
@@ -88,46 +99,97 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _tridiagonalize(A: np.ndarray, want_vectors: bool):
-    """In-place Householder reduction; returns (diag, offdiag >= 0, Q or None)."""
+    """Householder reduction of A to tridiagonal form, in panels of PANEL columns.
+
+    Returns (diag, offdiag >= 0, reflectors).  A is overwritten.  Reflector j
+    is H_j = I - 2 u_j u_j^H with u_j of unit norm in rows j+1.., and
+    Q = H_0 H_1 ... H_{n-3} diag(phases) takes the tridiagonal back to A.
+    reflectors is None unless want_vectors; then it is (phases, panels) for
+    _back_transform, where each panel is (r0, V) with the panel's u_j as the
+    columns of V over rows r0..  A skipped reflector is a zero column.
+
+    Within a panel the reflectors' rank-2 updates are not applied: each
+    column is brought up to date from the panel's (V, W) when it is reached,
+    and p = A u - V (W^H u) - W (V^H u) stands in for the updated A u.  The
+    trailing matrix takes all of them at once when the panel ends, as one
+    rank-2*PANEL product.
+    """
     n = A.shape[0]
-    Q = np.eye(n, dtype=np.complex128) if want_vectors else None
-    tiny = np.finfo(np.float64).tiny
-    for j in range(n - 2):
-        x = A[j + 1:, j].copy()
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        alpha = -phase * xnorm
-        v = x
-        v[0] -= alpha
-        vnorm2 = np.real(np.vdot(v, v))
-        if vnorm2 < tiny:
-            # 2/vnorm2 would overflow; the column below the subdiagonal is
-            # under 1e-154 and is dropped, within the residual contract
-            continue
-        tau = 2.0 / vnorm2
-        sub = A[j + 1:, j + 1:]
-        p = tau * (sub @ v)
-        w = p - (0.5 * tau * np.vdot(v, p)) * v
-        sub -= np.outer(w, v.conj())
-        sub -= np.outer(v, w.conj())
-        A[j + 1, j] = alpha
-        if Q is not None:
-            Qv = Q[:, j + 1:] @ v
-            Q[:, j + 1:] -= tau * np.outer(Qv, v.conj())
-    d = np.real(np.diag(A)).copy()
-    e = np.diag(A, -1).copy()
+    tiny = sys.float_info.min
+    # reflector k of a panel is stored in column PANEL-1-k and its w in column
+    # PANEL+k, so the panel's first k pairs fill the contiguous columns
+    # [PANEL-k, PANEL+k), and reversing those columns pairs each u with its w
+    work = np.empty((n, 2 * PANEL), dtype=np.complex128)
+    panels = [] if want_vectors else None
+    for j0 in range(0, n - 2, PANEL):
+        j1 = min(j0 + PANEL, n - 2)
+        work[j0:] = 0.0
+        for k, j in enumerate(range(j0, j1)):
+            col = A[j:, j]
+            if k:
+                pairs = work[j:, PANEL - k:PANEL + k]
+                col -= pairs @ pairs[0, ::-1].conj()
+            x = col[1:]
+            xnorm = math.sqrt(np.vdot(x, x).real)
+            x0 = complex(x[0])
+            ax0 = abs(x0)
+            # ||x - alpha e_0||^2 with alpha = -phase * ||x||, without cancellation
+            vnorm2 = 2.0 * xnorm * (xnorm + ax0)
+            if vnorm2 < tiny:
+                # nothing to annihilate, or 1/||v|| would overflow: the column
+                # below the subdiagonal is under 1e-154 and is dropped, within
+                # the residual contract
+                continue
+            phase = x0 / ax0 if ax0 else 1.0
+            vnorm = math.sqrt(vnorm2)
+            u = work[j + 1:, PANEL - 1 - k]
+            np.multiply(x, 1.0 / vnorm, out=u)
+            u[0] = phase * ((ax0 + xnorm) / vnorm)
+            col[1] = -phase * xnorm
+            p = A[j + 1:, j + 1:] @ u
+            if k:
+                pairs = work[j + 1:, PANEL - k:PANEL + k]
+                p -= pairs @ (u.conj() @ pairs).conj()[::-1]
+            p *= 2.0
+            w = work[j + 1:, PANEL + k]
+            np.multiply(u, -np.vdot(u, p), out=w)
+            w += p
+        nb = j1 - j0
+        pairs = work[j1:, PANEL - nb:PANEL + nb]
+        A[j1:, j1:] -= pairs @ pairs[:, ::-1].conj().T
+        if panels is not None:
+            panels.append((j0 + 1, work[j0 + 1:, PANEL - nb:PANEL][:, ::-1].copy()))
+    d = A.diagonal().real.copy()
+    e = A.diagonal(-1).copy()
+    if not want_vectors:
+        return d, np.abs(e), None
     # rotate residual phases into the basis so the off-diagonal is |e_j|; a
     # subnormal |e_j| would overflow the division and is zero to working
     # precision anyway, so the phase carries over unchanged
-    s = np.ones(n, dtype=np.complex128)
-    for j in range(n - 1):
-        mag = abs(e[j])
-        s[j + 1] = (e[j] * s[j]) / mag if mag >= tiny else s[j]
-    if Q is not None:
-        Q *= s[np.newaxis, :]
-    return d, np.abs(e).astype(np.float64), Q
+    phases = [1.0 + 0.0j] * n
+    for j, e_j in enumerate(e.tolist()):
+        mag = abs(e_j)
+        phases[j + 1] = (e_j * phases[j]) / mag if mag >= tiny else phases[j]
+    return d, np.abs(e), (np.array(phases, dtype=np.complex128), panels)
+
+
+def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
+    """Q Z for the unitary Q = H_0 H_1 ... diag(phases) that _tridiagonalize stored.
+
+    The product of a panel's reflectors is I - V T V^H in compact-WY form,
+    with T from V's Gram matrix by the UT transform
+    T^-1 = striu(V^H V) + diag(V^H V) / 2; a skipped reflector's zero column
+    gets pivot 1.  The panels are applied last first, so Q is never formed.
+    """
+    phases, panels = reflectors
+    X = phases[:, np.newaxis] * Z
+    for r0, V in reversed(panels):
+        gram = V.conj().T @ V
+        pivots = gram.diagonal().real / 2.0
+        T_inv = np.triu(gram, 1)
+        np.fill_diagonal(T_inv, np.where(pivots == 0.0, 1.0, pivots))
+        X[r0:] -= V @ np.linalg.solve(T_inv, V.conj().T @ X[r0:])
+    return X
 
 
 def _sweep_transform(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -240,7 +302,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     if exponent:
         parts = work.view(np.float64)
         np.ldexp(parts, -exponent, out=parts)
-    d, e, Q = _tridiagonalize(work, want_vectors)
+    d, e, reflectors = _tridiagonalize(work, want_vectors)
     levels, off = d.tolist(), e.tolist()
     # entries of the scaled tridiagonal are at most n * 2**500, so their sum is
     # finite exactly when every entry is
@@ -258,7 +320,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
             values = np.ldexp(values, exponent)
         if not np.isfinite(values).all():
             raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range")
-    vectors = Q @ Zt[order].T if want_vectors else None
+    vectors = _back_transform(reflectors, Zt[order].T) if want_vectors else None
     return Spectrum(values, vectors, sweeps)
 
 

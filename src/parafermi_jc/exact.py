@@ -102,16 +102,20 @@ def exact_f2_deformed(
     for l in range(k):
         lo = evaluate(phi, n - k + l)
         hi = evaluate(phi, n - k + l + 1)
-        radicand = (delta + omega * lo) ** 2 + hi * (
-            4.0 * k * g * g - 2.0 * omega * delta - 2.0 * omega * omega * lo + omega * omega * hi
-        )
-        if radicand < 0.0:
+        try:
+            radicand = (delta + omega * lo) ** 2 + hi * (
+                4.0 * k * g * g - 2.0 * omega * delta - 2.0 * omega * omega * lo + omega * omega * hi
+            )
+        except OverflowError:
+            radicand = math.inf
+        base = (2 * (k - l) - 1) * delta + (lo + hi) * omega
+        if not (math.isfinite(radicand + base) and radicand >= 0.0):
+            problem = "negative radicand" if math.isfinite(radicand + base) else "float overflow"
             raise NumericalError(
-                "negative radicand in the deformed F=2 level formula "
+                f"{problem} in the deformed F=2 level formula "
                 f"(k={k}, n={n}, l={l}, omega={omega}, delta={delta}, g={g})"
             )
         root = math.sqrt(radicand)
-        base = (2 * (k - l) - 1) * delta + (lo + hi) * omega
         degeneracy = math.comb(k - 1, l)
         levels.append((0.5 * (base + root), degeneracy))
         levels.append((0.5 * (base - root), degeneracy))
@@ -176,6 +180,15 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
     return LabeledSpectrum(tuple((shift + v, 1) for v in values))
 
 
+def _finite_levels(levels: tuple, formula: str, **params) -> LabeledSpectrum:
+    """The levels, unless one left the float range; then a NumericalError
+    names the formula and its parameters."""
+    if not all(math.isfinite(value) for value, _ in levels):
+        named = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise NumericalError(f"float overflow in the {formula} level formula ({named})")
+    return LabeledSpectrum(levels)
+
+
 def semiclassical_levels_f2(
     k: int, n: int, hbar: float, omega: float, delta: float, g: float
 ) -> LabeledSpectrum:
@@ -201,7 +214,8 @@ def semiclassical_levels_f2(
                 + delta * omega * hbar * (2 * l + 2 * n - 2 * k - s + 1)
             ) / (2.0 * delta)
             levels.append((value, degeneracy))
-    return LabeledSpectrum(tuple(levels))
+    return _finite_levels(tuple(levels), "linearized F=2",
+                          k=k, n=n, hbar=hbar, omega=omega, delta=delta, g=g)
 
 
 def semiclassical_z_f2(
@@ -216,7 +230,7 @@ def semiclassical_z_f2(
     if not beta > 0:
         raise ParameterError(f"beta must be positive, got {beta}")
     levels = semiclassical_levels_f2(k, n, hbar, omega, delta, g)
-    return math.exp(log_sum_exp(-beta * levels.values()))
+    return math.exp(log_sum_exp(levels.values(), -beta))
 
 
 def semiclassical_z_f2_closed_form(
@@ -271,7 +285,8 @@ def semiclassical_levels_k1(
     ]
     for s in range(1, F - 1):
         values.append(omega * hbar * (n - s) + g * g * hbar / delta + delta * s)
-    return LabeledSpectrum(tuple((value, 1) for value in values))
+    return _finite_levels(tuple((value, 1) for value in values), "single-mode linearized",
+                          F=F, n=n, hbar=hbar, omega=omega, delta=delta, g=g)
 
 
 def semiclassical_z_k1(
@@ -281,4 +296,4 @@ def semiclassical_z_k1(
     if not beta > 0:
         raise ParameterError(f"beta must be positive, got {beta}")
     levels = semiclassical_levels_k1(F, n, hbar, omega, delta, g)
-    return math.exp(log_sum_exp(-beta * levels.values()))
+    return math.exp(log_sum_exp(levels.values(), -beta))

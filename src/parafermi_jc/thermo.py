@@ -28,17 +28,31 @@ from .eigensolver import eigendecompose, eigenvalues_only
 from .errors import NumericalError, ParameterError
 
 
-def log_sum_exp(values: np.ndarray) -> float:
+def log_sum_exp(values: np.ndarray, scale: float = 1.0) -> float:
+    """log(sum(exp(scale * values))), shifted by the largest term so nothing overflows.
+
+    The terms scale * values are formed here, after |scale| * max|values|
+    bounds them, so a term beyond the float range raises NumericalError (its
+    shift would be inf - inf) instead of a numpy warning; an empty sequence
+    raises ParameterError.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ParameterError("log_sum_exp of an empty sequence")
-    shift = float(np.max(values))
-    return shift + math.log(float(np.sum(np.exp(values - shift))))
+    bound = abs(scale) * float(np.max(np.abs(values)))
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"log_sum_exp: a term scale * value leaves the float range (scale={scale!r})"
+        )
+    terms = scale * values
+    shift = float(np.max(terms))
+    return shift + math.log(float(np.sum(np.exp(terms - shift))))
 
 
 @dataclass(frozen=True)
 class ThermoObservables:
-    """Partition data of one block: Z, log Z, free energy, and diagonal averages."""
+    """Partition data of one block: Z, log Z, free energy, diagonal averages,
+    and the number-conservation error of the averages."""
 
     z: float
     log_z: float
@@ -46,6 +60,8 @@ class ThermoObservables:
     phi_n_expect: float
     n_expect: float
     w_expect: float
+    #: |<N> + <W> - n|: N + W = n on the whole block, so this is rounding error.
+    conservation_error: float
 
 
 @dataclass(frozen=True)
@@ -62,9 +78,8 @@ class PlateauReport:
 
 
 def _boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    exponents = -beta * eigenvalues
-    log_z = log_sum_exp(exponents)
-    return np.exp(exponents - log_z), log_z
+    log_z = log_sum_exp(eigenvalues, -beta)
+    return np.exp(-beta * eigenvalues - log_z), log_z
 
 
 def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObservables:
@@ -92,6 +107,7 @@ def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObs
         phi_n_expect=phi_expect,
         n_expect=n_expect,
         w_expect=w_expect,
+        conservation_error=abs(n_expect + w_expect - block.n),
     )
 
 
@@ -102,7 +118,7 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
 
 def log_partition(block: BlockHamiltonian, beta: float) -> float:
     """log Z of a block from eigenvalues alone (no eigenvector cost)."""
-    return log_sum_exp(-beta * eigenvalues_only(block.matrix))
+    return log_sum_exp(eigenvalues_only(block.matrix), -beta)
 
 
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:

@@ -210,7 +210,7 @@ def thermo_checks(step: float = 1e-4) -> list[CheckResult]:
             phi = Deformation.q_exp(float(rng.uniform(0.05, 0.3)))
         params = ModelParams(F, k, omega, delta, g, beta=beta, deformation=phi)
         obs = thermo_from_spectrum(params, n)
-        worst_cons = max(worst_cons, abs(obs.n_expect + obs.w_expect - n))
+        worst_cons = max(worst_cons, obs.conservation_error)
         worst_omega = max(worst_omega, abs(phi_n_via_omega_derivative(params, n, step) - obs.phi_n_expect))
         worst_mu = max(worst_mu, abs(n_via_mu_derivative(params, n, step) - obs.n_expect))
     results.append(_result("phi_n_trace_vs_omega_derivative", worst_omega, 1e-6))

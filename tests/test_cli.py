@@ -306,14 +306,16 @@ def test_cli_property_clean_exit(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "cli_property.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = main([command, "--config", str(path), *flags])
     assert code in (0, 1, 2, 3)
+    assert [str(w.message) for w in caught] == []
     if code in (1, 2):
         assert out.getvalue() == ""
-        # numpy may warn about an overflow before the error line
-        last_line = err.getvalue().strip().split("\n")[-1]
-        assert last_line.startswith(("parameter error:", "numerical error:"))
+        assert err.getvalue().startswith(("parameter error:", "numerical error:"))
+        assert err.getvalue().count("\n") == 1
     if code == 0:
         for line in out.getvalue().strip().split("\n")[1:]:
             assert all(math.isfinite(float(cell)) for cell in line.split(",") if cell)
@@ -390,6 +392,51 @@ def test_numerical_error_exit_code(capsys, monkeypatch):
     code = cli_module.main(["spectrum", "--F", "2", "--k", "1", "--n", "1"])
     err = capsys.readouterr().err
     assert code == 2 and "numerical error" in err
+
+
+def run_cli_recording_warnings(capsys, *argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    return code, out, err, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught]
+
+
+GRID_1_2 = ("--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
+
+
+class TestOverflowFailsCleanly:
+    """Inputs that overflow the float range exit 1 or 2 with one error line
+    and no numpy RuntimeWarning."""
+
+    def test_overflowing_f2_formula_named(self, capsys):
+        code, out, err, caught = run_cli_recording_warnings(
+            capsys, "spectrum", "--F", "2", "--k", "3", "--n", "6", "--delta", "1e300")
+        assert code == 2 and out == "" and caught == []
+        assert err.startswith("numerical error: float overflow in the deformed F=2 level formula")
+        assert "(k=3, n=6, l=0, omega=1.0, delta=1e+300, g=1.0)" in err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("thermo-scan", "--F", "2", "--k", "1", "--n", "4", "--omega-min=-1.7e308",
+          "--omega-max=1.7e308", "--omega-count", "3", "--omega-scale", "linear"), 1),
+        (("semiclassical-compare", "--F", "2", "--k", "1", "--n", "4", "--g", "1e300") + GRID_1_2, 2),
+        (("semiclassical-compare", "--F", "2", "--k", "1", "--n", "4", "--delta", "5e-324") + GRID_1_2, 2),
+        (("semiclassical-compare", "--F", "3", "--k", "1", "--n", "4", "--delta", "5e-324") + GRID_1_2, 2),
+        (("thermo-scan", "--F", "2", "--k", "1", "--n", "4", "--delta", "1e300",
+          "--beta", "1e300") + GRID_1_2, 2),
+    ], ids=["omega_range", "huge_g", "tiny_delta_f2", "tiny_delta_k1", "huge_beta_times_level"])
+    def test_no_runtime_warning(self, capsys, argv, expected):
+        code, out, err, caught = run_cli_recording_warnings(capsys, *argv)
+        assert code == expected and out == "" and caught == []
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
+
+    def test_stderr_of_a_process_holds_no_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "parafermi_jc", "semiclassical-compare",
+             "--F", "2", "--k", "1", "--n", "4", "--g", "1e300", *GRID_1_2],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("numerical error:") and "Warning" not in proc.stderr
 
 
 def test_module_invocation_smoke():

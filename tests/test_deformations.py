@@ -81,6 +81,14 @@ def test_qexp_small_hbar_limit(n, hbar):
     assert abs(phi(n) - n) <= bound
 
 
+def test_q_numbers_accurate_at_tiny_hbar():
+    # the difference form (e^{2h} - e^{-2h}) / (e^h - e^-h) gave 3.0 here, and
+    # (q^-2 - q^2) / (q^-1 - q) gave 4/3 at q = 1 - 2^-53
+    assert Deformation.q_exp(5.6e-17)(2) == pytest.approx(2.0, rel=1e-15)
+    assert Deformation.q_sym(1.0 - 2.0**-53)(2) == pytest.approx(2.0, rel=1e-15)
+    assert Deformation.q_sym(1.0 + 2.0**-52)(3) == pytest.approx(3.0, rel=1e-15)
+
+
 def test_negative_value_rejected():
     phi = Deformation.custom(lambda x: -x)
     with pytest.raises(DeformationError):

@@ -21,8 +21,10 @@ from parafermi_jc import eigensolver
 from parafermi_jc.eigensolver import (
     RESIDUAL_RTOL,
     ROTATION_BLOCK,
+    _back_transform,
     _ql_implicit_shift,
     _sweep_transform,
+    _tridiagonalize,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -243,6 +245,120 @@ class TestSweepTransform:
         assert _ql_implicit_shift(d, list(e), Zt) == sweeps_ref
         assert d == d_ref
         assert np.max(np.abs(Zt - Zt_ref)) <= 1e-15
+
+
+def block_diagonal(sizes, seed):
+    """Random Hermitian blocks on the diagonal: the reflector of the column just
+    before each block boundary has nothing to annihilate and is skipped."""
+    H = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    start = 0
+    for i, size in enumerate(sizes):
+        H[start:start + size, start:start + size] = random_hermitian(size, seed + i)
+        start += size
+    return H
+
+
+# boundaries 10, 32 and 64: skipped reflectors 9 (mid-panel), 31 and 63 (the
+# last columns of the first two panels)
+SKIPPING_SIZES = (10, 22, 32, 6)
+
+
+def skipping_with_tiny_columns():
+    # couplings of 1e-160 from columns 31 and 63 across the boundaries at 32
+    # and 64: those reflectors' columns are under 1e-154 and are dropped.  The
+    # blocks between are real tridiagonal, so their reflectors only flip the
+    # sign of one row and the couplings stay that small.
+    H = block_diagonal(SKIPPING_SIZES, 40)
+    rng = np.random.default_rng(41)
+    for lo, hi in ((10, 32), (32, 64)):
+        off = rng.standard_normal(hi - lo - 1)
+        H[lo:hi, lo:hi] = np.diag(rng.standard_normal(hi - lo)) + np.diag(off, 1) + np.diag(off, -1)
+    for column, row in ((31, 33), (31, 40), (63, 66), (63, 69)):
+        H[row, column] = H[column, row] = 1e-160
+    return H
+
+
+def stored_reflectors(H):
+    """Every reflector u_j that _tridiagonalize keeps, as column j over all rows."""
+    _, _, (_, panels) = _tridiagonalize(np.array(H, dtype=complex), True)
+    return np.hstack([np.vstack([np.zeros((r0, V.shape[1])), V]) for r0, V in panels])
+
+
+def apply_reflectors_one_by_one(reflectors, Z):
+    """Q Z for Q = H_0 H_1 ... diag(phases): H_j = I - 2 u_j u_j^H applied in
+    turn, last first."""
+    phases, panels = reflectors
+    X = phases[:, np.newaxis] * Z
+    for r0, V in reversed(panels):
+        for u in V.T[::-1]:
+            X[r0:] -= 2.0 * np.outer(u, u.conj() @ X[r0:])
+    return X
+
+
+def assert_contracts(H):
+    """Residual and orthonormality at RESIDUAL_RTOL, ascending eigenvalues that
+    match LAPACK to 1e-11, and bit-identical values-only eigenvalues."""
+    n = H.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eigendecompose(H, want_vectors=True)
+        values = eigenvalues_only(H)
+    V, w = spec.eigenvectors, spec.eigenvalues
+    assert np.array_equal(values, w)
+    assert np.all(np.diff(w) >= 0)
+    ref = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(w - ref)) <= 1e-11 * max(np.max(np.abs(ref)), np.finfo(float).tiny)
+    assert max_residual(H, V, w) <= residual_bound(H)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= RESIDUAL_RTOL
+
+
+class TestPanels:
+    """Matrices large enough that the Householder stage runs more than one panel."""
+
+    # a matrix of size n has n - 2 reflectors: up to size PANEL + 2 they form
+    # one panel, and size 2 * PANEL + 2 is the last with two
+    @pytest.mark.parametrize("n", [31, 32, 33, 34, 35, 36, 63, 64, 65, 66, 100])
+    def test_contracts_across_panels(self, n):
+        assert_contracts(random_hermitian(n, 300 + n))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("n", [34, 66])
+    def test_extreme_scales(self, n, scale):
+        assert_contracts(scale * random_hermitian(n, 400 + n))
+
+    @pytest.mark.parametrize("build", [lambda: block_diagonal(SKIPPING_SIZES, 30),
+                                       skipping_with_tiny_columns],
+                             ids=["block_diagonal", "tiny_columns"])
+    def test_skipped_reflectors(self, build):
+        H = build()
+        U = stored_reflectors(H)
+        norms = np.linalg.norm(U, axis=0)
+        skipped = [j for j in range(U.shape[1]) if not norms[j]]
+        assert skipped == [9, 31, 63]
+        assert np.max(np.abs(np.delete(norms, skipped) - 1.0)) <= 1e-14
+        assert_contracts(H)
+
+    @pytest.mark.parametrize("build", [lambda: random_hermitian(35, 50),
+                                       lambda: random_hermitian(66, 51),
+                                       lambda: random_hermitian(100, 52),
+                                       lambda: block_diagonal(SKIPPING_SIZES, 53),
+                                       skipping_with_tiny_columns],
+                             ids=["n35", "n66", "n100", "block_diagonal", "tiny_columns"])
+    def test_back_transform_matches_reflectors_one_by_one(self, build):
+        H = build()
+        n = H.shape[0]
+        d, e, reflectors = _tridiagonalize(H.copy(), True)
+        Z = np.random.default_rng(n).standard_normal((n, n))
+        expected = apply_reflectors_one_by_one(reflectors, Z)
+        assert np.max(np.abs(_back_transform(reflectors, Z) - expected)) <= 1e-12 * n
+        # the unitary takes the tridiagonal back to H
+        Q = _back_transform(reflectors, np.eye(n))
+        T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+        assert np.max(np.abs(Q @ T @ Q.conj().T - H)) <= 1e-13 * n * np.max(np.abs(H))
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(n))) <= 1e-13 * n
+
+    def test_values_path_stores_nothing(self):
+        assert _tridiagonalize(random_hermitian(70, 54), False)[2] is None
 
 
 STAIRCASE = ModelParams(3, 3, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))

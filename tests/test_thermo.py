@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from parafermi_jc import (
     Deformation,
     ModelParams,
+    NumericalError,
     ParameterError,
     ThermoObservables,
     build_block,
@@ -23,7 +25,8 @@ from parafermi_jc import (
 
 def obs_stub(n_expect):
     return ThermoObservables(z=1.0, log_z=0.0, free_energy=0.0,
-                             phi_n_expect=n_expect, n_expect=n_expect, w_expect=0.0)
+                             phi_n_expect=n_expect, n_expect=n_expect, w_expect=0.0,
+                             conservation_error=0.0)
 
 
 class TestLogSumExp:
@@ -39,8 +42,30 @@ class TestLogSumExp:
         with pytest.raises(ParameterError):
             log_sum_exp(np.array([]))
 
+    def test_scale(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        assert log_sum_exp(x, -2.0) == log_sum_exp(-2.0 * x)
+
+    @pytest.mark.parametrize("values,scale", [([1.0, math.inf], 1.0), ([1.0, -math.inf], 1.0),
+                                              ([1.0, math.nan], 1.0), ([1.0, 1e300], -1e300)],
+                             ids=["inf", "minus_inf", "nan", "overflowing_term"])
+    def test_non_finite_term_rejected(self, values, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="float range"):
+                log_sum_exp(np.array(values), scale)
+
 
 class TestThermoFromSpectrum:
+    def test_conservation_error_on_staircase_block(self):
+        # the F=3, k=3, n=8 qexp staircase of acceptance criterion 07 (d = 27)
+        for omega in np.logspace(math.log10(0.2), math.log10(2000.0), 12):
+            params = ModelParams(3, 3, float(omega), 1000.0, 1.0, hbar=1.0,
+                                 deformation=Deformation.q_exp(1.0))
+            obs = thermo_from_spectrum(params, 8)
+            assert obs.conservation_error == abs(obs.n_expect + obs.w_expect - 8)
+            assert obs.conservation_error <= 1e-9
+
     def test_two_degenerate_levels(self):
         # g = 0 block at n = 1: both states at energy 1, symmetric occupations
         obs = thermo_from_spectrum(ModelParams(2, 1, 1.0, 1.0, 0.0), 1)
