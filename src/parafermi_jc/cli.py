@@ -33,7 +33,7 @@ from .exact import (
     semiclassical_levels_f2,
     semiclassical_levels_k1,
 )
-from .thermo import log_sum_exp, omega_scan
+from .thermo import log_partition_scan, log_sum_exp, omega_scan
 from .verify import run_checks
 
 #: |numeric - exact| beyond which the spectrum command reports a failure.
@@ -278,15 +278,13 @@ def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
         raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
     params = ModelParams(cfg.F, cfg.k, 1.0, cfg.delta, cfg.g, hbar=cfg.hbar, beta=cfg.beta,
                          deformation=Deformation.linear(cfg.hbar))
-    grid = _omega_grid(cfg)
     rows = []
-    for omega in grid.tolist():
-        eigenvalues = eigenvalues_only(build_block(params.with_omega(omega), cfg.n).matrix)
+    for omega, log_z in log_partition_scan(params, cfg.n, _omega_grid(cfg)):
         if cfg.F == 2:
             levels = semiclassical_levels_f2(cfg.k, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
         else:
             levels = semiclassical_levels_k1(cfg.F, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
-        f_numeric = -log_sum_exp(eigenvalues, -cfg.beta) / cfg.beta
+        f_numeric = -log_z / cfg.beta
         f_semiclassical = -log_sum_exp(levels.values(), -cfg.beta) / cfg.beta
         rel_err = abs(f_numeric - f_semiclassical) / max(abs(f_numeric), 1e-300)
         rows.append([omega, f_numeric, f_semiclassical, rel_err])

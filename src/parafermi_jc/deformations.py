@@ -26,6 +26,7 @@ Named variants:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +36,14 @@ _KINDS = ("undeformed", "linear", "qexp", "qsym", "parafermionic", "custom")
 
 # |phi(0)| and negative-value slack before declaring a contract violation
 _CONTRACT_TOL = 1e-12
+
+
+def _normal_sinh(hbar: float) -> bool:
+    """Whether sinh(hbar) (hbar > 0), the denominator of the q-numbers, is a normal float."""
+    try:
+        return math.sinh(hbar) >= sys.float_info.min
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -54,9 +63,10 @@ class Deformation:
             raise ParameterError(f"{self.kind} deformation needs a finite parameter, got {self.param}")
         if self.kind == "linear" and not self.param > 0:
             raise ParameterError("linear deformation needs hbar > 0")
-        if self.kind == "qexp" and not (self.param > 0 and math.exp(-self.param) < 1.0):
-            # also rejects an hbar below about 5.6e-17, where e^-hbar rounds to 1
-            raise ParameterError(f"qexp deformation needs hbar > 0 with e^-hbar < 1, got {self.param}")
+        if self.kind == "qexp" and not (self.param > 0 and _normal_sinh(self.param)):
+            raise ParameterError(
+                f"qexp deformation needs hbar > 0 with sinh(hbar) a normal float, got {self.param}"
+            )
         if self.kind == "qsym":
             if not (self.param > 0) or self.param == 1.0:
                 raise ParameterError("qsym deformation needs real q > 0, q != 1")

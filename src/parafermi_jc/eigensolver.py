@@ -1,30 +1,39 @@
 """Dense complex Hermitian eigensolver.
 
-Self-contained two-stage reduction, no LAPACK eigenroutine involved:
+Self-contained two-stage reduction, no LAPACK eigenroutine involved.  Every
+stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
 
-1. Householder similarity transformations bring the Hermitian matrix to
+1. Householder similarity transformations bring each Hermitian matrix to
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
    a panel each column is brought up to date from the panel's reflectors
    when it is reached, and the trailing matrix takes the whole panel as one
    rank-2*PANEL product.  A diagonal phase rotation then makes the
    off-diagonal real and nonnegative.  With eigenvectors requested, the
    reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
-   they are applied to its accumulator, one panel per compact-WY product as
-   in zunmtr (the back-transform), so the Householder unitary is never
-   formed.  A matrix whose largest entry lies outside [2**-500, 2**500] is
-   first scaled by an exact power of two, and its eigenvalues scaled back,
-   as LAPACK's zheev does.
-2. Implicit-shift QL iteration (Wilkinson shift) diagonalizes the real
-   symmetric tridiagonal matrix.  When eigenvectors are requested, each
-   sweep's plane rotations are multiplied, up to ROTATION_BLOCK at a time,
-   into real transforms that update a real orthogonal accumulator, one
-   matrix product per block.
+   they are applied to the tridiagonal's eigenvectors, one panel per
+   compact-WY product as in zunmtr (the back-transform), so the Householder
+   unitary is never formed.  A matrix whose largest entry lies outside
+   [2**-500, 2**500] is first scaled by an exact power of two, and its
+   eigenvalues scaled back, as LAPACK's zheev does.
+2. Implicit-shift QL iteration (Wilkinson shift) finds the eigenvalues of
+   each real symmetric tridiagonal matrix, one matrix at a time on Python
+   floats.  When eigenvectors are requested, inverse iteration on the
+   tridiagonal finds them, as LAPACK's dstein does, for all G*d eigenvalues
+   of the stack at once: T - lambda I is factored with partial pivoting for
+   every shift in one loop over the rows, and INVERSE_SOLVES solves from a
+   fixed start follow.  Eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a
+   cluster.  Members within GROUP_RTOL * ||T||_1 of each other share one
+   shift and are kept orthonormal by a QR factorization after every solve;
+   once the solves are done, the members of every cluster, in lockstep over
+   the member index, lose their components along the cluster's earlier
+   members.  T is split at zero off-diagonals.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
-to 1e-10.  The QL stage is capped at 64 * dim implicit-shift sweeps; beyond
-the cap a ConvergenceError names the matrix size (in practice a handful of
-sweeps per eigenvalue suffice).
+to 1e-10.  The QL stage is capped at 64 * dim implicit-shift sweeps per
+matrix; beyond the cap a ConvergenceError names the matrix size (in practice
+a handful of sweeps per eigenvalue suffice).  A NumericalError raised for one
+matrix of a stack carries that matrix's position as its ``index``.
 """
 
 from __future__ import annotations
@@ -47,14 +56,6 @@ RESIDUAL_RTOL = 1e-10
 #: Implicit-shift sweeps allowed per matrix dimension before giving up.
 MAX_SWEEPS_PER_DIM = 64
 
-#: Rotations multiplied into one transform.  A sweep's chain of K rotations is
-#: applied in blocks of this many, one matrix product each, so accumulating it
-#: costs O(K * ROTATION_BLOCK * dim) flops instead of O(K^2 * dim).
-ROTATION_BLOCK = 32
-
-#: Strictly lower triangle of the largest block transform.
-_BLOCK_LOWER = np.tri(ROTATION_BLOCK + 1, ROTATION_BLOCK + 1, -1, dtype=bool)
-
 #: Householder reflectors per panel.  A panel's rank-2 updates reach the
 #: trailing matrix as one product, and its reflectors reach the eigenvectors as
 #: one compact-WY transform.
@@ -64,11 +65,30 @@ PANEL = 32
 #: [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT]; otherwise it is scaled into [0.5, 1).
 SAFE_EXPONENT = 500
 
+#: Inverse-iteration solves per eigenvector.  Each shrinks the components along
+#: the other eigenvectors by a factor of about eps / CLUSTER_RTOL outside the
+#: vector's cluster, and eps / GROUP_RTOL inside it.
+INVERSE_SOLVES = 3
+
+#: Neighbouring eigenvalues closer than this times ||T||_1 share a cluster, and
+#: their vectors are orthogonalized against each other (dstein's ORTOL).
+CLUSTER_RTOL = 1e-3
+
+#: Cluster members within this times ||T||_1 of their group's first member
+#: share its shift and are orthonormalized together.  Any orthonormal basis of
+#: such a group meets the residual contract, since ||T||_1 <= 3 * dim * max|H|.
+GROUP_RTOL = 1e-12
+
+
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
-    and the number of QL implicit-shift sweeps the solve took."""
+    and the number of QL implicit-shift sweeps the solve took.
+
+    For a (G, d, d) stack, eigenvalues is (G, d), eigenvectors (G, d, d) and
+    sweeps the total over the stack.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None
@@ -80,30 +100,42 @@ class Spectrum:
             self.eigenvectors.flags.writeable = False
 
 
-def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """H as a complex array, and max|H|, once H is known to be square, finite and Hermitian.
+def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H as a complex array, and max|H| per matrix, once H is known to be a
+    square matrix or a stack of them, finite and Hermitian.
 
     The package's one Hermiticity check: the eigensolver and block assembly
     both call it.  Raises ParameterError otherwise.
     """
     A = np.asarray(H, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ParameterError(f"matrix must be square, got shape {A.shape}")
-    peak = float(np.max(np.abs(A))) if A.size else 0.0
-    if not math.isfinite(peak):
+    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    if not np.isfinite(peak).all():
         raise ParameterError("matrix has non-finite entries")
-    dev = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if dev > HERMITICITY_RTOL * max(1.0, peak):
-        raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")
+    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    if (dev > HERMITICITY_RTOL * np.maximum(1.0, peak)).any():
+        raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {np.max(dev):.3e}")
     return A, peak
 
 
-def _tridiagonalize(A: np.ndarray, want_vectors: bool):
-    """Householder reduction of A to tridiagonal form, in panels of PANEL columns.
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for stacks of matrices and vectors."""
+    return (M @ v[..., np.newaxis])[..., 0]
 
-    Returns (diag, offdiag >= 0, reflectors).  A is overwritten.  Reflector j
-    is H_j = I - 2 u_j u_j^H with u_j of unit norm in rows j+1.., and
-    Q = H_0 H_1 ... H_{n-3} diag(phases) takes the tridiagonal back to A.
+
+def _vh(u: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """u^H M for stacks of vectors and matrices."""
+    return (u.conj()[..., np.newaxis, :] @ M)[..., 0, :]
+
+
+def _tridiagonalize(A: np.ndarray, want_vectors: bool):
+    """Householder reduction of each matrix of A to tridiagonal form, in panels of PANEL columns.
+
+    A is one matrix or a stack of them, and is overwritten.  Returns (diag,
+    offdiag >= 0, reflectors), with a leading stack axis when A has one.
+    Reflector j is H_j = I - 2 u_j u_j^H with u_j of unit norm in rows j+1..,
+    and Q = H_0 H_1 ... H_{n-3} diag(phases) takes the tridiagonal back to A.
     reflectors is None unless want_vectors; then it is (phases, panels) for
     _back_transform, where each panel is (r0, V) with the panel's u_j as the
     columns of V over rows r0..  A skipped reflector is a zero column.
@@ -114,63 +146,70 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     trailing matrix takes all of them at once when the panel ends, as one
     rank-2*PANEL product.
     """
-    n = A.shape[0]
+    n = A.shape[-1]
+    stack = A.shape[:-2]
     tiny = sys.float_info.min
     # reflector k of a panel is stored in column PANEL-1-k and its w in column
     # PANEL+k, so the panel's first k pairs fill the contiguous columns
     # [PANEL-k, PANEL+k), and reversing those columns pairs each u with its w
-    work = np.empty((n, 2 * PANEL), dtype=np.complex128)
+    work = np.empty(stack + (n, 2 * PANEL), dtype=np.complex128)
+    zeros = np.zeros(stack)
     panels = [] if want_vectors else None
     for j0 in range(0, n - 2, PANEL):
         j1 = min(j0 + PANEL, n - 2)
-        work[j0:] = 0.0
+        work[..., j0:, :] = 0.0
         for k, j in enumerate(range(j0, j1)):
-            col = A[j:, j]
+            col = A[..., j:, j]
             if k:
-                pairs = work[j:, PANEL - k:PANEL + k]
-                col -= pairs @ pairs[0, ::-1].conj()
-            x = col[1:]
-            xnorm = math.sqrt(np.vdot(x, x).real)
-            x0 = complex(x[0])
-            ax0 = abs(x0)
+                pairs = work[..., j:, PANEL - k:PANEL + k]
+                col -= _mv(pairs, pairs[..., 0, ::-1].conj())
+            x = col[..., 1:]
+            xnorm = np.sqrt(_vh(x, x[..., np.newaxis])[..., 0].real)
+            x0 = x[..., 0].copy()
+            ax0 = np.abs(x0)
             # ||x - alpha e_0||^2 with alpha = -phase * ||x||, without cancellation
             vnorm2 = 2.0 * xnorm * (xnorm + ax0)
-            if vnorm2 < tiny:
-                # nothing to annihilate, or 1/||v|| would overflow: the column
-                # below the subdiagonal is under 1e-154 and is dropped, within
-                # the residual contract
-                continue
-            phase = x0 / ax0 if ax0 else 1.0
-            vnorm = math.sqrt(vnorm2)
-            u = work[j + 1:, PANEL - 1 - k]
-            np.multiply(x, 1.0 / vnorm, out=u)
-            u[0] = phase * ((ax0 + xnorm) / vnorm)
-            col[1] = -phase * xnorm
-            p = A[j + 1:, j + 1:] @ u
+            # a matrix with nothing to annihilate, or whose 1/||v|| would
+            # overflow, skips this reflector: the column below its subdiagonal
+            # is under 1e-154 and is dropped, within the residual contract
+            keep = vnorm2 >= tiny
+            # x0 / |x0| part by part: numpy's complex division overflows when
+            # |x0| is subnormal
+            phase = np.ones_like(x0)
+            np.divide(x0[..., np.newaxis].view(np.float64), ax0[..., np.newaxis],
+                      out=phase[..., np.newaxis].view(np.float64),
+                      where=ax0[..., np.newaxis] > 0.0)
+            vnorm = np.sqrt(vnorm2)
+            u = work[..., j + 1:, PANEL - 1 - k]
+            inv = np.divide(1.0, vnorm, out=zeros.copy(), where=keep)
+            np.multiply(x, inv[..., np.newaxis], out=u)
+            u[..., 0] = phase * np.divide(ax0 + xnorm, vnorm, out=zeros.copy(), where=keep)
+            col[..., 1] = np.where(keep, -phase * xnorm, x0)
+            p = _mv(A[..., j + 1:, j + 1:], u)
             if k:
-                pairs = work[j + 1:, PANEL - k:PANEL + k]
-                p -= pairs @ (u.conj() @ pairs).conj()[::-1]
+                pairs = work[..., j + 1:, PANEL - k:PANEL + k]
+                p -= _mv(pairs, _vh(u, pairs).conj()[..., ::-1])
             p *= 2.0
-            w = work[j + 1:, PANEL + k]
-            np.multiply(u, -np.vdot(u, p), out=w)
+            w = work[..., j + 1:, PANEL + k]
+            np.multiply(u, -_vh(u, p[..., np.newaxis]), out=w)
             w += p
         nb = j1 - j0
-        pairs = work[j1:, PANEL - nb:PANEL + nb]
-        A[j1:, j1:] -= pairs @ pairs[:, ::-1].conj().T
+        pairs = work[..., j1:, PANEL - nb:PANEL + nb]
+        A[..., j1:, j1:] -= pairs @ pairs[..., ::-1].conj().swapaxes(-1, -2)
         if panels is not None:
-            panels.append((j0 + 1, work[j0 + 1:, PANEL - nb:PANEL][:, ::-1].copy()))
-    d = A.diagonal().real.copy()
-    e = A.diagonal(-1).copy()
+            panels.append((j0 + 1, work[..., j0 + 1:, PANEL - nb:PANEL][..., ::-1].copy()))
+    d = np.diagonal(A, axis1=-2, axis2=-1).real.copy()
+    e = np.diagonal(A, -1, axis1=-2, axis2=-1)
+    mag = np.abs(e)
     if not want_vectors:
-        return d, np.abs(e), None
+        return d, mag, None
     # rotate residual phases into the basis so the off-diagonal is |e_j|; a
     # subnormal |e_j| would overflow the division and is zero to working
     # precision anyway, so the phase carries over unchanged
-    phases = [1.0 + 0.0j] * n
-    for j, e_j in enumerate(e.tolist()):
-        mag = abs(e_j)
-        phases[j + 1] = (e_j * phases[j]) / mag if mag >= tiny else phases[j]
-    return d, np.abs(e), (np.array(phases, dtype=np.complex128), panels)
+    unit = np.divide(e, mag, out=np.ones_like(e), where=mag >= tiny)
+    phases = np.concatenate([np.ones(stack + (1,), dtype=np.complex128),
+                             np.cumprod(unit, axis=-1)], axis=-1)
+    return d, mag, (phases, panels)
 
 
 def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
@@ -182,47 +221,26 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
     gets pivot 1.  The panels are applied last first, so Q is never formed.
     """
     phases, panels = reflectors
-    X = phases[:, np.newaxis] * Z
+    X = phases[..., :, np.newaxis] * Z
     for r0, V in reversed(panels):
-        gram = V.conj().T @ V
-        pivots = gram.diagonal().real / 2.0
-        T_inv = np.triu(gram, 1)
-        np.fill_diagonal(T_inv, np.where(pivots == 0.0, 1.0, pivots))
-        X[r0:] -= V @ np.linalg.solve(T_inv, V.conj().T @ X[r0:])
+        nb = V.shape[-1]
+        C = V.conj().swapaxes(-1, -2)
+        T_inv = C @ V
+        pivots = np.diagonal(T_inv, axis1=-2, axis2=-1).real / 2.0
+        T_inv *= np.tri(nb, nb, -1, dtype=bool).T
+        T_inv[..., np.arange(nb), np.arange(nb)] = np.where(pivots == 0.0, 1.0, pivots)
+        C = np.linalg.solve(T_inv, C)
+        X[..., r0:, :] -= V @ (C @ X[..., r0:, :])
     return X
 
 
-def _sweep_transform(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The K x K product G_0 G_1 ... G_{K-2} of K - 1 <= ROTATION_BLOCK plane rotations.
-
-    G_j = [[c_j, -s_j], [s_j, c_j]] acts on rows (j, j+1), and the sweep
-    applies G_{K-2} first.  Column k of the product is therefore
-    c_k e_k + s_k e_{k+1} carried up through G_{k-1}, ..., G_0:
-    P[k+1, k] = s_k and, for i <= k,
-    P[i, k] = c_{i-1} (-s_i) (-s_{i+1}) ... (-s_{k-1}) c_k with c_{-1} = c_{K-1} = 1.
-    Row i's running products come from one cumprod, without division; an
-    entry that underflows is below anything the transform can resolve.
-    """
-    K = s.size + 1
-    P = np.empty((K, K))
-    P[0, 0] = 1.0
-    P[1:, 0] = c
-    P[:, 1:] = -s
-    np.copyto(P[:, 1:], 1.0, where=_BLOCK_LOWER[:K, :K - 1])
-    np.cumprod(P, axis=1, out=P)
-    np.copyto(P, 0.0, where=_BLOCK_LOWER[:K, :K])
-    P[:, :-1] *= c
-    P.flat[K::K + 1] = s
-    return P
-
-
-def _ql_implicit_shift(d: list, e: list, Zt: Optional[np.ndarray]) -> int:
+def _ql_implicit_shift(d: list, e: list) -> int:
     """Wilkinson-shifted QL on the tridiagonal (d, e), in place; returns the sweep count.
 
     d and e are Python float lists (len(e) == len(d) - 1): the scalar chain
-    runs faster on them than on numpy scalars.  Each sweep's rotations are
-    recorded and, when Zt is given, applied to its rows once the sweep ends,
-    ROTATION_BLOCK rotations per real matrix product.
+    runs faster on them than on numpy scalars.  A sweep never crosses an
+    off-diagonal that is zero on entry, so d[i] ends as an eigenvalue of the
+    unreduced block that holds row i.
     """
     n = len(d)
     e.append(0.0)
@@ -247,7 +265,6 @@ def _ql_implicit_shift(d: list, e: list, Zt: Optional[np.ndarray]) -> int:
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
             s_rot, c_rot, p = 1.0, 1.0, 0.0
-            s_seq, c_seq = [], []
             for i in range(m - 1, l - 1, -1):
                 f = s_rot * e[i]
                 b = c_rot * e[i]
@@ -264,68 +281,261 @@ def _ql_implicit_shift(d: list, e: list, Zt: Optional[np.ndarray]) -> int:
                 p = s_rot * r
                 d[i + 1] = g + p
                 g = c_rot * r - b
-                s_seq.append(s_rot)
-                c_seq.append(c_rot)
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-            if Zt is not None and s_seq:
-                # rotation j of s_arr acts on rows lo + j and lo + j + 1; the
-                # sweep made the highest j first, so blocks go bottom up
-                lo = m - len(s_seq)
-                s_arr, c_arr = np.array(s_seq[::-1]), np.array(c_seq[::-1])
-                for stop in range(len(s_seq), 0, -ROTATION_BLOCK):
-                    start = max(stop - ROTATION_BLOCK, 0)
-                    rows = slice(lo + start, lo + stop + 1)
-                    P = _sweep_transform(s_arr[start:stop], c_arr[start:stop])
-                    Zt[rows] = P @ Zt[rows]
     return sweeps
 
 
+def _factor_shifted(a: np.ndarray, b: np.ndarray):
+    """T - sigma I = P L U for many shifts at once, with partial pivoting (dgttrf).
+
+    a (n, S) holds each column's diagonal of T - sigma I and b (n - 1, S) its
+    nonnegative off-diagonal; both are overwritten.  Returns (swap, mult, u0,
+    u1, u2): row k is exchanged with row k + 1 where swap[k], mult[k] is the
+    multiplier that eliminates row k + 1, and U has diagonal u0 and
+    superdiagonals u1, u2.  A zero off-diagonal gives no exchange and a zero
+    multiplier, so the blocks it separates stay separate.
+    """
+    n, shifts = a.shape
+    u0, u1 = a, b
+    u2 = np.zeros((max(n - 2, 0), shifts))
+    swap = np.empty((max(n - 1, 0), shifts), dtype=bool)
+    mult = np.empty((max(n - 1, 0), shifts))
+    below = u1[0].copy() if n > 1 else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            pivot, right, nxt = u0[k], u1[k], u0[k + 1]
+            exchange = np.greater(below, np.abs(pivot), out=swap[k])
+            m = np.divide(np.where(exchange, pivot, below), np.where(exchange, below, pivot),
+                          out=mult[k])
+            m[np.isnan(m)] = 0.0  # a zero column below a zero pivot
+            top_right = np.where(exchange, nxt, right)
+            u0[k + 1] = np.where(exchange, right, nxt) - m * top_right
+            u0[k] = np.where(exchange, below, pivot)
+            u1[k] = top_right
+            if k < n - 2:
+                below = u1[k + 1].copy()
+                np.multiply(below, exchange, out=u2[k])
+                u1[k + 1] = np.where(exchange, -m * below, below)
+    return swap, mult, u0, u1, u2
+
+
+#: Entries of the earlier cluster vectors gathered at once for a projection.
+_PROJECTION_ENTRIES = 2**16
+
+
+def _start_vectors(n: int) -> np.ndarray:
+    """A fixed n x n matrix of entries in [-1, 1), as if random: the splitmix64
+    hash of each entry's index.  Column j starts the eigenvalue of rank j."""
+    z = np.arange(n * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.ldexp((z >> np.uint64(11)).astype(np.float64), -52).reshape(n, n) - 1.0
+
+
+def _solve_shifted(factors, Y: np.ndarray, forward: bool) -> None:
+    """Y <- (T - sigma I)^-1 Y column by column, in place, from _factor_shifted's
+    factors as lists of rows (u0 inverted).  Without forward, Y is a start
+    vector, taken as already multiplied by L^-1 P."""
+    swap, mult, inv0, u1, u2 = factors
+    rows = list(Y)
+    n = len(rows)
+    if forward:
+        for k in range(1, n):
+            upper, lower, exchange = rows[k - 1], rows[k], swap[k - 1]
+            top = np.where(exchange, lower, upper)
+            np.copyto(lower, upper, where=exchange)
+            lower -= mult[k - 1] * top
+            upper[...] = top
+    for k in range(n - 1, -1, -1):
+        y = rows[k]
+        if k < n - 1:
+            y -= u1[k] * rows[k + 1]
+        if k < n - 2:
+            y -= u2[k] * rows[k + 2]
+        y *= inv0[k]
+
+
+def _orthonormalize(Y: np.ndarray, firsts: np.ndarray, sizes: np.ndarray) -> None:
+    """Normalize the rows of Y in place, and orthonormalize each run of rows
+    [first, first + size) by QR, one stacked QR per size."""
+    Y /= np.maximum(np.sqrt(np.einsum("ij,ij->i", Y, Y)), sys.float_info.min)[:, np.newaxis]
+    for m in sorted(set(sizes[sizes > 1].tolist())):
+        idx = firsts[sizes == m][:, np.newaxis] + np.arange(m)
+        Y[idx] = np.linalg.qr(Y[idx].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
+    """Eigenvectors of the real symmetric tridiagonals (d, e) by inverse iteration.
+
+    d (G, n) and e (G, n - 1) >= 0 are the stack's tridiagonals and levels
+    (G, n) the QL eigenvalues in QL's positions.  Returns Z (G, n, n) whose
+    column j is the eigenvector of the j-th smallest eigenvalue.
+
+    Each T is scaled by a power of two near its 1-norm, so the tolerances are
+    absolute.  T splits at zero off-diagonals; QL leaves the eigenvalues of a
+    split block in its rows, and a shift's start vector is zero outside its
+    block, which the factorization keeps so.  The eigenvalues are sorted by
+    (matrix, block, value) into clusters and groups.  All shifts make
+    INVERSE_SOLVES solves together, each group orthonormalized by one QR
+    factorization after each; then the r-th group of every cluster, in
+    lockstep over r, loses its components along the final vectors of the
+    cluster's earlier groups.
+    """
+    G, n = d.shape
+    if n == 0:
+        return np.zeros((G, 0, 0))
+    row_norm = np.abs(d)
+    row_norm[:, 1:] += e
+    row_norm[:, :-1] += e
+    exponent = np.frexp(np.max(row_norm, axis=1))[1][:, np.newaxis]
+    a = np.ldexp(d, -exponent).T
+    b = np.ldexp(e, -exponent).T
+    lam = np.ldexp(levels, -exponent)
+    norm = np.ldexp(np.max(row_norm, axis=1), -exponent[:, 0])
+    block = np.zeros((G, n), dtype=np.intp)
+    np.cumsum(b.T == 0.0, axis=1, out=block[:, 1:])
+    rank = np.argsort(np.argsort(levels, axis=1, kind="stable"), axis=1)
+
+    # every shift, sorted by (matrix, block, value) into clusters and groups
+    which = np.repeat(np.arange(G), n)
+    order = np.lexsort((lam.ravel(), block.ravel(), which))
+    sg, sb, sv, sj = which[order], block.ravel()[order], lam.ravel()[order], rank.ravel()[order]
+    S = sg.size
+    tol = norm[sg]
+    same = np.zeros(S, dtype=bool)
+    same[1:] = (sg[1:] == sg[:-1]) & (sb[1:] == sb[:-1])
+    gap = np.diff(sv, prepend=0.0)
+    cluster_start = ~(same & (gap <= CLUSTER_RTOL * tol))
+    group_start = ~(same & (gap <= GROUP_RTOL * tol))
+    first = 0
+    for s in np.flatnonzero(~group_start).tolist():
+        # a group is at most GROUP_RTOL wide, measured from its first member
+        if group_start[s - 1]:
+            first = s - 1
+        if sv[s] - sv[first] > GROUP_RTOL * tol[s]:
+            group_start[s] = True
+            first = s
+    group = np.cumsum(group_start) - 1
+    group_first = np.flatnonzero(group_start)
+    group_size = np.diff(group_first, append=S)
+    cluster = np.cumsum(cluster_start) - 1
+    cluster_first = np.flatnonzero(cluster_start)
+    # a shift's round is its group's index within the cluster, and earlier
+    # counts the shifts of the cluster's earlier groups
+    rounds = group - group[cluster_first][cluster]
+    earlier = group_first[group] - cluster_first[cluster]
+
+    # shifts in round-major order, so that each round is a slice
+    col = np.argsort(rounds, kind="stable")
+    at_col = np.empty(S + 1, dtype=np.intp)
+    at_col[col] = np.arange(S)
+    at_col[S] = S  # row S of X stays zero: the padding of the projections
+    ends = np.cumsum(np.bincount(rounds)).tolist()
+    matrix = sg[col]
+    Y = np.where((block[matrix] == sb[col, np.newaxis]).T, _start_vectors(n)[:, sj[col]], 0.0)
+    diagonal = a[:, matrix]
+    diagonal -= sv[group_first[group[col]]]
+    swap, mult, u0, u1, u2 = _factor_shifted(diagonal, b[:, matrix])
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, u0, out=u0)
+    # a pivot under eps (an exact eigenvalue) counts as eps
+    np.clip(u0, -1.0 / sys.float_info.epsilon, 1.0 / sys.float_info.epsilon, out=u0)
+    factors = [list(f) for f in (swap, mult, u0, u1, u2)]
+    group_col, group_round = at_col[group_first], rounds[group_first]
+
+    for it in range(INVERSE_SOLVES):
+        _solve_shifted(factors, Y, forward=it > 0)
+        _orthonormalize(Y.T, group_col, group_size)
+    del factors, swap, mult, u0, u1, u2  # free before the projections
+    # the r-th groups of the clusters, in lockstep: each loses its components
+    # along the final vectors of its cluster's earlier groups (block
+    # Gram-Schmidt, twice), gathered at most _PROJECTION_ENTRIES at a time
+    X = np.concatenate([Y.T, np.zeros((1, n))])
+    del Y
+    for r in range(1, len(ends)):
+        lo, hi = ends[r - 1], ends[r]
+        rows = col[lo:hi]
+        Xr = X[lo:hi]
+        width = int(earlier[rows].max())
+        step = max(1, _PROJECTION_ENTRIES // Xr.size)
+        for _ in range(2):
+            for k0 in range(0, width, step):
+                k = np.arange(k0, min(k0 + step, width))
+                P = X[at_col[np.where(k < earlier[rows, np.newaxis],
+                                      cluster_first[cluster[rows], np.newaxis] + k, S)]]
+                Xr -= np.einsum("mkj,mk->mj", P, np.einsum("mkj,mj->mk", P, Xr))
+        this = group_round == r
+        _orthonormalize(Xr, group_col[this] - lo, group_size[this])
+    X = X[:S]
+    # sign as in dstein: the largest component positive
+    X *= np.sign(X[np.arange(S), np.argmax(np.abs(X), axis=1)])[:, np.newaxis]
+    Z = np.empty((G * n, n))
+    Z[matrix * n + sj[col]] = X
+    return Z.reshape(G, n, n).swapaxes(1, 2)
+
+
 def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
-    """Eigendecompose a dense complex Hermitian matrix.
+    """Eigendecompose a dense complex Hermitian matrix, or a (G, d, d) stack of them.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input,
     NumericalError if the tridiagonal stage or the eigenvalues leave the
-    float range, and ConvergenceError if the QL stage exceeds its sweep cap.
+    float range, and ConvergenceError if the QL stage exceeds its sweep cap;
+    either names the failing matrix's position in the stack as ``index``.
     """
     A, peak = _require_hermitian(H)
-    n = A.shape[0]
+    stack = A[np.newaxis] if A.ndim == 2 else A
+    G, n = stack.shape[:2]
     # like LAPACK's zheev, scale extreme matrices by an exact power of two so
     # the Householder norms neither overflow nor drop columns that underflow;
     # at ordinary magnitudes the bits are those of the unscaled solve
-    exponent = math.frexp(peak)[1]
-    if abs(exponent) <= SAFE_EXPONENT:
-        exponent = 0
-    work = A.copy()
-    if exponent:
+    exponent = np.frexp(peak.reshape(G))[1]
+    exponent[np.abs(exponent) <= SAFE_EXPONENT] = 0
+    work = stack.copy()
+    if exponent.any():
         parts = work.view(np.float64)
-        np.ldexp(parts, -exponent, out=parts)
+        np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
     d, e, reflectors = _tridiagonalize(work, want_vectors)
-    levels, off = d.tolist(), e.tolist()
-    # entries of the scaled tridiagonal are at most n * 2**500, so their sum is
-    # finite exactly when every entry is
-    if not math.isfinite(sum(levels) + sum(off)):
-        raise NumericalError(
-            f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries"
-        )
-    Zt = np.eye(n) if want_vectors else None
-    sweeps = _ql_implicit_shift(levels, off, Zt)
-    d = np.array(levels)
-    order = np.argsort(d, kind="stable")
-    values = d[order]
-    if exponent:
+    del work
+    levels = np.empty((G, n))
+    sweeps = 0
+    for g in range(G):
+        diag, off = d[g].tolist(), e[g].tolist()
+        # entries of the scaled tridiagonal are at most n * 2**500, so their
+        # sum is finite exactly when every entry is
+        if not math.isfinite(sum(diag) + sum(off)):
+            raise NumericalError(
+                f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries",
+                index=g,
+            )
+        try:
+            sweeps += _ql_implicit_shift(diag, off)
+        except ConvergenceError as exc:
+            exc.index = g
+            raise
+        levels[g] = diag
+    values = np.sort(levels, axis=1)
+    if exponent.any():
         with np.errstate(over="ignore"):
-            values = np.ldexp(values, exponent)
-        if not np.isfinite(values).all():
-            raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range")
-    vectors = _back_transform(reflectors, Zt[order].T) if want_vectors else None
+            values = np.ldexp(values, exponent[:, np.newaxis])
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range",
+                                 index=int(bad[0]))
+    vectors = None
+    if want_vectors:
+        vectors = _back_transform(reflectors, _inverse_iteration(d, e, levels))
+    if A.ndim == 2:
+        values = values[0]
+        vectors = None if vectors is None else vectors[0]
     return Spectrum(values, vectors, sweeps)
 
 
 def eigenvalues_only(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues without the eigenvector accumulation cost."""
+    """Ascending eigenvalues without the eigenvector cost."""
     return eigendecompose(H, want_vectors=False).eigenvalues
 
 

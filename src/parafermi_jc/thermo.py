@@ -12,41 +12,60 @@ operator O(P), <O> = sum_j w_j sum_P |v_P(j)|^2 O(P) with Boltzmann weights
 w_j.  Two finite-difference routes cross-check the trace values:
 d(log Z)/d(omega) recovers <phi(N)> and the mu-perturbation H + mu*N recovers
 the boson number <N>.
+
+Scans run as stacks: every point of an omega grid has the same block, and
+H(omega) = H0 + omega * diag(phi(n - W)), so H0 and the phi diagonal are
+assembled once and each chunk of the grid goes through the eigensolver and
+the reduction as one (G, d, d) stack.  A single block is a stack of one.  A
+NumericalError at one point of a scan names its omega and (F, k, n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import eigensolver
 from .blocks import BlockHamiltonian, ModelParams, add_mu_number_term, build_block
 from .deformations import evaluate
-from .eigensolver import eigendecompose, eigenvalues_only
+from .eigensolver import Spectrum
 from .errors import NumericalError, ParameterError
 
+#: Matrix entries per stacked solve of a scan: a chunk of the grid holds at most
+#: this many (and at least one matrix), which bounds a scan's memory whatever
+#: the block dimension.
+SCAN_CHUNK_ENTRIES = 2**13
 
-def log_sum_exp(values: np.ndarray, scale: float = 1.0) -> float:
-    """log(sum(exp(scale * values))), shifted by the largest term so nothing overflows.
 
-    The terms scale * values are formed here, after |scale| * max|values|
-    bounds them, so a term beyond the float range raises NumericalError (its
-    shift would be inf - inf) instead of a numpy warning; an empty sequence
-    raises ParameterError.
+def log_sum_exp(values: np.ndarray, scale: float = 1.0):
+    """log(sum(exp(scale * values))) over the last axis, shifted by the largest term so nothing overflows.
+
+    A float for one sequence, an array for a stack of them.  The terms
+    scale * values are formed here, after |scale| * max|values| bounds them,
+    so a term beyond the float range raises NumericalError (its shift would
+    be inf - inf) instead of a numpy warning; for a stack the error's
+    ``index`` is the row.  An empty sequence raises ParameterError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ParameterError("log_sum_exp of an empty sequence")
-    bound = abs(scale) * float(np.max(np.abs(values)))
-    if not math.isfinite(bound):
-        raise NumericalError(
-            f"log_sum_exp: a term scale * value leaves the float range (scale={scale!r})"
-        )
+    peaks = np.max(np.abs(values), axis=-1)
+    for row, peak in enumerate(np.ravel(peaks).tolist()):
+        if not math.isfinite(abs(scale) * peak):
+            raise NumericalError(
+                f"log_sum_exp: a term scale * value leaves the float range (scale={scale!r})",
+                index=row if values.ndim > 1 else None,
+            )
     terms = scale * values
-    shift = float(np.max(terms))
-    return shift + math.log(float(np.sum(np.exp(terms - shift))))
+    shift = np.max(terms, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a difference beyond -max float only makes exp 0
+        total = np.sum(np.exp(terms - shift), axis=-1)
+    if values.ndim == 1:
+        return float(shift[0]) + math.log(float(total))
+    return shift[..., 0] + np.log(total)
 
 
 @dataclass(frozen=True)
@@ -77,38 +96,58 @@ class PlateauReport:
     crossover_points: tuple[float, ...]
 
 
-def _boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    log_z = log_sum_exp(eigenvalues, -beta)
-    return np.exp(-beta * eigenvalues - log_z), log_z
+def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndarray:
+    """The diagonal operators N = n - W, W and phi(n - W) as the columns of a (dim, 3) array."""
+    boson = [block.n - sum(p) for p in block.basis]
+    return np.array([[m, block.n - m, evaluate(params.deformation, m)] for m in boson],
+                    dtype=np.float64)
+
+
+def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta: float,
+                 n: int) -> list[ThermoObservables]:
+    """Observables of every block of a stack, from its (G, d) eigenvalues and
+    (G, d, d) eigenvectors; a failure names the block's position as ``index``."""
+    log_z = log_sum_exp(values, -beta)
+    # normalized explicitly: exp(-beta * lambda - log Z) sums to 1 only to
+    # about eps * beta * |lambda|, and <N> + <W> = n needs the sum exact
+    terms = -beta * values
+    with np.errstate(over="ignore"):
+        weights = np.exp(terms - np.max(terms, axis=1, keepdims=True))
+    weights /= np.sum(weights, axis=1, keepdims=True)
+    occupancy = np.abs(vectors) ** 2  # column j: |<P|v_j>|^2
+    per_state = occupancy.swapaxes(1, 2) @ ops  # row j: <v_j|O|v_j> for each operator
+    expect = (weights[:, np.newaxis, :] @ per_state)[:, 0, :]
+    observables = []
+    for index, (lz, (n_expect, w_expect, phi_expect)) in enumerate(zip(log_z.tolist(), expect.tolist())):
+        try:
+            z = math.exp(lz) if lz > -745.0 else 0.0  # exp underflows below ~-745
+        except OverflowError:
+            raise NumericalError(
+                f"partition function exceeds the float range: log Z = {lz!r}", index=index
+            ) from None
+        free_energy = -lz / beta
+        if not math.isfinite(free_energy):
+            raise NumericalError(
+                f"free_energy = -log Z / beta exceeds the float range: log Z = {lz!r}, "
+                f"beta = {beta!r}", index=index
+            )
+        observables.append(ThermoObservables(
+            z=z,
+            log_z=lz,
+            free_energy=free_energy,
+            phi_n_expect=phi_expect,
+            n_expect=n_expect,
+            w_expect=w_expect,
+            conservation_error=abs(n_expect + w_expect - n),
+        ))
+    return observables
 
 
 def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObservables:
-    """Observables of an already-assembled block (shared by scans and tests)."""
-    spectrum = eigendecompose(block.matrix, want_vectors=True)
-    weights, log_z = _boltzmann_weights(spectrum.eigenvalues, params.beta)
-    w_vals = np.array([sum(p) for p in block.basis], dtype=np.float64)
-    boson_vals = block.n - w_vals
-    phi_vals = np.array([evaluate(params.deformation, v) for v in boson_vals])
-    occupancy = np.abs(spectrum.eigenvectors) ** 2  # column j: |<P|v_j>|^2
-    per_state = occupancy.T  # row j over basis states P
-    n_expect = float(weights @ (per_state @ boson_vals))
-    w_expect = float(weights @ (per_state @ w_vals))
-    phi_expect = float(weights @ (per_state @ phi_vals))
-    try:
-        z = math.exp(log_z) if log_z > -745.0 else 0.0  # exp underflows below ~-745
-    except OverflowError:
-        raise NumericalError(
-            f"partition function exceeds the float range: log Z = {log_z!r} (n={block.n})"
-        ) from None
-    return ThermoObservables(
-        z=z,
-        log_z=log_z,
-        free_energy=-log_z / params.beta,
-        phi_n_expect=phi_expect,
-        n_expect=n_expect,
-        w_expect=w_expect,
-        conservation_error=abs(n_expect + w_expect - block.n),
-    )
+    """Observables of an already-assembled block: the reduction of a scan, on a stack of one."""
+    spectrum = eigensolver.eigendecompose(block.matrix, want_vectors=True)
+    return _observables(spectrum.eigenvalues[np.newaxis], spectrum.eigenvectors[np.newaxis],
+                        _diagonal_operators(block, params), params.beta, block.n)[0]
 
 
 def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
@@ -118,7 +157,7 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
 
 def log_partition(block: BlockHamiltonian, beta: float) -> float:
     """log Z of a block from eigenvalues alone (no eigenvector cost)."""
-    return log_sum_exp(eigenvalues_only(block.matrix), -beta)
+    return log_sum_exp(eigensolver.eigenvalues_only(block.matrix), -beta)
 
 
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
@@ -140,18 +179,56 @@ def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
+def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors: bool,
+          reduce: Callable[[Spectrum, np.ndarray], list]) -> list[tuple[float, object]]:
+    """(omega, reduce's value) at each frequency of an ascending grid.
+
+    H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
+    assembled once, and each chunk of the grid is solved as one stack and
+    reduced by reduce(spectrum, diagonal operators).  A failure that names a
+    matrix of the stack is raised again naming its omega and (F, k, n).
+    """
+    grid = [float(w) for w in omega_grid]
+    if not grid:
+        raise ParameterError("omega grid must not be empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("omega grid must be strictly ascending")
+    base = build_block(params.with_omega(0.0), n)
+    ops = _diagonal_operators(base, params)
+    chunk = max(1, SCAN_CHUNK_ENTRIES // base.dim ** 2)
+    diagonal = np.arange(base.dim)
+    values = []
+    for start in range(0, len(grid), chunk):
+        omegas = np.array(grid[start:start + chunk])
+        stack = np.repeat(base.matrix[np.newaxis], omegas.size, axis=0)
+        with np.errstate(over="ignore"):  # an infinite entry is rejected by the solver
+            stack[:, diagonal, diagonal] += omegas[:, np.newaxis] * ops[:, 2]
+        try:
+            values += reduce(eigensolver.eigendecompose(stack, want_vectors), ops)
+        except NumericalError as exc:
+            if exc.index is None:
+                raise
+            raise type(exc)(f"{exc} at omega={grid[start + exc.index]!r} "
+                            f"(F={params.F}, k={params.k}, n={n})") from None
+    return list(zip(grid, values))
+
+
 def omega_scan(
     params: ModelParams,
     n: int,
     omega_grid: Sequence[float],
 ) -> list[tuple[float, ThermoObservables]]:
     """Thermal observables of block n at each frequency of an ascending grid."""
-    grid = [float(w) for w in omega_grid]
-    if not grid:
-        raise ParameterError("omega grid must not be empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("omega grid must be strictly ascending")
-    return [(w, thermo_from_spectrum(params.with_omega(w), n)) for w in grid]
+    return _scan(params, n, omega_grid, True,
+                 lambda spectrum, ops: _observables(spectrum.eigenvalues, spectrum.eigenvectors,
+                                                    ops, params.beta, n))
+
+
+def log_partition_scan(params: ModelParams, n: int,
+                       omega_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """log Z of block n at each frequency of an ascending grid, from eigenvalues alone."""
+    return _scan(params, n, omega_grid, False,
+                 lambda spectrum, ops: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist())
 
 
 def detect_plateaus(

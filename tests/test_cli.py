@@ -150,6 +150,12 @@ class TestThermoScan:
                                "--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
         assert code == 0 and err == ""
 
+    def test_tiny_qexp_hbar_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "2",
+                                 "--deformation", "qexp", "--hbar", "1e-17", "--omega-min", "1",
+                                 "--omega-max", "2", "--omega-count", "2")
+        assert code == 0 and err == "" and len(out.strip().split("\n")) == 3
+
     def test_overflowing_partition_function_exits_2(self, capsys):
         # delta = -1000 puts the occupied level near -1000, so log Z ~ 1000 > log(float max)
         code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "1",
@@ -423,11 +429,26 @@ class TestOverflowFailsCleanly:
         (("semiclassical-compare", "--F", "3", "--k", "1", "--n", "4", "--delta", "5e-324") + GRID_1_2, 2),
         (("thermo-scan", "--F", "2", "--k", "1", "--n", "4", "--delta", "1e300",
           "--beta", "1e300") + GRID_1_2, 2),
-    ], ids=["omega_range", "huge_g", "tiny_delta_f2", "tiny_delta_k1", "huge_beta_times_level"])
+        (("thermo-scan", "--F", "2", "--k", "1", "--n", "1", "--delta", "0",
+          "--beta", "1e308") + GRID_1_2, 2),
+    ], ids=["omega_range", "huge_g", "tiny_delta_f2", "tiny_delta_k1", "huge_beta_times_level",
+            "huge_beta_times_level_spread"])
     def test_no_runtime_warning(self, capsys, argv, expected):
         code, out, err, caught = run_cli_recording_warnings(capsys, *argv)
         assert code == expected and out == "" and caught == []
         assert err.count("\n") == 1 and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("thermo-scan", "--F", "2", "--k", "1", "--n", "1", "--delta", "1e300", "--beta", "1e300"),
+        ("thermo-scan", "--F", "2", "--k", "1", "--n", "1", "--delta", "-1000"),
+        ("semiclassical-compare", "--F", "2", "--k", "1", "--n", "1", "--delta", "1e300",
+         "--beta", "1e300"),
+    ], ids=["huge_beta_times_level", "partition_function", "semiclassical_numeric"])
+    def test_failed_point_named(self, capsys, argv):
+        code, out, err, caught = run_cli_recording_warnings(capsys, *argv, *GRID_1_2)
+        assert code == 2 and out == "" and caught == []
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert err.rstrip().endswith("at omega=1.0 (F=2, k=1, n=1)")
 
     def test_stderr_of_a_process_holds_no_warning(self):
         proc = subprocess.run(

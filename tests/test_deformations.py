@@ -100,6 +100,13 @@ def test_custom_must_vanish_at_zero():
         Deformation.custom(lambda x: x + 1.0)
 
 
+def test_qexp_accepts_every_hbar_with_a_normal_sinh():
+    # e^-hbar rounds to 1 here, but sinh(hbar) is a normal float
+    assert Deformation.q_exp(1e-17)(2) == 2.0
+    with pytest.raises(ParameterError):
+        Deformation.q_exp(800.0)  # sinh(hbar) overflows
+
+
 def test_constructor_validation():
     with pytest.raises(ParameterError):
         Deformation.linear(0.0)

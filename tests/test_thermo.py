@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parafermi_jc import thermo
 from parafermi_jc import (
     Deformation,
     ModelParams,
@@ -21,6 +22,7 @@ from parafermi_jc import (
     phi_n_via_omega_derivative,
     thermo_from_spectrum,
 )
+from parafermi_jc.thermo import log_partition, log_partition_scan
 
 
 def obs_stub(n_expect):
@@ -54,6 +56,17 @@ class TestLogSumExp:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="float range"):
                 log_sum_exp(np.array(values), scale)
+
+
+    def test_stack_reduces_each_row(self):
+        x = np.array([[-1.0, 0.5, 2.0], [3.0, -4.0, 0.0]])
+        stacked = log_sum_exp(x, -0.7)
+        assert stacked.tolist() == pytest.approx([log_sum_exp(row, -0.7) for row in x], rel=1e-15)
+
+    def test_stack_error_names_its_row(self):
+        with pytest.raises(NumericalError, match="float range") as caught:
+            log_sum_exp(np.array([[1.0, 2.0], [1.0, 1e300]]), -1e300)
+        assert caught.value.index == 1
 
 
 class TestThermoFromSpectrum:
@@ -172,12 +185,65 @@ class TestOmegaScan:
         assert [w for w, _ in first] == list(grid)
         assert first == second
 
+    def test_chunked_scan_matches_single_blocks(self, monkeypatch):
+        # chunks of 3 points: the grid of 7 crosses two chunk boundaries
+        params = ModelParams(3, 2, 1.0, 20.0, 0.8, beta=0.9, deformation=Deformation.q_exp(0.4))
+        grid = np.logspace(-1, 2, 7)
+        monkeypatch.setattr(thermo, "SCAN_CHUNK_ENTRIES", 3 * build_block(params, 4).dim ** 2)
+        for omega, obs in omega_scan(params, 4, grid):
+            alone = thermo_from_spectrum(params.with_omega(omega), 4)
+            for field in ("log_z", "free_energy", "phi_n_expect", "n_expect", "w_expect"):
+                assert getattr(obs, field) == pytest.approx(getattr(alone, field), rel=1e-12, abs=1e-12)
+        scan = log_partition_scan(params, 4, grid)
+        assert [w for w, _ in scan] == grid.tolist()
+        for omega, log_z in scan:
+            block = build_block(params.with_omega(omega), 4)
+            assert log_z == pytest.approx(log_partition(block, params.beta), rel=1e-12)
+
     def test_grid_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             omega_scan(params, 1, [])
         with pytest.raises(ParameterError):
             omega_scan(params, 1, [2.0, 1.0])
+
+
+@st.composite
+def scan_cases(draw):
+    """Small omega grids of small blocks, with couplings from subnormal to 1e300,
+    delta up to +-1e300 and beta near the float limits."""
+    F, k, n = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    g = draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from([5e-324, 1e-310, 1e-160]),
+                       st.floats(1e150, 1e300)))
+    delta = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300)))
+    beta = draw(st.one_of(st.floats(0.3, 2.0), st.sampled_from([5e-324, 1e-308, 1e308, 1.7e308]),
+                          st.floats(1e-300, 1e300)))
+    deformation = draw(st.sampled_from([Deformation.undeformed(), Deformation.q_exp(0.5)]))
+    low = draw(st.floats(1e-3, 1e3))
+    grid = low * np.logspace(0.0, draw(st.floats(0.1, 3.0)), draw(st.integers(1, 5)))
+    return ModelParams(F, k, 1.0, delta, g, beta=beta, deformation=deformation), n, grid
+
+
+@given(scan_cases())
+# a free energy -log Z / beta beyond the float range, Boltzmann weights whose
+# sum drifts from 1 by eps * beta * |lambda| ~ 1e-9, and terms -beta * lambda
+# whose differences overflow
+@example((ModelParams(2, 1, 1.0, 0.0, 0.0, beta=5e-324), 1, np.array([1.0])))
+@example((ModelParams(2, 3, 1.0, 1.0, 0.0, beta=4194305.0), 2, np.array([1.0])))
+@example((ModelParams(2, 1, 1.0, 0.0, 1.0, beta=1e308), 1, np.array([1.0])))
+@settings(max_examples=60, deadline=None)
+def test_scan_over_full_range(case):
+    params, n, grid = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scan = omega_scan(params, n, grid)
+        except (ParameterError, NumericalError):
+            return
+    for _, obs in scan:
+        assert all(math.isfinite(getattr(obs, field)) for field in
+                   ("z", "log_z", "free_energy", "phi_n_expect", "n_expect", "w_expect"))
+        assert obs.conservation_error <= 1e-9
 
 
 class TestDetectPlateaus:
