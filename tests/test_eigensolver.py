@@ -197,9 +197,12 @@ def reference_ql(d, e):
     return sweeps, cuts
 
 
-class TestQL:
+class TestSweepTransform:
+    """Each QL sweep, a chain of Givens rotations, against reference_ql's
+    rotation-by-rotation sweeps: the same eigenvalue bits and sweep count."""
+
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (27, 2), (40, 3), (80, 4)])
-    def test_ql_matches_reference(self, n, seed):
+    def test_ql_matches_rotation_by_rotation(self, n, seed):
         rng = np.random.default_rng(seed)
         d, e = rng.standard_normal(n).tolist(), rng.standard_normal(n - 1).tolist()
         d_ref = list(d)
