@@ -76,11 +76,12 @@ def block_dimension(F: int, k: int, n: int) -> int:
     Coefficient of x^n in (1 - x^F)^k / (1 - x)^(k+1), computed by exact
     integer polynomial convolution: expand (1 - x^F)^k, then apply the
     prefix-sum operator (multiplication by 1/(1-x)) k+1 times.  Saturates at
-    F^k once n >= k*(F-1).
+    F^k once n >= k*(F-1), so n is clamped there.
     """
     _check_order_and_modes(F, k)
     if int(n) != n or n < 0:
         raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
+    n = min(n, k * (F - 1))
     coeffs = [0] * (n + 1)
     for s in range(0, min(k, n // F) + 1):
         coeffs[F * s] = (-1) ** s * math.comb(k, s)

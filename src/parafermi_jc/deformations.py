@@ -67,9 +67,10 @@ class Deformation:
             raise ParameterError(
                 f"qexp deformation needs hbar > 0 with sinh(hbar) a normal float, got {self.param}"
             )
-        if self.kind == "qsym":
-            if not (self.param > 0) or self.param == 1.0:
-                raise ParameterError("qsym deformation needs real q > 0, q != 1")
+        if self.kind == "qsym" and not (self.param > 0 and _normal_sinh(abs(math.log(self.param)))):
+            raise ParameterError(
+                f"qsym deformation needs q > 0 with sinh(|ln q|) a normal float, got {self.param}"
+            )
         if self.kind == "parafermionic" and (int(self.param) != self.param or self.param < 2):
             raise ParameterError("parafermionic deformation needs integer order >= 2")
         if self.kind == "custom":

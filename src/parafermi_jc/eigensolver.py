@@ -19,14 +19,14 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    each real symmetric tridiagonal matrix, one matrix at a time on Python
    floats.  When eigenvectors are requested, inverse iteration on the
    tridiagonal finds them, as LAPACK's dstein does, for all G*d eigenvalues
-   of the stack at once: T - lambda I is factored with partial pivoting for
-   every shift in one loop over the rows, and INVERSE_SOLVES solves from a
-   fixed start follow.  Eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a
-   cluster.  Members within GROUP_RTOL * ||T||_1 of each other share one
-   shift and are kept orthonormal by a QR factorization after every solve;
-   once the solves are done, the members of every cluster, in lockstep over
-   the member index, lose their components along the cluster's earlier
-   members.  T is split at zero off-diagonals.
+   of the stack at once: each eigenvalue is its own shift, T - lambda I is
+   factored with partial pivoting for every shift in one loop over the rows,
+   and INVERSE_SOLVES solves from a fixed start follow.  Neighbouring
+   eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a cluster, and those
+   closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
+   orthonormalizes each group after every solve but the last, and each
+   cluster, in ascending order, after the last.  T is split at zero
+   off-diagonals.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
@@ -67,16 +67,16 @@ SAFE_EXPONENT = 500
 
 #: Inverse-iteration solves per eigenvector.  Each shrinks the components along
 #: the other eigenvectors by a factor of about eps / CLUSTER_RTOL outside the
-#: vector's cluster, and eps / GROUP_RTOL inside it.
+#: vector's cluster, and eps / GROUP_RTOL outside its group.
 INVERSE_SOLVES = 3
 
 #: Neighbouring eigenvalues closer than this times ||T||_1 share a cluster, and
 #: their vectors are orthogonalized against each other (dstein's ORTOL).
 CLUSTER_RTOL = 1e-3
 
-#: Cluster members within this times ||T||_1 of their group's first member
-#: share its shift and are orthonormalized together.  Any orthonormal basis of
-#: such a group meets the residual contract, since ||T||_1 <= 3 * dim * max|H|.
+#: Neighbouring eigenvalues closer than this times ||T||_1 form a group, whose
+#: vectors are orthonormalized together after every solve but the last: solves
+#: this close in shift barely separate them, so they would turn into one vector.
 GROUP_RTOL = 1e-12
 
 
@@ -322,10 +322,6 @@ def _factor_shifted(a: np.ndarray, b: np.ndarray):
     return swap, mult, u0, u1, u2
 
 
-#: Entries of the earlier cluster vectors gathered at once for a projection.
-_PROJECTION_ENTRIES = 2**16
-
-
 def _start_vectors(n: int) -> np.ndarray:
     """A fixed n x n matrix of entries in [-1, 1), as if random: the splitmix64
     hash of each entry's index.  Column j starts the eigenvalue of rank j."""
@@ -379,11 +375,11 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     absolute.  T splits at zero off-diagonals; QL leaves the eigenvalues of a
     split block in its rows, and a shift's start vector is zero outside its
     block, which the factorization keeps so.  The eigenvalues are sorted by
-    (matrix, block, value) into clusters and groups.  All shifts make
-    INVERSE_SOLVES solves together, each group orthonormalized by one QR
-    factorization after each; then the r-th group of every cluster, in
-    lockstep over r, loses its components along the final vectors of the
-    cluster's earlier groups.
+    (matrix, block, value), and each is its own shift.  Neighbours closer than
+    GROUP_RTOL form a group and neighbours closer than CLUSTER_RTOL a cluster.
+    All shifts make INVERSE_SOLVES solves together; after each but the last,
+    every group is orthonormalized by one QR factorization, and after the last
+    every cluster is, in ascending order of its eigenvalues.
     """
     G, n = d.shape
     if n == 0:
@@ -403,78 +399,36 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     # every shift, sorted by (matrix, block, value) into clusters and groups
     which = np.repeat(np.arange(G), n)
     order = np.lexsort((lam.ravel(), block.ravel(), which))
-    sg, sb, sv, sj = which[order], block.ravel()[order], lam.ravel()[order], rank.ravel()[order]
-    S = sg.size
-    tol = norm[sg]
+    matrix, sb, sv, sj = which[order], block.ravel()[order], lam.ravel()[order], rank.ravel()[order]
+    S = matrix.size
     same = np.zeros(S, dtype=bool)
-    same[1:] = (sg[1:] == sg[:-1]) & (sb[1:] == sb[:-1])
+    same[1:] = (matrix[1:] == matrix[:-1]) & (sb[1:] == sb[:-1])
     gap = np.diff(sv, prepend=0.0)
-    cluster_start = ~(same & (gap <= CLUSTER_RTOL * tol))
-    group_start = ~(same & (gap <= GROUP_RTOL * tol))
-    first = 0
-    for s in np.flatnonzero(~group_start).tolist():
-        # a group is at most GROUP_RTOL wide, measured from its first member
-        if group_start[s - 1]:
-            first = s - 1
-        if sv[s] - sv[first] > GROUP_RTOL * tol[s]:
-            group_start[s] = True
-            first = s
-    group = np.cumsum(group_start) - 1
-    group_first = np.flatnonzero(group_start)
-    group_size = np.diff(group_first, append=S)
-    cluster = np.cumsum(cluster_start) - 1
-    cluster_first = np.flatnonzero(cluster_start)
-    # a shift's round is its group's index within the cluster, and earlier
-    # counts the shifts of the cluster's earlier groups
-    rounds = group - group[cluster_first][cluster]
-    earlier = group_first[group] - cluster_first[cluster]
+    tol = norm[matrix]
 
-    # shifts in round-major order, so that each round is a slice
-    col = np.argsort(rounds, kind="stable")
-    at_col = np.empty(S + 1, dtype=np.intp)
-    at_col[col] = np.arange(S)
-    at_col[S] = S  # row S of X stays zero: the padding of the projections
-    ends = np.cumsum(np.bincount(rounds)).tolist()
-    matrix = sg[col]
-    Y = np.where((block[matrix] == sb[col, np.newaxis]).T, _start_vectors(n)[:, sj[col]], 0.0)
+    def runs(rtol):
+        """(first, size) of each maximal run of neighbours closer than rtol * ||T||_1."""
+        firsts = np.flatnonzero(~(same & (gap <= rtol * tol)))
+        return firsts, np.diff(firsts, append=S)
+
+    groups, clusters = runs(GROUP_RTOL), runs(CLUSTER_RTOL)
+
+    Y = np.where((block[matrix] == sb[:, np.newaxis]).T, _start_vectors(n)[:, sj], 0.0)
     diagonal = a[:, matrix]
-    diagonal -= sv[group_first[group[col]]]
+    diagonal -= sv
     swap, mult, u0, u1, u2 = _factor_shifted(diagonal, b[:, matrix])
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, u0, out=u0)
     # a pivot under eps (an exact eigenvalue) counts as eps
     np.clip(u0, -1.0 / sys.float_info.epsilon, 1.0 / sys.float_info.epsilon, out=u0)
     factors = [list(f) for f in (swap, mult, u0, u1, u2)]
-    group_col, group_round = at_col[group_first], rounds[group_first]
-
     for it in range(INVERSE_SOLVES):
         _solve_shifted(factors, Y, forward=it > 0)
-        _orthonormalize(Y.T, group_col, group_size)
-    del factors, swap, mult, u0, u1, u2  # free before the projections
-    # the r-th groups of the clusters, in lockstep: each loses its components
-    # along the final vectors of its cluster's earlier groups (block
-    # Gram-Schmidt, twice), gathered at most _PROJECTION_ENTRIES at a time
-    X = np.concatenate([Y.T, np.zeros((1, n))])
-    del Y
-    for r in range(1, len(ends)):
-        lo, hi = ends[r - 1], ends[r]
-        rows = col[lo:hi]
-        Xr = X[lo:hi]
-        width = int(earlier[rows].max())
-        step = max(1, _PROJECTION_ENTRIES // Xr.size)
-        for _ in range(2):
-            for k0 in range(0, width, step):
-                k = np.arange(k0, min(k0 + step, width))
-                P = X[at_col[np.where(k < earlier[rows, np.newaxis],
-                                      cluster_first[cluster[rows], np.newaxis] + k, S)]]
-                Xr -= np.einsum("mkj,mk->mj", P, np.einsum("mkj,mj->mk", P, Xr))
-        this = group_round == r
-        _orthonormalize(Xr, group_col[this] - lo, group_size[this])
-    X = X[:S]
+        _orthonormalize(Y.T, *(clusters if it == INVERSE_SOLVES - 1 else groups))
     # sign as in dstein: the largest component positive
-    X *= np.sign(X[np.arange(S), np.argmax(np.abs(X), axis=1)])[:, np.newaxis]
+    Y *= np.sign(Y[np.argmax(np.abs(Y), axis=0), np.arange(S)])
     Z = np.empty((G * n, n))
-    Z[matrix * n + sj[col]] = X
+    Z[matrix * n + sj] = Y.T
     return Z.reshape(G, n, n).swapaxes(1, 2)
 
 

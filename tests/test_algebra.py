@@ -76,7 +76,7 @@ class TestBlockDimension:
     def test_saturation_at_full_weight(self):
         for F, k in ((2, 3), (3, 2), (4, 2), (5, 4)):
             cap = k * (F - 1)
-            for n in range(cap, cap + 4):
+            for n in (*range(cap, cap + 4), 10**18):
                 assert block_dimension(F, k, n) == F ** k
 
     def test_closed_form_agrees_with_convolution(self):

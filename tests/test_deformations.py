@@ -121,6 +121,8 @@ def test_constructor_validation():
     with pytest.raises(ParameterError):
         Deformation.q_sym(1.0)
     with pytest.raises(ParameterError):
+        Deformation.q_sym(1e-320)  # ln q = -736.8, sinh overflows
+    with pytest.raises(ParameterError):
         Deformation.parafermionic(1)
     with pytest.raises(ParameterError):
         Deformation("nonsense")

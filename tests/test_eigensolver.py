@@ -444,10 +444,12 @@ class TestExtremeMagnitudes:
 
 @st.composite
 def hermitian_cases(draw):
-    """Random, diagonal or repeated-eigenvalue Hermitian matrices of size 0-16,
-    scaled anywhere from 1e-300 to 1e300."""
+    """Random, diagonal, repeated-eigenvalue or clustered Hermitian matrices of
+    size 0-16, scaled anywhere from 1e-300 to 1e300.  Clustered eigenvalues are
+    1 plus cumulative gaps log-uniform in [1e-16, 1e-2], so their clusters
+    straddle both GROUP_RTOL and CLUSTER_RTOL."""
     n = draw(st.integers(0, 16))
-    kind = draw(st.sampled_from(["random", "diagonal", "repeated"]))
+    kind = draw(st.sampled_from(["random", "diagonal", "repeated", "clustered"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.floats(1e-300, 1e300))
     if kind == "random":
@@ -455,7 +457,10 @@ def hermitian_cases(draw):
     elif kind == "diagonal":
         H = np.diag(rng.standard_normal(n)).astype(complex)
     else:
-        values = rng.choice([-1.0, 0.5, 2.0], size=n)
+        if kind == "repeated":
+            values = rng.choice([-1.0, 0.5, 2.0], size=n)
+        else:
+            values = 1.0 + np.cumsum(10.0 ** rng.uniform(-16, -2, n))
         U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         H = U @ np.diag(values) @ U.conj().T
         H = (H + H.conj().T) / 2
