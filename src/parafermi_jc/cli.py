@@ -11,12 +11,19 @@ flag would be, ``null`` means "not given", and explicit flags override the
 file.  Floats are printed with ``repr``, the shortest decimal that
 round-trips (at most 17 significant digits), so equal configurations produce
 byte-identical output; a non-finite cell is a numerical error, never written.
-Scans run serially; ``PARAFERMI_JC_THREADS`` is ignored.
+Scans run serially; ``PARAFERMI_JC_THREADS`` is ignored.  The argument parser
+is built once per process.
+
+``semiclassical-compare`` evaluates the whole omega grid at once: the
+numerical log Z from the stacked ``log_partition_scan``, and the linearized
+levels as one ``semiclassical_level_table`` reduced by one ``log_sum_exp``.
+It compares at phi(x) = hbar*x, so it takes no ``--deformation``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,12 +34,7 @@ from .blocks import ModelParams, build_block
 from .deformations import Deformation
 from .eigensolver import eigenvalues_only
 from .errors import NumericalError, ParameterError
-from .exact import (
-    exact_f2_deformed,
-    exact_f3_k1,
-    semiclassical_levels_f2,
-    semiclassical_levels_k1,
-)
+from .exact import exact_f2_deformed, exact_f3_k1, semiclassical_level_table
 from .thermo import log_partition_scan, log_sum_exp, omega_scan
 from .verify import run_checks
 
@@ -278,16 +280,14 @@ def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
         raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
     params = ModelParams(cfg.F, cfg.k, 1.0, cfg.delta, cfg.g, hbar=cfg.hbar, beta=cfg.beta,
                          deformation=Deformation.linear(cfg.hbar))
-    rows = []
-    for omega, log_z in log_partition_scan(params, cfg.n, _omega_grid(cfg)):
-        if cfg.F == 2:
-            levels = semiclassical_levels_f2(cfg.k, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
-        else:
-            levels = semiclassical_levels_k1(cfg.F, cfg.n, cfg.hbar, omega, cfg.delta, cfg.g)
-        f_numeric = -log_z / cfg.beta
-        f_semiclassical = -log_sum_exp(levels.values(), -cfg.beta) / cfg.beta
-        rel_err = abs(f_numeric - f_semiclassical) / max(abs(f_numeric), 1e-300)
-        rows.append([omega, f_numeric, f_semiclassical, rel_err])
+    grid, log_z = zip(*log_partition_scan(params, cfg.n, _omega_grid(cfg)))
+    levels = semiclassical_level_table(cfg.F, cfg.k, cfg.n, cfg.hbar, grid, cfg.delta, cfg.g)
+    log_z_semiclassical = log_sum_exp(levels, -cfg.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # _emit names a non-finite cell
+        f_numeric = -np.array(log_z) / cfg.beta
+        f_semiclassical = -log_z_semiclassical / cfg.beta
+        rel_err = np.abs(f_numeric - f_semiclassical) / np.maximum(np.abs(f_numeric), 1e-300)
+    rows = np.column_stack([grid, f_numeric, f_semiclassical, rel_err]).tolist()
     record = {"command": "semiclassical-compare", "F": cfg.F, "k": cfg.k, "n": cfg.n,
               "omega_min": cfg.omega_min, "omega_max": cfg.omega_max,
               "omega_count": cfg.omega_count, "omega_scale": cfg.omega_scale,
@@ -311,7 +311,8 @@ _COMMANDS = {
                     _COMMON + _GRID + ("n",)),
     "semiclassical-compare": (cmd_semiclassical_compare,
                               "free energy: numerical vs linearized closed form",
-                              _COMMON + _GRID + ("n",)),
+                              tuple(key for key in _COMMON if key != "deformation")
+                              + _GRID + ("n",)),
     "verify": (cmd_verify, "run self-check suites, emit JSON summary",
                _COMMON + ("scope", "mu_step")),
 }
@@ -324,6 +325,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="parafermi-jc",

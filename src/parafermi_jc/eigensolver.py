@@ -25,8 +25,8 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a cluster, and those
    closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
    orthonormalizes each group after every solve but the last, and each
-   cluster, in ascending order, after the last.  T is split at zero
-   off-diagonals.
+   cluster, in ascending order, after the last.  T is split where QL
+   deflates: at off-diagonals |e_i| <= eps * (|d_i| + |d_i+1|).
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
@@ -372,11 +372,12 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     column j is the eigenvector of the j-th smallest eigenvalue.
 
     Each T is scaled by a power of two near its 1-norm, so the tolerances are
-    absolute.  T splits at zero off-diagonals; QL leaves the eigenvalues of a
-    split block in its rows, and a shift's start vector is zero outside its
-    block, which the factorization keeps so.  The eigenvalues are sorted by
-    (matrix, block, value), and each is its own shift.  Neighbours closer than
-    GROUP_RTOL form a group and neighbours closer than CLUSTER_RTOL a cluster.
+    absolute.  T splits where QL deflates on entry, at |e_i| <= eps * (|d_i| +
+    |d_i+1|), so QL leaves the eigenvalues of a split block in its rows; a
+    shift's start vector is zero outside its block, which the factorization
+    keeps so.  The eigenvalues are sorted by (matrix, block, value), and each
+    is its own shift.  Neighbours closer than GROUP_RTOL form a group and
+    neighbours closer than CLUSTER_RTOL a cluster.
     All shifts make INVERSE_SOLVES solves together; after each but the last,
     every group is orthonormalized by one QR factorization, and after the last
     every cluster is, in ascending order of its eigenvalues.
@@ -390,6 +391,7 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     exponent = np.frexp(np.max(row_norm, axis=1))[1][:, np.newaxis]
     a = np.ldexp(d, -exponent).T
     b = np.ldexp(e, -exponent).T
+    b[b <= sys.float_info.epsilon * (np.abs(a[:-1]) + np.abs(a[1:]))] = 0.0
     lam = np.ldexp(levels, -exponent)
     norm = np.ldexp(np.max(row_norm, axis=1), -exponent[:, 0])
     block = np.zeros((G, n), dtype=np.intp)

@@ -11,7 +11,9 @@ model and serve as independent oracles for the numerical pipeline:
   radical solution.
 * Linearizing the spectrum in a small parameter hbar (structure function
   hbar*x) yields closed-form partition sums accurate away from the crossover
-  at omega ~ delta/hbar.
+  at omega ~ delta/hbar.  The linearized levels are affine in omega, so
+  ``semiclassical_level_table`` evaluates them over a whole omega grid as one
+  (points, levels) array; the one-point functions are its one-point case.
 
 Each function refuses inputs outside its regime of validity instead of
 extrapolating.
@@ -180,13 +182,86 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
     return LabeledSpectrum(tuple((shift + v, 1) for v in values))
 
 
-def _finite_levels(levels: tuple, formula: str, **params) -> LabeledSpectrum:
-    """The levels, unless one left the float range; then a NumericalError
-    names the formula and its parameters."""
-    if not all(math.isfinite(value) for value, _ in levels):
+def _require_finite(values: np.ndarray, formula: str, **params) -> None:
+    """If a level of the (points, levels) values left the float range, a
+    NumericalError names the formula and its parameters at the first such
+    omega, and that omega's position as ``index``."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        params["omega"] = params["omega"][row]
         named = ", ".join(f"{key}={value}" for key, value in params.items())
-        raise NumericalError(f"float overflow in the {formula} level formula ({named})")
-    return LabeledSpectrum(levels)
+        raise NumericalError(f"float overflow in the {formula} level formula ({named})", index=row)
+
+
+def _coefficients(labels, term) -> np.ndarray:
+    """term(*label) for each label, as floats converted exactly as Python converts an int."""
+    return np.array([term(*label) for label in labels], dtype=np.float64)
+
+
+def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
+    """The linearized F=2 levels at each omega, as a (points, 2k) array in (l, s)
+    order, and their degeneracies."""
+    if k < 1 or int(k) != k:
+        raise ParameterError(f"k must be an integer >= 1, got {k}")
+    if n <= k:
+        raise OutOfRegimeError(f"linearized F=2 levels need n > k, got n={n}, k={k}")
+    if delta == 0.0:
+        raise ParameterError("linearized levels expand about delta != 0")
+    labels = [(l, s) for l in range(k) for s in (+1, -1)]
+    omega = np.asarray(omegas, dtype=np.float64)[:, np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
+        values = (
+            2.0 * g * g * k * _coefficients(labels, lambda l, s: s) * hbar
+            * _coefficients(labels, lambda l, s: l + n - k + 1)
+            + delta * delta * _coefficients(labels, lambda l, s: 2 * k - 2 * l + s - 1)
+            + delta * omega * hbar * _coefficients(labels, lambda l, s: 2 * l + 2 * n - 2 * k - s + 1)
+        ) / (2.0 * delta)
+    _require_finite(values, "linearized F=2", k=k, n=n, hbar=hbar, omega=omegas, delta=delta, g=g)
+    return values, [math.comb(k - 1, l) for l, _ in labels]
+
+
+def _linearized_k1(F: int, n: int, hbar: float, omegas, delta: float, g: float):
+    """The single-mode linearized levels at each omega, as a (points, F) array:
+    the weight-0 branch, the fully occupied branch, then the ladder s = 1..F-2."""
+    if int(F) != F or F < 2:
+        raise ParameterError(f"F must be an integer >= 2, got {F}")
+    if delta == 0.0:
+        raise ParameterError("linearized levels expand about delta != 0")
+    if n <= F - 1:
+        raise OutOfRegimeError(f"single-mode linearized levels need n > F-1, got n={n}, F={F}")
+    ladder = [(s,) for s in range(1, F - 1)]
+    omega = np.asarray(omegas, dtype=np.float64)[:, np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
+        values = np.concatenate([
+            hbar * n * (delta * omega - g * g) / delta,
+            delta * (F - 1) + g * g * (n - F + 2) * hbar / delta + float(n + 1 - F) * omega * hbar,
+            omega * hbar * _coefficients(ladder, lambda s: n - s) + g * g * hbar / delta
+            + delta * _coefficients(ladder, lambda s: s),
+        ], axis=1)
+    _require_finite(values, "single-mode linearized",
+                    F=F, n=n, hbar=hbar, omega=omegas, delta=delta, g=g)
+    return values, [1] * F
+
+
+def semiclassical_level_table(F: int, k: int, n: int, hbar: float, omegas,
+                              delta: float, g: float) -> np.ndarray:
+    """The linearized levels at every omega of a grid, as one (points, levels) array.
+
+    Each row holds the levels at one omega, expanded by degeneracy and
+    ascending, the ``values()`` of ``semiclassical_levels_f2`` (F = 2) or
+    else of ``semiclassical_levels_k1`` (k = 1) at that omega, bit for bit.
+    The regime checks run once; a level beyond the float range raises the
+    NumericalError that the one-point call raises at the first such omega,
+    with that omega's position as ``index``.
+    """
+    if F == 2:
+        values, degeneracies = _linearized_f2(k, n, hbar, omegas, delta, g)
+    elif k == 1:
+        values, degeneracies = _linearized_k1(F, n, hbar, omegas, delta, g)
+    else:
+        raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
+    return np.sort(np.repeat(values, degeneracies, axis=1), axis=1)
 
 
 def semiclassical_levels_f2(
@@ -196,26 +271,11 @@ def semiclassical_levels_f2(
 
     E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
                + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta),
-    s = +-1, l = 0..k-1, degeneracy C(k-1, l).
+    s = +-1, l = 0..k-1, degeneracy C(k-1, l): the one-point case of
+    ``semiclassical_level_table``.
     """
-    if k < 1 or int(k) != k:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
-    if n <= k:
-        raise OutOfRegimeError(f"linearized F=2 levels need n > k, got n={n}, k={k}")
-    if delta == 0.0:
-        raise ParameterError("linearized levels expand about delta != 0")
-    levels = []
-    for l in range(k):
-        degeneracy = math.comb(k - 1, l)
-        for s in (+1, -1):
-            value = (
-                2.0 * g * g * k * s * hbar * (l + n - k + 1)
-                + delta * delta * (2 * k - 2 * l + s - 1)
-                + delta * omega * hbar * (2 * l + 2 * n - 2 * k - s + 1)
-            ) / (2.0 * delta)
-            levels.append((value, degeneracy))
-    return _finite_levels(tuple(levels), "linearized F=2",
-                          k=k, n=n, hbar=hbar, omega=omega, delta=delta, g=g)
+    values, degeneracies = _linearized_f2(k, n, hbar, [omega], delta, g)
+    return LabeledSpectrum(tuple(zip(values[0].tolist(), degeneracies)))
 
 
 def semiclassical_z_f2(
@@ -271,22 +331,11 @@ def semiclassical_levels_k1(
     """Levels of a single mode of generic order F linearized in hbar, n > F-1.
 
     Three groups of levels, each of degeneracy 1: the weight-0 branch, the
-    fully occupied branch, and a ladder over intermediate weights s = 1..F-2.
+    fully occupied branch, and a ladder over intermediate weights s = 1..F-2;
+    the one-point case of ``semiclassical_level_table``.
     """
-    if int(F) != F or F < 2:
-        raise ParameterError(f"F must be an integer >= 2, got {F}")
-    if delta == 0.0:
-        raise ParameterError("linearized levels expand about delta != 0")
-    if n <= F - 1:
-        raise OutOfRegimeError(f"single-mode linearized levels need n > F-1, got n={n}, F={F}")
-    values = [
-        hbar * n * (delta * omega - g * g) / delta,
-        delta * (F - 1) + g * g * (n - F + 2) * hbar / delta + (n + 1 - F) * omega * hbar,
-    ]
-    for s in range(1, F - 1):
-        values.append(omega * hbar * (n - s) + g * g * hbar / delta + delta * s)
-    return _finite_levels(tuple((value, 1) for value in values), "single-mode linearized",
-                          F=F, n=n, hbar=hbar, omega=omega, delta=delta, g=g)
+    values, degeneracies = _linearized_k1(F, n, hbar, [omega], delta, g)
+    return LabeledSpectrum(tuple(zip(values[0].tolist(), degeneracies)))
 
 
 def semiclassical_z_k1(

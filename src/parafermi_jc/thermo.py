@@ -43,11 +43,12 @@ SCAN_CHUNK_ENTRIES = 2**13
 def log_sum_exp(values: np.ndarray, scale: float = 1.0):
     """log(sum(exp(scale * values))) over the last axis, shifted by the largest term so nothing overflows.
 
-    A float for one sequence, an array for a stack of them.  The terms
-    scale * values are formed here, after |scale| * max|values| bounds them,
-    so a term beyond the float range raises NumericalError (its shift would
-    be inf - inf) instead of a numpy warning; for a stack the error's
-    ``index`` is the row.  An empty sequence raises ParameterError.
+    A float for one sequence, an array for a stack of them; a sequence gets
+    the bits it would get as a row of a stack.  The terms scale * values are
+    formed here, after |scale| * max|values| bounds them, so a term beyond the
+    float range raises NumericalError (its shift would be inf - inf) instead
+    of a numpy warning; for a stack the error's ``index`` is the row.  An
+    empty sequence raises ParameterError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -60,12 +61,11 @@ def log_sum_exp(values: np.ndarray, scale: float = 1.0):
                 index=row if values.ndim > 1 else None,
             )
     terms = scale * values
-    shift = np.max(terms, axis=-1, keepdims=True)
+    shift = np.max(terms, axis=-1)
     with np.errstate(over="ignore"):  # a difference beyond -max float only makes exp 0
-        total = np.sum(np.exp(terms - shift), axis=-1)
-    if values.ndim == 1:
-        return float(shift[0]) + math.log(float(total))
-    return shift[..., 0] + np.log(total)
+        total = np.sum(np.exp(terms - shift[..., np.newaxis]), axis=-1)
+    result = shift + np.log(total)
+    return float(result) if values.ndim == 1 else result
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafermi_jc import algebra
+import numpy as np
+
+from parafermi_jc import (
+    NumericalError,
+    algebra,
+    log_sum_exp,
+    semiclassical_levels_f2,
+    semiclassical_levels_k1,
+)
 from parafermi_jc.cli import main
 
 
@@ -266,7 +274,8 @@ COMMAND_KEYS = {
     "dims": COMMON_KEYS + ("n_max",),
     "spectrum": COMMON_KEYS + ("omega", "n"),
     "thermo-scan": COMMON_KEYS + GRID_KEYS + ("n",),
-    "semiclassical-compare": COMMON_KEYS + GRID_KEYS + ("n",),
+    "semiclassical-compare": tuple(key for key in COMMON_KEYS if key != "deformation")
+    + GRID_KEYS + ("n",),
 }
 #: (plain, extreme) pools per input; an extreme int pool spans the whole drawn range.
 POOLS = {
@@ -353,6 +362,54 @@ class TestSemiclassicalCompare:
                                "--n", "5", "--omega-min", "1", "--omega-max", "2",
                                "--omega-count", "2")
         assert code == 1 and "closed forms" in err
+
+    @pytest.mark.parametrize("name", ["qexp", "parafermionic"])
+    def test_deformation_flag_rejected(self, capsys, name):
+        # the comparison is defined for phi(x) = hbar x only
+        code, out, err = run_cli(capsys, "semiclassical-compare", "--F", "2", "--k", "1",
+                                 "--n", "4", "--deformation", name, *GRID_1_2)
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error:") and "--deformation" in err
+
+    @pytest.mark.parametrize("F,k", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3)])
+    def test_grid_matches_point_by_point(self, capsys, F, k):
+        # the cases of scripts/free_energy_scan.py: the whole-grid evaluation
+        # gives the bits of the public one-point functions at each omega
+        n = k * (F - 1) + 3
+        code, out, _ = run_cli(capsys, "semiclassical-compare", "--F", str(F), "--k", str(k),
+                               "--n", str(n), "--delta", "20", "--omega-min", "0.5",
+                               "--omega-max", "80", "--omega-count", "161")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 161
+        for cells in rows:
+            omega = float(cells[0])
+            if F == 2:
+                levels = semiclassical_levels_f2(k, n, 1.0, omega, 20.0, 1.0)
+            else:
+                levels = semiclassical_levels_k1(F, n, 1.0, omega, 20.0, 1.0)
+            assert cells[2] == repr(-log_sum_exp(levels.values(), -1.0) / 1.0)
+
+    @pytest.mark.parametrize("F,k", [(2, 1), (3, 1)])
+    def test_first_overflowing_omega_named(self, capsys, F, k):
+        # delta * omega leaves the float range in the upper part of the grid
+        # only; the numerical side stays finite there
+        argv = ("semiclassical-compare", "--F", str(F), "--k", str(k), "--n", "4",
+                "--delta", "1e9", "--omega-min", "1e297", "--omega-max", "1e299",
+                "--omega-count", "21", "--omega-scale", "linear")
+        code, out, err, caught = run_cli_recording_warnings(capsys, *argv)
+        assert code == 2 and out == "" and caught == []
+        overflowing = []
+        for omega in np.linspace(1e297, 1e299, 21).tolist():
+            try:
+                if F == 2:
+                    semiclassical_levels_f2(k, 4, 1.0, omega, 1e9, 1.0)
+                else:
+                    semiclassical_levels_k1(F, 4, 1.0, omega, 1e9, 1.0)
+            except NumericalError as exc:
+                overflowing.append(str(exc))
+        assert 0 < len(overflowing) < 20
+        assert err == f"numerical error: {overflowing[0]}\n"
 
 
 class TestVerify:
@@ -467,3 +524,26 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n") == ["n,dim", "0,1", "1,2"]
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, tmp_path):
+    # the argument parser is built once per process; calls that follow one
+    # another in a process, a failing one among them, behave as in new processes
+    grid = ["--omega-min", "0.5", "--omega-max", "80", "--omega-count", "9"]
+    calls = [
+        ["thermo-scan", "--F", "3", "--k", "1", "--n", "3", "--delta", "20",
+         "--deformation", "qexp", *grid],
+        ["semiclassical-compare", "--F", "2", "--k", "1", "--n", "4", "--deformation", "qexp",
+         *grid],
+        ["semiclassical-compare", "--F", "2", "--k", "2", "--n", "5", "--delta", "20", *grid],
+        ["dims", "--F", "3", "--k", "2", "--n-max", "5"],
+    ]
+    for j, argv in enumerate(calls):
+        argv = [*argv, "--out", str(tmp_path / f"{j}.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        written = (tmp_path / f"{j}.csv").read_bytes() if code == 0 else None
+        proc = subprocess.run([sys.executable, "-m", "parafermi_jc", *argv],
+                              capture_output=True, text=True)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert written == ((tmp_path / f"{j}.csv").read_bytes() if code == 0 else None)
+        assert code == (1 if j == 1 else 0)

@@ -407,6 +407,18 @@ class TestStacks:
         assert np.count_nonzero(_tridiagonalize(H.copy(), False)[1] == 0.0) == 2
         assert_contracts(H)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_negligible_off_diagonal(self, seed):
+        # QL deflates at off-diagonals of 5e-161 between diagonals of 0.5 and 1,
+        # so T must split there too: unsplit, equal eigenvalues of different
+        # blocks get vectors up to 0.6 from orthonormal (seeds 32 and 33)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 41))
+        d = rng.choice([0.5, 1.0], size=n)
+        e = rng.uniform(0.1, 1.0, n - 1)
+        e[rng.random(n - 1) < 0.3] = 5e-161
+        assert_contracts(np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j)
+
     def test_failure_names_its_matrix(self):
         stack = np.array([np.eye(2), np.full((2, 2), 1.7e308)])
         with pytest.raises(NumericalError, match="float range") as caught:

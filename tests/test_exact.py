@@ -7,6 +7,7 @@ import pytest
 from parafermi_jc import (
     Deformation,
     ModelParams,
+    NumericalError,
     OutOfRegimeError,
     ParameterError,
     build_block,
@@ -14,7 +15,9 @@ from parafermi_jc import (
     exact_f2_deformed,
     exact_f2_undeformed,
     exact_f3_k1,
+    semiclassical_level_table,
     semiclassical_levels_f2,
+    semiclassical_levels_k1,
     semiclassical_z_f2,
     semiclassical_z_f2_closed_form,
     semiclassical_z_k1,
@@ -174,6 +177,60 @@ class TestSemiclassicalLevels:
     def test_delta_zero_rejected(self):
         with pytest.raises(ParameterError):
             semiclassical_levels_f2(1, 2, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("hbar,omega,delta,g", [(1.0, 1.0, 20.0, 1.0), (0.3, 37.1, -2.5, 0.7),
+                                                    (2.5, 1e-3, 1e-3, 5.0), (0.0, 3.0, 7.0, 0.0)])
+    def test_levels_match_python_float_reference(self, hbar, omega, delta, g):
+        # the formulas evaluated on Python floats one level at a time, in the
+        # documented order: the array evaluation gives the same bits
+        for k in (1, 2, 3):
+            n = k + 2
+            expected = tuple(
+                ((2.0 * g * g * k * s * hbar * (l + n - k + 1)
+                  + delta * delta * (2 * k - 2 * l + s - 1)
+                  + delta * omega * hbar * (2 * l + 2 * n - 2 * k - s + 1)) / (2.0 * delta),
+                 math.comb(k - 1, l))
+                for l in range(k) for s in (+1, -1))
+            assert semiclassical_levels_f2(k, n, hbar, omega, delta, g).levels == expected
+        for F in (2, 3, 5):
+            n = F + 1
+            expected = (
+                hbar * n * (delta * omega - g * g) / delta,
+                delta * (F - 1) + g * g * (n - F + 2) * hbar / delta + (n + 1 - F) * omega * hbar,
+                *(omega * hbar * (n - s) + g * g * hbar / delta + delta * s for s in range(1, F - 1)),
+            )
+            assert semiclassical_levels_k1(F, n, hbar, omega, delta, g).levels == tuple(
+                (value, 1) for value in expected)
+
+    @pytest.mark.parametrize("F,k,n", [(2, 1, 2), (2, 2, 5), (2, 3, 7), (2, 1, 4), (3, 1, 5),
+                                       (4, 1, 6), (5, 1, 7)])
+    def test_table_rows_are_one_point_values(self, F, k, n):
+        omegas = [-3.0, 0.0, 0.5, 1.7, 80.0, 2.5e5]
+        for hbar, delta, g in [(1.0, 20.0, 1.0), (0.01, -3.0, 2.5), (0.0, 1e-3, 0.0)]:
+            table = semiclassical_level_table(F, k, n, hbar, omegas, delta, g)
+            if F == 2:
+                rows = [semiclassical_levels_f2(k, n, hbar, w, delta, g).values() for w in omegas]
+            else:
+                rows = [semiclassical_levels_k1(F, n, hbar, w, delta, g).values() for w in omegas]
+            assert np.array_equal(table, np.array(rows))
+
+    def test_table_names_first_overflowing_omega(self):
+        omegas = [1.0, 1e299, 1e300, 2e300]
+        with pytest.raises(NumericalError) as caught:
+            semiclassical_level_table(2, 2, 4, 1.0, omegas, 1e10, 1.0)
+        assert caught.value.index == 1
+        with pytest.raises(NumericalError) as alone:
+            semiclassical_levels_f2(2, 4, 1.0, 1e299, 1e10, 1.0)
+        assert str(caught.value) == str(alone.value)
+        assert "omega=1e+299" in str(alone.value)
+
+    def test_table_regime_checks(self):
+        with pytest.raises(ParameterError, match="closed forms"):
+            semiclassical_level_table(3, 2, 6, 1.0, [1.0], 20.0, 1.0)
+        with pytest.raises(OutOfRegimeError):
+            semiclassical_level_table(2, 2, 2, 1.0, [1.0], 20.0, 1.0)
+        with pytest.raises(OutOfRegimeError):
+            semiclassical_level_table(4, 1, 3, 1.0, [1.0], 20.0, 1.0)
 
 
 class TestSemiclassicalPartition:
