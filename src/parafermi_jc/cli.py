@@ -7,10 +7,11 @@ included), 2 numerical error, 3 verification failure.
 Each input is declared once in ``_INPUTS``; ``_COMMANDS`` lists the flags of
 each command.  Values may also come from ``--config`` (one flat JSON object,
 underscore keys): a config value is read as the same text typed after its
-flag would be, ``null`` means "not given", and explicit flags override the
-file.  Floats are printed with ``repr``, the shortest decimal that
-round-trips (at most 17 significant digits), so equal configurations produce
-byte-identical output; a non-finite cell is a numerical error, never written.
+flag would be, ``null`` means "not given", a key that the command does not
+take is rejected as its flag would be, and explicit flags override the file.
+Floats are printed with ``repr``, the shortest decimal that round-trips (at
+most 17 significant digits), so equal configurations produce byte-identical
+output; a non-finite cell is a numerical error, never written.
 Scans run serially; ``PARAFERMI_JC_THREADS`` is ignored.  The argument parser
 is built once per process.
 
@@ -123,8 +124,16 @@ def _config_value(key: str, value):
 
 
 def _inputs(args: argparse.Namespace) -> argparse.Namespace:
-    """Every input: the flag if given, else the config value, else the default."""
+    """Every input: the flag if given, else the config value, else the default.
+
+    A config key that the command does not take is rejected, as its flag
+    would be, unless its value is null.
+    """
     config = _read_config(args.config) if args.config else {}
+    taken = _COMMANDS[args.command][2]
+    unused = sorted(key for key, value in config.items() if value is not None and key not in taken)
+    if unused:
+        raise ParameterError(f"{args.command} does not take config keys {unused}")
     cfg = argparse.Namespace(command=args.command)
     for key, (_, default, _) in _INPUTS.items():
         value = getattr(args, key, None)

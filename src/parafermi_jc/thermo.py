@@ -17,7 +17,17 @@ Scans run as stacks: every point of an omega grid has the same block, and
 H(omega) = H0 + omega * diag(phi(n - W)), so H0 and the phi diagonal are
 assembled once and each chunk of the grid goes through the eigensolver and
 the reduction as one (G, d, d) stack.  A single block is a stack of one.  A
-NumericalError at one point of a scan names its omega and (F, k, n).
+grid point must be finite, and a point whose diagonal H0 + omega * phi
+leaves the float range, or any other NumericalError at one point of a scan,
+names its omega and (F, k, n).
+
+A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
+stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
+matrix may exceed the cap).  The solve's traced peak is at most about 5.7
+times its complex stack with eigenvectors (5.3 at d = 27, 4.6 at d = 256)
+and 3.3 to 4.1 times without, so a full chunk peaks near 3 MB.  The solver
+gets the only reference to the stack and frees it once copied (from Python
+3.11; on 3.10 the calling frame keeps it until the solve returns).
 """
 
 from __future__ import annotations
@@ -36,8 +46,11 @@ from .errors import NumericalError, ParameterError
 
 #: Matrix entries per stacked solve of a scan: a chunk of the grid holds at most
 #: this many (and at least one matrix), which bounds a scan's memory whatever
-#: the block dimension.
-SCAN_CHUNK_ENTRIES = 2**13
+#: the block dimension.  2**15 entries are 512 matrices at d = 8, 44 at d = 27
+#: and one at d = 256; the solve's traced peak is at most about 5.7 times the
+#: chunk's complex stack.  Past 2**15 the per-stack call overhead is mostly
+#: paid off: 2**16 saves a few percent more per point and doubles the peak.
+SCAN_CHUNK_ENTRIES = 2**15
 
 
 def log_sum_exp(values: np.ndarray, scale: float = 1.0):
@@ -179,9 +192,27 @@ def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
+def _omega_stack(H0: np.ndarray, phi: np.ndarray, omegas: Sequence[float]) -> np.ndarray:
+    """H0 + omega * diag(phi) for each omega, as a (G, d, d) stack.
+
+    A diagonal that leaves the float range raises NumericalError with the
+    first such omega's position as ``index``.
+    """
+    omegas = np.array(omegas)
+    stack = np.repeat(H0[np.newaxis], omegas.size, axis=0)
+    diagonal = np.arange(H0.shape[0])
+    with np.errstate(over="ignore"):  # checked below
+        stack[:, diagonal, diagonal] += omegas[:, np.newaxis] * phi
+    bad = np.flatnonzero(~np.isfinite(stack[:, diagonal, diagonal]).all(axis=1))
+    if bad.size:
+        raise NumericalError("the diagonal H0 + omega * phi(n - W) leaves the float range",
+                             index=int(bad[0]))
+    return stack
+
+
 def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors: bool,
           reduce: Callable[[Spectrum, np.ndarray], list]) -> list[tuple[float, object]]:
-    """(omega, reduce's value) at each frequency of an ascending grid.
+    """(omega, reduce's value) at each frequency of a finite, ascending grid.
 
     H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
     assembled once, and each chunk of the grid is solved as one stack and
@@ -191,20 +222,20 @@ def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors
     grid = [float(w) for w in omega_grid]
     if not grid:
         raise ParameterError("omega grid must not be empty")
+    for w in grid:
+        if not math.isfinite(w):
+            raise ParameterError(f"omega grid point {w!r} is not finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("omega grid must be strictly ascending")
     base = build_block(params.with_omega(0.0), n)
     ops = _diagonal_operators(base, params)
     chunk = max(1, SCAN_CHUNK_ENTRIES // base.dim ** 2)
-    diagonal = np.arange(base.dim)
     values = []
     for start in range(0, len(grid), chunk):
-        omegas = np.array(grid[start:start + chunk])
-        stack = np.repeat(base.matrix[np.newaxis], omegas.size, axis=0)
-        with np.errstate(over="ignore"):  # an infinite entry is rejected by the solver
-            stack[:, diagonal, diagonal] += omegas[:, np.newaxis] * ops[:, 2]
         try:
-            values += reduce(eigensolver.eigendecompose(stack, want_vectors), ops)
+            # the stack is not kept here: the solver frees it once copied
+            values += reduce(eigensolver.eigendecompose(
+                _omega_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors), ops)
         except NumericalError as exc:
             if exc.index is None:
                 raise

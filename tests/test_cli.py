@@ -256,6 +256,19 @@ class TestInputs:
         code, from_flags, _ = run_with_config(capsys, tmp_path, {}, *flags)
         assert code == 0 and from_config == from_flags
 
+    @pytest.mark.parametrize("command,values", [
+        ("thermo-scan", {"n_max": 3}),
+        ("dims", {"omega": 2.0}),
+        ("spectrum", {"omega_count": 4}),
+        ("verify", {"n": 2, "omega_min": 1.0}),
+    ])
+    def test_config_key_of_another_command_rejected(self, capsys, tmp_path, command, values):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": 2, "k": 1, **values}))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1 and out == ""
+        assert err == f"parameter error: {command} does not take config keys {sorted(values)}\n"
+
     @pytest.mark.parametrize("record", [
         {"type": "qexp", "hbar": None},
         {"type": "parafermionic", "F": "x"},
@@ -370,6 +383,22 @@ class TestSemiclassicalCompare:
                                  "--n", "4", "--deformation", name, *GRID_1_2)
         assert code == 1 and out == ""
         assert err.startswith("parameter error:") and "--deformation" in err
+
+    @pytest.mark.parametrize("deformation", ["qexp", {"type": "qexp", "hbar": 1.0}])
+    def test_deformation_config_key_rejected(self, capsys, tmp_path, deformation):
+        # rejected as the flag is; null still means "not given"
+        config = tmp_path / "run.json"
+        base = {"F": 2, "k": 1, "n": 4, "omega_min": 1.0, "omega_max": 2.0, "omega_count": 2}
+        config.write_text(json.dumps({**base, "deformation": deformation}))
+        code, out, err = run_cli(capsys, "semiclassical-compare", "--config", str(config))
+        assert code == 1 and out == ""
+        assert err.startswith("parameter error: semiclassical-compare") and "deformation" in err
+        config.write_text(json.dumps({**base, "deformation": None}))
+        code, with_null, _ = run_cli(capsys, "semiclassical-compare", "--config", str(config))
+        assert code == 0
+        code, without, _ = run_cli(capsys, "semiclassical-compare", "--F", "2", "--k", "1",
+                                   "--n", "4", *GRID_1_2)
+        assert code == 0 and with_null == without
 
     @pytest.mark.parametrize("F,k", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3)])
     def test_grid_matches_point_by_point(self, capsys, F, k):
@@ -506,6 +535,16 @@ class TestOverflowFailsCleanly:
         assert code == 2 and out == "" and caught == []
         assert err.count("\n") == 1 and err.startswith("numerical error:")
         assert err.rstrip().endswith("at omega=1.0 (F=2, k=1, n=1)")
+
+    @pytest.mark.parametrize("command", ["thermo-scan", "semiclassical-compare"])
+    def test_overflowing_omega_diagonal_named(self, capsys, command):
+        # omega * phi(n - W) reaches 3e308 at the top of the grid
+        code, out, err, caught = run_cli_recording_warnings(
+            capsys, command, "--F", "2", "--k", "1", "--n", "3", "--omega-min", "1",
+            "--omega-max", "1e308", "--omega-scale", "linear", "--omega-count", "2")
+        assert code == 2 and out == "" and caught == []
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert err.rstrip().endswith("at omega=1e+308 (F=2, k=1, n=3)")
 
     def test_stderr_of_a_process_holds_no_warning(self):
         proc = subprocess.run(

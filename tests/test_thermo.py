@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,6 +213,82 @@ class TestOmegaScan:
             omega_scan(params, 1, [])
         with pytest.raises(ParameterError):
             omega_scan(params, 1, [2.0, 1.0])
+
+    @pytest.mark.parametrize("scan", [omega_scan, log_partition_scan])
+    @pytest.mark.parametrize("grid", [[1.0, math.inf], [math.nan, 1.0], [-math.inf, 0.0],
+                                      [0.5, math.nan, 2.0]])
+    def test_non_finite_grid_point_named(self, scan, grid):
+        # n = 0: inf * phi(0) would be nan
+        bad = next(w for w in grid if not math.isfinite(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"omega grid point {bad!r} is not finite"):
+                scan(ModelParams(2, 1, 1.0, 1.0, 1.0), 0, grid)
+
+    @pytest.mark.parametrize("scan", [omega_scan, log_partition_scan])
+    @pytest.mark.parametrize("grid,named", [([1.0, 1e308], 1e308),
+                                            ([1.0, 6e307, 1e308], 6e307),
+                                            ([-1e308, 1.0], -1e308)])
+    @pytest.mark.parametrize("chunk_points", [1, None])
+    def test_overflowing_diagonal_named(self, monkeypatch, scan, grid, named, chunk_points):
+        # phi(n - W) reaches 3 at n = 3, so omega * phi leaves the float range
+        # from omega = 6e307 on, whether the grid is one stack or many
+        if chunk_points:
+            monkeypatch.setattr(thermo, "SCAN_CHUNK_ENTRIES", chunk_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                scan(ModelParams(2, 1, 1.0, 1.0, 1.0), 3, grid)
+        assert str(info.value).endswith(f" at omega={named!r} (F=2, k=1, n=3)")
+
+
+STAIRCASE = ModelParams(3, 3, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))
+STAIRCASE_GRID = np.logspace(math.log10(0.2), math.log10(2000.0), 40)
+
+#: Traced peak of a one-stack scan over the bytes of its complex (G, d, d)
+#: stack.  The 40-point dim-27 staircase grid measures 5.34 (numpy 2.4,
+#: Python 3.11); before the eigensolver's working set was trimmed it was 7.2.
+PEAK_PER_STACK = 6.0
+
+
+class TestScanStack:
+    """The staircase scan of a dim-27 block over 40 points, solved as one stack."""
+
+    def test_one_stack_peak_memory(self):
+        assert thermo.SCAN_CHUNK_ENTRIES // 27 ** 2 >= STAIRCASE_GRID.size
+        stack_bytes = STAIRCASE_GRID.size * 27 ** 2 * 16
+        limit = PEAK_PER_STACK
+        if sys.version_info < (3, 11):
+            # a Python 3.10 caller keeps its call's arguments until the call
+            # returns: the stack through the solve (1x) and the real
+            # eigenvectors through the back-transform (0.5x)
+            limit += 1.5
+        omega_scan(STAIRCASE, 8, STAIRCASE_GRID)  # first-call allocations
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            omega_scan(STAIRCASE, 8, STAIRCASE_GRID)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < limit * stack_bytes
+
+    def test_default_cap_matches_one_point_per_chunk(self, monkeypatch):
+        # stack size moves bits at about 1e-13 (BLAS blocking), so not exact
+        stacked = omega_scan(STAIRCASE, 8, STAIRCASE_GRID)
+        monkeypatch.setattr(thermo, "SCAN_CHUNK_ENTRIES", 1)
+        alone = omega_scan(STAIRCASE, 8, STAIRCASE_GRID)
+        assert [w for w, _ in stacked] == [w for w, _ in alone] == STAIRCASE_GRID.tolist()
+        for (_, a), (_, b) in zip(stacked, alone):
+            for field in dataclasses.fields(ThermoObservables):
+                # conservation_error is itself rounding error, so its scale is absolute
+                floor = 1e-12 if field.name == "conservation_error" else 0.0
+                assert getattr(a, field.name) == pytest.approx(getattr(b, field.name),
+                                                               rel=1e-12, abs=floor)
 
 
 @st.composite
