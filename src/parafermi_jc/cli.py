@@ -4,11 +4,12 @@ Commands: ``dims``, ``spectrum``, ``thermo-scan``, ``semiclassical-compare``,
 ``verify``.  Exit codes: 0 success, 1 parameter error (usage errors
 included), 2 numerical error, 3 verification failure.
 
-Each input is declared once in ``_INPUTS``; ``_COMMANDS`` lists the flags of
-each command.  Values may also come from ``--config`` (one flat JSON object,
-underscore keys): a config value is read as the same text typed after its
-flag would be, ``null`` means "not given", a key that the command does not
-take is rejected as its flag would be, and explicit flags override the file.
+Each input is declared once in ``_INPUTS``.  ``_COMMANDS`` lists the inputs
+each command reads: its flags, its config keys, its required inputs and its
+JSON ``params`` record.  Values may also come from ``--config`` (one flat JSON
+object, underscore keys): a config value is read as the same text typed after
+its flag would be, ``null`` means "not given", a key that the command does
+not take is rejected as its flag would be, and explicit flags override the file.
 Floats are printed with ``repr``, the shortest decimal that round-trips (at
 most 17 significant digits), so equal configurations produce byte-identical
 output; a non-finite cell is a numerical error, never written.
@@ -78,8 +79,8 @@ _INPUTS = {
     "format": (("csv", "json"), "csv", None),
 }
 
-_COMMON = ("F", "k", "delta", "g", "hbar", "beta", "deformation", "out", "format")
 _GRID = ("omega_min", "omega_max", "omega_count", "omega_scale")
+_OUTPUT = ("out", "format")
 
 #: ``--deformation`` names, each with the inputs that fill its tagged record.
 _NAMED_DEFORMATIONS = {"undeformed": (), "linear": ("hbar",), "qexp": ("hbar",),
@@ -127,7 +128,7 @@ def _inputs(args: argparse.Namespace) -> argparse.Namespace:
     """Every input: the flag if given, else the config value, else the default.
 
     A config key that the command does not take is rejected, as its flag
-    would be, unless its value is null.
+    would be, unless its value is null, and so is a missing required input.
     """
     config = _read_config(args.config) if args.config else {}
     taken = _COMMANDS[args.command][2]
@@ -140,13 +141,10 @@ def _inputs(args: argparse.Namespace) -> argparse.Namespace:
         if value is None and config.get(key) is not None:
             value = _config_value(key, config[key])
         setattr(cfg, key, default if value is None else value)
-    return cfg
-
-
-def _require(cfg: argparse.Namespace, *keys: str) -> None:
-    missing = [_flag(key) for key in keys if getattr(cfg, key) is None]
+    missing = [_flag(key) for key in taken if getattr(cfg, key) is None]
     if missing:
-        raise ParameterError(f"{cfg.command} needs {', '.join(missing)}")
+        raise ParameterError(f"{args.command} needs {', '.join(missing)}")
+    return cfg
 
 
 def _deformation(cfg: argparse.Namespace) -> Deformation:
@@ -162,13 +160,11 @@ def _deformation(cfg: argparse.Namespace) -> Deformation:
 
 
 def _model_params(cfg: argparse.Namespace) -> ModelParams:
-    _require(cfg, "F", "k", "n")
     return ModelParams(F=cfg.F, k=cfg.k, omega=cfg.omega, delta=cfg.delta, g=cfg.g,
                        hbar=cfg.hbar, beta=cfg.beta, deformation=_deformation(cfg))
 
 
 def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
-    _require(cfg, "omega_min", "omega_max", "omega_count")
     if not 1 <= cfg.omega_count <= MAX_OMEGA_COUNT:
         raise ParameterError(
             f"omega count must be between 1 and {MAX_OMEGA_COUNT}, got {cfg.omega_count}"
@@ -194,7 +190,7 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _emit(cfg: argparse.Namespace, params_record: dict, header: list[str], rows: list[list]) -> None:
+def _emit(cfg: argparse.Namespace, header: list[str], rows: list[list]) -> None:
     for row in rows:
         for key, cell in zip(header, row):
             if cell is not None and not math.isfinite(cell):
@@ -204,8 +200,12 @@ def _emit(cfg: argparse.Namespace, params_record: dict, header: list[str], rows:
         lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
+        keys = [key for key in _COMMANDS[cfg.command][2] if key not in _OUTPUT]
+        record = {"command": cfg.command, **{key: getattr(cfg, key) for key in keys}}
+        if "deformation" in record:
+            record["deformation"] = _deformation(cfg).to_dict()
         payload = {
-            "params": params_record,
+            "params": record,
             "rows": [
                 {key: (None if cell is None else (int(cell) if isinstance(cell, (int, np.integer)) else float(cell)))
                  for key, cell in zip(header, row)}
@@ -230,12 +230,10 @@ def _write_text(out: str, text: str) -> None:
 def cmd_dims(cfg: argparse.Namespace) -> int:
     from .algebra import block_dimension
 
-    _require(cfg, "F", "k", "n_max")
     if cfg.n_max < 0:
         raise ParameterError(f"n-max must be >= 0, got {cfg.n_max}")
     rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(cfg.n_max + 1)]
-    _emit(cfg, {"command": "dims", "F": cfg.F, "k": cfg.k, "n_max": cfg.n_max},
-          ["n", "dim"], rows)
+    _emit(cfg, ["n", "dim"], rows)
     return EXIT_OK
 
 
@@ -258,11 +256,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             diff = abs(value - exact_values[j])
             mismatch = mismatch or diff > SPECTRUM_MATCH_TOL
             rows.append([j, value, exact_values[j], diff])
-    record = {"command": "spectrum", "F": params.F, "k": params.k, "n": cfg.n,
-              "omega": params.omega, "delta": params.delta, "g": params.g,
-              "hbar": params.hbar, "beta": params.beta,
-              "deformation": params.deformation.to_dict()}
-    _emit(cfg, record, ["index", "eigenvalue", "exact_value", "abs_diff"], rows)
+    _emit(cfg, ["index", "eigenvalue", "exact_value", "abs_diff"], rows)
     return EXIT_VERIFICATION if mismatch else EXIT_OK
 
 
@@ -274,17 +268,11 @@ def cmd_thermo_scan(cfg: argparse.Namespace) -> int:
         [omega, obs.z, obs.free_energy, obs.phi_n_expect, obs.n_expect, obs.w_expect]
         for omega, obs in scan
     ]
-    record = {"command": "thermo-scan", "F": params.F, "k": params.k, "n": cfg.n,
-              "omega_min": cfg.omega_min, "omega_max": cfg.omega_max,
-              "omega_count": cfg.omega_count, "omega_scale": cfg.omega_scale,
-              "delta": params.delta, "g": params.g, "hbar": params.hbar,
-              "beta": params.beta, "deformation": params.deformation.to_dict()}
-    _emit(cfg, record, ["omega", "Z", "free_energy", "phi_N", "N", "W"], rows)
+    _emit(cfg, ["omega", "Z", "free_energy", "phi_N", "N", "W"], rows)
     return EXIT_OK
 
 
 def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
-    _require(cfg, "F", "k", "n")
     if cfg.F != 2 and cfg.k != 1:
         raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
     params = ModelParams(cfg.F, cfg.k, 1.0, cfg.delta, cfg.g, hbar=cfg.hbar, beta=cfg.beta,
@@ -297,11 +285,7 @@ def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
         f_semiclassical = -log_z_semiclassical / cfg.beta
         rel_err = np.abs(f_numeric - f_semiclassical) / np.maximum(np.abs(f_numeric), 1e-300)
     rows = np.column_stack([grid, f_numeric, f_semiclassical, rel_err]).tolist()
-    record = {"command": "semiclassical-compare", "F": cfg.F, "k": cfg.k, "n": cfg.n,
-              "omega_min": cfg.omega_min, "omega_max": cfg.omega_max,
-              "omega_count": cfg.omega_count, "omega_scale": cfg.omega_scale,
-              "delta": cfg.delta, "g": cfg.g, "hbar": cfg.hbar, "beta": cfg.beta}
-    _emit(cfg, record, ["omega", "F_numeric", "F_semiclassical", "rel_err"], rows)
+    _emit(cfg, ["omega", "F_numeric", "F_semiclassical", "rel_err"], rows)
     return EXIT_OK
 
 
@@ -311,19 +295,19 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if summary["passed"] else EXIT_VERIFICATION
 
 
-#: command -> (handler, help, flags in --help order); every command also takes --config.
+#: command -> (handler, help, inputs): the inputs the handler reads, in the order
+#: of its JSON params record, then the output ones.  They are its flags in --help
+#: order and its config keys; every command also takes --config.
 _COMMANDS = {
-    "dims": (cmd_dims, "block dimensions d_n for n = 0..n_max", _COMMON + ("n_max",)),
+    "dims": (cmd_dims, "block dimensions d_n for n = 0..n_max", ("F", "k", "n_max", *_OUTPUT)),
     "spectrum": (cmd_spectrum, "eigenvalues of one block, with exact columns in regime",
-                 _COMMON + ("omega", "n")),
+                 ("F", "k", "n", "omega", "delta", "g", "hbar", "deformation", *_OUTPUT)),
     "thermo-scan": (cmd_thermo_scan, "thermal observables over a frequency grid",
-                    _COMMON + _GRID + ("n",)),
+                    ("F", "k", "n", *_GRID, "delta", "g", "hbar", "beta", "deformation", *_OUTPUT)),
     "semiclassical-compare": (cmd_semiclassical_compare,
                               "free energy: numerical vs linearized closed form",
-                              tuple(key for key in _COMMON if key != "deformation")
-                              + _GRID + ("n",)),
-    "verify": (cmd_verify, "run self-check suites, emit JSON summary",
-               _COMMON + ("scope", "mu_step")),
+                              ("F", "k", "n", *_GRID, "delta", "g", "hbar", "beta", *_OUTPUT)),
+    "verify": (cmd_verify, "run self-check suites, emit JSON summary", ("scope", "mu_step", "out")),
 }
 
 

@@ -51,9 +51,6 @@ class LabeledSpectrum:
             out.extend([value] * degeneracy)
         return np.sort(np.asarray(out, dtype=np.float64))
 
-    def total_multiplicity(self) -> int:
-        return sum(d for _, d in self.levels)
-
     def trace(self) -> float:
         return sum(value * degeneracy for value, degeneracy in self.levels)
 

@@ -168,27 +168,26 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
     return thermo_from_block(build_block(params, n), params)
 
 
-def log_partition(block: BlockHamiltonian, beta: float) -> float:
-    """log Z of a block from eigenvalues alone (no eigenvector cost)."""
-    return log_sum_exp(eigensolver.eigenvalues_only(block.matrix), -beta)
-
-
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
-    """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega)."""
+    """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega),
+    from one values-only scan of [omega - step, omega + step]."""
     if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
-    log_hi = log_partition(build_block(params.with_omega(params.omega + step), n), params.beta)
-    log_lo = log_partition(build_block(params.with_omega(params.omega - step), n), params.beta)
+    lo, hi = params.omega - step, params.omega + step
+    if not lo < hi:
+        raise ParameterError(f"step {step!r} vanishes against omega={params.omega!r}")
+    (_, log_lo), (_, log_hi) = log_partition_scan(params, n, [lo, hi])
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
 def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
-    """<N> from the mu-perturbation H + mu*N, differentiated at mu = 0."""
+    """<N> from the mu-perturbation H + mu*N, differentiated at mu = 0, with
+    H + step*N and H - step*N solved, values only, as one stack."""
     if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
     block = build_block(params, n)
-    log_hi = log_partition(add_mu_number_term(block, step), params.beta)
-    log_lo = log_partition(add_mu_number_term(block, -step), params.beta)
+    stack = np.stack([add_mu_number_term(block, mu).matrix for mu in (step, -step)])
+    log_hi, log_lo = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 

@@ -129,38 +129,32 @@ def algebra_checks() -> list[CheckResult]:
     return results
 
 
+def _closed_form_deviation(shapes, couplings, phi: Deformation, exact) -> float:
+    """Largest |numeric - exact| / (1 + |numeric|) over the (F, k, n) shapes and the
+    (omega, delta, g) couplings, the closed form being exact(k, n, omega, delta, g);
+    the couplings of one shape are solved as one stack."""
+    worst = 0.0
+    for F, k, n in shapes:
+        stack = np.stack([build_block(ModelParams(F, k, *c, deformation=phi), n).matrix
+                          for c in couplings])
+        numeric = eigenvalues_only(stack)
+        closed = np.array([exact(k, n, *c).values() for c in couplings])
+        worst = max(worst, float(np.max(np.abs(numeric - closed) / (1 + np.abs(numeric)))))
+    return worst
+
+
 def oracle_checks() -> list[CheckResult]:
     results = []
     grid = (0.5, 2.0)
-    worst = 0.0
-    for k in (1, 2):
-        for n in (k, k + 2):
-            for omega, delta, g in itertools.product(grid, grid, grid):
-                params = ModelParams(2, k, omega, delta, g)
-                numeric = eigenvalues_only(build_block(params, n).matrix)
-                exact = exact_f2_undeformed(k, n, omega, delta, g).values()
-                worst = max(worst, float(np.max(np.abs(numeric - exact) / (1 + np.abs(numeric)))))
-    results.append(_result("f2_undeformed_vs_numeric", worst, 1e-9))
-
-    worst = 0.0
-    phi = Deformation.q_exp(1.0)
-    for k in (1, 2):
-        for n in (k, k + 2):
-            for omega, delta, g in itertools.product(grid, grid, grid):
-                params = ModelParams(2, k, omega, delta, g, deformation=phi)
-                numeric = eigenvalues_only(build_block(params, n).matrix)
-                exact = exact_f2_deformed(k, n, omega, delta, g, phi).values()
-                worst = max(worst, float(np.max(np.abs(numeric - exact) / (1 + np.abs(numeric)))))
-    results.append(_result("f2_deformed_vs_numeric", worst, 1e-9))
-
-    worst = 0.0
-    for n in (3, 5):
-        for omega, delta, g in itertools.product(grid, grid, grid):
-            params = ModelParams(3, 1, omega, delta, g)
-            numeric = eigenvalues_only(build_block(params, n).matrix)
-            exact = exact_f3_k1(n, omega, delta, g).values()
-            worst = max(worst, float(np.max(np.abs(numeric - exact) / (1 + np.abs(numeric)))))
-    results.append(_result("f3_cubic_vs_numeric", worst, 1e-8))
+    couplings = list(itertools.product(grid, grid, grid))
+    f2_shapes = [(2, k, n) for k in (1, 2) for n in (k, k + 2)]
+    undeformed, phi = Deformation.undeformed(), Deformation.q_exp(1.0)
+    results.append(_result("f2_undeformed_vs_numeric", _closed_form_deviation(
+        f2_shapes, couplings, undeformed, exact_f2_undeformed), 1e-9))
+    results.append(_result("f2_deformed_vs_numeric", _closed_form_deviation(
+        f2_shapes, couplings, phi, lambda k, n, *c: exact_f2_deformed(k, n, *c, phi)), 1e-9))
+    results.append(_result("f3_cubic_vs_numeric", _closed_form_deviation(
+        [(3, 1, 3), (3, 1, 5)], couplings, undeformed, lambda k, n, *c: exact_f3_k1(n, *c)), 1e-8))
 
     worst = 0.0
     for k, n in ((1, 3), (2, 4), (3, 5)):

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -19,6 +22,7 @@ from parafermi_jc import (
     semiclassical_levels_f2,
     semiclassical_levels_k1,
 )
+from parafermi_jc import cli
 from parafermi_jc.cli import main
 
 
@@ -26,6 +30,9 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GRID_1_2 = ("--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
 
 
 class TestDims:
@@ -74,7 +81,7 @@ class TestSpectrum:
         assert values == pytest.approx([0.0, 2.0], abs=1e-12)
         assert all(float(r[3]) <= 1e-8 for r in rows)
 
-    @pytest.mark.parametrize("flag", ["--omega=inf", "--g=nan", "--delta=-inf", "--beta=nan"])
+    @pytest.mark.parametrize("flag", ["--omega=inf", "--g=nan", "--delta=-inf"])
     def test_non_finite_input_rejected(self, capsys, flag):
         code, out, err = run_cli(capsys, "spectrum", "--F", "2", "--k", "1", "--n", "2", flag)
         assert code == 1 and out == ""
@@ -151,6 +158,12 @@ class TestThermoScan:
                                  "--omega-min", "1", "--omega-max", "2", "--omega-count", count)
         assert code == 1 and out == ""
         assert err.startswith("parameter error:") and "omega count" in err
+
+    def test_non_finite_beta_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "2",
+                                 "--beta=nan", *GRID_1_2)
+        assert code == 1 and out == ""
+        assert "must be finite" in err
 
     def test_thread_env_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAFERMI_JC_THREADS", "many")
@@ -264,7 +277,8 @@ class TestInputs:
     ])
     def test_config_key_of_another_command_rejected(self, capsys, tmp_path, command, values):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"F": 2, "k": 1, **values}))
+        taken = {} if command == "verify" else {"F": 2, "k": 1}
+        config.write_text(json.dumps({**taken, **values}))
         code, out, err = run_cli(capsys, command, "--config", str(config))
         assert code == 1 and out == ""
         assert err == f"parameter error: {command} does not take config keys {sorted(values)}\n"
@@ -281,15 +295,73 @@ class TestInputs:
         assert err.startswith("parameter error:") and "deformation" in err
 
 
-COMMON_KEYS = ("F", "k", "delta", "g", "hbar", "beta", "deformation")
 GRID_KEYS = ("omega_min", "omega_max", "omega_count", "omega_scale")
+#: The inputs each command reads, besides --out and --format: the keys of its
+#: JSON params record after "command", in order.
 COMMAND_KEYS = {
-    "dims": COMMON_KEYS + ("n_max",),
-    "spectrum": COMMON_KEYS + ("omega", "n"),
-    "thermo-scan": COMMON_KEYS + GRID_KEYS + ("n",),
-    "semiclassical-compare": tuple(key for key in COMMON_KEYS if key != "deformation")
-    + GRID_KEYS + ("n",),
+    "dims": ("F", "k", "n_max"),
+    "spectrum": ("F", "k", "n", "omega", "delta", "g", "hbar", "deformation"),
+    "thermo-scan": ("F", "k", "n", *GRID_KEYS, "delta", "g", "hbar", "beta", "deformation"),
+    "semiclassical-compare": ("F", "k", "n", *GRID_KEYS, "delta", "g", "hbar", "beta"),
+    "verify": ("scope", "mu_step"),
 }
+#: A command's flags, in --help order: its inputs, then the output flags.
+COMMAND_FLAGS = {command: keys + (("out",) if command == "verify" else ("out", "format"))
+                 for command, keys in COMMAND_KEYS.items()}
+#: Arguments that make each command that writes a params record succeed.
+MINIMAL_ARGV = {
+    "dims": ("--F", "2", "--k", "1", "--n-max", "2"),
+    "spectrum": ("--F", "2", "--k", "1", "--n", "2"),
+    "thermo-scan": ("--F", "2", "--k", "1", "--n", "2", *GRID_1_2),
+    "semiclassical-compare": ("--F", "2", "--k", "1", "--n", "2", *GRID_1_2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_parser_flags_are_the_command_inputs(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [action.dest for action in sub.choices[command]._actions
+             if action.dest not in ("help", "config")]
+    assert flags == list(COMMAND_FLAGS[command])
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_json_params_record_holds_the_command_inputs(capsys, command):
+    code, out, _ = run_cli(capsys, command, *MINIMAL_ARGV[command], "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["params"]) == ["command", *COMMAND_KEYS[command]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--F", "2", "--k", "1", "--n-max", "2", "--delta", "2"),
+    ("verify", "--F", "2"),
+    ("verify", "--format", "csv"),
+    ("spectrum", "--F", "2", "--k", "1", "--n", "2", "--beta", "2"),
+], ids=["dims_delta", "verify_F", "verify_format", "spectrum_beta"])
+def test_flag_the_command_does_not_read_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parameter error:") and err.count("\n") == 1 and argv[-2] in err
+
+
+def readme_commands():
+    """The parafermi-jc commands of the README's "Command line" block, as argument lists."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("parafermi-jc ")]
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(COMMAND_KEYS)
+    for j, argv in enumerate(commands):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / f"{j}.out"))
+        assert (code, err) == (0, ""), argv
+        assert (tmp_path / f"{j}.out").stat().st_size > 0
+
+
 #: (plain, extreme) pools per input; an extreme int pool spans the whole drawn range.
 POOLS = {
     "F": (range(2, 5), range(-1, 5)),
@@ -303,6 +375,8 @@ POOLS = {
     "deformation": (["undeformed", "linear", "qexp", "parafermionic"],
                     [None, {"type": "qexp", "hbar": 0.5}, {"type": "qsym", "q": 2.0},
                      {"type": "parafermionic", "F": 3}]),
+    "scope": (["algebra", "oracles", "thermo"], None),
+    "mu_step": ([1e-4, 1e-5], None),
 }
 PLAIN_FLOATS = [0.5, 1.0, 2.0, 20.0]
 EXTREME_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300,
@@ -344,7 +418,9 @@ def test_cli_property_clean_exit(tmp_path_factory, case):
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("parameter error:", "numerical error:"))
         assert err.getvalue().count("\n") == 1
-    if code == 0:
+    if code == 0 and command == "verify":
+        assert json.loads(out.getvalue())["passed"] is True
+    elif code == 0:
         for line in out.getvalue().strip().split("\n")[1:]:
             assert all(math.isfinite(float(cell)) for cell in line.split(",") if cell)
 
@@ -491,9 +567,6 @@ def run_cli_recording_warnings(capsys, *argv):
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
     return code, out, err, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught]
-
-
-GRID_1_2 = ("--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
 
 
 class TestOverflowFailsCleanly:

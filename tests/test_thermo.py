@@ -25,7 +25,7 @@ from parafermi_jc import (
     phi_n_via_omega_derivative,
     thermo_from_spectrum,
 )
-from parafermi_jc.thermo import log_partition, log_partition_scan
+from parafermi_jc.thermo import log_partition_scan
 
 
 def obs_stub(n_expect):
@@ -169,6 +169,13 @@ class TestDerivativeRoutes:
         value = phi_n_via_omega_derivative(params, 4, 1e-4)
         assert value == pytest.approx(4.0, abs=0.05)
 
+    def test_step_below_omega_resolution_rejected(self):
+        # 1e13 -+ 1e-4 both round to 1e13, so the difference quotient would
+        # read 0 where the trace gives 2.27
+        params = ModelParams(2, 1, 1e13, 1.0, 1.0, beta=1e-13)
+        with pytest.raises(ParameterError, match=r"step 0\.0001 .* omega=10000000000000\.0"):
+            phi_n_via_omega_derivative(params, 3, 1e-4)
+
     def test_step_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
@@ -205,7 +212,8 @@ class TestOmegaScan:
         assert [w for w, _ in scan] == grid.tolist()
         for omega, log_z in scan:
             block = build_block(params.with_omega(omega), 4)
-            assert log_z == pytest.approx(log_partition(block, params.beta), rel=1e-12)
+            assert log_z == pytest.approx(
+                log_sum_exp(eigendecompose(block.matrix).eigenvalues, -params.beta), rel=1e-12)
 
     def test_grid_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
