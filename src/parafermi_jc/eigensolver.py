@@ -15,18 +15,24 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    unitary is never formed.  A matrix whose largest entry lies outside
    [2**-500, 2**500] is first scaled by an exact power of two, and its
    eigenvalues scaled back, as LAPACK's zheev does.
-2. Implicit-shift QL iteration (Wilkinson shift) finds the eigenvalues of
-   each real symmetric tridiagonal matrix, one matrix at a time on Python
-   floats.  When eigenvectors are requested, inverse iteration on the
-   tridiagonal finds them, as LAPACK's dstein does, for all G*d eigenvalues
-   of the stack at once: each eigenvalue is its own shift, T - lambda I is
-   factored with partial pivoting for every shift in one loop over the rows,
-   and INVERSE_SOLVES solves from a fixed start follow.  Neighbouring
-   eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a cluster, and those
-   closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
-   orthonormalizes each group after every solve but the last, and each
-   cluster, in ascending order, after the last.  T is split where QL
-   deflates: at off-diagonals |e_i| <= eps * (|d_i| + |d_i+1|).
+2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and
+   its eigenvalues scaled back exactly.  Root-free implicit-shift QL (the
+   Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) then finds its
+   eigenvalues, one matrix at a time on Python floats: it works on the
+   squares e_i**2, computed once, so a sweep takes one square root and one
+   hypot for its shift and none per rotation; the scaling keeps the squares
+   in range.  When eigenvectors are requested, inverse iteration on the same
+   scaled tridiagonal finds them, as LAPACK's dstein does, for all G*d
+   eigenvalues of the stack at once: each eigenvalue is its own shift,
+   T - lambda I is factored with partial pivoting for every shift in one loop
+   over the rows, and INVERSE_SOLVES solves from a fixed start follow.
+   Neighbouring eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a
+   cluster, and those closer than GROUP_RTOL * ||T||_1 a group.  A QR
+   factorization orthonormalizes each group after every solve but the last,
+   and each cluster, in ascending order, after the last.  Both stages split
+   T on one test, e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2, evaluated alike on
+   the same scaled values, so inverse iteration splits exactly where QL
+   deflates on entry.
 
 Working set: the input is copied once and, when the caller keeps no
 reference to it, freed (from Python 3.11).  The Householder workspace has
@@ -120,7 +126,11 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
     if not np.isfinite(peak).all():
         raise ParameterError("matrix has non-finite entries")
-    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    # |H - H^dag| from real parts (antisymmetric part) and imaginary parts
+    # (symmetric part), in half-size arrays
+    diff = A.real - A.real.swapaxes(-1, -2)
+    np.hypot(diff, A.imag + A.imag.swapaxes(-1, -2), out=diff)
+    dev = np.max(diff, axis=(-2, -1), initial=0.0)
     if (dev > HERMITICITY_RTOL * np.maximum(1.0, peak)).any():
         raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {np.max(dev):.3e}")
     return A, peak
@@ -243,24 +253,31 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
     return X
 
 
-def _ql_implicit_shift(d: list, e: list) -> int:
-    """Wilkinson-shifted QL on the tridiagonal (d, e), in place; returns the sweep count.
+def _ql_implicit_shift(d: list, e2: list) -> int:
+    """Root-free Wilkinson-shifted QL on the tridiagonal (d, e), in place; returns the sweep count.
 
-    d and e are Python float lists (len(e) == len(d) - 1): the scalar chain
-    runs faster on them than on numpy scalars.  A sweep never crosses an
-    off-diagonal that is zero on entry, so d[i] ends as an eigenvalue of the
+    The Pal-Walker-Kahan form of LAPACK's dsterf: e2 holds the squares e_i**2
+    of the off-diagonal (len(e2) == len(d) - 1), so a sweep takes one square
+    root and one hypot for its shift and none per rotation.  The shift sigma
+    is carried through the chase rather than subtracted from the diagonal.
+    d and e2 are Python float lists: the scalar chain runs faster on them than
+    on numpy scalars.  Off-diagonal i is negligible when e2[i] <= eps**2 * t * t
+    with t = |d_i| + |d_i+1|, the square of |e_i| <= eps * t; the squares stay
+    in range when ||T||_1 is near 1.  A sweep never crosses an off-diagonal
+    that is negligible on entry, so d[i] ends as an eigenvalue of the
     unreduced block that holds row i.
     """
     n = len(d)
-    e.append(0.0)
-    eps = sys.float_info.epsilon
+    e2.append(0.0)
+    eps2 = sys.float_info.epsilon ** 2
     sweeps = 0
     cap = MAX_SWEEPS_PER_DIM * max(n, 1)
     for l in range(n):
         while True:
             m = l
             while m < n - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                t = abs(d[m]) + abs(d[m + 1])
+                if e2[m] <= eps2 * t * t:
                     break
                 m += 1
             if m == l:
@@ -270,30 +287,28 @@ def _ql_implicit_shift(d: list, e: list) -> int:
                 raise ConvergenceError(
                     f"eigensolver exceeded {cap} implicit-shift sweeps on a {n}x{n} matrix"
                 )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            rte = math.sqrt(e2[l])
+            g = (d[l + 1] - d[l]) / (2.0 * rte)
             r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s_rot, c_rot, p = 1.0, 1.0, 0.0
+            sigma = d[l] - rte / (g + (r if g >= 0 else -r))
+            c, s = 1.0, 0.0
+            gamma = d[m] - sigma
+            p = gamma * gamma
+            # at i = m - 1, s = 0 clears e2[m]
             for i in range(m - 1, l - 1, -1):
-                f = s_rot * e[i]
-                b = c_rot * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s_rot = f / r
-                c_rot = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s_rot + 2.0 * c_rot * b
-                p = s_rot * r
-                d[i + 1] = g + p
-                g = c_rot * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
+                bb = e2[i]
+                r = p + bb
+                e2[i + 1] = s * r
+                old_c = c
+                c = p / r
+                s = bb / r
+                old_gamma = gamma
+                alpha = d[i]
+                gamma = c * (alpha - sigma) - s * old_gamma
+                d[i + 1] = old_gamma + (alpha - gamma)
+                p = gamma * gamma / c if c else old_c * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
     return sweeps
 
 
@@ -378,20 +393,30 @@ def _orthonormalize(Y: np.ndarray, firsts: np.ndarray, sizes: np.ndarray) -> Non
         Y[idx] = np.linalg.qr(Y[idx].transpose(0, 2, 1))[0].transpose(0, 2, 1)
 
 
+def _one_norm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """||T||_1 of each tridiagonal of the stack (d (G, n), e (G, n - 1) >= 0)."""
+    row_norm = np.abs(d)
+    row_norm[:, 1:] += e
+    row_norm[:, :-1] += e
+    return np.max(row_norm, axis=1, initial=0.0)
+
+
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     """Eigenvectors of the real symmetric tridiagonals (d, e) by inverse iteration.
 
-    d (G, n) and e (G, n - 1) >= 0 are the stack's tridiagonals and levels
-    (G, n) the QL eigenvalues in QL's positions.  Returns Z (G, n, n) whose
-    column j is the eigenvector of the j-th smallest eigenvalue.
+    d (G, n) and e (G, n - 1) >= 0 are the stack's tridiagonals, each scaled
+    by a power of two near its 1-norm so the tolerances are absolute, and
+    levels (G, n) the QL eigenvalues of the scaled tridiagonals in QL's
+    positions.  Returns Z (G, n, n) whose column j is the eigenvector of the
+    j-th smallest eigenvalue.
 
-    Each T is scaled by a power of two near its 1-norm, so the tolerances are
-    absolute.  T splits where QL deflates on entry, at |e_i| <= eps * (|d_i| +
-    |d_i+1|), so QL leaves the eigenvalues of a split block in its rows; a
-    shift's start vector is zero outside its block, which the factorization
-    keeps so.  The eigenvalues are sorted by (matrix, block, value), and each
-    is its own shift.  Neighbours closer than GROUP_RTOL form a group and
-    neighbours closer than CLUSTER_RTOL a cluster.
+    T splits where QL deflates on entry, at e_i**2 <= eps**2 * t * t with
+    t = |d_i| + |d_i+1|, the same expression on the same values, so QL leaves
+    the eigenvalues of a split block in its rows; a shift's start vector is
+    zero outside its block, which the factorization keeps so.  The eigenvalues
+    are sorted by (matrix, block, value), and each is its own shift.
+    Neighbours closer than GROUP_RTOL form a group and neighbours closer than
+    CLUSTER_RTOL a cluster.
     All shifts make INVERSE_SOLVES solves together; after each but the last,
     every group is orthonormalized by one QR factorization, and after the last
     every cluster is, in ascending order of its eigenvalues.
@@ -399,23 +424,18 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     G, n = d.shape
     if n == 0:
         return np.zeros((G, 0, 0))
-    row_norm = np.abs(d)
-    row_norm[:, 1:] += e
-    row_norm[:, :-1] += e
-    exponent = np.frexp(np.max(row_norm, axis=1))[1][:, np.newaxis]
-    a = np.ldexp(d, -exponent).T
-    b = np.ldexp(e, -exponent).T
-    b[b <= sys.float_info.epsilon * (np.abs(a[:-1]) + np.abs(a[1:]))] = 0.0
-    lam = np.ldexp(levels, -exponent)
-    norm = np.ldexp(np.max(row_norm, axis=1), -exponent[:, 0])
+    a = d.T
+    t = np.abs(a[:-1]) + np.abs(a[1:])
+    b = np.where(e.T * e.T <= sys.float_info.epsilon ** 2 * t * t, 0.0, e.T)
+    norm = _one_norm(d, e)
     block = np.zeros((G, n), dtype=np.intp)
     np.cumsum(b.T == 0.0, axis=1, out=block[:, 1:])
     rank = np.argsort(np.argsort(levels, axis=1, kind="stable"), axis=1)
 
     # every shift, sorted by (matrix, block, value) into clusters and groups
     which = np.repeat(np.arange(G), n)
-    order = np.lexsort((lam.ravel(), block.ravel(), which))
-    matrix, sb, sv, sj = which[order], block.ravel()[order], lam.ravel()[order], rank.ravel()[order]
+    order = np.lexsort((levels.ravel(), block.ravel(), which))
+    matrix, sb, sv, sj = which[order], block.ravel()[order], levels.ravel()[order], rank.ravel()[order]
     S = matrix.size
     same = np.zeros(S, dtype=bool)
     same[1:] = (matrix[1:] == matrix[:-1]) & (sb[1:] == sb[:-1])
@@ -473,31 +493,37 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
         np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
     d, e, reflectors = _tridiagonalize(work, want_vectors)
     del work
+    # entries of the tridiagonal are at most n * 2**500, so its 1-norm is
+    # finite exactly when every entry is
+    norm = _one_norm(d, e)
+    bad = np.flatnonzero(~np.isfinite(norm))
+    if bad.size:
+        raise NumericalError(
+            f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries",
+            index=int(bad[0]),
+        )
+    # scale each tridiagonal by the power of two nearest its 1-norm, so the
+    # squares e_i**2 of QL stay in range; the eigenvalues scale back exactly
+    scale = np.frexp(norm)[1]
+    d = np.ldexp(d, -scale[:, np.newaxis])
+    e = np.ldexp(e, -scale[:, np.newaxis])
+    squares = e * e
     levels = np.empty((G, n))
     sweeps = 0
     for g in range(G):
-        diag, off = d[g].tolist(), e[g].tolist()
-        # entries of the scaled tridiagonal are at most n * 2**500, so their
-        # sum is finite exactly when every entry is
-        if not math.isfinite(sum(diag) + sum(off)):
-            raise NumericalError(
-                f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries",
-                index=g,
-            )
+        diag = d[g].tolist()
         try:
-            sweeps += _ql_implicit_shift(diag, off)
+            sweeps += _ql_implicit_shift(diag, squares[g].tolist())
         except ConvergenceError as exc:
             exc.index = g
             raise
         levels[g] = diag
-    values = np.sort(levels, axis=1)
-    if exponent.any():
-        with np.errstate(over="ignore"):
-            values = np.ldexp(values, exponent[:, np.newaxis])
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range",
-                                 index=int(bad[0]))
+    with np.errstate(over="ignore"):
+        values = np.ldexp(np.sort(levels, axis=1), (exponent + scale)[:, np.newaxis])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range",
+                             index=int(bad[0]))
     vectors = None
     if want_vectors:
         vectors = _back_transform(reflectors, _inverse_iteration(d, e, levels))

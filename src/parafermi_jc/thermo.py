@@ -25,9 +25,10 @@ A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
 matrix may exceed the cap).  The solve's traced peak is at most about 5.7
 times its complex stack with eigenvectors (5.3 at d = 27, 4.6 at d = 256)
-and 3.3 to 4.1 times without, so a full chunk peaks near 3 MB.  The solver
-gets the only reference to the stack and frees it once copied (from Python
-3.11; on 3.10 the calling frame keeps it until the solve returns).
+and 2.3 (d = 256) to 3.3 (d = 8) times without, so a full chunk peaks near
+3 MB.  The solver gets the only reference to the stack and frees it once
+copied (from Python 3.11; on 3.10 the calling frame keeps it until the solve
+returns).
 """
 
 from __future__ import annotations
@@ -168,6 +169,16 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
     return thermo_from_block(build_block(params, n), params)
 
 
+def _require_step(lower: np.ndarray, upper: np.ndarray, op: np.ndarray, step: float,
+                  params: ModelParams, n: int) -> None:
+    """Raise ParameterError when the step is lost against the diagonal: an entry
+    where the perturbing operator op is nonzero is equal in the lower and upper
+    perturbed diagonals, so the difference quotient would miss its term."""
+    if np.any((lower == upper) & (op != 0.0)):
+        raise ParameterError(f"step {step!r} vanishes against a diagonal entry of H "
+                             f"(F={params.F}, k={params.k}, n={n})")
+
+
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
     """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega),
     from one values-only scan of [omega - step, omega + step]."""
@@ -177,6 +188,11 @@ def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> floa
     if not lo < hi:
         raise ParameterError(f"step {step!r} vanishes against omega={params.omega!r}")
     (_, log_lo), (_, log_hi) = log_partition_scan(params, n, [lo, hi])
+    # the diagonals the scan solved, H0 + omega * phi(N), known to be finite
+    base = build_block(params.with_omega(0.0), n)
+    phi = _diagonal_operators(base, params)[:, 2]
+    h0 = base.matrix.diagonal().real
+    _require_step(h0 + lo * phi, h0 + hi * phi, phi, step, params, n)
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
@@ -187,6 +203,9 @@ def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
         raise ParameterError(f"step must be positive, got {step}")
     block = build_block(params, n)
     stack = np.stack([add_mu_number_term(block, mu).matrix for mu in (step, -step)])
+    diagonals = np.diagonal(stack, axis1=1, axis2=2).real
+    _require_step(diagonals[1], diagonals[0], _diagonal_operators(block, params)[:, 0], step,
+                  params, n)
     log_hi, log_lo = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .blocks import ModelParams, build_block
+from .blocks import ModelParams, build_block, build_higher_spin_block
 from .deformations import Deformation
 from .eigensolver import eigenvalues_only
 from .errors import ParameterError
@@ -143,6 +143,47 @@ def _closed_form_deviation(shapes, couplings, phi: Deformation, exact) -> float:
     return worst
 
 
+def spin_equivalence() -> CheckResult:
+    """k = 1 Fock parafermions of order F <= 3 are spins s = (F - 1)/2: the
+    spectrum of build_block at coupling g equals that of build_higher_spin_block
+    at g / sqrt(F - 1) for F = 2, 3 and n = 1..4, to 1e-10.  F = 4 is the
+    negative control: from n = 2 on, its spectra differ by more than 1e-2.
+
+    The blocks differ in size, so each is padded to the largest with a
+    diagonal above every block's 1-norm, and all are solved as one stack;
+    the lowest dim eigenvalues of a padded block are its own.
+    """
+    omega, delta, g = 1.3, 0.7, 0.9
+    cases = [(F, n) for F in (2, 3) for n in range(1, 5)] + [(4, n) for n in range(2, 6)]
+    blocks = []
+    for F, n in cases:
+        blocks.append(build_block(ModelParams(F, 1, omega, delta, g), n).matrix)
+        spin = ModelParams(F, 1, omega, delta, g / math.sqrt(F - 1))
+        blocks.append(build_higher_spin_block(spin, n).matrix)
+    size = max(len(M) for M in blocks)
+    ceiling = 1.0 + max(float(np.max(np.sum(np.abs(M), axis=0))) for M in blocks)
+    stack = np.zeros((len(blocks), size, size), dtype=np.complex128)
+    stack[:, np.arange(size), np.arange(size)] = ceiling
+    for padded, M in zip(stack, blocks):
+        padded[:len(M), :len(M)] = M
+    values = eigenvalues_only(stack)
+    equal, apart, failures = 0.0, math.inf, []
+    for i, (F, n) in enumerate(cases):
+        dim = len(blocks[2 * i])
+        dev = float(np.max(np.abs(values[2 * i, :dim] - values[2 * i + 1, :dim])))
+        if F <= 3:
+            equal = max(equal, dev)
+            if not dev <= 1e-10:
+                failures.append(f"F={F}, n={n}: deviation {dev:.3e} (tol 1e-10)")
+        else:
+            apart = min(apart, dev)
+            if not dev > 1e-2:
+                failures.append(f"F={F}, n={n}: deviation {dev:.3e} (must exceed 1e-2)")
+    detail = "; ".join(failures) or (f"max deviation {equal:.3e} for F <= 3 (tol 1e-10); "
+                                     f"F=4 apart by at least {apart:.3e} (> 1e-2)")
+    return CheckResult("spin_equivalence", not failures, detail)
+
+
 def oracle_checks() -> list[CheckResult]:
     results = []
     grid = (0.5, 2.0)
@@ -182,6 +223,7 @@ def oracle_checks() -> list[CheckResult]:
     trace = float(np.trace(build_block(ModelParams(3, 1, 1.0, 2.0, 0.5), 4).matrix).real)
     worst = max(worst, abs(exact.trace() - trace) / (1 + abs(trace)))
     results.append(_result("closed_form_trace_identity", worst, 1e-9))
+    results.append(spin_equivalence())
     return results
 
 

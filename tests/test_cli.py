@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from parafermi_jc import (
     semiclassical_levels_f2,
     semiclassical_levels_k1,
 )
-from parafermi_jc import cli
+from parafermi_jc import cli, verify
 from parafermi_jc.cli import main
 
 
@@ -531,6 +532,24 @@ class TestVerify:
         assert code == 0
         summary = json.loads(out)
         assert {c["suite"] for c in summary["checks"]} == {"algebra"}
+
+    def test_spin_equivalence_in_oracles(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--scope", "oracles")
+        assert code == 0
+        check, = [c for c in json.loads(out)["checks"] if c["name"] == "spin_equivalence"]
+        assert check["passed"] and "F=4 apart by at least 1.18" in check["detail"]
+
+    def test_unscaled_spin_coupling_is_caught(self, monkeypatch):
+        # without g / sqrt(F - 1), F = 3 spins no longer match the parafermions
+        good = verify.build_higher_spin_block
+
+        def unscaled(params, n):
+            return good(replace(params, g=params.g * math.sqrt(params.F - 1)), n)
+
+        monkeypatch.setattr(verify, "build_higher_spin_block", unscaled)
+        check = verify.spin_equivalence()
+        assert not check.passed
+        assert check.detail.startswith("F=3, n=1: deviation ")
 
     def test_injected_phase_fault_is_caught(self, capsys, monkeypatch):
         # flip the sign of the destruction-phase exponent: the mode matrices

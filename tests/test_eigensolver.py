@@ -155,14 +155,11 @@ class TestContracts:
 
 
 def reference_ql(d, e):
-    """The QL iteration written out plainly.
-
-    Returns the sweep count and the (l, m, i) of every sweep that the r == 0
-    branch cut short.
-    """
+    """QL with Givens rotations, written out plainly; returns the sweep count.
+    The oracle for the root-free QL's eigenvalues and sweep counts."""
     n = len(d)
     e.append(0.0)
-    sweeps, cuts = 0, []
+    sweeps = 0
     for l in range(n):
         while True:
             m = l
@@ -182,7 +179,6 @@ def reference_ql(d, e):
                 if r == 0.0:
                     d[i + 1] -= p
                     e[m] = 0.0
-                    cuts.append((l, m, i))
                     break
                 s, c = f / r, g / r
                 g = d[i + 1] - p
@@ -194,32 +190,170 @@ def reference_ql(d, e):
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return sweeps, cuts
+    return sweeps
 
 
-class TestSweepTransform:
-    """Each QL sweep, a chain of Givens rotations, against reference_ql's
-    rotation-by-rotation sweeps: the same eigenvalue bits and sweep count."""
+def reference_dsterf(d, e):
+    """LAPACK dsterf's root-free QL, written out plainly; returns the sweep count.
 
-    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (27, 2), (40, 3), (80, 4)])
-    def test_ql_matches_rotation_by_rotation(self, n, seed):
-        rng = np.random.default_rng(seed)
-        d, e = rng.standard_normal(n).tolist(), rng.standard_normal(n - 1).tolist()
+    As in the eigensolver and unlike dsterf: QL sweeps only (dsterf turns to
+    QR when the bottom of a block is smaller), no closed form for 2 x 2
+    blocks, no scaling (the caller scales), and the deflation test
+    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 everywhere.
+    """
+    n = len(d)
+    e = [x * x for x in e] + [0.0]
+    eps2 = sys.float_info.epsilon ** 2
+    sweeps = 0
+    l = 0
+    while l < n:
+        m = l
+        while m < n - 1:
+            t = abs(d[m]) + abs(d[m + 1])
+            if e[m] <= eps2 * t * t:
+                break
+            m += 1
+        if m == l:
+            l += 1
+            continue
+        e[m] = 0.0
+        sweeps += 1
+        rte = math.sqrt(e[l])
+        sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+        r = math.hypot(sigma, 1.0)
+        sigma = d[l] - rte / (sigma + (r if sigma >= 0 else -r))
+        c, s = 1.0, 0.0
+        gamma = d[m] - sigma
+        p = gamma * gamma
+        for i in range(m - 1, l - 1, -1):
+            bb = e[i]
+            r = p + bb
+            if i != m - 1:
+                e[i + 1] = s * r
+            oldc = c
+            c = p / r
+            s = bb / r
+            oldgam = gamma
+            alpha = d[i]
+            gamma = c * (alpha - sigma) - s * oldgam
+            d[i + 1] = oldgam + (alpha - gamma)
+            if c != 0.0:
+                p = (gamma * gamma) / c
+            else:
+                p = oldc * bb
+        e[l] = s * p
+        d[l] = sigma + gamma
+    return sweeps
+
+
+def one_norm(d, e):
+    return float(np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])))
+
+
+def staircase_tridiagonals():
+    """The staircase stack's tridiagonals, scaled to unit 1-norm, as float lists."""
+    d, e, _ = _tridiagonalize(staircase_stack(), False)
+    scale = np.frexp(eigensolver._one_norm(d, e))[1][:, np.newaxis]
+    return list(zip(np.ldexp(d, -scale).tolist(), np.ldexp(e, -scale).tolist()))
+
+
+def random_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n).tolist(), rng.standard_normal(n - 1).tolist()
+
+
+QL_CASES = [(2, 0), (3, 1), (27, 2), (40, 3), (80, 4)]
+
+
+class TestRootFreeQL:
+    """The QL stage, root-free as in LAPACK's dsterf."""
+
+    @pytest.mark.parametrize("n,seed", QL_CASES)
+    def test_matches_dsterf_reference(self, n, seed):
+        d, e = random_tridiagonal(n, seed)
         d_ref = list(d)
-        sweeps_ref, _ = reference_ql(d_ref, list(e))
-        assert _ql_implicit_shift(d, list(e)) == sweeps_ref
+        sweeps_ref = reference_dsterf(d_ref, e)
+        assert _ql_implicit_shift(d, [x * x for x in e]) == sweeps_ref
         assert d == d_ref
 
-    def test_chain_cut_short_by_zero_rotation(self):
-        # subnormal off-diagonals: the first sweep's rotation radius underflows to
-        # 0 after two rotations
-        d = [0.0] * 5
+    @pytest.mark.parametrize("n,seed", QL_CASES)
+    def test_givens_oracle(self, n, seed):
+        # the rounding errors of the two chains add up like a random walk: at
+        # n = 80 they differ by 10.8 eps * ||T||_1, each within 9.3 of the
+        # exact eigenvalues
+        d, e = random_tridiagonal(n, seed)
+        d_givens = list(d)
+        sweeps_givens = reference_ql(d_givens, list(e))
+        bound = 4.0 * math.sqrt(n) * sys.float_info.epsilon * one_norm(d, e)
+        d_new = list(d)
+        sweeps = _ql_implicit_shift(d_new, [x * x for x in e])
+        assert np.max(np.abs(np.sort(d_new) - np.sort(d_givens))) <= bound
+        assert abs(sweeps - sweeps_givens) <= 0.02 * sweeps_givens
+
+    def test_givens_oracle_on_staircase(self):
+        sweeps, sweeps_givens = 0, 0
+        for d, e in staircase_tridiagonals():
+            d_givens, d_new = list(d), list(d)
+            sweeps_givens += reference_ql(d_givens, list(e))
+            sweeps += _ql_implicit_shift(d_new, [x * x for x in e])
+            bound = 4.0 * math.sqrt(len(d)) * sys.float_info.epsilon * one_norm(d, e)
+            assert np.max(np.abs(np.sort(d_new) - np.sort(d_givens))) <= bound
+        assert abs(sweeps - sweeps_givens) <= 0.02 * sweeps_givens
+
+    @pytest.mark.parametrize("exponent", [500, -500])
+    def test_tridiagonal_scaled_by_power_of_two(self, exponent):
+        # squared unscaled, these off-diagonals would overflow or underflow;
+        # scaled by the 1-norm first, the eigenvalues scale back exactly
+        d, e = random_tridiagonal(27, 5)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j
+        H = np.ldexp(T.real, exponent) + 0j
+        assert_contracts(H)
+        assert np.array_equal(eigenvalues_only(H), np.ldexp(eigenvalues_only(T), exponent))
+
+    def test_subnormal_off_diagonals(self):
+        # squares of subnormal off-diagonals beside unit diagonals are 0: every
+        # row deflates on entry, in QL and in inverse iteration alike
+        d = [1.0, 2.0, 2.0, 1.0, 3.0]
+        e = [5e-324, 3e-320, 2e-310, 1e-315]
+        assert_contracts(np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j)
+
+    def test_all_subnormal_tridiagonal(self):
+        # all entries subnormal: scaled into range before squaring, so the
+        # sweeps run (the Givens chain cuts this input short at r == 0)
         e = [3e-323, 8e-323, 2.37e-322, 6.3e-322]
-        d_ref = list(d)
-        sweeps_ref, cuts = reference_ql(d_ref, list(e))
-        assert cuts[0] == (0, 4, 1)
-        assert _ql_implicit_shift(d, list(e)) == sweeps_ref
-        assert d == d_ref
+        H = np.diag(e, 1) + np.diag(e, -1) + 0j
+        spec = eigendecompose(H, want_vectors=True)
+        w, V = spec.eigenvalues, spec.eigenvectors
+        assert spec.sweeps > 0 and np.all(np.isfinite(w)) and np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(H))) <= 4 * 5e-324
+        assert max_residual(H, V, w) <= residual_bound(H)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(5))) <= RESIDUAL_RTOL
+
+    @pytest.mark.parametrize("exponent", [0, 500, -500])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_deflation_boundary(self, ulps, exponent):
+        # e**2 == eps**2 * (0.5 + 0.25)**2 exactly at e = 0.75 eps: QL deflates
+        # there and one ulp below (no sweep), and not one ulp above; inverse
+        # iteration splits exactly where QL deflates (diagonal eigenvectors)
+        boundary = 0.75 * sys.float_info.epsilon
+        e = float(np.nextafter(boundary, np.inf if ulps > 0 else 0.0)) if ulps else boundary
+        H = np.ldexp(np.array([[0.5, e], [e, 0.25]]), exponent) + 0j
+        spec = eigendecompose(H, want_vectors=True)
+        deflated = ulps <= 0
+        assert (spec.sweeps == 0) == deflated
+        assert (np.count_nonzero(spec.eigenvectors) == 2) == deflated
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_deflation_boundary_between_equal_blocks(self, ulps):
+        # two equal blocks coupled at the boundary: split or not, QL and
+        # inverse iteration agree, or equal eigenvalues of the two blocks get
+        # vectors far from orthonormal
+        d = [0.25, 0.125, 0.25, 0.125]
+        e = [0.125, 0.25, 0.125]
+        boundary = (0.125 + 0.25) * sys.float_info.epsilon
+        coupling = float(np.nextafter(boundary, np.inf if ulps > 0 else 0.0)) if ulps else boundary
+        off = e + [coupling] + e
+        assert_contracts(np.diag(d + d) + np.diag(off, 1) + np.diag(off, -1) + 0j)
 
 
 def block_diagonal(sizes, seed):

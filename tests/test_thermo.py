@@ -176,6 +176,24 @@ class TestDerivativeRoutes:
         with pytest.raises(ParameterError, match=r"step 0\.0001 .* omega=10000000000000\.0"):
             phi_n_via_omega_derivative(params, 3, 1e-4)
 
+    def test_mu_step_lost_against_diagonal_rejected(self):
+        # delta * W = 1e13 swallows step * N, so H + step*N and H - step*N
+        # share those entries and the quotient would read -0.0 where the
+        # trace gives 2.5
+        params = ModelParams(2, 1, 1e13, 1e13, 1.0, beta=1e-13)
+        assert thermo_from_spectrum(params, 3).n_expect == pytest.approx(2.5)
+        with pytest.raises(ParameterError, match=r"step 0\.0001 .*\(F=2, k=1, n=3\)"):
+            n_via_mu_derivative(params, 3, 1e-4)
+
+    @pytest.mark.parametrize("route", [n_via_mu_derivative, phi_n_via_omega_derivative])
+    def test_step_lost_in_some_entries_rejected(self, route):
+        # omega = 1: the W = 0 entries keep the step and the W = 1 entries at
+        # 1e13 lose it, so both routes would read 2.776 where the trace gives 2.731
+        params = ModelParams(2, 1, 1.0, 1e13, 1.0, beta=1e-13)
+        assert thermo_from_spectrum(params, 3).n_expect == pytest.approx(2.731, abs=1e-3)
+        with pytest.raises(ParameterError, match=r"step 0\.0001 .*\(F=2, k=1, n=3\)"):
+            route(params, 3, 1e-4)
+
     def test_step_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
