@@ -17,13 +17,11 @@ from .algebra import (
 from .blocks import (
     BlockHamiltonian,
     ModelParams,
-    add_mu_number_term,
     build_block,
-    build_full_truncated,
     build_higher_spin_block,
 )
 from .deformations import Deformation, evaluate
-from .eigensolver import Spectrum, cluster_eigenvalues, eigendecompose, eigenvalues_only
+from .eigensolver import Spectrum, eigendecompose, eigenvalues_only
 from .errors import (
     ConvergenceError,
     DeformationError,
@@ -37,11 +35,7 @@ from .exact import (
     exact_f2_undeformed,
     exact_f3_k1,
     semiclassical_level_table,
-    semiclassical_levels_f2,
-    semiclassical_levels_k1,
-    semiclassical_z_f2,
     semiclassical_z_f2_closed_form,
-    semiclassical_z_k1,
 )
 from .thermo import (
     PlateauReport,
@@ -72,16 +66,13 @@ __all__ = [
     "PlateauReport",
     "Spectrum",
     "ThermoObservables",
-    "add_mu_number_term",
     "block_dimension",
     "block_dimension_closed_form",
     "build_block",
-    "build_full_truncated",
     "build_higher_spin_block",
     "build_mode_matrix",
     "clifford_mode",
     "clifford_triple",
-    "cluster_eigenvalues",
     "destruction_phase_exponent",
     "detect_plateaus",
     "eigendecompose",
@@ -97,11 +88,7 @@ __all__ = [
     "omega_scan",
     "phi_n_via_omega_derivative",
     "semiclassical_level_table",
-    "semiclassical_levels_f2",
-    "semiclassical_levels_k1",
-    "semiclassical_z_f2",
     "semiclassical_z_f2_closed_form",
-    "semiclassical_z_k1",
     "thermo_from_block",
     "thermo_from_spectrum",
     "weight",

@@ -22,7 +22,6 @@ lexicographic order with i_1 most significant, e.g. for F=2, k=2:
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -62,12 +61,16 @@ def enumerate_block_basis(F: int, k: int, n: int) -> list[OccupationConfig]:
     """All occupation tuples with weight <= n, in lexicographic order.
 
     These label the eigenspace where boson number plus parafermion weight
-    equals n; the boson occupation of basis state P is n - W(P).
+    equals n; the boson occupation of basis state P is n - W(P).  Prefixes
+    grow only within the weight they leave: the work follows d_n, not F^k.
     """
     _check_order_and_modes(F, k)
     if int(n) != n or n < 0:
         raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
-    return [p for p in itertools.product(range(F), repeat=k) if sum(p) <= n]
+    prefixes = [()]
+    for _ in range(k):
+        prefixes = [p + (i,) for p in prefixes for i in range(min(F, int(n) - sum(p) + 1))]
+    return prefixes
 
 
 def block_dimension(F: int, k: int, n: int) -> int:

@@ -133,13 +133,6 @@ def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
     return _assemble(params, n, lambda p, l: math.sqrt(p[l] * (params.F - p[l])))
 
 
-def add_mu_number_term(block: BlockHamiltonian, mu: float) -> BlockHamiltonian:
-    """Perturb a block by mu * (boson number); diagonal in the block basis."""
-    boson = np.array([block.n - weight(p) for p in block.basis], dtype=np.float64)
-    H = block.matrix + mu * np.diag(boson)
-    return BlockHamiltonian(block.n, block.basis, H)
-
-
 def build_full_truncated(
     params: ModelParams, n_max: int
 ) -> tuple[np.ndarray, list[tuple[int, OccupationConfig]]]:

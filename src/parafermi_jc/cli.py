@@ -13,8 +13,7 @@ not take is rejected as its flag would be, and explicit flags override the file.
 Floats are printed with ``repr``, the shortest decimal that round-trips (at
 most 17 significant digits), so equal configurations produce byte-identical
 output; a non-finite cell is a numerical error, never written.
-Scans run serially; ``PARAFERMI_JC_THREADS`` is ignored.  The argument parser
-is built once per process.
+The argument parser is built once per process.
 
 ``semiclassical-compare`` evaluates the whole omega grid at once: the
 numerical log Z from the stacked ``log_partition_scan``, and the linearized
@@ -43,9 +42,9 @@ from .verify import run_checks
 #: |numeric - exact| beyond which the spectrum command reports a failure.
 SPECTRUM_MATCH_TOL = 1e-8
 
-#: Longest omega grid.  Each point costs one eigendecomposition and one output
-#: row held in memory until the scan is written, so a longer grid cannot finish.
-MAX_OMEGA_COUNT = 10**6
+#: Most output rows (omega grid points, or dims' n = 0..n_max): each row is held
+#: in memory until written, and each grid point costs one eigendecomposition.
+MAX_ROWS = 10**6
 
 EXIT_OK = 0
 EXIT_PARAMETER = 1
@@ -165,9 +164,9 @@ def _model_params(cfg: argparse.Namespace) -> ModelParams:
 
 
 def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
-    if not 1 <= cfg.omega_count <= MAX_OMEGA_COUNT:
+    if not 1 <= cfg.omega_count <= MAX_ROWS:
         raise ParameterError(
-            f"omega count must be between 1 and {MAX_OMEGA_COUNT}, got {cfg.omega_count}"
+            f"omega count must be between 1 and {MAX_ROWS}, got {cfg.omega_count}"
         )
     if not cfg.omega_max > cfg.omega_min:
         raise ParameterError("omega-max must exceed omega-min")
@@ -230,8 +229,8 @@ def _write_text(out: str, text: str) -> None:
 def cmd_dims(cfg: argparse.Namespace) -> int:
     from .algebra import block_dimension
 
-    if cfg.n_max < 0:
-        raise ParameterError(f"n-max must be >= 0, got {cfg.n_max}")
+    if not 0 <= cfg.n_max < MAX_ROWS:
+        raise ParameterError(f"n-max must be between 0 and {MAX_ROWS - 1}, got {cfg.n_max}")
     rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(cfg.n_max + 1)]
     _emit(cfg, ["n", "dim"], rows)
     return EXIT_OK

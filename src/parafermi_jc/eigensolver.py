@@ -536,22 +536,3 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
 def eigenvalues_only(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues without the eigenvector cost."""
     return eigendecompose(H, want_vectors=False).eigenvalues
-
-
-def cluster_eigenvalues(values: np.ndarray, scale_tol: float = 1e-8):
-    """Group an ascending eigenvalue sequence into near-degenerate clusters.
-
-    Two neighbours belong to one cluster when their gap is below
-    scale_tol * (1 + |value|).  Returns a list of (mean value, multiplicity).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return []
-    clusters = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > scale_tol * (1.0 + abs(values[i])):
-            group = values[start:i]
-            clusters.append((float(np.mean(group)), int(group.size)))
-            start = i
-    return clusters

@@ -13,7 +13,8 @@ model and serve as independent oracles for the numerical pipeline:
   hbar*x) yields closed-form partition sums accurate away from the crossover
   at omega ~ delta/hbar.  The linearized levels are affine in omega, so
   ``semiclassical_level_table`` evaluates them over a whole omega grid as one
-  (points, levels) array; the one-point functions are its one-point case.
+  (points, levels) array; ``log_sum_exp`` of its rows is the linearized log Z,
+  the one way to get it, and ``semiclassical_z_f2_closed_form`` is its oracle.
 
 Each function refuses inputs outside its regime of validity instead of
 extrapolating.
@@ -30,7 +31,6 @@ import numpy as np
 
 from .deformations import Deformation, evaluate
 from .errors import NumericalError, OutOfRegimeError, ParameterError
-from .thermo import log_sum_exp
 
 logger = logging.getLogger(__name__)
 
@@ -50,9 +50,6 @@ class LabeledSpectrum:
         for value, degeneracy in self.levels:
             out.extend([value] * degeneracy)
         return np.sort(np.asarray(out, dtype=np.float64))
-
-    def trace(self) -> float:
-        return sum(value * degeneracy for value, degeneracy in self.levels)
 
 
 def _check_f2_regime(k: int, n: int) -> None:
@@ -198,7 +195,9 @@ def _coefficients(labels, term) -> np.ndarray:
 
 def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
     """The linearized F=2 levels at each omega, as a (points, 2k) array in (l, s)
-    order, and their degeneracies."""
+    order, and their degeneracies C(k-1, l), n > k:
+    E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
+               + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta)."""
     if k < 1 or int(k) != k:
         raise ParameterError(f"k must be an integer >= 1, got {k}")
     if n <= k:
@@ -243,14 +242,13 @@ def _linearized_k1(F: int, n: int, hbar: float, omegas, delta: float, g: float):
 
 def semiclassical_level_table(F: int, k: int, n: int, hbar: float, omegas,
                               delta: float, g: float) -> np.ndarray:
-    """The linearized levels at every omega of a grid, as one (points, levels) array.
+    """The levels linearized in hbar (structure function hbar*x) at every omega
+    of a grid, as one (points, levels) array: F = 2 (any k) or k = 1 (any F).
 
     Each row holds the levels at one omega, expanded by degeneracy and
-    ascending, the ``values()`` of ``semiclassical_levels_f2`` (F = 2) or
-    else of ``semiclassical_levels_k1`` (k = 1) at that omega, bit for bit.
-    The regime checks run once; a level beyond the float range raises the
-    NumericalError that the one-point call raises at the first such omega,
-    with that omega's position as ``index``.
+    ascending, the bits of a one-point grid.  The regime checks run once; a
+    level beyond the float range raises a NumericalError naming the first
+    such omega, with its position as ``index``.
     """
     if F == 2:
         values, degeneracies = _linearized_f2(k, n, hbar, omegas, delta, g)
@@ -259,35 +257,6 @@ def semiclassical_level_table(F: int, k: int, n: int, hbar: float, omegas,
     else:
         raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
     return np.sort(np.repeat(values, degeneracies, axis=1), axis=1)
-
-
-def semiclassical_levels_f2(
-    k: int, n: int, hbar: float, omega: float, delta: float, g: float
-) -> LabeledSpectrum:
-    """Levels for F=2 linearized in hbar (structure function hbar*x), n > k.
-
-    E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
-               + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta),
-    s = +-1, l = 0..k-1, degeneracy C(k-1, l): the one-point case of
-    ``semiclassical_level_table``.
-    """
-    values, degeneracies = _linearized_f2(k, n, hbar, [omega], delta, g)
-    return LabeledSpectrum(tuple(zip(values[0].tolist(), degeneracies)))
-
-
-def semiclassical_z_f2(
-    k: int, n: int, hbar: float, omega: float, delta: float, g: float, beta: float = 1.0
-) -> float:
-    """Degeneracy-weighted Boltzmann sum over the linearized F=2 levels.
-
-    Evaluated through log-sum-exp so large exponents cannot overflow before
-    the final exponential; at beta = 1 it reproduces
-    ``semiclassical_z_f2_closed_form``.
-    """
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    levels = semiclassical_levels_f2(k, n, hbar, omega, delta, g)
-    return math.exp(log_sum_exp(levels.values(), -beta))
 
 
 def semiclassical_z_f2_closed_form(
@@ -317,29 +286,6 @@ def semiclassical_z_f2_closed_form(
         # unshifted exponentials; the summed form stays finite much longer
         raise NumericalError(
             f"closed-form partition overflow (k={k}, n={n}, hbar={hbar}, "
-            f"omega={omega}, delta={delta}, g={g}); use semiclassical_z_f2"
+            f"omega={omega}, delta={delta}, g={g}); use semiclassical_level_table"
         ) from exc
     return term_minus + term_plus
-
-
-def semiclassical_levels_k1(
-    F: int, n: int, hbar: float, omega: float, delta: float, g: float
-) -> LabeledSpectrum:
-    """Levels of a single mode of generic order F linearized in hbar, n > F-1.
-
-    Three groups of levels, each of degeneracy 1: the weight-0 branch, the
-    fully occupied branch, and a ladder over intermediate weights s = 1..F-2;
-    the one-point case of ``semiclassical_level_table``.
-    """
-    values, degeneracies = _linearized_k1(F, n, hbar, [omega], delta, g)
-    return LabeledSpectrum(tuple(zip(values[0].tolist(), degeneracies)))
-
-
-def semiclassical_z_k1(
-    F: int, n: int, hbar: float, omega: float, delta: float, g: float, beta: float = 1.0
-) -> float:
-    """Boltzmann sum over ``semiclassical_levels_k1``, through log-sum-exp."""
-    if not beta > 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    levels = semiclassical_levels_k1(F, n, hbar, omega, delta, g)
-    return math.exp(log_sum_exp(levels.values(), -beta))

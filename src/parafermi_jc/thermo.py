@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import eigensolver
-from .blocks import BlockHamiltonian, ModelParams, add_mu_number_term, build_block
+from .blocks import BlockHamiltonian, ModelParams, build_block
 from .deformations import evaluate
 from .eigensolver import Spectrum
 from .errors import NumericalError, ParameterError
@@ -202,10 +202,10 @@ def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
     block = build_block(params, n)
-    stack = np.stack([add_mu_number_term(block, mu).matrix for mu in (step, -step)])
+    boson = _diagonal_operators(block, params)[:, 0]
+    stack = np.stack([block.matrix + mu * np.diag(boson) for mu in (step, -step)])
     diagonals = np.diagonal(stack, axis1=1, axis2=2).real
-    _require_step(diagonals[1], diagonals[0], _diagonal_operators(block, params)[:, 0], step,
-                  params, n)
+    _require_step(diagonals[1], diagonals[0], boson, step, params, n)
     log_hi, log_lo = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 

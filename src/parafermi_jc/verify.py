@@ -16,19 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .blocks import ModelParams, build_block, build_higher_spin_block
+from .blocks import ModelParams, build_block, build_full_truncated, build_higher_spin_block
 from .deformations import Deformation
 from .eigensolver import eigenvalues_only
 from .errors import ParameterError
 from .exact import (
+    _linearized_f2,
+    _linearized_k1,
     exact_f2_deformed,
     exact_f2_undeformed,
     exact_f3_k1,
-    semiclassical_z_f2,
+    semiclassical_level_table,
     semiclassical_z_f2_closed_form,
-    semiclassical_z_k1,
 )
 from .thermo import (
+    log_sum_exp,
     n_via_mu_derivative,
     phi_n_via_omega_derivative,
     thermo_from_spectrum,
@@ -184,6 +186,33 @@ def spin_equivalence() -> CheckResult:
     return CheckResult("spin_equivalence", not failures, detail)
 
 
+def block_structure() -> CheckResult:
+    """N_total = boson occupation + W is conserved: on the truncated space of
+    ``build_full_truncated`` for (F, k) = (2, 2), (3, 2), |[H, N_total]| <=
+    1e-12 * max(1, max|H|), and each block n <= n_max is H restricted to the
+    states with occupation + W = n, to 1e-12."""
+    deviations = {}
+    for F, k in ((2, 2), (3, 2)):
+        params = ModelParams(F, k, 1.3, 0.7, 0.9, deformation=Deformation.q_exp(0.3))
+        n_max = k * (F - 1) + 2
+        H, labels = build_full_truncated(params, n_max)
+        total = np.array([occ + algebra.weight(p) for occ, p in labels], dtype=np.float64)
+        # [H, N_total] has entries H_ij (N_j - N_i)
+        deviations[f"F={F}, k={k}: |[H, N_total]| / max(1, max|H|)"] = (
+            _maxabs(H * (total - total[:, np.newaxis])) / max(1.0, _maxabs(H)))
+        index = {label: i for i, label in enumerate(labels)}
+        for n in range(n_max + 1):
+            block = build_block(params, n)
+            rows = [index[(n - algebra.weight(p), p)] for p in block.basis]
+            deviations[f"F={F}, k={k}, n={n}: block deviation"] = _maxabs(
+                H[np.ix_(rows, rows)] - block.matrix)
+    failures = [f"{name} {dev:.3e} (tol 1e-12)" for name, dev in deviations.items()
+                if not dev <= 1e-12]
+    return CheckResult("block_structure", not failures, "; ".join(failures) or (
+        f"max deviation {max(deviations.values()):.3e} (tol 1e-12; "
+        "commutator over max(1, max|H|))"))
+
+
 def oracle_checks() -> list[CheckResult]:
     results = []
     grid = (0.5, 2.0)
@@ -199,31 +228,30 @@ def oracle_checks() -> list[CheckResult]:
 
     worst = 0.0
     for k, n in ((1, 3), (2, 4), (3, 5)):
-        for omega in grid:
-            z_sum = semiclassical_z_f2(k, n, 1.0, omega, 20.0, 1.0)
+        levels = semiclassical_level_table(2, k, n, 1.0, grid, 20.0, 1.0)
+        for omega, log_z in zip(grid, log_sum_exp(levels, -1.0).tolist()):
             z_closed = semiclassical_z_f2_closed_form(k, n, 1.0, omega, 20.0, 1.0)
-            worst = max(worst, abs(z_sum - z_closed) / z_closed)
+            worst = max(worst, abs(math.exp(log_z) - z_closed) / z_closed)
     results.append(_result("semiclassical_sum_vs_closed_form", worst, 1e-10))
 
+    # the table sends F = 2, k = 1 to the F = 2 formula, so the two formulas
+    # are compared directly
     worst = 0.0
     for n in (2, 4):
-        for omega in grid:
-            z_f = semiclassical_z_k1(2, n, 1.0, omega, 20.0, 1.0)
-            z_k = semiclassical_z_f2(1, n, 1.0, omega, 20.0, 1.0)
-            worst = max(worst, abs(z_f - z_k) / z_k)
+        z_f = np.exp(log_sum_exp(np.sort(_linearized_k1(2, n, 1.0, grid, 20.0, 1.0)[0]), -1.0))
+        z_k = np.exp(log_sum_exp(np.sort(_linearized_f2(1, n, 1.0, grid, 20.0, 1.0)[0]), -1.0))
+        worst = max(worst, float(np.max(np.abs(z_f - z_k) / z_k)))
     results.append(_result("single_mode_vs_f2_partition", worst, 1e-10))
 
     worst = 0.0
-    for k, n in ((1, 3), (2, 4)):
-        exact = exact_f2_undeformed(k, n, 1.0, 2.0, 0.5)
-        params = ModelParams(2, k, 1.0, 2.0, 0.5)
-        trace = float(np.trace(build_block(params, n).matrix).real)
-        worst = max(worst, abs(exact.trace() - trace) / (1 + abs(trace)))
-    exact = exact_f3_k1(4, 1.0, 2.0, 0.5)
-    trace = float(np.trace(build_block(ModelParams(3, 1, 1.0, 2.0, 0.5), 4).matrix).real)
-    worst = max(worst, abs(exact.trace() - trace) / (1 + abs(trace)))
+    for F, k, n, exact in ((2, 1, 3, exact_f2_undeformed(1, 3, 1.0, 2.0, 0.5)),
+                           (2, 2, 4, exact_f2_undeformed(2, 4, 1.0, 2.0, 0.5)),
+                           (3, 1, 4, exact_f3_k1(4, 1.0, 2.0, 0.5))):
+        trace = float(np.trace(build_block(ModelParams(F, k, 1.0, 2.0, 0.5), n).matrix).real)
+        worst = max(worst, abs(sum(exact.values().tolist()) - trace) / (1 + abs(trace)))
     results.append(_result("closed_form_trace_identity", worst, 1e-9))
     results.append(spin_equivalence())
+    results.append(block_structure())
     return results
 
 

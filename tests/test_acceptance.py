@@ -12,12 +12,10 @@ from parafermi_jc import (
     Deformation,
     ModelParams,
     build_block,
-    build_full_truncated,
     build_higher_spin_block,
     build_mode_matrix,
     clifford_mode,
     clifford_triple,
-    cluster_eigenvalues,
     detect_plateaus,
     eigenvalues_only,
     exact_f2_deformed,
@@ -28,11 +26,11 @@ from parafermi_jc import (
     number_operator_matrix,
     omega_scan,
     phi_n_via_omega_derivative,
-    semiclassical_z_f2,
-    semiclassical_z_k1,
+    semiclassical_level_table,
     thermo_from_spectrum,
 )
 from parafermi_jc.algebra import root_of_unity_power
+from parafermi_jc.blocks import build_full_truncated
 from parafermi_jc.cli import main as cli_main
 
 COUPLING_GRID = (0.1, 1.0, 10.0)
@@ -50,6 +48,17 @@ def test_criterion_01_dimension_sequence(capsys):
     dims = [int(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
     ok = code == 0 and dims == [1, 4, 10, 20, 32, 44, 54, 60, 63, 64, 64]
     report(capsys, 1, "dims(F=4, k=3) emits 1,4,10,20,32,44,54,60,63,64,64 exactly", ok)
+
+
+def cluster_eigenvalues(values, scale_tol=1e-8):
+    """(mean value, multiplicity) of each run of an ascending sequence whose
+    neighbours lie within scale_tol * (1 + |value|) of each other."""
+    clusters, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > scale_tol * (1.0 + abs(values[i])):
+            clusters.append((float(np.mean(values[start:i])), i - start))
+            start = i
+    return clusters
 
 
 def _clusters_match(numeric, exact_spectrum):
@@ -139,14 +148,11 @@ def test_criterion_05_semiclassical_agreement(capsys):
         for hbar, tol, everywhere in ((1.0, 0.05, False), (0.01, 1e-3, True)):
             params = ModelParams(F, k, 1.0, delta, g, hbar=hbar, beta=beta,
                                  deformation=Deformation.linear(hbar))
-            for omega in grid:
+            levels = semiclassical_level_table(F, k, n, hbar, grid, delta, g)
+            for omega, log_z in zip(grid, log_sum_exp(levels, -beta)):
                 block = build_block(params.with_omega(float(omega)), n)
                 f_num = -log_sum_exp(-beta * eigenvalues_only(block.matrix)) / beta
-                if F == 2:
-                    z = semiclassical_z_f2(k, n, hbar, float(omega), delta, g, beta)
-                else:
-                    z = semiclassical_z_k1(F, n, hbar, float(omega), delta, g, beta)
-                rel = abs(f_num - (-math.log(z) / beta)) / abs(f_num)
+                rel = abs(f_num - (-log_z / beta)) / abs(f_num)
                 in_crossover = 0.5 * delta / hbar < omega < 2.0 * delta / hbar
                 if everywhere or not in_crossover:
                     ok = ok and rel <= tol

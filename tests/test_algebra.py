@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +56,23 @@ class TestEnumeration:
             enumerate_block_basis(2, 0, 0)
         with pytest.raises(ParameterError):
             enumerate_block_basis(2, 1, -1)
+
+    def test_matches_filtered_product(self):
+        # every tuple of range(F)^k with weight <= n, in the product's order
+        for F in range(2, 6):
+            for k in range(1, 5):
+                for n in range(0, k * (F - 1) + 3):
+                    expected = [p for p in itertools.product(range(F), repeat=k) if sum(p) <= n]
+                    assert enumerate_block_basis(F, k, n) == expected
+
+    def test_work_follows_block_not_fock_space(self):
+        # 28 states among 20^6 = 6.4e7 tuples: walking every tuple takes seconds
+        start = time.perf_counter()
+        basis = enumerate_block_basis(20, 6, 2)
+        assert time.perf_counter() - start < 1.0
+        assert len(basis) == block_dimension(20, 6, 2) == 28
+        # 351 states among 3^25 = 8.5e11 tuples
+        assert len(enumerate_block_basis(3, 25, 2)) == block_dimension(3, 25, 2) == 351
 
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 14))
     @settings(max_examples=60, deadline=None)

@@ -11,15 +11,14 @@ from parafermi_jc import (
     DeformationError,
     ModelParams,
     ParameterError,
-    add_mu_number_term,
     build_block,
-    build_full_truncated,
     build_higher_spin_block,
     build_mode_matrix,
     eigenvalues_only,
     enumerate_block_basis,
     weight,
 )
+from parafermi_jc.blocks import build_full_truncated
 
 
 def params(F=2, k=1, omega=1.0, delta=1.0, g=1.0, **kw):
@@ -142,26 +141,6 @@ class TestHigherSpinBlock:
     def test_g_zero_diagonal_matches(self):
         p = params(F=4, k=2, g=0.0)
         assert np.array_equal(build_higher_spin_block(p, 3).matrix, build_block(p, 3).matrix)
-
-
-class TestMuTerm:
-    def test_mu_zero_identity(self):
-        block = build_block(params(F=3, k=2), 3)
-        assert np.array_equal(add_mu_number_term(block, 0.0).matrix, block.matrix)
-
-    def test_diagonal_shift_hand_value(self):
-        block = build_block(params(g=0.0), 1)
-        shifted = add_mu_number_term(block, 2.0)
-        assert np.allclose(np.diag(shifted.matrix).real, [3.0, 1.0], atol=1e-14)
-
-    def test_g_zero_spectrum_shift(self):
-        p = params(F=3, k=1, omega=0.9, delta=1.4, g=0.0)
-        block = build_block(p, 3)
-        mu = 0.37
-        before = np.diag(block.matrix).real
-        after = np.diag(add_mu_number_term(block, mu).matrix).real
-        boson = np.array([3 - weight(c) for c in block.basis])
-        assert after == pytest.approx(before + mu * boson, abs=1e-13)
 
 
 class TestFullTruncated:

@@ -20,10 +20,9 @@ from parafermi_jc import (
     NumericalError,
     algebra,
     log_sum_exp,
-    semiclassical_levels_f2,
-    semiclassical_levels_k1,
+    semiclassical_level_table,
 )
-from parafermi_jc import cli, verify
+from parafermi_jc import blocks, cli, verify
 from parafermi_jc.cli import main
 
 
@@ -70,6 +69,20 @@ class TestDims:
         code, out, err = run_cli(capsys, "dims", "--F", "1", "--k", "1", "--n-max", "-1")
         assert code == 1 and out == ""
         assert "parameter error" in err
+
+    @pytest.mark.parametrize("n_max", ["1000000", "1000000000000"])
+    def test_huge_n_max_rejected(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert err == f"parameter error: n-max must be between 0 and 999999, got {n_max}\n"
+
+    def test_n_max_cap_is_row_cap(self, capsys, monkeypatch):
+        # n = 0..n_max is n_max + 1 rows, at most MAX_ROWS
+        monkeypatch.setattr(cli, "MAX_ROWS", 3)
+        code, out, _ = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", "2")
+        assert code == 0 and len(out.strip().split("\n")) == 1 + 3
+        code, out, err = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", "3")
+        assert code == 1 and out == "" and "between 0 and 2" in err
 
 
 class TestSpectrum:
@@ -480,7 +493,7 @@ class TestSemiclassicalCompare:
     @pytest.mark.parametrize("F,k", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3)])
     def test_grid_matches_point_by_point(self, capsys, F, k):
         # the cases of scripts/free_energy_scan.py: the whole-grid evaluation
-        # gives the bits of the public one-point functions at each omega
+        # gives the bits of a one-point table at each omega
         n = k * (F - 1) + 3
         code, out, _ = run_cli(capsys, "semiclassical-compare", "--F", str(F), "--k", str(k),
                                "--n", str(n), "--delta", "20", "--omega-min", "0.5",
@@ -490,11 +503,8 @@ class TestSemiclassicalCompare:
         assert len(rows) == 161
         for cells in rows:
             omega = float(cells[0])
-            if F == 2:
-                levels = semiclassical_levels_f2(k, n, 1.0, omega, 20.0, 1.0)
-            else:
-                levels = semiclassical_levels_k1(F, n, 1.0, omega, 20.0, 1.0)
-            assert cells[2] == repr(-log_sum_exp(levels.values(), -1.0) / 1.0)
+            levels = semiclassical_level_table(F, k, n, 1.0, [omega], 20.0, 1.0)[0]
+            assert cells[2] == repr(-log_sum_exp(levels, -1.0) / 1.0)
 
     @pytest.mark.parametrize("F,k", [(2, 1), (3, 1)])
     def test_first_overflowing_omega_named(self, capsys, F, k):
@@ -508,10 +518,7 @@ class TestSemiclassicalCompare:
         overflowing = []
         for omega in np.linspace(1e297, 1e299, 21).tolist():
             try:
-                if F == 2:
-                    semiclassical_levels_f2(k, 4, 1.0, omega, 1e9, 1.0)
-                else:
-                    semiclassical_levels_k1(F, 4, 1.0, omega, 1e9, 1.0)
+                semiclassical_level_table(F, k, 4, 1.0, [omega], 1e9, 1.0)
             except NumericalError as exc:
                 overflowing.append(str(exc))
         assert 0 < len(overflowing) < 20
@@ -550,6 +557,36 @@ class TestVerify:
         check = verify.spin_equivalence()
         assert not check.passed
         assert check.detail.startswith("F=3, n=1: deviation ")
+
+    def test_block_structure_in_oracles(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--scope", "oracles")
+        assert code == 0
+        check, = [c for c in json.loads(out)["checks"] if c["name"] == "block_structure"]
+        assert check["passed"] and check["detail"].startswith("max deviation ")
+
+    def test_corrupted_block_hop_is_caught(self, monkeypatch):
+        # scale build_block's hop phases only: the truncated full-space
+        # Hamiltonian, built from the mode matrices, keeps the true ones
+        good = blocks.root_of_unity_power
+        monkeypatch.setattr(blocks, "root_of_unity_power", lambda F, e: 1.01 * good(F, e))
+        check = verify.block_structure()
+        assert not check.passed
+        assert check.detail.startswith("F=2, k=2, n=1: block deviation ")
+        assert "F=3, k=2, n=1: block deviation " in check.detail
+
+    def test_number_changing_coupling_is_caught(self, monkeypatch):
+        good = verify.build_full_truncated
+
+        def leaky(params, n_max):
+            H, labels = good(params, n_max)
+            H = H.copy()
+            H[0, 1] = H[1, 0] = 0.5  # couples total number 0 (the vacuum) to 1
+            return H, labels
+
+        monkeypatch.setattr(verify, "build_full_truncated", leaky)
+        check = verify.block_structure()
+        assert not check.passed
+        assert check.detail.startswith("F=2, k=2: |[H, N_total]| / max(1, max|H|) ")
 
     def test_injected_phase_fault_is_caught(self, capsys, monkeypatch):
         # flip the sign of the destruction-phase exponent: the mode matrices

@@ -14,7 +14,6 @@ from parafermi_jc import (
     ParameterError,
     build_block,
     build_higher_spin_block,
-    cluster_eigenvalues,
     eigendecompose,
     eigenvalues_only,
 )
@@ -627,21 +626,3 @@ def test_contracts_over_full_range(H):
     assert np.all(np.diff(w) >= 0)
     assert max_residual(H, V, w) <= residual_bound(H)
     assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= RESIDUAL_RTOL
-
-
-class TestClustering:
-    def test_exact_groups(self):
-        values = np.array([1.0, 1.0 + 1e-12, 2.0, 5.0, 5.0, 5.0 + 1e-10])
-        clusters = cluster_eigenvalues(values)
-        assert [m for _, m in clusters] == [2, 1, 3]
-
-    def test_scale_aware_threshold(self):
-        # gap 5e-7 at magnitude 1e2 is below 1e-8*(1+|v|) ~ 1e-6: one cluster
-        values = np.array([100.0, 100.0 + 5e-7])
-        assert [m for _, m in cluster_eigenvalues(values)] == [2]
-        # the same gap at magnitude 1e-2 is resolved as two clusters
-        values = np.array([0.01, 0.01 + 5e-7])
-        assert [m for _, m in cluster_eigenvalues(values)] == [1, 1]
-
-    def test_empty(self):
-        assert cluster_eigenvalues(np.array([])) == []

@@ -16,15 +16,19 @@ from parafermi_jc import (
     exact_f2_undeformed,
     exact_f3_k1,
     semiclassical_level_table,
-    semiclassical_levels_f2,
-    semiclassical_levels_k1,
-    semiclassical_z_f2,
     semiclassical_z_f2_closed_form,
-    semiclassical_z_k1,
     log_sum_exp,
 )
+from parafermi_jc.exact import _linearized_f2, _linearized_k1
 
 COUPLING_GRID = (0.1, 1.0, 10.0)
+
+
+def linearized_z(F, k, n, hbar, omega, delta, g, beta=1.0):
+    """Partition sum of the linearized levels at one omega: a one-point table
+    reduced by log_sum_exp."""
+    levels = semiclassical_level_table(F, k, n, hbar, [omega], delta, g)
+    return math.exp(log_sum_exp(levels[0], -beta))
 
 
 def numeric_spectrum(F, k, n, omega, delta, g, deformation=None):
@@ -61,7 +65,7 @@ class TestF2Undeformed:
         for k, n in ((2, 3), (4, 6)):
             spec = exact_f2_undeformed(k, n, 1.3, 0.7, 2.0)
             trace = np.trace(build_block(ModelParams(2, k, 1.3, 0.7, 2.0), n).matrix).real
-            assert spec.trace() == pytest.approx(trace, rel=1e-9)
+            assert sum(spec.values()) == pytest.approx(trace, rel=1e-9)
 
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegimeError):
@@ -141,8 +145,8 @@ class TestF3Cubic:
         for n in (3, 6):
             spec = exact_f3_k1(n, 1.2, 3.4, 0.9)
             trace = np.trace(build_block(ModelParams(3, 1, 1.2, 3.4, 0.9), n).matrix).real
-            assert spec.trace() == pytest.approx(trace, rel=1e-9)
-            assert spec.trace() == pytest.approx(3 * (3.4 + (n - 1) * 1.2), rel=1e-9)
+            assert sum(spec.values()) == pytest.approx(trace, rel=1e-9)
+            assert sum(spec.values()) == pytest.approx(3 * (3.4 + (n - 1) * 1.2), rel=1e-9)
 
     def test_regime_guard(self):
         with pytest.raises(OutOfRegimeError):
@@ -158,25 +162,27 @@ class TestF3Cubic:
 
 class TestSemiclassicalLevels:
     def test_hbar_zero_limit(self):
-        spec = semiclassical_levels_f2(2, 4, 0.0, 1.0, 3.0, 1.0)
-        values = sorted(set(v for v, _ in spec.levels))
+        values = sorted(set(semiclassical_level_table(2, 2, 4, 0.0, [1.0], 3.0, 1.0)[0]))
         expected = sorted(set(3.0 * (2 * 2 - 2 * l + s - 1) / 2 for l in range(2) for s in (1, -1)))
         assert values == pytest.approx(expected, abs=1e-12)
 
     def test_degeneracy_sum(self):
         for k in (1, 2, 3, 4):
-            spec = semiclassical_levels_f2(k, k + 2, 1.0, 1.0, 20.0, 1.0)
-            assert sum(d for _, d in spec.levels) == 2 ** k
+            _, degeneracies = _linearized_f2(k, k + 2, 1.0, [1.0], 20.0, 1.0)
+            assert sum(degeneracies) == 2 ** k
+            assert semiclassical_level_table(2, k, k + 2, 1.0, [1.0], 20.0, 1.0).shape == (1, 2 ** k)
 
     def test_close_to_exact_for_large_delta(self):
         # linearization drops O(hbar^2) pieces; at delta = 20 they are small
         exact = exact_f2_undeformed(1, 2, 1.0, 20.0, 1.0).values()
-        linear = semiclassical_levels_f2(1, 2, 1.0, 1.0, 20.0, 1.0).values()
+        linear = semiclassical_level_table(2, 1, 2, 1.0, [1.0], 20.0, 1.0)[0]
         assert np.max(np.abs(exact - linear)) <= 0.05
 
     def test_delta_zero_rejected(self):
         with pytest.raises(ParameterError):
-            semiclassical_levels_f2(1, 2, 1.0, 1.0, 0.0, 1.0)
+            semiclassical_level_table(2, 1, 2, 1.0, [1.0], 0.0, 1.0)
+        with pytest.raises(ParameterError):
+            semiclassical_level_table(3, 1, 3, 1.0, [1.0], 0.0, 1.0)
 
     @pytest.mark.parametrize("hbar,omega,delta,g", [(1.0, 1.0, 20.0, 1.0), (0.3, 37.1, -2.5, 0.7),
                                                     (2.5, 1e-3, 1e-3, 5.0), (0.0, 3.0, 7.0, 0.0)])
@@ -185,33 +191,32 @@ class TestSemiclassicalLevels:
         # documented order: the array evaluation gives the same bits
         for k in (1, 2, 3):
             n = k + 2
-            expected = tuple(
+            expected = [
                 ((2.0 * g * g * k * s * hbar * (l + n - k + 1)
                   + delta * delta * (2 * k - 2 * l + s - 1)
                   + delta * omega * hbar * (2 * l + 2 * n - 2 * k - s + 1)) / (2.0 * delta),
                  math.comb(k - 1, l))
-                for l in range(k) for s in (+1, -1))
-            assert semiclassical_levels_f2(k, n, hbar, omega, delta, g).levels == expected
+                for l in range(k) for s in (+1, -1)]
+            values, degeneracies = _linearized_f2(k, n, hbar, [omega], delta, g)
+            assert list(zip(values[0].tolist(), degeneracies)) == expected
         for F in (2, 3, 5):
             n = F + 1
-            expected = (
+            expected = [
                 hbar * n * (delta * omega - g * g) / delta,
                 delta * (F - 1) + g * g * (n - F + 2) * hbar / delta + (n + 1 - F) * omega * hbar,
                 *(omega * hbar * (n - s) + g * g * hbar / delta + delta * s for s in range(1, F - 1)),
-            )
-            assert semiclassical_levels_k1(F, n, hbar, omega, delta, g).levels == tuple(
-                (value, 1) for value in expected)
+            ]
+            values, degeneracies = _linearized_k1(F, n, hbar, [omega], delta, g)
+            assert values[0].tolist() == expected and degeneracies == [1] * F
 
     @pytest.mark.parametrize("F,k,n", [(2, 1, 2), (2, 2, 5), (2, 3, 7), (2, 1, 4), (3, 1, 5),
                                        (4, 1, 6), (5, 1, 7)])
     def test_table_rows_are_one_point_values(self, F, k, n):
+        # each row of a grid's table is the one-point table of its omega, bit for bit
         omegas = [-3.0, 0.0, 0.5, 1.7, 80.0, 2.5e5]
         for hbar, delta, g in [(1.0, 20.0, 1.0), (0.01, -3.0, 2.5), (0.0, 1e-3, 0.0)]:
             table = semiclassical_level_table(F, k, n, hbar, omegas, delta, g)
-            if F == 2:
-                rows = [semiclassical_levels_f2(k, n, hbar, w, delta, g).values() for w in omegas]
-            else:
-                rows = [semiclassical_levels_k1(F, n, hbar, w, delta, g).values() for w in omegas]
+            rows = [semiclassical_level_table(F, k, n, hbar, [w], delta, g)[0] for w in omegas]
             assert np.array_equal(table, np.array(rows))
 
     def test_table_names_first_overflowing_omega(self):
@@ -220,7 +225,8 @@ class TestSemiclassicalLevels:
             semiclassical_level_table(2, 2, 4, 1.0, omegas, 1e10, 1.0)
         assert caught.value.index == 1
         with pytest.raises(NumericalError) as alone:
-            semiclassical_levels_f2(2, 4, 1.0, 1e299, 1e10, 1.0)
+            semiclassical_level_table(2, 2, 4, 1.0, [1e299], 1e10, 1.0)
+        assert alone.value.index == 0
         assert str(caught.value) == str(alone.value)
         assert "omega=1e+299" in str(alone.value)
 
@@ -241,13 +247,13 @@ class TestSemiclassicalPartition:
             (3, 6, 0.5, 2.0, 7.0, 0.8),
             (4, 8, 0.2, 1.5, 5.0, 1.2),
         ]:
-            z_sum = semiclassical_z_f2(k, n, hbar, omega, delta, g)
+            z_sum = linearized_z(2, k, n, hbar, omega, delta, g)
             z_closed = semiclassical_z_f2_closed_form(k, n, hbar, omega, delta, g)
             assert abs(z_sum - z_closed) / z_closed <= 1e-10
 
     def test_boltzmann_reduction_at_g0_h0(self):
         k, n, delta, beta = 3, 5, 2.0, 1.0
-        z = semiclassical_z_f2(k, n, 0.0, 1.0, delta, 0.0, beta)
+        z = linearized_z(2, k, n, 0.0, 1.0, delta, 0.0, beta)
         expected = sum(
             math.comb(k - 1, l) * (math.exp(-beta * delta * (k - l)) + math.exp(-beta * delta * (k - l - 1)))
             for l in range(k)
@@ -259,19 +265,21 @@ class TestSemiclassicalPartition:
         p = ModelParams(2, k, omega, delta, g, hbar=hbar, beta=beta,
                         deformation=Deformation.linear(hbar))
         log_z_num = log_sum_exp(-beta * eigenvalues_only(build_block(p, n).matrix))
-        z_sc = semiclassical_z_f2(k, n, hbar, omega, delta, g, beta)
+        z_sc = linearized_z(2, k, n, hbar, omega, delta, g, beta)
         assert abs(math.log(z_sc) - log_z_num) / abs(log_z_num) <= 0.05
 
     def test_single_mode_consistent_with_f2(self):
         for (n, hbar, omega, delta, g) in [(2, 1.0, 1.0, 20.0, 1.0), (5, 0.3, 4.0, 10.0, 0.5)]:
-            z_f = semiclassical_z_k1(2, n, hbar, omega, delta, g)
-            z_k = semiclassical_z_f2(1, n, hbar, omega, delta, g)
+            # the table sends F = 2, k = 1 to the F = 2 formula: compare the formulas
+            z_f, z_k = (math.exp(log_sum_exp(np.sort(values[0]), -1.0)) for values, _ in
+                        (_linearized_k1(2, n, hbar, [omega], delta, g),
+                         _linearized_f2(1, n, hbar, [omega], delta, g)))
             assert abs(z_f - z_k) / z_k <= 1e-10
 
     def test_single_mode_boltzmann_ladder(self):
         # g = 0, omega = 0, beta = 1: 1 + e^{-delta (F-1)} + sum_s e^{-delta s}
         F, n, delta = 4, 5, 1.7
-        z = semiclassical_z_k1(F, n, 1.0, 0.0, delta, 0.0)
+        z = linearized_z(F, 1, n, 1.0, 0.0, delta, 0.0)
         expected = 1.0 + math.exp(-delta * (F - 1)) + sum(math.exp(-delta * s) for s in range(1, F - 1))
         assert z == pytest.approx(expected, rel=1e-12)
 
@@ -280,7 +288,7 @@ class TestSemiclassicalPartition:
         p = ModelParams(F, 1, omega, delta, g, hbar=hbar, beta=beta,
                         deformation=Deformation.linear(hbar))
         log_z_num = log_sum_exp(-beta * eigenvalues_only(build_block(p, n).matrix))
-        z_sc = semiclassical_z_k1(F, n, hbar, omega, delta, g, beta)
+        z_sc = linearized_z(F, 1, n, hbar, omega, delta, g, beta)
         assert abs(math.log(z_sc) - log_z_num) / abs(log_z_num) <= 0.05
 
     def test_semiclassical_error_vanishes_with_hbar(self):
@@ -290,15 +298,15 @@ class TestSemiclassicalPartition:
             p = ModelParams(2, k, omega, delta, g, hbar=hbar,
                             deformation=Deformation.linear(hbar))
             log_z_num = log_sum_exp(-eigenvalues_only(build_block(p, n).matrix))
-            errors[hbar] = abs(math.log(semiclassical_z_f2(k, n, hbar, omega, delta, g)) - log_z_num)
+            errors[hbar] = abs(math.log(linearized_z(2, k, n, hbar, omega, delta, g)) - log_z_num)
         assert errors[0.01] <= errors[0.1] / 20.0
         assert errors[0.01] <= 1e-4
 
     def test_regime_guards(self):
         with pytest.raises(OutOfRegimeError):
-            semiclassical_z_f2(2, 2, 1.0, 1.0, 20.0, 1.0)
+            linearized_z(2, 2, 2, 1.0, 1.0, 20.0, 1.0)
         with pytest.raises(OutOfRegimeError):
-            semiclassical_z_k1(4, 3, 1.0, 1.0, 20.0, 1.0)
+            linearized_z(4, 1, 3, 1.0, 1.0, 20.0, 1.0)
 
     def test_closed_form_overflow_reported(self):
         from parafermi_jc import NumericalError
@@ -306,4 +314,4 @@ class TestSemiclassicalPartition:
         with pytest.raises(NumericalError):
             semiclassical_z_f2_closed_form(2, 4, 1.0, 1.0, 2000.0, 1.0)
         # the summed form survives the same parameters
-        assert semiclassical_z_f2(2, 4, 1.0, 1.0, 2000.0, 1.0) > 0.0
+        assert linearized_z(2, 2, 4, 1.0, 1.0, 2000.0, 1.0) > 0.0
