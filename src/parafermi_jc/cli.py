@@ -231,7 +231,11 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
     if not 0 <= cfg.n_max < MAX_ROWS:
         raise ParameterError(f"n-max must be between 0 and {MAX_ROWS - 1}, got {cfg.n_max}")
-    rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(cfg.n_max + 1)]
+    # the dimension saturates at F**k from n = k(F-1) on; n = 0 is always
+    # computed, so invalid F and k fail as they would for any n
+    below = min(cfg.n_max, max(cfg.k * (cfg.F - 1), 0))
+    rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(below + 1)]
+    rows += [[n, rows[-1][1]] for n in range(below + 1, cfg.n_max + 1)]
     _emit(cfg, ["n", "dim"], rows)
     return EXIT_OK
 

@@ -16,37 +16,54 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    [2**-500, 2**500] is first scaled by an exact power of two, and its
    eigenvalues scaled back, as LAPACK's zheev does.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and
-   its eigenvalues scaled back exactly.  Root-free implicit-shift QL (the
-   Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) then finds its
-   eigenvalues, one matrix at a time on Python floats: it works on the
-   squares e_i**2, computed once, so a sweep takes one square root and one
-   hypot for its shift and none per rotation; the scaling keeps the squares
-   in range.  When eigenvectors are requested, inverse iteration on the same
-   scaled tridiagonal finds them, as LAPACK's dstein does, for all G*d
-   eigenvalues of the stack at once: each eigenvalue is its own shift,
-   T - lambda I is factored with partial pivoting for every shift in one loop
-   over the rows, and INVERSE_SOLVES solves from a fixed start follow.
-   Neighbouring eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a
-   cluster, and those closer than GROUP_RTOL * ||T||_1 a group.  A QR
-   factorization orthonormalizes each group after every solve but the last,
-   and each cluster, in ascending order, after the last.  Both stages split
-   T on one test, e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2, evaluated alike on
-   the same scaled values, so inverse iteration splits exactly where QL
-   deflates on entry.
+   its eigenvalues scaled back exactly.  How it is solved depends on its size.
+   Up to LEAF rows, root-free implicit-shift QL (the Pal-Walker-Kahan form of
+   LAPACK's dsterf, Wilkinson shift) finds its eigenvalues, one matrix at a
+   time on Python floats: it works on the squares e_i**2, computed once, so a
+   sweep takes one square root and one hypot for its shift and none per
+   rotation; the scaling keeps the squares in range.  When eigenvectors are
+   requested, inverse iteration on the same scaled tridiagonal finds them, as
+   LAPACK's dstein does, for all G*d eigenvalues of the stack at once: each
+   eigenvalue is its own shift, T - lambda I is factored with partial pivoting
+   for every shift in one loop over the rows, and INVERSE_SOLVES solves from a
+   fixed start follow.  Neighbouring eigenvalues closer than
+   CLUSTER_RTOL * ||T||_1 form a cluster, and those closer than
+   GROUP_RTOL * ||T||_1 a group.  A QR factorization orthonormalizes each
+   group after every solve but the last, and each cluster, in ascending order,
+   after the last.  Both split T on one test,
+   e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2, evaluated alike on the same scaled
+   values, so inverse iteration splits exactly where QL deflates on entry.
+   Above LEAF rows, divide and conquer (Cuppen's, as LAPACK's dstedc; module
+   ``divide``, imported on first use) halves T until no piece has more than
+   LEAF rows, tearing each off-diagonal out of the two diagonal entries
+   beside it (an off-diagonal negligible by the split test tears as zero).  QL and inverse iteration solve the leaves as
+   above, and the pieces are merged back level by level: each merge is a
+   rank-one update of the two pieces' eigenvalues, deflated as in dlaed2, its
+   secular equations solved all at once by dlaed4's middle way, and its
+   eigenvectors taken from Gu and Eisenstat's weights and applied to the
+   pieces' vectors by one product per piece.  The values-only path runs the
+   same merges and skips only the top level's eigenvectors, so its
+   eigenvalues are those of the vectors path, bit for bit.
 
 Working set: the input is copied once and, when the caller keeps no
 reference to it, freed (from Python 3.11).  The Householder workspace has
 2 * min(PANEL, d - 2) columns, inverse iteration holds its factors only
 through the solves, and the back-transform applies T^-1 to the nb x d
-product V^H X.  With eigenvectors the traced peak is about 5 times the
-complex stack.
+product V^H X.  A merge holds the two pieces' vectors, its own, one d x d
+coefficient matrix, and d x d arrays of the secular solver's rows (the
+roots' distances to the poles, and while a level has several equations,
+their weights), which shrink as roots converge.  With eigenvectors the
+traced peak is about 5 times the complex stack up to LEAF rows, and 3.4
+times at d = 256.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
 to 1e-10.  The QL stage is capped at 64 * dim implicit-shift sweeps per
-matrix; beyond the cap a ConvergenceError names the matrix size (in practice
-a handful of sweeps per eigenvalue suffice).  A NumericalError raised for one
-matrix of a stack carries that matrix's position as its ``index``.
+matrix, and each secular equation at divide.MAX_SECULAR_ITERATIONS steps
+per root; beyond either cap a ConvergenceError names the sizes involved (in
+practice a handful of sweeps per eigenvalue, and of steps per root,
+suffice).  A NumericalError raised for one matrix of a stack carries that
+matrix's position as its ``index``.
 """
 
 from __future__ import annotations
@@ -92,12 +109,17 @@ CLUSTER_RTOL = 1e-3
 #: this close in shift barely separate them, so they would turn into one vector.
 GROUP_RTOL = 1e-12
 
+#: Tridiagonals of more rows than this are solved by divide and conquer: halved
+#: until no piece has more than LEAF rows, the pieces solved by QL and inverse
+#: iteration, and merged back level by level.
+LEAF = 64
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
-    and the number of QL implicit-shift sweeps the solve took.
+    and the number of QL implicit-shift sweeps the solve took (above LEAF rows,
+    the sweeps of the divide-and-conquer leaves).
 
     For a (G, d, d) stack, eigenvalues is (G, d), eigenvectors (G, d, d) and
     sweeps the total over the stack.
@@ -470,13 +492,53 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     return Z.reshape(G, n, n).swapaxes(1, 2)
 
 
+def _ql_levels(d: np.ndarray, e: np.ndarray):
+    """QL eigenvalues of each tridiagonal of the stack, in QL's positions, and
+    the total sweep count.  A ConvergenceError carries the position of its
+    tridiagonal as ``index``."""
+    squares = e * e
+    levels = np.empty_like(d)
+    sweeps = 0
+    for g in range(d.shape[0]):
+        diag = d[g].tolist()
+        try:
+            sweeps += _ql_implicit_shift(diag, squares[g].tolist())
+        except ConvergenceError as exc:
+            exc.index = g
+            raise
+        levels[g] = diag
+    return levels, sweeps
+
+
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors):
+    """Ascending eigenvalues (G, n) of the scaled tridiagonals (d, e), the
+    eigenvectors (G, n, n) of the matrices they came from when reflectors is
+    not None (else None), and the QL sweeps: QL and inverse iteration up to
+    LEAF rows, divide and conquer above."""
+    if d.shape[1] > LEAF:
+        # imported on first use, so that a process solving only small blocks
+        # does not compile it (as costly as this module where bytecode is not
+        # cached)
+        from .divide import divide_and_conquer
+
+        values, Z, sweeps = divide_and_conquer(d, e, reflectors is not None, LEAF)
+        return values, None if Z is None else _back_transform(reflectors, Z), sweeps
+    levels, sweeps = _ql_levels(d, e)
+    vectors = None
+    if reflectors is not None:
+        # passed on unnamed, so _back_transform can free them early
+        vectors = _back_transform(reflectors, _inverse_iteration(d, e, levels))
+    return np.sort(levels, axis=1), vectors, sweeps
+
+
 def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     """Eigendecompose a dense complex Hermitian matrix, or a (G, d, d) stack of them.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input,
     NumericalError if the tridiagonal stage or the eigenvalues leave the
-    float range, and ConvergenceError if the QL stage exceeds its sweep cap;
-    either names the failing matrix's position in the stack as ``index``.
+    float range, and ConvergenceError if the QL stage exceeds its sweep cap or
+    a secular equation its iteration cap; either names the failing matrix's
+    position in the stack as ``index``.
     """
     A, peak = _require_hermitian(H)
     single = A.ndim == 2
@@ -507,26 +569,13 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     scale = np.frexp(norm)[1]
     d = np.ldexp(d, -scale[:, np.newaxis])
     e = np.ldexp(e, -scale[:, np.newaxis])
-    squares = e * e
-    levels = np.empty((G, n))
-    sweeps = 0
-    for g in range(G):
-        diag = d[g].tolist()
-        try:
-            sweeps += _ql_implicit_shift(diag, squares[g].tolist())
-        except ConvergenceError as exc:
-            exc.index = g
-            raise
-        levels[g] = diag
+    values, vectors, sweeps = _solve_tridiagonal(d, e, reflectors)
     with np.errstate(over="ignore"):
-        values = np.ldexp(np.sort(levels, axis=1), (exponent + scale)[:, np.newaxis])
+        values = np.ldexp(values, (exponent + scale)[:, np.newaxis])
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range",
                              index=int(bad[0]))
-    vectors = None
-    if want_vectors:
-        vectors = _back_transform(reflectors, _inverse_iteration(d, e, levels))
     if single:
         values = values[0]
         vectors = None if vectors is None else vectors[0]

@@ -51,6 +51,26 @@ class TestDims:
         code, out, _ = run_cli(capsys, "dims", "--F", "2", "--k", "2", "--n-max", "0")
         assert [int(l.split(",")[1]) for l in out.strip().split("\n")[1:]] == [1]
 
+    def test_saturated_rows_computed_once(self, capsys, monkeypatch):
+        # from n = k(F-1) = 9 on every row is F**k = 64: block_dimension runs
+        # for n = 0..9 only, and the rows past it repeat its last value
+        calls = []
+
+        def counted(F, k, n):
+            calls.append(n)
+            return block_dimension(F, k, n)
+
+        block_dimension = algebra.block_dimension
+        monkeypatch.setattr(algebra, "block_dimension", counted)
+        code, out, _ = run_cli(capsys, "dims", "--F", "4", "--k", "3", "--n-max", "5000")
+        assert code == 0
+        assert calls == list(range(10))
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 5001 and rows[9] == "9,64" and rows[-1] == "5000,64"
+        calls.clear()
+        run_cli(capsys, "dims", "--F", "4", "--k", "3", "--n-max", "4")
+        assert calls == list(range(5))
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", "2",
                                "--format", "json")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafermi_jc import (
+    ConvergenceError,
     Deformation,
     ModelParams,
     NumericalError,
@@ -17,7 +18,8 @@ from parafermi_jc import (
     eigendecompose,
     eigenvalues_only,
 )
-from parafermi_jc import eigensolver
+from parafermi_jc import divide, eigensolver
+from parafermi_jc.divide import _secular_roots
 from parafermi_jc.eigensolver import (
     RESIDUAL_RTOL,
     _back_transform,
@@ -525,7 +527,8 @@ class TestStacks:
         assert np.max(np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(27))) <= 1e-10
 
     def test_spin_block_with_large_clusters(self):
-        # 213 pairs of eigenvalues equal to rounding and a cluster of 44
+        # 213 pairs of eigenvalues equal to rounding and a cluster of 44; at
+        # 256 rows the merges deflate most of them by rotation
         assert_contracts(build_higher_spin_block(ModelParams(4, 4, 1.0, 1.0, 1.0), 12).matrix)
 
     def test_exactly_zero_off_diagonal(self):
@@ -555,6 +558,148 @@ class TestStacks:
     def test_failure_names_its_matrix(self):
         stack = np.array([np.eye(2), np.full((2, 2), 1.7e308)])
         with pytest.raises(NumericalError, match="float range") as caught:
+            eigendecompose(stack)
+        assert caught.value.index == 1
+
+
+def tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j
+
+
+class TestDivideAndConquer:
+    """Tridiagonals of more than LEAF rows: halved into leaves that QL and
+    inverse iteration solve, and merged back through secular equations."""
+
+    @pytest.fixture
+    def halves(self, monkeypatch):
+        """Leaves of at most 32 rows: 64 rows are one merge of two halves."""
+        monkeypatch.setattr(eigensolver, "LEAF", 32)
+
+    def test_secular_roots_match_lapack(self):
+        # one call for equations of 1, 2, 5 and 40 poles, padded to a common width
+        rng = np.random.default_rng(60)
+        poles, weights = [], []
+        for count in (1, 2, 5, 40):
+            poles.append(np.sort(rng.uniform(-1.0, 1.0, count)))
+            w = rng.standard_normal(count)
+            weights.append(w / np.linalg.norm(w))
+        rho = np.array([0.3, 1.7, 0.05, 0.9])
+        solved = _secular_roots(poles, weights, rho, np.arange(4))
+        for p, w, r, (roots, delta) in zip(poles, weights, rho, solved):
+            ref = np.linalg.eigvalsh(np.diag(p) + r * np.outer(w, w))
+            assert np.max(np.abs(roots - ref)) <= 16 * sys.float_info.epsilon
+            assert np.max(np.abs(delta - (p - roots[:, np.newaxis]))) <= 4 * sys.float_info.epsilon
+
+    def test_secular_roots_near_close_poles(self):
+        # poles 2.5e-13 and 8.6e-11 apart near 0.5, rho of the same size: the
+        # starting midpoint p_i + rho / 2 would round by 1e-3 of rho and
+        # bracket the last root on the wrong side, where it cannot converge
+        p = np.array([0.5095584034093511, 0.509558403409597, 0.5095584034958706])
+        w = np.array([-0.705073256458148, -0.05242076412570525, -0.7071942919141668])
+        rho = 6.761830891399223e-14
+        [(roots, delta)] = _secular_roots([p], [w / np.linalg.norm(w)], np.array([rho]), np.zeros(1))
+        ref = p[0] + np.linalg.eigvalsh(np.diag(p - p[0]) + rho * np.outer(w, w) / (w @ w))
+        assert np.max(np.abs(roots - ref)) <= 2 * np.spacing(p[0])
+        assert np.all(delta[:, 0] < 0.0) and np.all(np.diff(roots) > 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clustered_spectrum(self, monkeypatch, seed):
+        # eigenvalues 1 + cumulative gaps log-uniform in [1e-16, 1e-2]: merges
+        # keep poles so close that only Gu and Eisenstat's weights, not z
+        # itself, give orthonormal vectors
+        monkeypatch.setattr(eigensolver, "LEAF", 16)
+        rng = np.random.default_rng(310 + seed)
+        U, _ = np.linalg.qr(rng.standard_normal((72, 72)) + 1j * rng.standard_normal((72, 72)))
+        H = U @ np.diag(1.0 + np.cumsum(10.0 ** rng.uniform(-16, -2, 72))) @ U.conj().T
+        assert_contracts((H + H.conj().T) / 2)
+
+    @pytest.mark.usefixtures("halves")
+    def test_negligible_tear_keeps_the_pieces_bits(self):
+        # e = eps beside diagonals of 1 is negligible (e**2 <= eps**2 * 2**2):
+        # the tear takes nothing off the diagonal, so the eigenvalues are the
+        # halves' own, bit for bit; taking e off would move both by an ulp
+        rng = np.random.default_rng(69)
+        d = rng.uniform(-1.0, 1.0, 64)
+        d[31] = d[32] = 1.0
+        e = rng.uniform(0.1, 1.0, 63)
+        e[31] = sys.float_info.epsilon
+        H = tridiagonal(d, e)
+        halves = np.sort(np.concatenate([eigenvalues_only(H[:32, :32]), eigenvalues_only(H[32:, 32:])]))
+        assert np.array_equal(eigenvalues_only(H), halves)
+
+    @pytest.mark.parametrize("leaf", [16, 32])
+    def test_exactly_zero_off_diagonal_at_tears(self, monkeypatch, leaf):
+        # zero at every tear of 64 rows (rows 16, 32 and 48 with leaves of 16):
+        # each merge is a sort, and the leaves' vectors pass through unchanged
+        monkeypatch.setattr(eigensolver, "LEAF", leaf)
+        rng = np.random.default_rng(61)
+        e = rng.uniform(0.1, 1.0, 63)
+        e[[15, 31, 47]] = 0.0
+        assert_contracts(tridiagonal(rng.standard_normal(64), e))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_negligible_off_diagonal_at_tears(self, monkeypatch, seed):
+        # 5e-161 between diagonals of 0.5 and 1 fails QL's split test, so a
+        # tear there has rho = 0; the top tear of n rows is at row n // 2
+        monkeypatch.setattr(eigensolver, "LEAF", 16)
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(33, 81))
+        e = rng.uniform(0.1, 1.0, n - 1)
+        e[rng.random(n - 1) < 0.3] = 5e-161
+        e[n // 2 - 1] = 5e-161
+        assert_contracts(tridiagonal(rng.choice([0.5, 1.0], size=n), e))
+
+    @pytest.mark.usefixtures("halves")
+    def test_identical_decoupled_halves(self):
+        # every eigenvalue double, one copy from each half: the merge deflates all
+        H = block_diagonal((32, 32), 62)
+        H[32:, 32:] = H[:32, :32]
+        spec = eigendecompose(H, want_vectors=True)
+        assert np.max(np.abs(spec.eigenvalues[0::2] - spec.eigenvalues[1::2])) <= 1e-13
+        assert_contracts(H)
+
+    @pytest.mark.usefixtures("halves")
+    def test_sweeps_are_the_leaves(self):
+        # a 64-row block diagonal splits into its two 32-row blocks, so the
+        # solve takes the sweeps of the two blocks solved alone
+        H = block_diagonal((32, 32), 63)
+        alone = sum(eigendecompose(H[s, s]).sweeps for s in (slice(0, 32), slice(32, 64)))
+        assert eigendecompose(H, want_vectors=True).sweeps == alone
+        assert eigendecompose(H).sweeps == alone
+
+    def test_uneven_halving(self, monkeypatch):
+        # 243 rows halve into 121 + 122, then into leaves of 60 and 61 rows
+        assert_contracts(build_block(ModelParams(3, 5, 1.3, 2.0, 0.7), 10).matrix)
+        # 33 rows into 16 + 17, then into leaves of 8 and 9 rows
+        monkeypatch.setattr(eigensolver, "LEAF", 8)
+        assert_contracts(random_hermitian(33, 64))
+
+    @pytest.mark.usefixtures("halves")
+    def test_stack_matches_matrices_one_by_one(self):
+        assert_stack_contracts(np.array([random_hermitian(64, 500 + seed) for seed in range(8)]))
+
+    @pytest.mark.usefixtures("halves")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_magnitudes(self, scale):
+        assert_contracts(scale * random_hermitian(64, 65))
+
+    @pytest.mark.usefixtures("halves")
+    @pytest.mark.parametrize("want_vectors", [True, False])
+    def test_secular_cap_names_its_matrix(self, monkeypatch, want_vectors):
+        # matrix 0 splits exactly at its tear and needs no secular equation;
+        # matrix 1's first secular equation does not converge at the cap
+        monkeypatch.setattr(divide, "MAX_SECULAR_ITERATIONS", 0)
+        stack = np.array([block_diagonal((32, 32), 66), random_hermitian(64, 67)])
+        with pytest.raises(ConvergenceError, match="secular") as caught:
+            eigendecompose(stack, want_vectors=want_vectors)
+        assert caught.value.index == 1
+
+    @pytest.mark.usefixtures("halves")
+    def test_leaf_sweep_cap_names_its_matrix(self, monkeypatch):
+        # the diagonal matrix 0 takes no sweeps; matrix 1's leaves do
+        monkeypatch.setattr(eigensolver, "MAX_SWEEPS_PER_DIM", 0)
+        stack = np.array([np.diag(np.arange(64.0)) + 0j, random_hermitian(64, 68)])
+        with pytest.raises(ConvergenceError, match="sweeps") as caught:
             eigendecompose(stack)
         assert caught.value.index == 1
 
