@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .deformations import Deformation, evaluate
 from .eigensolver import _require_hermitian
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,11 @@ def _lowered(p: OccupationConfig, l: int) -> OccupationConfig:
 def _assemble(
     params: ModelParams, n: int, hop_factor: Callable[[OccupationConfig, int], complex]
 ) -> BlockHamiltonian:
-    """Block H_n whose hop from P to P lowered at mode l carries hop_factor(P, l)."""
+    """Block H_n whose hop from P to P lowered at mode l carries hop_factor(P, l).
+
+    An entry beyond the float range raises NumericalError naming its relation
+    and (F, k, n).
+    """
     basis = enumerate_block_basis(params.F, params.k, n)
     index = {p: i for i, p in enumerate(basis)}
     dim = len(basis)
@@ -115,6 +119,12 @@ def _assemble(
             factor = hop_factor(p, l)
             H[row, col] += amp_base * factor
             H[col, row] += amp_base * factor.conjugate()
+    bad = ~np.isfinite(H)
+    if bad.any():
+        relation = ("diagonal omega * phi(n - W) + delta * W" if bad.diagonal().any()
+                    else "hop g * sqrt(phi(n + 1 - W))")
+        raise NumericalError(f"the block's {relation} leaves the float range "
+                             f"(F={params.F}, k={params.k}, n={n})")
     return BlockHamiltonian(n, tuple(basis), H)
 
 

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DeformationError, ParameterError
+from .errors import DeformationError, NumericalError, ParameterError
 
 _KINDS = ("undeformed", "linear", "qexp", "qsym", "parafermionic", "custom")
 
@@ -157,8 +157,15 @@ class Deformation:
 
 
 def evaluate(phi: Deformation, x: float) -> float:
-    """Evaluate phi(x), enforcing nonnegativity (the value feeds square roots)."""
-    value = phi(x)
+    """Evaluate phi(x), enforcing nonnegativity (the value feeds square roots).
+
+    A phi(x) beyond the float range that raises OverflowError (as math.sinh
+    does) raises NumericalError naming the deformation and x.
+    """
+    try:
+        value = phi(x)
+    except OverflowError:
+        raise NumericalError(f"structure function {phi!r} overflows at x={x}") from None
     if value < 0.0:
         if value > -_CONTRACT_TOL:
             return 0.0

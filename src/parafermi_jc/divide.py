@@ -1,12 +1,12 @@
-"""Divide and conquer for the eigensolver's tridiagonals of more than LEAF rows.
+"""The merge of the eigensolver's divide and conquer (Cuppen's method, as LAPACK's dstedc).
 
-Cuppen's method as LAPACK's dstedc: the scaled tridiagonal is halved until no
-piece has more than LEAF rows, QL and inverse iteration (``eigensolver``)
-solve the pieces, and the pieces are merged back level by level.  A merge is
-a rank-one update of its two pieces' eigenvalues: dlaed2's deflation, the
-secular equations of all merges of a level solved at once by dlaed4's middle
-way, and Gu and Eisenstat's eigenvectors, applied to the pieces' vectors by
-one product per piece.  ``eigensolver`` imports this module on first use.
+``eigensolver`` halves a tridiagonal of more than LEAF rows into leaves and
+solves them; this module merges the pieces back, one level at a time.  A
+merge is a rank-one update of its two pieces' eigenvalues: dlaed2's
+deflation, the secular equations of all merges of a level solved at once by
+dlaed4's middle way, and Gu and Eisenstat's eigenvectors, applied to the
+pieces' vectors by one product per piece.  ``eigensolver`` imports this
+module on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .eigensolver import _inverse_iteration, _ql_levels
 from .errors import ConvergenceError
 
 #: Secular-equation iterations allowed per eigenvalue of a merge (dlaed4's MAXIT).
@@ -304,57 +303,3 @@ def _merge_level(pairs, want_vectors: bool):
             np.matmul(Q2[g], Y[n1:], out=vectors[g, n1:])
         merged.append((values, vectors))
     return merged
-
-
-def divide_and_conquer(d: np.ndarray, e: np.ndarray, want_vectors: bool, leaf: int):
-    """Ascending eigenvalues, eigenvectors when want_vectors, and the leaf QL
-    sweeps of the scaled tridiagonals (d, e): Cuppen's divide and conquer as
-    LAPACK's dstedc.
-
-    T is halved, the odd row going to the upper half, until no piece has more
-    than leaf rows.  Each tear takes its off-diagonal beta off the two
-    diagonal entries beside it, T = diag(pieces) + beta u u^T with u the sum
-    of the unit vectors of the two rows; an off-diagonal negligible by QL's
-    split test tears as beta = 0.  QL and inverse iteration solve the leaves
-    as one stack per size, and _merge_level merges the pieces level by level.
-    The values-only path runs the same merges and skips only the top level's
-    eigenvectors, so its eigenvalues are those of the vectors path.
-    """
-    G, n = d.shape
-    tree = [[(0, n)]]
-    while max(hi - lo for lo, hi in tree[-1]) > leaf:
-        tree.append([half for lo, hi in tree[-1]
-                     for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))])
-    tears = np.array([lo for lo, _ in tree[-1][1:]])
-    t = np.abs(d[:, tears - 1]) + np.abs(d[:, tears])
-    off = e[:, tears - 1]
-    beta = np.where(off * off <= sys.float_info.epsilon ** 2 * t * t, 0.0, off)
-    d = d.copy()
-    d[:, tears - 1] -= beta
-    d[:, tears] -= beta
-    beta = dict(zip(tears.tolist(), beta.T))
-
-    pieces = {}
-    sweeps = 0
-    for size in sorted({hi - lo for lo, hi in tree[-1]}):
-        group = [(lo, hi) for lo, hi in tree[-1] if hi - lo == size]
-        rows = G * len(group)  # matrix g's leaves are rows g * len(group)..
-        ld = np.stack([d[:, lo:hi] for lo, hi in group], axis=1).reshape(rows, size)
-        le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, size - 1)
-        try:
-            levels, count = _ql_levels(ld, le)
-        except ConvergenceError as exc:
-            exc.index //= len(group)
-            raise
-        sweeps += count
-        values = np.sort(levels, axis=1).reshape(G, len(group), size)
-        Z = _inverse_iteration(ld, le, levels).reshape(G, len(group), size, size)
-        for k, piece in enumerate(group):
-            pieces[piece] = (values[:, k], Z[:, k])
-    for depth in range(len(tree) - 2, -1, -1):
-        pairs = [(pieces.pop((lo, (lo + hi) // 2)), pieces.pop(((lo + hi) // 2, hi)),
-                  beta[(lo + hi) // 2]) for lo, hi in tree[depth]]
-        merged = _merge_level(pairs, want_vectors or depth > 0)
-        pieces.update(zip(tree[depth], merged))
-    values, vectors = pieces[(0, n)]
-    return values, vectors, sweeps

@@ -12,49 +12,50 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
    they are applied to the tridiagonal's eigenvectors, one panel per
    compact-WY product as in zunmtr (the back-transform), so the Householder
-   unitary is never formed.  A matrix whose largest entry lies outside
-   [2**-500, 2**500] is first scaled by an exact power of two, and its
-   eigenvalues scaled back, as LAPACK's zheev does.
-2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and
-   its eigenvalues scaled back exactly.  How it is solved depends on its size.
-   Up to LEAF rows, root-free implicit-shift QL (the Pal-Walker-Kahan form of
-   LAPACK's dsterf, Wilkinson shift) finds its eigenvalues, one matrix at a
-   time on Python floats: it works on the squares e_i**2, computed once, so a
-   sweep takes one square root and one hypot for its shift and none per
-   rotation; the scaling keeps the squares in range.  When eigenvectors are
-   requested, inverse iteration on the same scaled tridiagonal finds them, as
-   LAPACK's dstein does, for all G*d eigenvalues of the stack at once: each
-   eigenvalue is its own shift, T - lambda I is factored with partial pivoting
-   for every shift in one loop over the rows, and INVERSE_SOLVES solves from a
-   fixed start follow.  Neighbouring eigenvalues closer than
+   unitary is never formed.  Each matrix is first scaled by the power of two
+   of its largest entry, and its eigenvalues scaled back, as LAPACK's zheev
+   does for extreme matrices.
+2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
+   eigenvalues scaled back exactly; every off-diagonal that the split test
+   e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
+   zero, once.  T is halved until no piece has more than LEAF rows (a single
+   piece up to LEAF rows), each tear taking its off-diagonal out of the two
+   diagonal entries beside it.  Root-free implicit-shift QL (the
+   Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) finds the
+   leaves' eigenvalues, one leaf at a time on Python floats: it works on the
+   squares e_i**2, computed once, so a sweep takes one square root and one
+   hypot for its shift and none per rotation; the scaling keeps the squares
+   in range.  When eigenvectors are requested or the leaves are to be merged,
+   inverse iteration on the same leaves finds their vectors, as LAPACK's
+   dstein does, for every eigenvalue of the leaves of one size at once: each
+   eigenvalue is its own shift, T - lambda I is factored with partial
+   pivoting for every shift in one loop over the rows, and INVERSE_SOLVES
+   solves from a fixed start follow.  Neighbouring eigenvalues closer than
    CLUSTER_RTOL * ||T||_1 form a cluster, and those closer than
    GROUP_RTOL * ||T||_1 a group.  A QR factorization orthonormalizes each
    group after every solve but the last, and each cluster, in ascending order,
-   after the last.  Both split T on one test,
-   e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2, evaluated alike on the same scaled
-   values, so inverse iteration splits exactly where QL deflates on entry.
-   Above LEAF rows, divide and conquer (Cuppen's, as LAPACK's dstedc; module
-   ``divide``, imported on first use) halves T until no piece has more than
-   LEAF rows, tearing each off-diagonal out of the two diagonal entries
-   beside it (an off-diagonal negligible by the split test tears as zero).  QL and inverse iteration solve the leaves as
-   above, and the pieces are merged back level by level: each merge is a
-   rank-one update of the two pieces' eigenvalues, deflated as in dlaed2, its
-   secular equations solved all at once by dlaed4's middle way, and its
-   eigenvectors taken from Gu and Eisenstat's weights and applied to the
-   pieces' vectors by one product per piece.  The values-only path runs the
-   same merges and skips only the top level's eigenvectors, so its
-   eigenvalues are those of the vectors path, bit for bit.
+   after the last.  Inverse iteration splits T at its zero off-diagonals,
+   where QL deflates on entry.  The pieces are then merged back level by
+   level (Cuppen's divide and conquer, as LAPACK's dstedc; module ``divide``,
+   imported on first use): each merge is a rank-one update of the two pieces'
+   eigenvalues, deflated as in dlaed2, its secular equations solved all at
+   once by dlaed4's middle way, and its eigenvectors taken from Gu and
+   Eisenstat's weights and applied to the pieces' vectors by one product per
+   piece.  The values-only path runs the same merges and skips only the top
+   level's eigenvectors, so its eigenvalues are those of the vectors path,
+   bit for bit.
 
 Working set: the input is copied once and, when the caller keeps no
 reference to it, freed (from Python 3.11).  The Householder workspace has
 2 * min(PANEL, d - 2) columns, inverse iteration holds its factors only
 through the solves, and the back-transform applies T^-1 to the nb x d
-product V^H X.  A merge holds the two pieces' vectors, its own, one d x d
-coefficient matrix, and d x d arrays of the secular solver's rows (the
-roots' distances to the poles, and while a level has several equations,
-their weights), which shrink as roots converge.  With eigenvectors the
-traced peak is about 5 times the complex stack up to LEAF rows, and 3.4
-times at d = 256.
+product V^H X; the root's eigenvectors reach it with no other reference, so
+it frees them once phase-rotated.  A merge holds the two pieces' vectors,
+its own, one d x d coefficient matrix, and d x d arrays of the secular
+solver's rows (the roots' distances to the poles, and while a level has
+several equations, their weights), which shrink as roots converge.  With
+eigenvectors the traced peak is about 5.4 times the complex stack at
+d = 27, and 3.3 times at d = 256.
 
 Contracts: eigenvalues ascending; when vectors are requested, per-pair
 residual ||H v - lambda v|| <= 1e-10 * (1 + max|H| * dim) and orthonormality
@@ -91,10 +92,6 @@ MAX_SWEEPS_PER_DIM = 64
 #: one compact-WY transform.
 PANEL = 32
 
-#: The Householder stage takes a matrix unscaled when its largest entry lies in
-#: [2**-SAFE_EXPONENT, 2**SAFE_EXPONENT]; otherwise it is scaled into [0.5, 1).
-SAFE_EXPONENT = 500
-
 #: Inverse-iteration solves per eigenvector.  Each shrinks the components along
 #: the other eigenvectors by a factor of about eps / CLUSTER_RTOL outside the
 #: vector's cluster, and eps / GROUP_RTOL outside its group.
@@ -109,17 +106,16 @@ CLUSTER_RTOL = 1e-3
 #: this close in shift barely separate them, so they would turn into one vector.
 GROUP_RTOL = 1e-12
 
-#: Tridiagonals of more rows than this are solved by divide and conquer: halved
-#: until no piece has more than LEAF rows, the pieces solved by QL and inverse
-#: iteration, and merged back level by level.
+#: Tridiagonals are halved until no piece has more rows than this; QL and
+#: inverse iteration solve the pieces, which are merged back level by level.
 LEAF = 64
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
-    and the number of QL implicit-shift sweeps the solve took (above LEAF rows,
-    the sweeps of the divide-and-conquer leaves).
+    and the number of QL implicit-shift sweeps the solve took, those of its
+    leaves.
 
     For a (G, d, d) stack, eigenvalues is (G, d), eigenvectors (G, d, d) and
     sweeps the total over the stack.
@@ -432,26 +428,23 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     positions.  Returns Z (G, n, n) whose column j is the eigenvector of the
     j-th smallest eigenvalue.
 
-    T splits where QL deflates on entry, at e_i**2 <= eps**2 * t * t with
-    t = |d_i| + |d_i+1|, the same expression on the same values, so QL leaves
-    the eigenvalues of a split block in its rows; a shift's start vector is
-    zero outside its block, which the factorization keeps so.  The eigenvalues
-    are sorted by (matrix, block, value), and each is its own shift.
-    Neighbours closer than GROUP_RTOL form a group and neighbours closer than
-    CLUSTER_RTOL a cluster.
-    All shifts make INVERSE_SOLVES solves together; after each but the last,
-    every group is orthonormalized by one QR factorization, and after the last
-    every cluster is, in ascending order of its eigenvalues.
+    T splits at its zero off-diagonals, where QL deflates on entry, so QL
+    leaves the eigenvalues of a split block in its rows; a shift's start
+    vector is zero outside its block, which the factorization keeps so.  The
+    eigenvalues are sorted by (matrix, block, value), and each is its own
+    shift.  Neighbours closer than GROUP_RTOL form a group and neighbours
+    closer than CLUSTER_RTOL a cluster.  All shifts make INVERSE_SOLVES solves
+    together; after each but the last, every group is orthonormalized by one
+    QR factorization, and after the last every cluster is, in ascending order
+    of its eigenvalues.
     """
     G, n = d.shape
     if n == 0:
         return np.zeros((G, 0, 0))
-    a = d.T
-    t = np.abs(a[:-1]) + np.abs(a[1:])
-    b = np.where(e.T * e.T <= sys.float_info.epsilon ** 2 * t * t, 0.0, e.T)
+    a, b = d.T, e.T
     norm = _one_norm(d, e)
     block = np.zeros((G, n), dtype=np.intp)
-    np.cumsum(b.T == 0.0, axis=1, out=block[:, 1:])
+    np.cumsum(e == 0.0, axis=1, out=block[:, 1:])
     rank = np.argsort(np.argsort(levels, axis=1, kind="stable"), axis=1)
 
     # every shift, sorted by (matrix, block, value) into clusters and groups
@@ -492,43 +485,69 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     return Z.reshape(G, n, n).swapaxes(1, 2)
 
 
-def _ql_levels(d: np.ndarray, e: np.ndarray):
-    """QL eigenvalues of each tridiagonal of the stack, in QL's positions, and
-    the total sweep count.  A ConvergenceError carries the position of its
-    tridiagonal as ``index``."""
-    squares = e * e
-    levels = np.empty_like(d)
-    sweeps = 0
-    for g in range(d.shape[0]):
-        diag = d[g].tolist()
-        try:
-            sweeps += _ql_implicit_shift(diag, squares[g].tolist())
-        except ConvergenceError as exc:
-            exc.index = g
-            raise
-        levels[g] = diag
-    return levels, sweeps
-
-
 def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors):
-    """Ascending eigenvalues (G, n) of the scaled tridiagonals (d, e), the
-    eigenvectors (G, n, n) of the matrices they came from when reflectors is
-    not None (else None), and the QL sweeps: QL and inverse iteration up to
-    LEAF rows, divide and conquer above."""
-    if d.shape[1] > LEAF:
+    """Ascending eigenvalues (G, n) of the scaled tridiagonals (d, e), whose
+    negligible off-diagonals are zero, the eigenvectors (G, n, n) of the
+    matrices they came from when reflectors is not None (else None), and the
+    QL sweeps.  d is overwritten.
+
+    T is halved, the odd row going to the upper half, until no piece has more
+    than LEAF rows.  Each tear takes its off-diagonal beta off the two diagonal
+    entries beside it, T = diag(pieces) + beta u u^T with u the sum of the
+    unit vectors of the two rows.  QL and inverse iteration solve the leaves
+    as one stack per size, and divide._merge_level merges the pieces level by
+    level.  A single leaf solved for values only skips inverse iteration; the
+    values-only path of a tree runs the same merges and skips only the top
+    level's eigenvectors, so its eigenvalues are those of the vectors path.
+    """
+    G, n = d.shape
+    tree = [[(0, n)]]
+    while max(hi - lo for lo, hi in tree[-1]) > LEAF:
+        tree.append([half for lo, hi in tree[-1]
+                     for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))])
+    tears = np.array([lo for lo, _ in tree[-1][1:]], dtype=np.intp)
+    d[:, tears - 1] -= e[:, tears - 1]
+    d[:, tears] -= e[:, tears - 1]
+
+    pieces = {}
+    sweeps = 0
+    for size in sorted({hi - lo for lo, hi in tree[-1]}):
+        group = [(lo, hi) for lo, hi in tree[-1] if hi - lo == size]
+        rows = G * len(group)  # matrix g's leaves are rows g * len(group)..
+        ld = np.stack([d[:, lo:hi] for lo, hi in group], axis=1).reshape(rows, size)
+        le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, size - 1)
+        squares = le * le
+        levels = np.empty_like(ld)
+        for r in range(rows):
+            diag = ld[r].tolist()
+            try:
+                sweeps += _ql_implicit_shift(diag, squares[r].tolist())
+            except ConvergenceError as exc:
+                exc.index = r // len(group)
+                raise
+            levels[r] = diag
+        values = np.sort(levels, axis=1).reshape(G, len(group), size)
+        vectors = None
+        if reflectors is not None or len(tree) > 1:
+            vectors = _inverse_iteration(ld, le, levels).reshape(G, len(group), size, size)
+        for k, piece in enumerate(group):
+            pieces[piece] = (values[:, k], None if vectors is None else vectors[:, k])
+    del vectors
+    if len(tree) > 1:
         # imported on first use, so that a process solving only small blocks
         # does not compile it (as costly as this module where bytecode is not
         # cached)
-        from .divide import divide_and_conquer
-
-        values, Z, sweeps = divide_and_conquer(d, e, reflectors is not None, LEAF)
-        return values, None if Z is None else _back_transform(reflectors, Z), sweeps
-    levels, sweeps = _ql_levels(d, e)
-    vectors = None
-    if reflectors is not None:
-        # passed on unnamed, so _back_transform can free them early
-        vectors = _back_transform(reflectors, _inverse_iteration(d, e, levels))
-    return np.sort(levels, axis=1), vectors, sweeps
+        from .divide import _merge_level
+    for depth in range(len(tree) - 2, -1, -1):
+        pieces.update(zip(tree[depth], _merge_level(
+            [(pieces.pop((lo, (lo + hi) // 2)), pieces.pop(((lo + hi) // 2, hi)),
+              e[:, (lo + hi) // 2 - 1]) for lo, hi in tree[depth]],
+            reflectors is not None or depth > 0)))
+    values = pieces[(0, n)][0]
+    if reflectors is None:
+        return values, None, sweeps
+    # the root's vectors are passed on unnamed, so _back_transform can free them early
+    return values, _back_transform(reflectors, pieces.pop((0, n))[1]), sweeps
 
 
 def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
@@ -545,18 +564,18 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     work = (A[np.newaxis] if single else A).copy()
     del H, A  # an input that the caller does not keep is freed here (Python 3.11+)
     G, n = work.shape[:2]
-    # like LAPACK's zheev, scale extreme matrices by an exact power of two so
-    # the Householder norms neither overflow nor drop columns that underflow;
-    # at ordinary magnitudes the bits are those of the unscaled solve
+    # scale each matrix by the power of two of its largest entry, as LAPACK's
+    # zheev does for extreme ones, so the Householder norms neither overflow
+    # nor drop columns that underflow; every sum of squares scales by an even
+    # power of two and its square root exactly, so a matrix whose squares are
+    # normal floats either way keeps the bits of an unscaled solve
     exponent = np.frexp(peak.reshape(G))[1]
-    exponent[np.abs(exponent) <= SAFE_EXPONENT] = 0
-    if exponent.any():
-        parts = work.view(np.float64)
-        np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
+    parts = work.view(np.float64)
+    np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
     d, e, reflectors = _tridiagonalize(work, want_vectors)
-    del work
-    # entries of the tridiagonal are at most n * 2**500, so its 1-norm is
-    # finite exactly when every entry is
+    del work, parts  # the view parts would keep work alive
+    # entries of the tridiagonal are at most about n, so its 1-norm is finite
+    # exactly when every entry is
     norm = _one_norm(d, e)
     bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
@@ -569,6 +588,11 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     scale = np.frexp(norm)[1]
     d = np.ldexp(d, -scale[:, np.newaxis])
     e = np.ldexp(e, -scale[:, np.newaxis])
+    # the one split test: an off-diagonal negligible beside its two diagonal
+    # entries is zero from here on, so QL deflates on entry where inverse
+    # iteration splits T, and a tear there takes nothing off the diagonal
+    t = np.abs(d[:, :-1]) + np.abs(d[:, 1:])
+    e[e * e <= sys.float_info.epsilon ** 2 * t * t] = 0.0
     values, vectors, sweeps = _solve_tridiagonal(d, e, reflectors)
     with np.errstate(over="ignore"):
         values = np.ldexp(values, (exponent + scale)[:, np.newaxis])

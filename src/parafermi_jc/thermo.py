@@ -182,8 +182,8 @@ def _require_step(lower: np.ndarray, upper: np.ndarray, op: np.ndarray, step: fl
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
     """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega),
     from one values-only scan of [omega - step, omega + step]."""
-    if not step > 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {step}")
     lo, hi = params.omega - step, params.omega + step
     if not lo < hi:
         raise ParameterError(f"step {step!r} vanishes against omega={params.omega!r}")
@@ -199,12 +199,16 @@ def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> floa
 def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     """<N> from the mu-perturbation H + mu*N, differentiated at mu = 0, with
     H + step*N and H - step*N solved, values only, as one stack."""
-    if not step > 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {step}")
     block = build_block(params, n)
     boson = _diagonal_operators(block, params)[:, 0]
-    stack = np.stack([block.matrix + mu * np.diag(boson) for mu in (step, -step)])
+    with np.errstate(over="ignore"):  # checked below
+        stack = np.stack([block.matrix + mu * np.diag(boson) for mu in (step, -step)])
     diagonals = np.diagonal(stack, axis1=1, axis2=2).real
+    if not np.isfinite(diagonals).all():
+        raise ParameterError(f"step {step!r} takes a diagonal entry of H + step * N beyond the "
+                             f"float range (F={params.F}, k={params.k}, n={n})")
     _require_step(diagonals[1], diagonals[0], boson, step, params, n)
     log_hi, log_lo = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
     return -(log_hi - log_lo) / (2.0 * step * params.beta)

@@ -10,6 +10,7 @@ from parafermi_jc import (
     Deformation,
     DeformationError,
     ModelParams,
+    NumericalError,
     ParameterError,
     build_block,
     build_higher_spin_block,
@@ -101,6 +102,16 @@ class TestBuildBlock:
         # structure function, whose values then go negative
         p = params(F=3, k=1, deformation=Deformation.parafermionic(3))
         with pytest.raises(DeformationError):
+            build_block(p, 5)
+
+    @pytest.mark.parametrize("p,relation", [
+        (params(omega=10.0, deformation=Deformation.linear(1e308)), "diagonal"),
+        (params(F=3, g=1e308, deformation=Deformation.linear(1e300)), "hop"),
+    ], ids=["diagonal", "hop"])
+    def test_entry_beyond_float_range_named(self, p, relation):
+        # phi(n - W) = 5e308 and 3e300 * g overflow to inf; the relation is
+        # named instead of a generic non-finite matrix
+        with pytest.raises(NumericalError, match=rf"block's {relation} .* \(F={p.F}, k=1, n=5\)"):
             build_block(p, 5)
 
     @given(

@@ -566,6 +566,12 @@ class TestVerify:
         check, = [c for c in json.loads(out)["checks"] if c["name"] == "spin_equivalence"]
         assert check["passed"] and "F=4 apart by at least 1.18" in check["detail"]
 
+    def test_non_finite_mu_step_named(self, capsys):
+        # not the omega grid point -inf that the omega route would form from it
+        code, out, err = run_cli(capsys, "verify", "--mu-step", "inf")
+        assert (code, out) == (1, "")
+        assert err == "parameter error: step must be positive and finite, got inf\n"
+
     def test_unscaled_spin_coupling_is_caught(self, monkeypatch):
         # without g / sqrt(F - 1), F = 3 spins no longer match the parafermions
         good = verify.build_higher_spin_block
@@ -694,6 +700,22 @@ class TestOverflowFailsCleanly:
         assert code == 2 and out == "" and caught == []
         assert err.count("\n") == 1 and err.startswith("numerical error:")
         assert err.rstrip().endswith("at omega=1e+308 (F=2, k=1, n=3)")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("spectrum", "--F", "2", "--k", "1", "--n", "5", "--deformation", "linear",
+          "--hbar", "1e308", "--omega", "10"),
+         "the block's diagonal omega * phi(n - W) + delta * W leaves the float range "
+         "(F=2, k=1, n=5)"),
+        (("spectrum", "--F", "2", "--k", "1", "--n", "3", "--deformation", "qexp", "--hbar", "700"),
+         "structure function Deformation(kind='qexp', param=700.0) overflows at x=3"),
+        (("thermo-scan", "--F", "2", "--k", "1", "--n", "3", "--deformation", "qexp",
+          "--hbar", "700") + GRID_1_2,
+         "structure function Deformation(kind='qexp', param=700.0) overflows at x=3"),
+    ], ids=["linear_diagonal", "qexp_spectrum", "qexp_thermo_scan"])
+    def test_overflow_in_block_assembly_named(self, capsys, argv, message):
+        code, out, err, caught = run_cli_recording_warnings(capsys, *argv)
+        assert code == 2 and out == "" and caught == []
+        assert err == f"numerical error: {message}\n"
 
     def test_stderr_of_a_process_holds_no_warning(self):
         proc = subprocess.run(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafermi_jc import Deformation, DeformationError, ParameterError, evaluate
+from parafermi_jc import Deformation, DeformationError, NumericalError, ParameterError, evaluate
 
 ALL_VARIANTS = [
     Deformation.undeformed(),
@@ -93,6 +93,14 @@ def test_negative_value_rejected():
     phi = Deformation.custom(lambda x: -x)
     with pytest.raises(DeformationError):
         evaluate(phi, 1.0)
+
+
+def test_overflow_named():
+    # sinh(2100) overflows math.sinh; a custom function's OverflowError alike
+    with pytest.raises(NumericalError, match=r"kind='qexp', param=700\.0\) overflows at x=3"):
+        evaluate(Deformation.q_exp(700.0), 3)
+    with pytest.raises(NumericalError, match=r"kind='custom', param=None\) overflows at x=2"):
+        evaluate(Deformation.custom(lambda x: math.expm1(1000.0 * x)), 2)
 
 
 def test_custom_must_vanish_at_zero():

@@ -718,6 +718,19 @@ class TestExtremeMagnitudes:
         assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert max_residual(H, spec.eigenvectors, spec.eigenvalues) <= residual_bound(H)
 
+    @pytest.mark.parametrize("exponent", [-300, -60, 7, 300])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        # each matrix is scaled by the power of two of its largest entry, so
+        # 2**exponent * H has 2**exponent times H's eigenvalues and H's
+        # eigenvectors bit for bit, also where the squares of its 1e-160
+        # couplings underflow
+        H = skipping_with_tiny_columns()
+        scaled = np.ldexp(H.real, exponent) + 1j * np.ldexp(H.imag, exponent)
+        spec, spec_scaled = (eigendecompose(M, want_vectors=True) for M in (H, scaled))
+        assert np.array_equal(np.ldexp(spec.eigenvalues, exponent), spec_scaled.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, spec_scaled.eigenvectors)
+        assert spec.sweeps == spec_scaled.sweeps
+
     def test_eigenvalue_beyond_float_range(self):
         H = np.full((2, 2), 1.7e308)
         with pytest.raises(NumericalError, match="float range"):

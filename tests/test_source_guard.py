@@ -1,5 +1,6 @@
 """Static guards: the library solves its own eigenproblems and runs serially,
-and every public name has a caller outside the tests.
+every public name has a caller outside the tests, and no two modules import
+each other, directly or around a ring.
 
 LAPACK eigenroutines and polynomial root finders (which call them) belong to
 the test suite as oracles; the package itself must not reference them, nor
@@ -7,6 +8,7 @@ scipy, nor thread pools.  Comments and string literals are skipped, so prose
 may still name what the code must not use.
 """
 
+import ast
 import collections
 import pathlib
 import re
@@ -58,3 +60,61 @@ def test_every_export_has_a_caller_outside_the_tests():
                                  for token in re.findall(r"\w+", text))
     unused = sorted(name for name in parafermi_jc.__all__ if counts[name] < 2)
     assert not unused, f"exported but used only by the tests: {unused}"
+
+
+def package_imports(path):
+    """Names of the package modules that path imports, at module level or
+    inside functions, in any of the relative or absolute forms."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("parafermi_jc."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "parafermi_jc":
+                continue
+            parts = module.split(".")[1 if node.level == 0 else 0:]
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:  # from . import x, from parafermi_jc import x
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def find_cycle(graph):
+    """Modules that import each other around a ring, first repeated last, or None."""
+    state = {}
+
+    def visit(path):
+        state[path[-1]] = "open"
+        for name in sorted(graph[path[-1]]):
+            if state.get(name) == "open":
+                return path[path.index(name):] + [name]
+            found = None if name in state else visit(path + [name])
+            if found:
+                return found
+        state[path[-1]] = "done"
+        return None
+
+    for name in sorted(graph):
+        found = None if name in state else visit([name])
+        if found:
+            return found
+    return None
+
+
+def test_no_import_cycles():
+    modules = {p.stem: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    graph = {name: package_imports(path) & modules.keys() for name, path in modules.items()}
+    assert find_cycle(graph) is None, "import cycle: " + " -> ".join(find_cycle(graph))
+
+
+def test_cycle_guard_sees_every_import_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy\nfrom .errors import NumericalError\n"
+                      "def f():\n    from . import divide\n    import parafermi_jc.thermo\n"
+                      "    from parafermi_jc.cli import main\n    from parafermi_jc import exact\n")
+    assert package_imports(sample) == {"errors", "divide", "thermo", "cli", "exact"}
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None

@@ -201,6 +201,18 @@ class TestDerivativeRoutes:
         with pytest.raises(ParameterError):
             n_via_mu_derivative(params, 1, -1e-4)
 
+    @pytest.mark.parametrize("route", [n_via_mu_derivative, phi_n_via_omega_derivative])
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_step_rejected(self, route, step):
+        with pytest.raises(ParameterError, match="step must be positive and finite"):
+            route(ModelParams(2, 1, 1.0, 1.0, 1.0), 2, step)
+
+    def test_mu_step_beyond_float_range_named(self):
+        # 1e308 * N overflows the perturbed diagonal: no numpy warning, and
+        # the error names the step, not a non-finite matrix
+        with pytest.raises(ParameterError, match=r"step 1e\+308 .*\(F=2, k=1, n=2\)"):
+            n_via_mu_derivative(ModelParams(2, 1, 1.0, 1.0, 1.0), 2, 1e308)
+
 
 class TestOmegaScan:
     def test_trivial_block_constant(self):
