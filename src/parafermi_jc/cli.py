@@ -182,6 +182,8 @@ def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -190,14 +192,17 @@ def _format_cell(value) -> str:
 
 
 def _emit(cfg: argparse.Namespace, header: list[str], rows: list[list]) -> None:
-    for row in rows:
-        for key, cell in zip(header, row):
-            if cell is not None and not math.isfinite(cell):
-                raise NumericalError(f"{cfg.command} computed a non-finite {key}: {cell!r}")
+    columns = list(zip(*rows))
+    for column in columns:
+        cells = [cell for cell in column if cell is not None] if None in column else column
+        if not all(map(math.isfinite, cells)):
+            # name the first non-finite cell in row order
+            key, cell = next((key, cell) for row in rows for key, cell in zip(header, row)
+                             if cell is not None and not math.isfinite(cell))
+            raise NumericalError(f"{cfg.command} computed a non-finite {key}: {cell!r}")
     if cfg.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        cells = zip(*(map(_format_cell, column) for column in columns))
+        text = "\n".join([",".join(header), *map(",".join, cells)]) + "\n"
     else:
         keys = [key for key in _COMMANDS[cfg.command][2] if key not in _OUTPUT]
         record = {"command": cfg.command, **{key: getattr(cfg, key) for key in keys}}

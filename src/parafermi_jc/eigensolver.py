@@ -24,26 +24,28 @@ stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
    Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) finds the
    leaves' eigenvalues, one leaf at a time on Python floats: it works on the
    squares e_i**2, computed once, so a sweep takes one square root and one
-   hypot for its shift and none per rotation; the scaling keeps the squares
-   in range.  When eigenvectors are requested or the leaves are to be merged,
-   inverse iteration on the same leaves finds their vectors, as LAPACK's
-   dstein does, for every eigenvalue of the leaves of one size at once: each
-   eigenvalue is its own shift, T - lambda I is factored with partial
-   pivoting for every shift in one loop over the rows, and INVERSE_SOLVES
-   solves from a fixed start follow.  Neighbouring eigenvalues closer than
-   CLUSTER_RTOL * ||T||_1 form a cluster, and those closer than
-   GROUP_RTOL * ||T||_1 a group.  A QR factorization orthonormalizes each
-   group after every solve but the last, and each cluster, in ascending order,
-   after the last.  Inverse iteration splits T at its zero off-diagonals,
-   where QL deflates on entry.  The pieces are then merged back level by
-   level (Cuppen's divide and conquer, as LAPACK's dstedc; module ``divide``,
-   imported on first use): each merge is a rank-one update of the two pieces'
-   eigenvalues, deflated as in dlaed2, its secular equations solved all at
-   once by dlaed4's middle way, and its eigenvectors taken from Gu and
-   Eisenstat's weights and applied to the pieces' vectors by one product per
-   piece.  The values-only path runs the same merges and skips only the top
-   level's eigenvectors, so its eigenvalues are those of the vectors path,
-   bit for bit.
+   hypot for its shift and none per rotation; the scaling keeps the squares in
+   range.  A block's end is found once; each sweep then tests only the
+   off-diagonal at the block's top, where QL converges, and may cross an entry
+   that became negligible during the block's sweeps.  When eigenvectors are
+   requested or the leaves are to be merged, inverse iteration on the same
+   leaves finds their vectors, as LAPACK's dstein does, for every eigenvalue
+   of the leaves of one size at once: each eigenvalue is its own shift,
+   T - lambda I is factored with partial pivoting for every shift in one loop
+   over the rows, and INVERSE_SOLVES solves from a fixed start follow.
+   Neighbouring eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a cluster,
+   and those closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
+   orthonormalizes each group after every solve but the last, and each
+   cluster, in ascending order, after the last.  Inverse iteration splits T at
+   its zero off-diagonals, where QL's blocks end.  The pieces are then merged
+   back level by level (Cuppen's divide and conquer, as LAPACK's dstedc;
+   module ``divide``, imported on first use): each merge is a rank-one update
+   of the two pieces' eigenvalues, deflated as in dlaed2, its secular
+   equations solved all at once by dlaed4's middle way, and its eigenvectors
+   taken from Gu and Eisenstat's weights and applied to the pieces' vectors by
+   one product per piece.  The values-only path runs the same merges and skips
+   only the top level's eigenvectors, so its eigenvalues are those of the
+   vectors path, bit for bit.
 
 Working set: the input is copied once and, when the caller keeps no
 reference to it, freed (from Python 3.11).  The Householder workspace has
@@ -281,50 +283,58 @@ def _ql_implicit_shift(d: list, e2: list) -> int:
     d and e2 are Python float lists: the scalar chain runs faster on them than
     on numpy scalars.  Off-diagonal i is negligible when e2[i] <= eps**2 * t * t
     with t = |d_i| + |d_i+1|, the square of |e_i| <= eps * t; the squares stay
-    in range when ||T||_1 is near 1.  A sweep never crosses an off-diagonal
-    that is negligible on entry, so d[i] ends as an eigenvalue of the
-    unreduced block that holds row i.
+    in range when ||T||_1 is near 1.  A block's end m is found once, when l
+    enters the block; each sweep then tests only e2[l], where QL converges.
+    A sweep may cross an entry that became negligible during the block's
+    sweeps, but never one negligible on entry, so d[i] ends as an eigenvalue
+    of the unreduced block that held row i on entry.
     """
     n = len(d)
     e2.append(0.0)
     eps2 = sys.float_info.epsilon ** 2
     sweeps = 0
     cap = MAX_SWEEPS_PER_DIM * max(n, 1)
+    m = 0
     for l in range(n):
-        while True:
+        if m <= l:
             m = l
             while m < n - 1:
                 t = abs(d[m]) + abs(d[m + 1])
                 if e2[m] <= eps2 * t * t:
                     break
                 m += 1
-            if m == l:
+        while m > l:
+            top, nxt, top2 = d[l], d[l + 1], e2[l]
+            t = abs(top) + abs(nxt)
+            if top2 <= eps2 * t * t:
                 break
             sweeps += 1
             if sweeps > cap:
                 raise ConvergenceError(
                     f"eigensolver exceeded {cap} implicit-shift sweeps on a {n}x{n} matrix"
                 )
-            rte = math.sqrt(e2[l])
-            g = (d[l + 1] - d[l]) / (2.0 * rte)
+            rte = math.sqrt(top2)
+            g = (nxt - top) / (2.0 * rte)
             r = math.hypot(g, 1.0)
-            sigma = d[l] - rte / (g + (r if g >= 0 else -r))
+            sigma = top - rte / (g + (r if g >= 0 else -r))
             c, s = 1.0, 0.0
             gamma = d[m] - sigma
             p = gamma * gamma
-            # at i = m - 1, s = 0 clears e2[m]
+            # at i = m - 1, s = 0 clears e2[m]; row below = i + 1
+            below = m
             for i in range(m - 1, l - 1, -1):
                 bb = e2[i]
                 r = p + bb
-                e2[i + 1] = s * r
+                e2[below] = s * r
                 old_c = c
                 c = p / r
                 s = bb / r
                 old_gamma = gamma
                 alpha = d[i]
                 gamma = c * (alpha - sigma) - s * old_gamma
-                d[i + 1] = old_gamma + (alpha - gamma)
+                d[below] = old_gamma + (alpha - gamma)
                 p = gamma * gamma / c if c else old_c * bb
+                below = i
             e2[l] = s * p
             d[l] = sigma + gamma
     return sweeps
@@ -428,8 +438,8 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray):
     positions.  Returns Z (G, n, n) whose column j is the eigenvector of the
     j-th smallest eigenvalue.
 
-    T splits at its zero off-diagonals, where QL deflates on entry, so QL
-    leaves the eigenvalues of a split block in its rows; a shift's start
+    T splits at its zero off-diagonals, where QL's blocks end, so QL leaves
+    the eigenvalues of a split block in its rows; a shift's start
     vector is zero outside its block, which the factorization keeps so.  The
     eigenvalues are sorted by (matrix, block, value), and each is its own
     shift.  Neighbours closer than GROUP_RTOL form a group and neighbours
@@ -516,16 +526,14 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors):
         rows = G * len(group)  # matrix g's leaves are rows g * len(group)..
         ld = np.stack([d[:, lo:hi] for lo, hi in group], axis=1).reshape(rows, size)
         le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, size - 1)
-        squares = le * le
-        levels = np.empty_like(ld)
-        for r in range(rows):
-            diag = ld[r].tolist()
+        diags = ld.tolist()
+        for r, (diag, squares) in enumerate(zip(diags, (le * le).tolist())):
             try:
-                sweeps += _ql_implicit_shift(diag, squares[r].tolist())
+                sweeps += _ql_implicit_shift(diag, squares)
             except ConvergenceError as exc:
                 exc.index = r // len(group)
                 raise
-            levels[r] = diag
+        levels = np.array(diags).reshape(rows, size)
         values = np.sort(levels, axis=1).reshape(G, len(group), size)
         vectors = None
         if reflectors is not None or len(tree) > 1:
@@ -589,7 +597,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False) -> Spectrum:
     d = np.ldexp(d, -scale[:, np.newaxis])
     e = np.ldexp(e, -scale[:, np.newaxis])
     # the one split test: an off-diagonal negligible beside its two diagonal
-    # entries is zero from here on, so QL deflates on entry where inverse
+    # entries is zero from here on, so QL's blocks end where inverse
     # iteration splits T, and a tear there takes nothing off the diagonal
     t = np.abs(d[:, :-1]) + np.abs(d[:, 1:])
     e[e * e <= sys.float_info.epsilon ** 2 * t * t] = 0.0

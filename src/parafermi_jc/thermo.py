@@ -187,12 +187,17 @@ def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> floa
     lo, hi = params.omega - step, params.omega + step
     if not lo < hi:
         raise ParameterError(f"step {step!r} vanishes against omega={params.omega!r}")
-    (_, log_lo), (_, log_hi) = log_partition_scan(params, n, [lo, hi])
-    # the diagonals the scan solved, H0 + omega * phi(N), known to be finite
+    # the diagonals the scan is to solve, H0 + omega * phi(N)
     base = build_block(params.with_omega(0.0), n)
     phi = _diagonal_operators(base, params)[:, 2]
     h0 = base.matrix.diagonal().real
-    _require_step(h0 + lo * phi, h0 + hi * phi, phi, step, params, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lower, upper = h0 + lo * phi, h0 + hi * phi
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ParameterError(f"step {step!r} takes a diagonal entry of H0 + (omega +- step) * phi "
+                             f"beyond the float range (F={params.F}, k={params.k}, n={n})")
+    _require_step(lower, upper, phi, step, params, n)
+    (_, log_lo), (_, log_hi) = log_partition_scan(params, n, [lo, hi])
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 

@@ -572,6 +572,13 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "parameter error: step must be positive and finite, got inf\n"
 
+    def test_mu_step_beyond_float_range_named(self, capsys):
+        # a parameter error (exit 1) naming the step, not a numerical error
+        # (exit 2) at a grid point of the omega route
+        code, out, err = run_cli(capsys, "verify", "--mu-step", "1e308")
+        assert (code, out) == (1, "")
+        assert err.startswith("parameter error: step 1e+308 ") and err.count("\n") == 1
+
     def test_unscaled_spin_coupling_is_caught(self, monkeypatch):
         # without g / sqrt(F - 1), F = 3 spins no longer match the parafermions
         good = verify.build_higher_spin_block
@@ -649,6 +656,38 @@ def run_cli_recording_warnings(capsys, *argv):
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
     return code, out, err, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught]
+
+
+class TestEmit:
+    """The CSV writer works column by column; its bytes and its error are those
+    of a writer that goes row by row."""
+
+    CFG = argparse.Namespace(command="spectrum", format="csv", out="-")
+    HEADER = ["a", "b", "c", "d"]
+
+    def test_csv_bytes_of_mixed_rows(self, capsys):
+        rows = [[0, 1.5, None, np.float64(0.1)],
+                [np.int64(1), -2.0, 3, 1e-300],
+                [2, np.float64(-0.0), None, 5e-324]]
+        cli._emit(self.CFG, self.HEADER, rows)
+        by_row = "".join(",".join(cli._format_cell(cell) for cell in row) + "\n" for row in rows)
+        out = capsys.readouterr().out
+        assert out == "a,b,c,d\n" + by_row
+        assert out == "a,b,c,d\n0,1.5,,0.1\n1,-2.0,3,1e-300\n2,-0.0,,5e-324\n"
+
+    def test_header_only(self, capsys):
+        cli._emit(self.CFG, self.HEADER, [])
+        assert capsys.readouterr().out == "a,b,c,d\n"
+
+    def test_first_non_finite_cell_in_row_order_named(self):
+        # column b holds a nan in row 1, column d an inf in row 0: the error
+        # names the inf, the first in row order
+        rows = [[0, 1.0, None, math.inf], [1, math.nan, None, 2.0], [2, 1.0, None, -math.inf]]
+        with pytest.raises(NumericalError, match=r"^spectrum computed a non-finite d: inf$"):
+            cli._emit(self.CFG, self.HEADER, rows)
+        rows[0][3] = 1.0
+        with pytest.raises(NumericalError, match=r"^spectrum computed a non-finite b: nan$"):
+            cli._emit(self.CFG, self.HEADER, rows)
 
 
 class TestOverflowFailsCleanly:

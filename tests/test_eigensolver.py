@@ -200,7 +200,8 @@ def reference_dsterf(d, e):
     As in the eigensolver and unlike dsterf: QL sweeps only (dsterf turns to
     QR when the bottom of a block is smaller), no closed form for 2 x 2
     blocks, no scaling (the caller scales), and the deflation test
-    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 everywhere.
+    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 everywhere.  As in dsterf and
+    unlike the eigensolver, every sweep first scans the block for a split.
     """
     n = len(d)
     e = [x * x for x in e] + [0.0]
@@ -271,6 +272,8 @@ class TestRootFreeQL:
 
     @pytest.mark.parametrize("n,seed", QL_CASES)
     def test_matches_dsterf_reference(self, n, seed):
+        # no off-diagonal of these turns negligible inside a block, so the
+        # two chains take the same steps, bit for bit
         d, e = random_tridiagonal(n, seed)
         d_ref = list(d)
         sweeps_ref = reference_dsterf(d_ref, e)
@@ -300,6 +303,52 @@ class TestRootFreeQL:
             bound = 4.0 * math.sqrt(len(d)) * sys.float_info.epsilon * one_norm(d, e)
             assert np.max(np.abs(np.sort(d_new) - np.sort(d_givens))) <= bound
         assert abs(sweeps - sweeps_givens) <= 0.02 * sweeps_givens
+
+    @staticmethod
+    def assert_near_dsterf(tridiagonals, walk=False):
+        """Eigenvalues within 4 eps ||T||_1 of reference_dsterf's (4 sqrt(n) eps
+        ||T||_1 with walk), and total sweeps within 5%: QL tests only the top
+        of a block, so it may cross an entry where dsterf's scan before every
+        sweep splits, and from there the two chains round differently."""
+        sweeps, sweeps_ref = 0, 0
+        for d, e in tridiagonals:
+            d_ref, d_new = list(d), list(d)
+            sweeps_ref += reference_dsterf(d_ref, e)
+            sweeps += _ql_implicit_shift(d_new, [x * x for x in e])
+            bound = 4.0 * (math.sqrt(len(d)) if walk else 1.0) * sys.float_info.epsilon * one_norm(d, e)
+            assert np.max(np.abs(np.sort(d_new) - np.sort(d_ref))) <= bound
+        assert abs(sweeps - sweeps_ref) <= 0.05 * sweeps_ref
+
+    def test_dsterf_reference_on_staircase(self):
+        self.assert_near_dsterf(staircase_tridiagonals())
+
+    @pytest.mark.parametrize("grading", [0.0, 9.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dsterf_reference_on_random_tridiagonals(self, seed, grading):
+        # the rounding errors add up like a random walk once the chains part,
+        # as against the Givens oracle: over 200 seeds the worst difference
+        # is 7.3 eps ||T||_1 ungraded and 8.7 graded, 1.3 sqrt(n) eps ||T||_1
+        # at most; off-diagonals graded down to 1e-9 turn negligible inside
+        # their blocks within a sweep or two
+        rng = np.random.default_rng(seed)
+        cases = []
+        for n in rng.integers(4, 60, size=16).tolist():
+            d, e = random_tridiagonal(n, int(rng.integers(1 << 30)))
+            cases.append((d, (np.array(e) * 10.0 ** rng.uniform(-grading, 0.0, n - 1)).tolist()))
+        self.assert_near_dsterf(cases, walk=True)
+
+    def test_splits_inside_blocks(self):
+        # the F = 2, k = 3, d = 8 blocks of the free-energy scan are nearly
+        # degenerate, so their off-diagonals turn negligible inside blocks
+        # that QL has entered; the eigenvalues still match LAPACK, and the
+        # vectors the contracts
+        params = ModelParams(2, 3, 1.0, 20.0, 1.0, hbar=1.0)
+        omegas = np.logspace(math.log10(0.5), math.log10(80.0), 161)
+        stack = np.array([build_block(params.with_omega(w), 6).matrix for w in omegas])
+        w = eigenvalues_only(stack)
+        ref = np.linalg.eigvalsh(stack)
+        assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert_stack_contracts(stack)
 
     @pytest.mark.parametrize("exponent", [500, -500])
     def test_tridiagonal_scaled_by_power_of_two(self, exponent):

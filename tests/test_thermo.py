@@ -213,6 +213,12 @@ class TestDerivativeRoutes:
         with pytest.raises(ParameterError, match=r"step 1e\+308 .*\(F=2, k=1, n=2\)"):
             n_via_mu_derivative(ModelParams(2, 1, 1.0, 1.0, 1.0), 2, 1e308)
 
+    def test_omega_step_beyond_float_range_named(self):
+        # omega -+ 1e308 are finite, but (omega - 1e308) * phi(N) is not: the
+        # error names the step before any scan, not a grid point -1e308
+        with pytest.raises(ParameterError, match=r"step 1e\+308 .*\(F=2, k=1, n=2\)"):
+            phi_n_via_omega_derivative(ModelParams(2, 1, 1.0, 1.0, 1.0), 2, 1e308)
+
 
 class TestOmegaScan:
     def test_trivial_block_constant(self):
