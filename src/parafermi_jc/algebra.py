@@ -40,16 +40,18 @@ def weight(config: Sequence[int]) -> int:
     return sum(config)
 
 
-def _check_order_and_modes(F: int, k: int) -> None:
+def _check_order_and_modes(F: int, k: int) -> tuple[int, int]:
+    """(F, k) as ints, once F >= 2 and k >= 1 are integers: an integral float is its int."""
     if int(F) != F or F < 2:
         raise ParameterError(f"nilpotency order F must be an integer >= 2, got {F}")
     if int(k) != k or k < 1:
         raise ParameterError(f"mode count k must be an integer >= 1, got {k}")
+    return int(F), int(k)
 
 
 def validate_config(config: Sequence[int], F: int, k: int) -> None:
     """Raise ParameterError unless config is a valid occupation tuple for (F, k)."""
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if len(config) != k:
         raise ParameterError(f"occupation tuple has length {len(config)}, expected k={k}")
     for m, occ in enumerate(config, start=1):
@@ -64,7 +66,7 @@ def enumerate_block_basis(F: int, k: int, n: int) -> list[OccupationConfig]:
     equals n; the boson occupation of basis state P is n - W(P).  Prefixes
     grow only within the weight they leave: the work follows d_n, not F^k.
     """
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if int(n) != n or n < 0:
         raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
     prefixes = [()]
@@ -81,7 +83,7 @@ def block_dimension(F: int, k: int, n: int) -> int:
     prefix-sum operator (multiplication by 1/(1-x)) k+1 times.  Saturates at
     F^k once n >= k*(F-1), so n is clamped there.
     """
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if int(n) != n or n < 0:
         raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
     n = min(n, k * (F - 1))
@@ -112,7 +114,7 @@ def block_dimension_closed_form(F: int, k: int, n: int) -> int:
     Cross-check only; ``block_dimension`` (integer convolution) is normative
     because generalized binomials invite sign mistakes.
     """
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if int(n) != n or n < 0:
         raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
     total = 0
@@ -154,7 +156,7 @@ def build_mode_matrix(F: int, k: int, m: int) -> np.ndarray:
     Lexicographic basis; element (bra, ket) nonzero when ket raises bra at
     mode m, carrying the q-phase of ``destruction_phase_exponent``.
     """
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if not 1 <= m <= k:
         raise ParameterError(f"mode index m={m} outside 1..{k}")
     basis = enumerate_block_basis(F, k, k * (F - 1))
@@ -177,7 +179,7 @@ def number_operator_matrix(F: int, k: int, i: int) -> np.ndarray:
     Equal to sum_{s=1}^{F-1} (theta_i^dag)^s theta_i^s; the summed-power form
     is exercised by the test suite, the diagonal form is normative.
     """
-    _check_order_and_modes(F, k)
+    F, k = _check_order_and_modes(F, k)
     if not 1 <= i <= k:
         raise ParameterError(f"mode index i={i} outside 1..{k}")
     basis = enumerate_block_basis(F, k, k * (F - 1))
@@ -199,7 +201,7 @@ class CliffordTriple:
 
 
 def clifford_triple(F: int) -> CliffordTriple:
-    _check_order_and_modes(F, 1)
+    F, _ = _check_order_and_modes(F, 1)
     sigma1 = np.zeros((F, F), dtype=np.complex128)
     for j in range(F - 1):
         sigma1[j, j + 1] = 1.0
@@ -218,7 +220,7 @@ def clifford_mode(F: int, phi: Deformation) -> np.ndarray:
     superdiagonal.  The wrap-around entry would carry sqrt(phi(F)), so the
     construction demands phi(F) = 0 (which also forces a^F = 0).
     """
-    _check_order_and_modes(F, 1)
+    F, _ = _check_order_and_modes(F, 1)
     if abs(phi(0.0)) > 1e-12:
         raise DeformationError("structure function must vanish at 0")
     if abs(phi(float(F))) > 1e-12:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import (
     OccupationConfig,
+    _check_order_and_modes,
     build_mode_matrix,
     enumerate_block_basis,
     root_of_unity_power,
@@ -52,10 +53,9 @@ class ModelParams:
     deformation: Deformation = Deformation.undeformed()
 
     def __post_init__(self):
-        if int(self.F) != self.F or self.F < 2:
-            raise ParameterError(f"F must be an integer >= 2, got {self.F}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ParameterError(f"k must be an integer >= 1, got {self.k}")
+        F, k = _check_order_and_modes(self.F, self.k)
+        object.__setattr__(self, "F", F)  # frozen: an integral float is stored as its int
+        object.__setattr__(self, "k", k)
         for name in ("omega", "delta", "g", "hbar", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")

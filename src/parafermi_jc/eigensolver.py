@@ -525,7 +525,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors):
         group = [(lo, hi) for lo, hi in tree[-1] if hi - lo == size]
         rows = G * len(group)  # matrix g's leaves are rows g * len(group)..
         ld = np.stack([d[:, lo:hi] for lo, hi in group], axis=1).reshape(rows, size)
-        le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, size - 1)
+        le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, max(size - 1, 0))
         diags = ld.tolist()
         for r, (diag, squares) in enumerate(zip(diags, (le * le).tolist())):
             try:

@@ -9,17 +9,17 @@ range of Z raises NumericalError instead.
 
 Diagonal observables come from the eigenvector trace: for the diagonal
 operator O(P), <O> = sum_j w_j sum_P |v_P(j)|^2 O(P) with Boltzmann weights
-w_j.  Two finite-difference routes cross-check the trace values:
-d(log Z)/d(omega) recovers <phi(N)> and the mu-perturbation H + mu*N recovers
-the boson number <N>.
+w_j.
 
-Scans run as stacks: every point of an omega grid has the same block, and
-H(omega) = H0 + omega * diag(phi(n - W)), so H0 and the phi diagonal are
-assembled once and each chunk of the grid goes through the eigensolver and
-the reduction as one (G, d, d) stack.  A single block is a stack of one.  A
-grid point must be finite, and a point whose diagonal H0 + omega * phi
-leaves the float range, or any other NumericalError at one point of a scan,
-names its omega and (F, k, n).
+One builder forms every stack H + x * diag(op) that is solved.  A scan solves
+H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
+assembled once, and each chunk of the grid goes through the eigensolver and
+the reduction as one (G, d, d) stack.  One central difference of log Z over
+x -+ step cross-checks the trace values: x = omega on H0 with op = phi(N)
+recovers <phi(N)>, and x = mu = 0 on H(omega) with op = N recovers <N>.  A
+NumericalError at one matrix of a stack names its omega (or mu) and
+(F, k, n); a scan's grid points must be finite, and a step that takes a
+diagonal beyond the float range is a ParameterError.
 
 A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
@@ -169,72 +169,69 @@ def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
     return thermo_from_block(build_block(params, n), params)
 
 
-def _require_step(lower: np.ndarray, upper: np.ndarray, op: np.ndarray, step: float,
-                  params: ModelParams, n: int) -> None:
-    """Raise ParameterError when the step is lost against the diagonal: an entry
-    where the perturbing operator op is nonzero is equal in the lower and upper
-    perturbed diagonals, so the difference quotient would miss its term."""
+def _diagonal_stack(H: np.ndarray, op: np.ndarray, xs: Sequence[float]) -> np.ndarray:
+    """H + x * diag(op) for each x of xs, as a (G, d, d) stack.
+
+    A diagonal that leaves the float range raises NumericalError with the
+    first such x's position as ``index``.
+    """
+    xs = np.array(xs)
+    stack = np.repeat(H[np.newaxis], xs.size, axis=0)
+    diagonal = np.arange(H.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        stack[:, diagonal, diagonal] += xs[:, np.newaxis] * op
+    bad = np.flatnonzero(~np.isfinite(stack[:, diagonal, diagonal]).all(axis=1))
+    if bad.size:
+        raise NumericalError("the diagonal leaves the float range", index=int(bad[0]))
+    return stack
+
+
+def _central_difference(H: np.ndarray, op: np.ndarray, x: float, step: float, label: str,
+                        params: ModelParams, n: int) -> float:
+    """-(log Z(x + step) - log Z(x - step)) / (2 step beta), Z(x) the partition
+    function of H + x * diag(op), from one values-only stack of two.
+
+    A step that is not positive and finite, that leaves a diagonal entry where
+    op is nonzero unchanged (the quotient would miss its term), or that takes
+    one beyond the float range raises ParameterError; a failed solve names its
+    label=point and (F, k, n).
+    """
+    if not 0 < step < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {step}")
+    points = [x - step, x + step]
+    if not points[0] < points[1]:
+        raise ParameterError(f"step {step!r} vanishes against {label}={x!r}")
+    where = f"(F={params.F}, k={params.k}, n={n})"
+    try:
+        stack = _diagonal_stack(H, op, points)
+    except NumericalError as exc:
+        raise ParameterError(f"step {step!r} takes a diagonal entry beyond the float range "
+                             f"at {label}={points[exc.index]!r} {where}") from None
+    lower, upper = np.diagonal(stack, axis1=1, axis2=2).real
     if np.any((lower == upper) & (op != 0.0)):
-        raise ParameterError(f"step {step!r} vanishes against a diagonal entry of H "
-                             f"(F={params.F}, k={params.k}, n={n})")
+        raise ParameterError(f"step {step!r} vanishes against a diagonal entry of H {where}")
+    try:
+        log_lo, log_hi = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
+    except NumericalError as exc:
+        if exc.index is None:
+            raise
+        raise type(exc)(f"{exc} at {label}={points[exc.index]!r} {where}") from None
+    return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
-    """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega),
-    from one values-only scan of [omega - step, omega + step]."""
-    if not 0 < step < math.inf:
-        raise ParameterError(f"step must be positive and finite, got {step}")
-    lo, hi = params.omega - step, params.omega + step
-    if not lo < hi:
-        raise ParameterError(f"step {step!r} vanishes against omega={params.omega!r}")
-    # the diagonals the scan is to solve, H0 + omega * phi(N)
+    """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega)
+    of H0 + omega * diag(phi(N))."""
     base = build_block(params.with_omega(0.0), n)
-    phi = _diagonal_operators(base, params)[:, 2]
-    h0 = base.matrix.diagonal().real
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lower, upper = h0 + lo * phi, h0 + hi * phi
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise ParameterError(f"step {step!r} takes a diagonal entry of H0 + (omega +- step) * phi "
-                             f"beyond the float range (F={params.F}, k={params.k}, n={n})")
-    _require_step(lower, upper, phi, step, params, n)
-    (_, log_lo), (_, log_hi) = log_partition_scan(params, n, [lo, hi])
-    return -(log_hi - log_lo) / (2.0 * step * params.beta)
+    return _central_difference(base.matrix, _diagonal_operators(base, params)[:, 2],
+                               params.omega, step, "omega", params, n)
 
 
 def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
-    """<N> from the mu-perturbation H + mu*N, differentiated at mu = 0, with
-    H + step*N and H - step*N solved, values only, as one stack."""
-    if not 0 < step < math.inf:
-        raise ParameterError(f"step must be positive and finite, got {step}")
+    """<N> from the mu-perturbation H + mu * diag(N), differentiated at mu = 0."""
     block = build_block(params, n)
-    boson = _diagonal_operators(block, params)[:, 0]
-    with np.errstate(over="ignore"):  # checked below
-        stack = np.stack([block.matrix + mu * np.diag(boson) for mu in (step, -step)])
-    diagonals = np.diagonal(stack, axis1=1, axis2=2).real
-    if not np.isfinite(diagonals).all():
-        raise ParameterError(f"step {step!r} takes a diagonal entry of H + step * N beyond the "
-                             f"float range (F={params.F}, k={params.k}, n={n})")
-    _require_step(diagonals[1], diagonals[0], boson, step, params, n)
-    log_hi, log_lo = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
-    return -(log_hi - log_lo) / (2.0 * step * params.beta)
-
-
-def _omega_stack(H0: np.ndarray, phi: np.ndarray, omegas: Sequence[float]) -> np.ndarray:
-    """H0 + omega * diag(phi) for each omega, as a (G, d, d) stack.
-
-    A diagonal that leaves the float range raises NumericalError with the
-    first such omega's position as ``index``.
-    """
-    omegas = np.array(omegas)
-    stack = np.repeat(H0[np.newaxis], omegas.size, axis=0)
-    diagonal = np.arange(H0.shape[0])
-    with np.errstate(over="ignore"):  # checked below
-        stack[:, diagonal, diagonal] += omegas[:, np.newaxis] * phi
-    bad = np.flatnonzero(~np.isfinite(stack[:, diagonal, diagonal]).all(axis=1))
-    if bad.size:
-        raise NumericalError("the diagonal H0 + omega * phi(n - W) leaves the float range",
-                             index=int(bad[0]))
-    return stack
+    return _central_difference(block.matrix, _diagonal_operators(block, params)[:, 0],
+                               0.0, step, "mu", params, n)
 
 
 def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors: bool,
@@ -262,7 +259,7 @@ def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors
         try:
             # the stack is not kept here: the solver frees it once copied
             values += reduce(eigensolver.eigendecompose(
-                _omega_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors), ops)
+                _diagonal_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors), ops)
         except NumericalError as exc:
             if exc.index is None:
                 raise

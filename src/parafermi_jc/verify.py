@@ -151,28 +151,18 @@ def spin_equivalence() -> CheckResult:
     at g / sqrt(F - 1) for F = 2, 3 and n = 1..4, to 1e-10.  F = 4 is the
     negative control: from n = 2 on, its spectra differ by more than 1e-2.
 
-    The blocks differ in size, so each is padded to the largest with a
-    diagonal above every block's 1-norm, and all are solved as one stack;
-    the lowest dim eigenvalues of a padded block are its own.
+    A case's two blocks have the same size, min(n, F - 1) + 1, so each pair
+    is solved as one stack of two, with nothing padded.
     """
     omega, delta, g = 1.3, 0.7, 0.9
     cases = [(F, n) for F in (2, 3) for n in range(1, 5)] + [(4, n) for n in range(2, 6)]
-    blocks = []
-    for F, n in cases:
-        blocks.append(build_block(ModelParams(F, 1, omega, delta, g), n).matrix)
-        spin = ModelParams(F, 1, omega, delta, g / math.sqrt(F - 1))
-        blocks.append(build_higher_spin_block(spin, n).matrix)
-    size = max(len(M) for M in blocks)
-    ceiling = 1.0 + max(float(np.max(np.sum(np.abs(M), axis=0))) for M in blocks)
-    stack = np.zeros((len(blocks), size, size), dtype=np.complex128)
-    stack[:, np.arange(size), np.arange(size)] = ceiling
-    for padded, M in zip(stack, blocks):
-        padded[:len(M), :len(M)] = M
-    values = eigenvalues_only(stack)
     equal, apart, failures = 0.0, math.inf, []
-    for i, (F, n) in enumerate(cases):
-        dim = len(blocks[2 * i])
-        dev = float(np.max(np.abs(values[2 * i, :dim] - values[2 * i + 1, :dim])))
+    for F, n in cases:
+        spin = ModelParams(F, 1, omega, delta, g / math.sqrt(F - 1))
+        values = eigenvalues_only(np.stack([
+            build_block(ModelParams(F, 1, omega, delta, g), n).matrix,
+            build_higher_spin_block(spin, n).matrix]))
+        dev = float(np.max(np.abs(values[0] - values[1])))
         if F <= 3:
             equal = max(equal, dev)
             if not dev <= 1e-10:

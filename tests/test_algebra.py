@@ -97,6 +97,15 @@ class TestBlockDimension:
             for n in (*range(cap, cap + 4), 10**18):
                 assert block_dimension(F, k, n) == F ** k
 
+    @pytest.mark.parametrize("F,k", [(3.0, 2), (3, 2.0), (3.0, 2.0)])
+    def test_integral_float_order_and_modes(self, F, k):
+        # used as ints: range(F), math.comb(k, s) and list indices reject floats
+        assert block_dimension(F, k, 3) == block_dimension(3, 2, 3) == 8
+        assert block_dimension_closed_form(F, k, 3) == 8
+        basis = enumerate_block_basis(F, k, 3)
+        assert basis == enumerate_block_basis(3, 2, 3)
+        assert all(type(i) is int for p in basis for i in p)
+
     def test_closed_form_agrees_with_convolution(self):
         for F in range(2, 6):
             for k in range(1, 5):

@@ -44,6 +44,18 @@ class TestModelParams:
             ModelParams(2, 1, 1.0, 1.0, 1.0, hbar=math.inf)
         with pytest.raises(ParameterError):
             ModelParams(2, 1, 1.0, 1.0, 1.0, deformation="qexp")
+        for F, k in ((3.5, 2), (3, 1.5), (1.0, 1), (3, 0.0)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                ModelParams(F, k, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("F,k", [(3.0, 2), (3, 2.0), (np.float64(3.0), np.int64(2))])
+    def test_integral_float_order_and_modes_stored_as_int(self, F, k):
+        # an integral F or k is stored and used as an int, as an integral n already is
+        p = ModelParams(F, k, 1.0, 1.0, 1.0)
+        assert type(p.F) is int and type(p.k) is int and (p.F, p.k) == (3, 2)
+        block, reference = build_block(p, 3), build_block(ModelParams(3, 2, 1.0, 1.0, 1.0), 3)
+        assert block.basis == reference.basis
+        assert np.array_equal(block.matrix, reference.matrix)
 
     def test_with_omega(self):
         p = params().with_omega(7.0)

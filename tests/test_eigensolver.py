@@ -62,6 +62,10 @@ class TestBasicCases:
         assert one.eigenvectors.tolist() == [[1.0]]
         empty = eigendecompose(np.zeros((0, 0)), want_vectors=True)
         assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (0, 0)
+        # an empty stack of 0 x 0 matrices, as the (0, 3, 3) and (2, 0, 0) stacks
+        for shape in ((0, 0, 0), (0, 3, 3), (2, 0, 0)):
+            assert eigenvalues_only(np.zeros(shape)).shape == shape[:2]
+            assert eigendecompose(np.zeros(shape), want_vectors=True).eigenvectors.shape == shape
 
     def test_ascending_order(self):
         w = eigenvalues_only(random_hermitian(40, 3))

@@ -1,6 +1,7 @@
 """Static guards: the library solves its own eigenproblems and runs serially,
-every public name has a caller outside the tests, and no two modules import
-each other, directly or around a ring.
+every public name has a caller outside the tests, every module-level
+function and class is referenced, and no two modules import each other,
+directly or around a ring.
 
 LAPACK eigenroutines and polynomial root finders (which call them) belong to
 the test suite as oracles; the package itself must not reference them, nor
@@ -60,6 +61,30 @@ def test_every_export_has_a_caller_outside_the_tests():
                                  for token in re.findall(r"\w+", text))
     unused = sorted(name for name in parafermi_jc.__all__ if counts[name] < 2)
     assert not unused, f"exported but used only by the tests: {unused}"
+
+
+def unreferenced(paths):
+    """Module-level functions and classes of paths that no token of paths
+    names besides their own def or class."""
+    counts = collections.Counter(token for path in paths for text in code_text(path).values()
+                                 for token in re.findall(r"\w+", text))
+    return sorted(node.name for path in paths
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and counts[node.name] < 2)
+
+
+def test_every_function_and_class_is_referenced():
+    # an orphaned helper left behind by a refactor shows up here
+    orphans = unreferenced(sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")))
+    assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def test_orphan_guard_sees_an_unreferenced_helper(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""_orphan in a docstring"""\nLIMIT = 1\n\n\n'
+                      "def _orphan():\n    return _used()  # _orphan\n\n\n"
+                      "def _used():\n    return LIMIT\n\n\nclass Unused:\n    pass\n")
+    assert unreferenced([sample]) == ["Unused", "_orphan"]
 
 
 def package_imports(path):

@@ -194,6 +194,26 @@ class TestDerivativeRoutes:
         with pytest.raises(ParameterError, match=r"step 0\.0001 .*\(F=2, k=1, n=3\)"):
             route(params, 3, 1e-4)
 
+    @pytest.mark.parametrize("route,point", [(n_via_mu_derivative, "mu=-0.0001"),
+                                             (phi_n_via_omega_derivative, "omega=0.9999")])
+    def test_solve_failure_names_point(self, route, point):
+        # beta * |lambda| leaves the float range in log Z at the lower point
+        with pytest.raises(NumericalError) as info:
+            route(ModelParams(2, 1, 1.0, 1.0, 1.0, beta=1e308), 2, 1e-4)
+        assert str(info.value).endswith(f" at {point} (F=2, k=1, n=2)")
+
+    @pytest.mark.parametrize("route", [n_via_mu_derivative, phi_n_via_omega_derivative])
+    def test_route_assembles_block_once(self, monkeypatch, route):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_block(*args)
+
+        monkeypatch.setattr(thermo, "build_block", counted)
+        route(ModelParams(3, 2, 1.1, 0.7, 0.9), 3, 1e-4)
+        assert len(calls) == 1
+
     def test_step_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
