@@ -42,10 +42,13 @@ def weight(config: Sequence[int]) -> int:
 
 def _check_order_and_modes(F: int, k: int) -> tuple[int, int]:
     """(F, k) as ints, once F >= 2 and k >= 1 are integers: an integral float is its int."""
-    if int(F) != F or F < 2:
-        raise ParameterError(f"nilpotency order F must be an integer >= 2, got {F}")
-    if int(k) != k or k < 1:
-        raise ParameterError(f"mode count k must be an integer >= 1, got {k}")
+    for value, least, name in ((F, 2, "nilpotency order F"), (k, 1, "mode count k")):
+        try:
+            integral = int(value) == value
+        except (OverflowError, ValueError):  # inf and nan have no int
+            integral = False
+        if not integral or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
     return int(F), int(k)
 
 

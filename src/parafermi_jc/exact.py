@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _check_order_and_modes
 from .deformations import Deformation, evaluate
 from .errors import NumericalError, OutOfRegimeError, ParameterError
 
@@ -52,15 +53,16 @@ class LabeledSpectrum:
         return np.sort(np.asarray(out, dtype=np.float64))
 
 
-def _check_f2_regime(k: int, n: int) -> None:
-    if k < 1 or int(k) != k:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
+def _check_f2_regime(k: int, n: int) -> int:
+    """k as an int, once the F=2 closed forms hold for (k, n)."""
+    k = _check_order_and_modes(2, k)[1]
     if int(n) != n:
         raise ParameterError(f"n must be an integer, got {n}")
     if n < k:
         raise OutOfRegimeError(
             f"F=2 closed form needs the saturated regime n >= k, got n={n}, k={k}"
         )
+    return k
 
 
 def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
@@ -70,7 +72,7 @@ def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) ->
                + s * sqrt(4 k g^2 (n-l) + (delta-omega)^2)] / 2
     for l = 0..k-1, s = +-1, each with degeneracy C(k-1, l).
     """
-    _check_f2_regime(k, n)
+    k = _check_f2_regime(k, n)
     levels = []
     for l in range(k):
         root = math.sqrt(4.0 * k * g * g * (n - l) + (delta - omega) ** 2)
@@ -93,7 +95,7 @@ def exact_f2_deformed(
                              - 2 omega^2 phi(n-k+l) + omega^2 phi(n-k+l+1)).
     Degeneracy C(k-1, l); reduces to the undeformed multiset for phi(x) = x.
     """
-    _check_f2_regime(k, n)
+    k = _check_f2_regime(k, n)
     levels = []
     for l in range(k):
         lo = evaluate(phi, n - k + l)
@@ -198,8 +200,7 @@ def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
     order, and their degeneracies C(k-1, l), n > k:
     E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
                + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta)."""
-    if k < 1 or int(k) != k:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
+    k = _check_order_and_modes(2, k)[1]
     if n <= k:
         raise OutOfRegimeError(f"linearized F=2 levels need n > k, got n={n}, k={k}")
     if delta == 0.0:
@@ -220,8 +221,7 @@ def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
 def _linearized_k1(F: int, n: int, hbar: float, omegas, delta: float, g: float):
     """The single-mode linearized levels at each omega, as a (points, F) array:
     the weight-0 branch, the fully occupied branch, then the ladder s = 1..F-2."""
-    if int(F) != F or F < 2:
-        raise ParameterError(f"F must be an integer >= 2, got {F}")
+    F = _check_order_and_modes(F, 1)[0]
     if delta == 0.0:
         raise ParameterError("linearized levels expand about delta != 0")
     if n <= F - 1:
@@ -263,8 +263,7 @@ def semiclassical_z_f2_closed_form(
     k: int, n: int, hbar: float, omega: float, delta: float, g: float
 ) -> float:
     """Explicit two-term evaluation of the linearized F=2 partition sum (beta = 1)."""
-    if k < 1 or int(k) != k:
-        raise ParameterError(f"k must be an integer >= 1, got {k}")
+    k = _check_order_and_modes(2, k)[1]
     if n <= k:
         raise OutOfRegimeError(f"closed-form Z needs n > k, got n={n}, k={k}")
     if delta == 0.0:

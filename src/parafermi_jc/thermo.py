@@ -9,7 +9,11 @@ range of Z raises NumericalError instead.
 
 Diagonal observables come from the eigenvector trace: for the diagonal
 operator O(P), <O> = sum_j w_j sum_P |v_P(j)|^2 O(P) with Boltzmann weights
-w_j.
+w_j.  The solver returns the eigenvectors only of the states whose weight,
+relative to the ground state's, is above NEGLIGIBLE_WEIGHT = 2**-60 (and of
+any state clustered with one of them); the sum runs over those kept
+columns, against the normalization over every state, so the states left out
+move an average <O> over d states by at most d * 2**-60 * max|O|.
 
 One builder forms every stack H + x * diag(op) that is solved.  A scan solves
 H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
@@ -23,12 +27,14 @@ diagonal beyond the float range is a ParameterError.
 
 A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
-matrix may exceed the cap).  The solve's traced peak is at most about 5.7
-times its complex stack with eigenvectors (5.3 at d = 27, 4.6 at d = 256)
-and 2.3 (d = 256) to 3.3 (d = 8) times without, so a full chunk peaks near
-3 MB.  The solver gets the only reference to the stack and frees it once
-copied (from Python 3.11; on 3.10 the calling frame keeps it until the solve
-returns).
+matrix may exceed the cap).  A scan's traced peak is at most about 5.9
+times its complex stack with eigenvectors, reached when every vector is kept
+(5.9 at d = 8, 5.4 at d = 27, 4.3 at d = 256, which keeps them all
+anyway); the staircase grid (d = 27, delta = 1000, beta = 1) keeps 12% of
+them and peaks at 3.9.  Without eigenvectors the peak is 3.2 to 3.3 times
+the stack, so a full chunk peaks near 3 MB.  The solver gets the only
+reference to the stack and frees it once copied (from Python 3.11; on 3.10
+the calling frame keeps it until the solve returns).
 """
 
 from __future__ import annotations
@@ -48,10 +54,15 @@ from .errors import NumericalError, ParameterError
 #: Matrix entries per stacked solve of a scan: a chunk of the grid holds at most
 #: this many (and at least one matrix), which bounds a scan's memory whatever
 #: the block dimension.  2**15 entries are 512 matrices at d = 8, 44 at d = 27
-#: and one at d = 256; the solve's traced peak is at most about 5.7 times the
+#: and one at d = 256; the solve's traced peak is at most about 5.9 times the
 #: chunk's complex stack.  Past 2**15 the per-stack call overhead is mostly
 #: paid off: 2**16 saves a few percent more per point and doubles the peak.
 SCAN_CHUNK_ENTRIES = 2**15
+
+#: Boltzmann weight, relative to the ground state's, below which a state's
+#: eigenvector is not computed: scans and thermo_from_block give the solver
+#: the window -log(NEGLIGIBLE_WEIGHT) / beta above each block's lowest level.
+NEGLIGIBLE_WEIGHT = 2.0**-60
 
 
 def log_sum_exp(values: np.ndarray, scale: float = 1.0):
@@ -120,7 +131,9 @@ def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndar
 def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta: float,
                  n: int) -> list[ThermoObservables]:
     """Observables of every block of a stack, from its (G, d) eigenvalues and
-    (G, d, d) eigenvectors; a failure names the block's position as ``index``."""
+    (G, d, m) eigenvectors, the first m of each block's states; a zero column
+    (a state the solver left out) adds nothing.  A failure names the block's
+    position as ``index``."""
     log_z = log_sum_exp(values, -beta)
     # normalized explicitly: exp(-beta * lambda - log Z) sums to 1 only to
     # about eps * beta * |lambda|, and <N> + <W> = n needs the sum exact
@@ -130,7 +143,7 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
     weights /= np.sum(weights, axis=1, keepdims=True)
     occupancy = np.abs(vectors) ** 2  # column j: |<P|v_j>|^2
     per_state = occupancy.swapaxes(1, 2) @ ops  # row j: <v_j|O|v_j> for each operator
-    expect = (weights[:, np.newaxis, :] @ per_state)[:, 0, :]
+    expect = (weights[:, np.newaxis, :vectors.shape[-1]] @ per_state)[:, 0, :]
     observables = []
     for index, (lz, (n_expect, w_expect, phi_expect)) in enumerate(zip(log_z.tolist(), expect.tolist())):
         try:
@@ -159,7 +172,8 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
 
 def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObservables:
     """Observables of an already-assembled block: the reduction of a scan, on a stack of one."""
-    spectrum = eigensolver.eigendecompose(block.matrix, want_vectors=True)
+    spectrum = eigensolver.eigendecompose(block.matrix, want_vectors=True,
+                                          window=-math.log(NEGLIGIBLE_WEIGHT) / params.beta)
     return _observables(spectrum.eigenvalues[np.newaxis], spectrum.eigenvectors[np.newaxis],
                         _diagonal_operators(block, params), params.beta, block.n)[0]
 
@@ -254,12 +268,14 @@ def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors
     base = build_block(params.with_omega(0.0), n)
     ops = _diagonal_operators(base, params)
     chunk = max(1, SCAN_CHUNK_ENTRIES // base.dim ** 2)
+    window = -math.log(NEGLIGIBLE_WEIGHT) / params.beta
     values = []
     for start in range(0, len(grid), chunk):
         try:
             # the stack is not kept here: the solver frees it once copied
             values += reduce(eigensolver.eigendecompose(
-                _diagonal_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors), ops)
+                _diagonal_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors,
+                window=window), ops)
         except NumericalError as exc:
             if exc.index is None:
                 raise

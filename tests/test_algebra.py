@@ -106,6 +106,14 @@ class TestBlockDimension:
         assert basis == enumerate_block_basis(3, 2, 3)
         assert all(type(i) is int for p in basis for i in p)
 
+    @pytest.mark.parametrize("F,k,named", [(math.inf, 2, "order F"), (math.nan, 2, "order F"),
+                                           (3, math.inf, "count k"), (3, math.nan, "count k")])
+    def test_non_finite_order_and_modes(self, F, k, named):
+        # inf and nan have no int: the shared rule names them, not int()
+        for fn in (block_dimension, block_dimension_closed_form, enumerate_block_basis):
+            with pytest.raises(ParameterError, match=f"{named} must be an integer"):
+                fn(F, k, 3)
+
     def test_closed_form_agrees_with_convolution(self):
         for F in range(2, 6):
             for k in range(1, 5):

@@ -44,7 +44,8 @@ class TestModelParams:
             ModelParams(2, 1, 1.0, 1.0, 1.0, hbar=math.inf)
         with pytest.raises(ParameterError):
             ModelParams(2, 1, 1.0, 1.0, 1.0, deformation="qexp")
-        for F, k in ((3.5, 2), (3, 1.5), (1.0, 1), (3, 0.0)):
+        for F, k in ((3.5, 2), (3, 1.5), (1.0, 1), (3, 0.0), (math.inf, 2), (3, math.nan),
+                     (-math.inf, 1), (3, math.inf)):
             with pytest.raises(ParameterError, match="must be an integer"):
                 ModelParams(F, k, 1.0, 1.0, 1.0)
 

@@ -21,6 +21,7 @@ from parafermi_jc import (
 from parafermi_jc import divide, eigensolver
 from parafermi_jc.divide import _secular_roots
 from parafermi_jc.eigensolver import (
+    CLUSTER_RTOL,
     RESIDUAL_RTOL,
     _back_transform,
     _ql_implicit_shift,
@@ -613,6 +614,130 @@ class TestStacks:
         with pytest.raises(NumericalError, match="float range") as caught:
             eigendecompose(stack)
         assert caught.value.index == 1
+
+
+#: The window of the staircase scans at beta = 1: weights down to 2**-60.
+STAIRCASE_WINDOW = 60.0 * math.log(2.0)
+
+
+def window_count(H, window):
+    """The solver's count of kept vectors, from LAPACK's eigenvalues: those up
+    to the smallest plus window, then each next one within CLUSTER_RTOL *
+    ||T||_1 of the last one kept."""
+    w = np.linalg.eigvalsh(H)
+    d, e, _ = _tridiagonalize(np.array(H, dtype=complex), False)
+    count = int(np.count_nonzero(w <= w[0] + window))
+    while count < w.size and w[count] - w[count - 1] <= CLUSTER_RTOL * one_norm(d, e):
+        count += 1
+    return count
+
+
+def kept_columns(V):
+    """The number of nonzero columns of each matrix of eigenvectors, once they
+    are known to lead and every later column to be zero."""
+    nonzero = np.any(V != 0.0, axis=-2)
+    counts = np.count_nonzero(nonzero, axis=-1)
+    assert np.array_equal(nonzero, np.arange(V.shape[-1]) < counts[..., np.newaxis])
+    return counts
+
+
+def random_unitary(n, rng):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def with_levels(levels, rng):
+    """A Hermitian matrix with the given eigenvalues in a random unitary basis."""
+    U = random_unitary(len(levels), rng)
+    H = U @ np.diag(levels) @ U.conj().T
+    return (H + H.conj().T) / 2
+
+
+def assert_kept_contracts(stack, window):
+    """A windowed solve of a stack: the eigenvalues of the full solve, bit for
+    bit, the counts of window_count, and kept pairs that meet the contracts;
+    returns the counts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eigendecompose(stack, want_vectors=True, window=window)
+        full = eigendecompose(stack, want_vectors=True)
+    assert np.array_equal(spec.eigenvalues, full.eigenvalues) and spec.sweeps == full.sweeps
+    counts = kept_columns(spec.eigenvectors)
+    assert spec.eigenvectors.shape == stack.shape[:-1] + (np.max(counts),)
+    assert counts.tolist() == [window_count(H, window) for H in stack]
+    for H, w, V, c in zip(stack, spec.eigenvalues, spec.eigenvectors, counts):
+        assert max_residual(H, V[:, :c], w[:c]) <= residual_bound(H)
+        assert np.max(np.abs(V[:, :c].conj().T @ V[:, :c] - np.eye(c))) <= RESIDUAL_RTOL
+    return counts
+
+
+class TestWindow:
+    """Eigenvectors only up to each matrix's smallest eigenvalue plus a window,
+    and through any cluster that the window ends in."""
+
+    def test_staircase_counts(self):
+        stack = staircase_stack()
+        counts = assert_kept_contracts(stack, STAIRCASE_WINDOW)
+        # the window keeps 1 to 9 of 27 vectors, 134 of 1,080 in all
+        assert (counts.min(), counts.max(), counts.sum()) == (1, 9, 134)
+
+    def test_kept_vectors_are_the_full_solves(self):
+        # the back-transform of fewer columns rounds differently, by about eps
+        stack = staircase_stack()
+        V = eigendecompose(stack, want_vectors=True, window=STAIRCASE_WINDOW).eigenvectors
+        full = eigendecompose(stack, want_vectors=True).eigenvectors
+        assert np.max(np.abs(V - full[..., :V.shape[-1]]) * (V != 0.0)) <= 1e-14
+
+    def test_tiny_beta_keeps_every_vector(self):
+        # beta = 1e-300 widens the window beyond every spectrum, and a window
+        # that overflows when scaled (matrices of 1e-300) keeps every vector too
+        for stack, window in ((staircase_stack(), STAIRCASE_WINDOW / 1e-300),
+                              (1e-300 * staircase_stack(4), 1e308)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = eigendecompose(stack, want_vectors=True, window=window)
+            full = eigendecompose(stack, want_vectors=True)
+            assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+            assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cluster_across_the_window_kept_whole(self, seed):
+        # 1, 1 + 1e-13, 1 + 1e-6 and 1 + 1e-3 are one cluster, whose gaps are
+        # under CLUSTER_RTOL * ||T||_1 >= 0.013, and its first two a group; the
+        # window ends after the group, so the whole cluster is kept: 6 vectors
+        levels = [0.0, 0.3, 1.0, 1.0 + 1e-13, 1.0 + 1e-6, 1.0 + 1e-3, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0]
+        rng = np.random.default_rng(720 + seed)
+        stack = np.array([with_levels(levels, rng) for _ in range(5)])
+        assert assert_kept_contracts(stack, 1.0 + 5e-7).tolist() == [6] * 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_leaf(self, seed):
+        # 30 rows whose eigenvalues come in pairs split by 1e-10, closer than
+        # a cluster but not a group; the window ends inside the fourth pair
+        rng = np.random.default_rng(730 + seed)
+        pairs = np.sort(rng.uniform(-1.0, 1.0, 15))
+        levels = np.sort(np.concatenate([pairs, pairs + 1e-10]))
+        H = with_levels(levels, rng)
+        assert assert_kept_contracts(H[np.newaxis], levels[6] + 5e-11 - levels[0])[0] >= 8
+
+    def test_lone_matrix(self):
+        spec = eigendecompose(np.diag([3.0, 1.0, 2.0]), want_vectors=True, window=0.5)
+        assert spec.eigenvectors.tolist() == [[0.0], [1.0], [0.0]]
+        assert eigendecompose(np.diag([3.0, 1.0]), window=0.5).eigenvectors is None
+
+    def test_tree_ignores_the_window(self):
+        # above LEAF rows the merges need every leaf's vectors, so a d = 256
+        # solve keeps them all, whatever the window
+        H = build_block(ModelParams(4, 4, 1.0, 2.0, 1.0), 12).matrix
+        spec = eigendecompose(H, want_vectors=True, window=0.0)
+        full = eigendecompose(H, want_vectors=True)
+        assert spec.eigenvectors.shape == (256, 256)
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+
+    @pytest.mark.parametrize("window", [-1.0, -math.inf, math.nan])
+    def test_window_validated(self, window):
+        with pytest.raises(ParameterError, match="window must be >= 0"):
+            eigendecompose(np.eye(2), want_vectors=True, window=window)
 
 
 def tridiagonal(d, e):

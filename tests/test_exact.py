@@ -230,6 +230,32 @@ class TestSemiclassicalLevels:
         assert str(caught.value) == str(alone.value)
         assert "omega=1e+299" in str(alone.value)
 
+    def test_integral_float_order_and_modes(self):
+        # the shared rule of algebra: an integral float is its int
+        assert exact_f2_undeformed(2.0, 4, 1.0, 2.0, 0.5) == exact_f2_undeformed(2, 4, 1.0, 2.0, 0.5)
+        assert (exact_f2_deformed(2.0, 4, 1.0, 2.0, 0.5, Deformation.q_exp(0.5))
+                == exact_f2_deformed(2, 4, 1.0, 2.0, 0.5, Deformation.q_exp(0.5)))
+        for F, k in ((2, 2.0), (3.0, 1), (2.0, 1.0)):
+            assert np.array_equal(semiclassical_level_table(F, k, 5, 1.0, [1.0, 3.0], 20.0, 1.0),
+                                  semiclassical_level_table(int(F), int(k), 5, 1.0, [1.0, 3.0],
+                                                            20.0, 1.0))
+        assert (semiclassical_z_f2_closed_form(2.0, 4, 1.0, 1.0, 20.0, 1.0)
+                == semiclassical_z_f2_closed_form(2, 4, 1.0, 1.0, 20.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5, 0])
+    def test_order_and_modes_rejected_by_the_shared_rule(self, bad):
+        named = "must be an integer >= "
+        with pytest.raises(ParameterError, match=f"mode count k {named}1"):
+            exact_f2_undeformed(bad, 4, 1.0, 2.0, 0.5)
+        with pytest.raises(ParameterError, match=f"mode count k {named}1"):
+            exact_f2_deformed(bad, 4, 1.0, 2.0, 0.5, Deformation.q_exp(0.5))
+        with pytest.raises(ParameterError, match=f"mode count k {named}1"):
+            semiclassical_level_table(2, bad, 5, 1.0, [1.0], 20.0, 1.0)
+        with pytest.raises(ParameterError, match=f"mode count k {named}1"):
+            semiclassical_z_f2_closed_form(bad, 4, 1.0, 1.0, 20.0, 1.0)
+        with pytest.raises(ParameterError, match=f"nilpotency order F {named}2"):
+            semiclassical_level_table(bad, 1, 5, 1.0, [1.0], 20.0, 1.0)
+
     def test_table_regime_checks(self):
         with pytest.raises(ParameterError, match="closed forms"):
             semiclassical_level_table(3, 2, 6, 1.0, [1.0], 20.0, 1.0)

@@ -310,8 +310,9 @@ STAIRCASE = ModelParams(3, 3, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformatio
 STAIRCASE_GRID = np.logspace(math.log10(0.2), math.log10(2000.0), 40)
 
 #: Traced peak of a one-stack scan over the bytes of its complex (G, d, d)
-#: stack.  The 40-point dim-27 staircase grid measures 5.34 (numpy 2.4,
-#: Python 3.11); before the eigensolver's working set was trimmed it was 7.2.
+#: stack.  The 40-point dim-27 staircase grid measures 3.94 (numpy 2.4,
+#: Python 3.11), and 5.48 with every eigenvector solved; before the
+#: eigensolver's working set was trimmed it was 7.2.
 PEAK_PER_STACK = 6.0
 
 
@@ -353,6 +354,57 @@ class TestScanStack:
                 floor = 1e-12 if field.name == "conservation_error" else 0.0
                 assert getattr(a, field.name) == pytest.approx(getattr(b, field.name),
                                                                rel=1e-12, abs=floor)
+
+
+class TestWindow:
+    """Scans solve only the eigenvectors of weight above NEGLIGIBLE_WEIGHT."""
+
+    @staticmethod
+    def full_reduction(params, n, grid):
+        """The observables of a scan's stack from every eigenvector."""
+        base = build_block(params.with_omega(0.0), n)
+        ops = thermo._diagonal_operators(base, params)
+        spec = eigendecompose(thermo._diagonal_stack(base.matrix, ops[:, 2], grid), want_vectors=True)
+        return thermo._observables(spec.eigenvalues, spec.eigenvectors, ops, params.beta, n)
+
+    def test_staircase_matches_full_reduction(self, monkeypatch):
+        # the scan calls the solver through the module, where a tracer wraps it,
+        # and keeps 1 to 9 of the 27 vectors of each block
+        shapes = []
+        solve = thermo.eigensolver.eigendecompose
+
+        def recorded(*args, **kwargs):
+            spectrum = solve(*args, **kwargs)
+            shapes.append(spectrum.eigenvectors.shape)
+            return spectrum
+
+        monkeypatch.setattr(thermo.eigensolver, "eigendecompose", recorded)
+        scan = omega_scan(STAIRCASE, 8, STAIRCASE_GRID)
+        assert shapes == [(40, 27, 9)]
+        for (_, a), b in zip(scan, self.full_reduction(STAIRCASE, 8, STAIRCASE_GRID)):
+            for field in dataclasses.fields(ThermoObservables):
+                # conservation_error is itself rounding error, so its scale is absolute
+                floor = 1e-14 if field.name == "conservation_error" else 0.0
+                assert getattr(a, field.name) == pytest.approx(getattr(b, field.name),
+                                                               rel=1e-14, abs=floor)
+
+    def test_block_matches_full_reduction(self):
+        for omega in (0.5, 68.0, 1500.0):
+            params = STAIRCASE.with_omega(omega)
+            block = build_block(params, 8)
+            spec = eigendecompose(block.matrix, want_vectors=True)
+            [full] = thermo._observables(spec.eigenvalues[np.newaxis], spec.eigenvectors[np.newaxis],
+                                         thermo._diagonal_operators(block, params), 1.0, 8)
+            obs = thermo.thermo_from_block(block, params)
+            for field in ("n_expect", "w_expect", "phi_n_expect"):
+                assert getattr(obs, field) == pytest.approx(getattr(full, field), rel=1e-14)
+            assert obs.log_z == full.log_z
+
+    def test_tiny_beta_is_the_full_reduction(self):
+        # every weight is above 2**-60, so every vector is solved, bit for bit
+        params = dataclasses.replace(STAIRCASE, beta=1e-300)
+        scan = omega_scan(params, 8, STAIRCASE_GRID)
+        assert [obs for _, obs in scan] == self.full_reduction(params, 8, STAIRCASE_GRID)
 
 
 @st.composite
