@@ -46,7 +46,6 @@ from .thermo import (
     omega_scan,
     phi_n_via_omega_derivative,
     thermo_from_block,
-    thermo_from_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +89,5 @@ __all__ = [
     "semiclassical_level_table",
     "semiclassical_z_f2_closed_form",
     "thermo_from_block",
-    "thermo_from_spectrum",
     "weight",
 ]

@@ -40,16 +40,20 @@ def weight(config: Sequence[int]) -> int:
     return sum(config)
 
 
+def _check_integer(value, least: int, name: str) -> int:
+    """value as an int, once it is an integer >= least: an integral float is its int."""
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):  # inf and nan have no int
+        integral = False
+    if not integral or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 def _check_order_and_modes(F: int, k: int) -> tuple[int, int]:
-    """(F, k) as ints, once F >= 2 and k >= 1 are integers: an integral float is its int."""
-    for value, least, name in ((F, 2, "nilpotency order F"), (k, 1, "mode count k")):
-        try:
-            integral = int(value) == value
-        except (OverflowError, ValueError):  # inf and nan have no int
-            integral = False
-        if not integral or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
-    return int(F), int(k)
+    """(F, k) as ints, once F >= 2 and k >= 1 are integers."""
+    return _check_integer(F, 2, "nilpotency order F"), _check_integer(k, 1, "mode count k")
 
 
 def validate_config(config: Sequence[int], F: int, k: int) -> None:
@@ -58,7 +62,7 @@ def validate_config(config: Sequence[int], F: int, k: int) -> None:
     if len(config) != k:
         raise ParameterError(f"occupation tuple has length {len(config)}, expected k={k}")
     for m, occ in enumerate(config, start=1):
-        if int(occ) != occ or not 0 <= occ <= F - 1:
+        if _check_integer(occ, 0, f"occupation i_{m}") > F - 1:
             raise ParameterError(f"occupation i_{m}={occ} outside 0..{F - 1}")
 
 
@@ -70,11 +74,10 @@ def enumerate_block_basis(F: int, k: int, n: int) -> list[OccupationConfig]:
     grow only within the weight they leave: the work follows d_n, not F^k.
     """
     F, k = _check_order_and_modes(F, k)
-    if int(n) != n or n < 0:
-        raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
+    n = _check_integer(n, 0, "total excitation number n")
     prefixes = [()]
     for _ in range(k):
-        prefixes = [p + (i,) for p in prefixes for i in range(min(F, int(n) - sum(p) + 1))]
+        prefixes = [p + (i,) for p in prefixes for i in range(min(F, n - sum(p) + 1))]
     return prefixes
 
 
@@ -87,8 +90,7 @@ def block_dimension(F: int, k: int, n: int) -> int:
     F^k once n >= k*(F-1), so n is clamped there.
     """
     F, k = _check_order_and_modes(F, k)
-    if int(n) != n or n < 0:
-        raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
+    n = _check_integer(n, 0, "total excitation number n")
     n = min(n, k * (F - 1))
     coeffs = [0] * (n + 1)
     for s in range(0, min(k, n // F) + 1):
@@ -118,8 +120,7 @@ def block_dimension_closed_form(F: int, k: int, n: int) -> int:
     because generalized binomials invite sign mistakes.
     """
     F, k = _check_order_and_modes(F, k)
-    if int(n) != n or n < 0:
-        raise ParameterError(f"total excitation number n must be an integer >= 0, got {n}")
+    n = _check_integer(n, 0, "total excitation number n")
     total = 0
     for s in range(0, min(k, n // F) + 1):
         total += (-1) ** (n - s * (F - 1)) * math.comb(k, s) * _signed_binomial(-k - 1, n - s * F)

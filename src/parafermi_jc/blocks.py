@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import (
     OccupationConfig,
+    _check_integer,
     _check_order_and_modes,
     build_mode_matrix,
     enumerate_block_basis,
@@ -154,10 +155,7 @@ def build_full_truncated(
     embedded intact.  Basis labels are (boson occupation, occupation tuple),
     boson index slowest.
     """
-    if int(n_max) != n_max or n_max < params.k * (params.F - 1):
-        raise ParameterError(
-            f"n_max must be an integer >= k*(F-1) = {params.k * (params.F - 1)}, got {n_max}"
-        )
+    n_max = _check_integer(n_max, params.k * (params.F - 1), "n_max")
     phi = params.deformation
     nb = n_max + 1
     lowering = np.zeros((nb, nb), dtype=np.complex128)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _check_order_and_modes
+from .algebra import _check_integer, _check_order_and_modes
 from .deformations import Deformation, evaluate
 from .errors import NumericalError, OutOfRegimeError, ParameterError
 
@@ -53,16 +53,15 @@ class LabeledSpectrum:
         return np.sort(np.asarray(out, dtype=np.float64))
 
 
-def _check_f2_regime(k: int, n: int) -> int:
-    """k as an int, once the F=2 closed forms hold for (k, n)."""
+def _check_f2_regime(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as ints, once the F=2 closed forms hold for them."""
     k = _check_order_and_modes(2, k)[1]
-    if int(n) != n:
-        raise ParameterError(f"n must be an integer, got {n}")
+    n = _check_integer(n, 0, "total excitation number n")
     if n < k:
         raise OutOfRegimeError(
             f"F=2 closed form needs the saturated regime n >= k, got n={n}, k={k}"
         )
-    return k
+    return k, n
 
 
 def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
@@ -72,7 +71,7 @@ def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) ->
                + s * sqrt(4 k g^2 (n-l) + (delta-omega)^2)] / 2
     for l = 0..k-1, s = +-1, each with degeneracy C(k-1, l).
     """
-    k = _check_f2_regime(k, n)
+    k, n = _check_f2_regime(k, n)
     levels = []
     for l in range(k):
         root = math.sqrt(4.0 * k * g * g * (n - l) + (delta - omega) ** 2)
@@ -95,7 +94,7 @@ def exact_f2_deformed(
                              - 2 omega^2 phi(n-k+l) + omega^2 phi(n-k+l+1)).
     Degeneracy C(k-1, l); reduces to the undeformed multiset for phi(x) = x.
     """
-    k = _check_f2_regime(k, n)
+    k, n = _check_f2_regime(k, n)
     levels = []
     for l in range(k):
         lo = evaluate(phi, n - k + l)
@@ -148,8 +147,7 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
     except at c = 0 (g = 0 with delta = omega), where the cubic x^3 has the
     triple root 0.
     """
-    if int(n) != n:
-        raise ParameterError(f"n must be an integer, got {n}")
+    n = _check_integer(n, 0, "total excitation number n")
     if n < 3:
         raise OutOfRegimeError(f"F=3, k=1 closed form needs n >= 3, got n={n}")
     shift = delta + (n - 1) * omega
@@ -201,6 +199,7 @@ def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
     E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
                + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta)."""
     k = _check_order_and_modes(2, k)[1]
+    n = _check_integer(n, 0, "total excitation number n")
     if n <= k:
         raise OutOfRegimeError(f"linearized F=2 levels need n > k, got n={n}, k={k}")
     if delta == 0.0:
@@ -222,6 +221,7 @@ def _linearized_k1(F: int, n: int, hbar: float, omegas, delta: float, g: float):
     """The single-mode linearized levels at each omega, as a (points, F) array:
     the weight-0 branch, the fully occupied branch, then the ladder s = 1..F-2."""
     F = _check_order_and_modes(F, 1)[0]
+    n = _check_integer(n, 0, "total excitation number n")
     if delta == 0.0:
         raise ParameterError("linearized levels expand about delta != 0")
     if n <= F - 1:
@@ -264,6 +264,7 @@ def semiclassical_z_f2_closed_form(
 ) -> float:
     """Explicit two-term evaluation of the linearized F=2 partition sum (beta = 1)."""
     k = _check_order_and_modes(2, k)[1]
+    n = _check_integer(n, 0, "total excitation number n")
     if n <= k:
         raise OutOfRegimeError(f"closed-form Z needs n > k, got n={n}, k={k}")
     if delta == 0.0:

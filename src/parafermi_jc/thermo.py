@@ -15,15 +15,16 @@ any state clustered with one of them); the sum runs over those kept
 columns, against the normalization over every state, so the states left out
 move an average <O> over d states by at most d * 2**-60 * max|O|.
 
-One builder forms every stack H + x * diag(op) that is solved.  A scan solves
-H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
-assembled once, and each chunk of the grid goes through the eigensolver and
-the reduction as one (G, d, d) stack.  One central difference of log Z over
-x -+ step cross-checks the trace values: x = omega on H0 with op = phi(N)
-recovers <phi(N)>, and x = mu = 0 on H(omega) with op = N recovers <N>.  A
-NumericalError at one matrix of a stack names its omega (or mu) and
-(F, k, n); a scan's grid points must be finite, and a step that takes a
-diagonal beyond the float range is a ParameterError.
+One scan solves every stack: for an assembled block H and a diagonal
+operator op, it solves H + x * diag(op) at each point x of a finite,
+ascending sequence, each chunk of the points as one (G, d, d) stack, and
+reduces each chunk.  The omega scans run it along x = omega on H0 with
+op = phi(n - W), for the observables or for log Z alone.  One central
+difference of log Z over the two points x -+ step cross-checks the trace
+values: x = omega on H0 with op = phi(N) recovers <phi(N)>, and x = mu = 0 on
+H(omega) with op = N recovers <N>.  A NumericalError at one matrix of a stack
+names its omega (or mu) and (F, k, n); a step that takes a diagonal beyond
+the float range is a ParameterError.
 
 A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
@@ -178,11 +179,6 @@ def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObs
                         _diagonal_operators(block, params), params.beta, block.n)[0]
 
 
-def thermo_from_spectrum(params: ModelParams, n: int) -> ThermoObservables:
-    """Build block n, diagonalize it, and evaluate the thermal observables."""
-    return thermo_from_block(build_block(params, n), params)
-
-
 def _diagonal_stack(H: np.ndarray, op: np.ndarray, xs: Sequence[float]) -> np.ndarray:
     """H + x * diag(op) for each x of xs, as a (G, d, d) stack.
 
@@ -200,36 +196,68 @@ def _diagonal_stack(H: np.ndarray, op: np.ndarray, xs: Sequence[float]) -> np.nd
     return stack
 
 
-def _central_difference(H: np.ndarray, op: np.ndarray, x: float, step: float, label: str,
-                        params: ModelParams, n: int) -> float:
-    """-(log Z(x + step) - log Z(x - step)) / (2 step beta), Z(x) the partition
-    function of H + x * diag(op), from one values-only stack of two.
+def _scan(block: BlockHamiltonian, op: np.ndarray, points: Sequence[float], label: str,
+          want_vectors: bool, reduce: Callable[[Spectrum], list],
+          params: ModelParams) -> list[tuple[float, object]]:
+    """(x, reduce's value) at each x of a finite, ascending sequence of points,
+    from the spectra of H + x * diag(op), H the block's matrix.
 
-    A step that is not positive and finite, that leaves a diagonal entry where
-    op is nonzero unchanged (the quotient would miss its term), or that takes
-    one beyond the float range raises ParameterError; a failed solve names its
-    label=point and (F, k, n).
+    Each chunk of the points is solved as one stack and reduced by
+    reduce(spectrum).  A failure that names a matrix of the stack is raised
+    again naming its label=x and (F, k, n).
+    """
+    points = [float(x) for x in points]
+    if not points:
+        raise ParameterError(f"{label} grid must not be empty")
+    for x in points:
+        if not math.isfinite(x):
+            raise ParameterError(f"{label} grid point {x!r} is not finite")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ParameterError(f"{label} grid must be strictly ascending")
+    chunk = max(1, SCAN_CHUNK_ENTRIES // block.dim ** 2)
+    window = -math.log(NEGLIGIBLE_WEIGHT) / params.beta
+    values = []
+    for start in range(0, len(points), chunk):
+        try:
+            # the stack is not kept here: the solver frees it once copied
+            values += reduce(eigensolver.eigendecompose(
+                _diagonal_stack(block.matrix, op, points[start:start + chunk]), want_vectors,
+                window=window))
+        except NumericalError as exc:
+            if exc.index is None:
+                raise
+            raise type(exc)(f"{exc} at {label}={points[start + exc.index]!r} "
+                            f"(F={params.F}, k={params.k}, n={block.n})") from None
+    return list(zip(points, values))
+
+
+def _central_difference(block: BlockHamiltonian, op: np.ndarray, x: float, step: float,
+                        label: str, params: ModelParams) -> float:
+    """-(log Z(x + step) - log Z(x - step)) / (2 step beta), Z(x) the partition
+    function of H + x * diag(op), H the block's matrix, from a values-only
+    scan of the two points.
+
+    A step that is not positive and finite, that takes a diagonal entry
+    beyond the float range, or that leaves one where op is nonzero unchanged
+    (the quotient would miss its term) raises ParameterError.
     """
     if not 0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step}")
     points = [x - step, x + step]
     if not points[0] < points[1]:
         raise ParameterError(f"step {step!r} vanishes against {label}={x!r}")
-    where = f"(F={params.F}, k={params.k}, n={n})"
-    try:
-        stack = _diagonal_stack(H, op, points)
-    except NumericalError as exc:
-        raise ParameterError(f"step {step!r} takes a diagonal entry beyond the float range "
-                             f"at {label}={points[exc.index]!r} {where}") from None
-    lower, upper = np.diagonal(stack, axis1=1, axis2=2).real
+    where = f"(F={params.F}, k={params.k}, n={block.n})"
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lower, upper = (block.matrix.diagonal().real + point * op for point in points)
+    for point, entries in zip(points, (lower, upper)):
+        if not np.isfinite(entries).all():
+            raise ParameterError(f"step {step!r} takes a diagonal entry beyond the float range "
+                                 f"at {label}={point!r} {where}")
     if np.any((lower == upper) & (op != 0.0)):
         raise ParameterError(f"step {step!r} vanishes against a diagonal entry of H {where}")
-    try:
-        log_lo, log_hi = log_sum_exp(eigensolver.eigenvalues_only(stack), -params.beta).tolist()
-    except NumericalError as exc:
-        if exc.index is None:
-            raise
-        raise type(exc)(f"{exc} at {label}={points[exc.index]!r} {where}") from None
+    (_, log_lo), (_, log_hi) = _scan(
+        block, op, points, label, False,
+        lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(), params)
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
@@ -237,51 +265,15 @@ def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> floa
     """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega)
     of H0 + omega * diag(phi(N))."""
     base = build_block(params.with_omega(0.0), n)
-    return _central_difference(base.matrix, _diagonal_operators(base, params)[:, 2],
-                               params.omega, step, "omega", params, n)
+    return _central_difference(base, _diagonal_operators(base, params)[:, 2],
+                               params.omega, step, "omega", params)
 
 
 def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     """<N> from the mu-perturbation H + mu * diag(N), differentiated at mu = 0."""
     block = build_block(params, n)
-    return _central_difference(block.matrix, _diagonal_operators(block, params)[:, 0],
-                               0.0, step, "mu", params, n)
-
-
-def _scan(params: ModelParams, n: int, omega_grid: Sequence[float], want_vectors: bool,
-          reduce: Callable[[Spectrum, np.ndarray], list]) -> list[tuple[float, object]]:
-    """(omega, reduce's value) at each frequency of a finite, ascending grid.
-
-    H(omega) = H0 + omega * diag(phi(n - W)): H0 and the phi diagonal are
-    assembled once, and each chunk of the grid is solved as one stack and
-    reduced by reduce(spectrum, diagonal operators).  A failure that names a
-    matrix of the stack is raised again naming its omega and (F, k, n).
-    """
-    grid = [float(w) for w in omega_grid]
-    if not grid:
-        raise ParameterError("omega grid must not be empty")
-    for w in grid:
-        if not math.isfinite(w):
-            raise ParameterError(f"omega grid point {w!r} is not finite")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("omega grid must be strictly ascending")
-    base = build_block(params.with_omega(0.0), n)
-    ops = _diagonal_operators(base, params)
-    chunk = max(1, SCAN_CHUNK_ENTRIES // base.dim ** 2)
-    window = -math.log(NEGLIGIBLE_WEIGHT) / params.beta
-    values = []
-    for start in range(0, len(grid), chunk):
-        try:
-            # the stack is not kept here: the solver frees it once copied
-            values += reduce(eigensolver.eigendecompose(
-                _diagonal_stack(base.matrix, ops[:, 2], grid[start:start + chunk]), want_vectors,
-                window=window), ops)
-        except NumericalError as exc:
-            if exc.index is None:
-                raise
-            raise type(exc)(f"{exc} at omega={grid[start + exc.index]!r} "
-                            f"(F={params.F}, k={params.k}, n={n})") from None
-    return list(zip(grid, values))
+    return _central_difference(block, _diagonal_operators(block, params)[:, 0],
+                               0.0, step, "mu", params)
 
 
 def omega_scan(
@@ -290,16 +282,19 @@ def omega_scan(
     omega_grid: Sequence[float],
 ) -> list[tuple[float, ThermoObservables]]:
     """Thermal observables of block n at each frequency of an ascending grid."""
-    return _scan(params, n, omega_grid, True,
-                 lambda spectrum, ops: _observables(spectrum.eigenvalues, spectrum.eigenvectors,
-                                                    ops, params.beta, n))
+    base = build_block(params.with_omega(0.0), n)
+    ops = _diagonal_operators(base, params)
+    return _scan(base, ops[:, 2], omega_grid, "omega", True,
+                 lambda spectrum: _observables(spectrum.eigenvalues, spectrum.eigenvectors,
+                                               ops, params.beta, n), params)
 
 
 def log_partition_scan(params: ModelParams, n: int,
                        omega_grid: Sequence[float]) -> list[tuple[float, float]]:
     """log Z of block n at each frequency of an ascending grid, from eigenvalues alone."""
-    return _scan(params, n, omega_grid, False,
-                 lambda spectrum, ops: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist())
+    base = build_block(params.with_omega(0.0), n)
+    return _scan(base, _diagonal_operators(base, params)[:, 2], omega_grid, "omega", False,
+                 lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(), params)
 
 
 def detect_plateaus(

@@ -33,7 +33,7 @@ from .thermo import (
     log_sum_exp,
     n_via_mu_derivative,
     phi_n_via_omega_derivative,
-    thermo_from_spectrum,
+    thermo_from_block,
 )
 
 SCOPES = ("algebra", "oracles", "thermo")
@@ -263,7 +263,7 @@ def thermo_checks(step: float = 1e-4) -> list[CheckResult]:
         else:
             phi = Deformation.q_exp(float(rng.uniform(0.05, 0.3)))
         params = ModelParams(F, k, omega, delta, g, beta=beta, deformation=phi)
-        obs = thermo_from_spectrum(params, n)
+        obs = thermo_from_block(build_block(params, n), params)
         worst_cons = max(worst_cons, obs.conservation_error)
         worst_omega = max(worst_omega, abs(phi_n_via_omega_derivative(params, n, step) - obs.phi_n_expect))
         worst_mu = max(worst_mu, abs(n_via_mu_derivative(params, n, step) - obs.n_expect))

@@ -27,7 +27,7 @@ from parafermi_jc import (
     omega_scan,
     phi_n_via_omega_derivative,
     semiclassical_level_table,
-    thermo_from_spectrum,
+    thermo_from_block,
 )
 from parafermi_jc.algebra import root_of_unity_power
 from parafermi_jc.blocks import build_full_truncated
@@ -214,7 +214,7 @@ def test_criterion_08_consistency_triangle(capsys):
         else:
             phi = Deformation.q_exp(float(rng.uniform(0.05, 0.3)))
         params = ModelParams(F, k, omega, delta, g, beta=beta, deformation=phi)
-        obs = thermo_from_spectrum(params, n)
+        obs = thermo_from_block(build_block(params, n), params)
         omega_route = phi_n_via_omega_derivative(params, n, step)
         mu_route = n_via_mu_derivative(params, n, step)
         worst = max(worst, abs(omega_route - obs.phi_n_expect), abs(mu_route - obs.n_expect))

@@ -11,18 +11,31 @@ from hypothesis import strategies as st
 from parafermi_jc import (
     Deformation,
     DeformationError,
+    ModelParams,
     ParameterError,
     block_dimension,
     block_dimension_closed_form,
+    build_block,
+    build_higher_spin_block,
     build_mode_matrix,
     clifford_mode,
     clifford_triple,
     destruction_phase_exponent,
     enumerate_block_basis,
+    exact_f2_deformed,
+    exact_f2_undeformed,
+    exact_f3_k1,
+    n_via_mu_derivative,
     number_operator_matrix,
+    omega_scan,
+    phi_n_via_omega_derivative,
+    semiclassical_level_table,
+    semiclassical_z_f2_closed_form,
     weight,
 )
 from parafermi_jc.algebra import root_of_unity_power
+from parafermi_jc.blocks import build_full_truncated
+from parafermi_jc.thermo import log_partition_scan
 
 TOL = 1e-12
 
@@ -102,8 +115,10 @@ class TestBlockDimension:
         # used as ints: range(F), math.comb(k, s) and list indices reject floats
         assert block_dimension(F, k, 3) == block_dimension(3, 2, 3) == 8
         assert block_dimension_closed_form(F, k, 3) == 8
+        # an integral float n is used as its int too
+        assert block_dimension(F, k, 3.0) == block_dimension_closed_form(F, k, 3.0) == 8
         basis = enumerate_block_basis(F, k, 3)
-        assert basis == enumerate_block_basis(3, 2, 3)
+        assert basis == enumerate_block_basis(3, 2, 3) == enumerate_block_basis(F, k, 3.0)
         assert all(type(i) is int for p in basis for i in p)
 
     @pytest.mark.parametrize("F,k,named", [(math.inf, 2, "order F"), (math.nan, 2, "order F"),
@@ -119,6 +134,38 @@ class TestBlockDimension:
             for k in range(1, 5):
                 for n in range(0, 3 * k * (F - 1) + 1):
                     assert block_dimension_closed_form(F, k, n) == block_dimension(F, k, n)
+
+
+PARAMS = ModelParams(2, 1, 1.0, 1.0, 1.0)
+
+#: Every public entry point that takes a total excitation number n (n_max for
+#: the truncated space), called at n.
+TAKES_N = {
+    "enumerate_block_basis": lambda n: enumerate_block_basis(3, 2, n),
+    "block_dimension": lambda n: block_dimension(3, 2, n),
+    "block_dimension_closed_form": lambda n: block_dimension_closed_form(3, 2, n),
+    "build_block": lambda n: build_block(PARAMS, n),
+    "build_higher_spin_block": lambda n: build_higher_spin_block(PARAMS, n),
+    "build_full_truncated": lambda n: build_full_truncated(PARAMS, n),
+    "exact_f2_undeformed": lambda n: exact_f2_undeformed(1, n, 1.0, 2.0, 0.5),
+    "exact_f2_deformed": lambda n: exact_f2_deformed(1, n, 1.0, 2.0, 0.5, Deformation.q_exp(0.5)),
+    "exact_f3_k1": lambda n: exact_f3_k1(n, 1.0, 2.0, 1.0),
+    "semiclassical_level_table_f2": lambda n: semiclassical_level_table(2, 1, n, 1.0, [1.0], 20.0, 1.0),
+    "semiclassical_level_table_k1": lambda n: semiclassical_level_table(3, 1, n, 1.0, [1.0], 20.0, 1.0),
+    "semiclassical_z_f2_closed_form": lambda n: semiclassical_z_f2_closed_form(1, n, 1.0, 1.0, 20.0, 1.0),
+    "omega_scan": lambda n: omega_scan(PARAMS, n, [1.0]),
+    "log_partition_scan": lambda n: log_partition_scan(PARAMS, n, [1.0]),
+    "phi_n_via_omega_derivative": lambda n: phi_n_via_omega_derivative(PARAMS, n, 1e-4),
+    "n_via_mu_derivative": lambda n: n_via_mu_derivative(PARAMS, n, 1e-4),
+}
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 2.5, -1])
+@pytest.mark.parametrize("entry", sorted(TAKES_N))
+def test_total_excitation_number_rejected_by_the_shared_rule(entry, n):
+    # inf and nan have no int, and a non-integer n must not pass as its floor
+    with pytest.raises(ParameterError, match="must be an integer"):
+        TAKES_N[entry](n)
 
 
 def destruction_phase(bra, m, ket, F):

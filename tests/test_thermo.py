@@ -23,7 +23,7 @@ from parafermi_jc import (
     n_via_mu_derivative,
     omega_scan,
     phi_n_via_omega_derivative,
-    thermo_from_spectrum,
+    thermo_from_block,
 )
 from parafermi_jc.thermo import log_partition_scan
 
@@ -82,13 +82,14 @@ class TestThermoFromSpectrum:
         for omega in np.logspace(math.log10(0.2), math.log10(2000.0), 12):
             params = ModelParams(3, 3, float(omega), 1000.0, 1.0, hbar=1.0,
                                  deformation=Deformation.q_exp(1.0))
-            obs = thermo_from_spectrum(params, 8)
+            obs = thermo_from_block(build_block(params, 8), params)
             assert obs.conservation_error == abs(obs.n_expect + obs.w_expect - 8)
             assert obs.conservation_error <= 1e-9
 
     def test_two_degenerate_levels(self):
         # g = 0 block at n = 1: both states at energy 1, symmetric occupations
-        obs = thermo_from_spectrum(ModelParams(2, 1, 1.0, 1.0, 0.0), 1)
+        params = ModelParams(2, 1, 1.0, 1.0, 0.0)
+        obs = thermo_from_block(build_block(params, 1), params)
         assert obs.z == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
         assert obs.n_expect == pytest.approx(0.5, abs=1e-12)
         assert obs.w_expect == pytest.approx(0.5, abs=1e-12)
@@ -97,13 +98,13 @@ class TestThermoFromSpectrum:
     def test_ground_state_projection_at_low_temperature(self):
         # beta = 50 proxy for the zero-temperature limit, small omega:
         # the boson count sits on the upper plateau value n
-        obs = thermo_from_spectrum(ModelParams(2, 1, 0.5, 20.0, 1.0, beta=50.0), 3)
+        params = ModelParams(2, 1, 0.5, 20.0, 1.0, beta=50.0)
+        obs = thermo_from_block(build_block(params, 3), params)
         assert obs.n_expect == pytest.approx(3.0, abs=0.02)
 
     def test_deep_suppression_underflows_z_but_not_logz(self):
-        obs = thermo_from_spectrum(
-            ModelParams(4, 1, 700.0, 1000.0, 1.0, deformation=Deformation.q_exp(1.0)), 5
-        )
+        params = ModelParams(4, 1, 700.0, 1000.0, 1.0, deformation=Deformation.q_exp(1.0))
+        obs = thermo_from_block(build_block(params, 5), params)
         assert obs.z == 0.0  # exp(log_z) underflows; log path stays finite
         assert np.isfinite(obs.log_z) and np.isfinite(obs.free_energy)
         # omega = 700 sits past the last crossover: boson count n - k(F-1) = 2
@@ -117,7 +118,7 @@ class TestThermoFromSpectrum:
     @settings(max_examples=40, deadline=None)
     def test_conservation_and_ranges(self, F, k, n, omega, delta, g, beta):
         params = ModelParams(F, k, omega, delta, g, beta=beta)
-        obs = thermo_from_spectrum(params, n)
+        obs = thermo_from_block(build_block(params, n), params)
         assert obs.n_expect + obs.w_expect == pytest.approx(n, abs=1e-8)
         assert max(0, n - k * (F - 1)) - 1e-9 <= obs.n_expect <= n + 1e-9
         assert -1e-9 <= obs.w_expect <= min(n, k * (F - 1)) + 1e-9
@@ -130,32 +131,32 @@ class TestThermoFromSpectrum:
         params = ModelParams(F, k, 1.3, 0.7, g)
         spectrum = eigendecompose(build_block(params, n).matrix, want_vectors=True)
         assert np.all(np.isfinite(spectrum.eigenvectors))
-        obs = thermo_from_spectrum(params, n)
+        obs = thermo_from_block(build_block(params, n), params)
         assert abs(obs.n_expect + obs.w_expect - n) <= 1e-9
 
 
 class TestDerivativeRoutes:
     def test_g_zero_derivative_equals_boltzmann_average(self):
         params = ModelParams(3, 1, 0.9, 1.4, 0.0)
-        obs = thermo_from_spectrum(params, 2)
+        obs = thermo_from_block(build_block(params, 2), params)
         fd = phi_n_via_omega_derivative(params, 2, 1e-5)
         assert fd == pytest.approx(obs.phi_n_expect, abs=1e-8)
 
     def test_omega_route_matches_trace(self):
         params = ModelParams(3, 2, 1.3, 0.8, 0.9, beta=0.7,
                              deformation=Deformation.q_exp(0.2))
-        obs = thermo_from_spectrum(params, 4)
+        obs = thermo_from_block(build_block(params, 4), params)
         assert phi_n_via_omega_derivative(params, 4, 1e-4) == pytest.approx(obs.phi_n_expect, abs=1e-6)
 
     def test_mu_route_matches_trace(self):
         params = ModelParams(4, 2, 0.6, 1.9, 1.1, beta=0.9,
                              deformation=Deformation.linear(0.8))
-        obs = thermo_from_spectrum(params, 5)
+        obs = thermo_from_block(build_block(params, 5), params)
         assert n_via_mu_derivative(params, 5, 1e-4) == pytest.approx(obs.n_expect, abs=1e-6)
 
     def test_mu_route_g_zero_boltzmann_average(self):
         params = ModelParams(3, 2, 1.1, 0.7, 0.0, beta=0.8)
-        obs = thermo_from_spectrum(params, 3)
+        obs = thermo_from_block(build_block(params, 3), params)
         assert n_via_mu_derivative(params, 3, 1e-5) == pytest.approx(obs.n_expect, abs=1e-8)
 
     def test_mid_plateau_boson_count_is_integer(self):
@@ -181,7 +182,7 @@ class TestDerivativeRoutes:
         # share those entries and the quotient would read -0.0 where the
         # trace gives 2.5
         params = ModelParams(2, 1, 1e13, 1e13, 1.0, beta=1e-13)
-        assert thermo_from_spectrum(params, 3).n_expect == pytest.approx(2.5)
+        assert thermo_from_block(build_block(params, 3), params).n_expect == pytest.approx(2.5)
         with pytest.raises(ParameterError, match=r"step 0\.0001 .*\(F=2, k=1, n=3\)"):
             n_via_mu_derivative(params, 3, 1e-4)
 
@@ -190,7 +191,7 @@ class TestDerivativeRoutes:
         # omega = 1: the W = 0 entries keep the step and the W = 1 entries at
         # 1e13 lose it, so both routes would read 2.776 where the trace gives 2.731
         params = ModelParams(2, 1, 1.0, 1e13, 1.0, beta=1e-13)
-        assert thermo_from_spectrum(params, 3).n_expect == pytest.approx(2.731, abs=1e-3)
+        assert thermo_from_block(build_block(params, 3), params).n_expect == pytest.approx(2.731, abs=1e-3)
         with pytest.raises(ParameterError, match=r"step 0\.0001 .*\(F=2, k=1, n=3\)"):
             route(params, 3, 1e-4)
 
@@ -261,7 +262,8 @@ class TestOmegaScan:
         grid = np.logspace(-1, 2, 7)
         monkeypatch.setattr(thermo, "SCAN_CHUNK_ENTRIES", 3 * build_block(params, 4).dim ** 2)
         for omega, obs in omega_scan(params, 4, grid):
-            alone = thermo_from_spectrum(params.with_omega(omega), 4)
+            point = params.with_omega(omega)
+            alone = thermo_from_block(build_block(point, 4), point)
             for field in ("log_z", "free_energy", "phi_n_expect", "n_expect", "w_expect"):
                 assert getattr(obs, field) == pytest.approx(getattr(alone, field), rel=1e-12, abs=1e-12)
         scan = log_partition_scan(params, 4, grid)
