@@ -281,12 +281,12 @@ def cmd_thermo_scan(cfg: argparse.Namespace) -> int:
 
 
 def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
-    if cfg.F != 2 and cfg.k != 1:
-        raise ParameterError("closed forms exist for F=2 (any k) or k=1 (any F)")
+    # the closed form's regime checks come first, so a grid is solved only in regime
+    omegas = _omega_grid(cfg)
+    levels = semiclassical_level_table(cfg.F, cfg.k, cfg.n, cfg.hbar, omegas, cfg.delta, cfg.g)
     params = ModelParams(cfg.F, cfg.k, 1.0, cfg.delta, cfg.g, hbar=cfg.hbar, beta=cfg.beta,
                          deformation=Deformation.linear(cfg.hbar))
-    grid, log_z = zip(*log_partition_scan(params, cfg.n, _omega_grid(cfg)))
-    levels = semiclassical_level_table(cfg.F, cfg.k, cfg.n, cfg.hbar, grid, cfg.delta, cfg.g)
+    grid, log_z = zip(*log_partition_scan(params, cfg.n, omegas))
     log_z_semiclassical = log_sum_exp(levels, -cfg.beta)
     with np.errstate(over="ignore", invalid="ignore"):  # _emit names a non-finite cell
         f_numeric = -np.array(log_z) / cfg.beta

@@ -11,9 +11,11 @@ Diagonal observables come from the eigenvector trace: for the diagonal
 operator O(P), <O> = sum_j w_j sum_P |v_P(j)|^2 O(P) with Boltzmann weights
 w_j.  The solver returns the eigenvectors only of the states whose weight,
 relative to the ground state's, is above NEGLIGIBLE_WEIGHT = 2**-60 (and of
-any state clustered with one of them); the sum runs over those kept
-columns, against the normalization over every state, so the states left out
-move an average <O> over d states by at most d * 2**-60 * max|O|.
+any state clustered with one of them), and may stop computing eigenvalues
+there too: a level it leaves out is +inf, a zero term of every sum.  The
+sums run over the levels and kept columns it returns, so the states left
+out move Z by at most d * 2**-60 relative, and an average <O> over d states
+by at most d * 2**-60 * max|O|.
 
 One scan solves every stack: for an assembled block H and a diagonal
 operator op, it solves H + x * diag(op) at each point x of a finite,
@@ -61,8 +63,10 @@ from .errors import NumericalError, ParameterError
 SCAN_CHUNK_ENTRIES = 2**15
 
 #: Boltzmann weight, relative to the ground state's, below which a state's
-#: eigenvector is not computed: scans and thermo_from_block give the solver
-#: the window -log(NEGLIGIBLE_WEIGHT) / beta above each block's lowest level.
+#: eigenvector, and possibly its level, is not computed: scans and
+#: thermo_from_block give the solver the window -log(NEGLIGIBLE_WEIGHT) / beta
+#: above each block's lowest level.  The levels left out move Z by at most
+#: d * 2**-60 relative.
 NEGLIGIBLE_WEIGHT = 2.0**-60
 
 
@@ -70,24 +74,27 @@ def log_sum_exp(values: np.ndarray, scale: float = 1.0):
     """log(sum(exp(scale * values))) over the last axis, shifted by the largest term so nothing overflows.
 
     A float for one sequence, an array for a stack of them; a sequence gets
-    the bits it would get as a row of a stack.  The terms scale * values are
-    formed here, after |scale| * max|values| bounds them, so a term beyond the
-    float range raises NumericalError (its shift would be inf - inf) instead
-    of a numpy warning; for a stack the error's ``index`` is the row.  An
-    empty sequence raises ParameterError.
+    the bits it would get as a row of a stack.  A value of +inf under a
+    negative scale is a zero term, the limit of its exp: a windowed solve
+    leaves such levels out.  Any other term scale * value beyond the float
+    range, and a row whose every term is zero, raises NumericalError (its
+    shift would be inf - inf) instead of a numpy warning; for a stack the
+    error's ``index`` is the row.  An empty sequence raises ParameterError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ParameterError("log_sum_exp of an empty sequence")
-    peaks = np.max(np.abs(values), axis=-1)
-    for row, peak in enumerate(np.ravel(peaks).tolist()):
-        if not math.isfinite(abs(scale) * peak):
-            raise NumericalError(
-                f"log_sum_exp: a term scale * value leaves the float range (scale={scale!r})",
-                index=row if values.ndim > 1 else None,
-            )
-    terms = scale * values
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        terms = scale * values
     shift = np.max(terms, axis=-1)
+    # a term that overflowed or came from -inf; +inf under a scale >= 0 leaves no finite shift
+    overflow = np.isinf(terms) & (values != math.inf)
+    bad = np.flatnonzero(~np.isfinite(shift) | np.any(overflow, axis=-1))
+    if bad.size:
+        raise NumericalError(
+            f"log_sum_exp: a term scale * value leaves the float range (scale={scale!r})",
+            index=int(bad[0]) if values.ndim > 1 else None,
+        )
     with np.errstate(over="ignore"):  # a difference beyond -max float only makes exp 0
         total = np.sum(np.exp(terms - shift[..., np.newaxis]), axis=-1)
     result = shift + np.log(total)

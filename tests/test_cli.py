@@ -22,7 +22,7 @@ from parafermi_jc import (
     log_sum_exp,
     semiclassical_level_table,
 )
-from parafermi_jc import blocks, cli, verify
+from parafermi_jc import blocks, cli, thermo, verify
 from parafermi_jc.cli import main
 
 
@@ -486,6 +486,24 @@ class TestSemiclassicalCompare:
                                "--omega-count", "2")
         assert code == 1 and "closed forms" in err
 
+    @pytest.mark.parametrize("F,k,n", [(2, 2, 2), (2, 3, 1), (3, 1, 2), (3, 2, 5)])
+    def test_out_of_regime_never_solves(self, capsys, monkeypatch, F, k, n):
+        # the closed form's regime (n > k for F = 2, n > F - 1 for k = 1) is
+        # checked before the grid reaches the solver
+        calls = []
+        solve = thermo.eigensolver.eigendecompose
+
+        def recorded(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(thermo.eigensolver, "eigendecompose", recorded)
+        code, out, err = run_cli(capsys, "semiclassical-compare", "--F", str(F), "--k", str(k),
+                                 "--n", str(n), "--omega-min", "1", "--omega-max", "2",
+                                 "--omega-count", "100")
+        assert code == 1 and out == "" and err.startswith("parameter error:")
+        assert calls == []
+
     @pytest.mark.parametrize("name", ["qexp", "parafermionic"])
     def test_deformation_flag_rejected(self, capsys, name):
         # the comparison is defined for phi(x) = hbar x only
@@ -721,24 +739,30 @@ class TestOverflowFailsCleanly:
     @pytest.mark.parametrize("argv", [
         ("thermo-scan", "--F", "2", "--k", "1", "--n", "1", "--delta", "1e300", "--beta", "1e300"),
         ("thermo-scan", "--F", "2", "--k", "1", "--n", "1", "--delta", "-1000"),
-        ("semiclassical-compare", "--F", "2", "--k", "1", "--n", "1", "--delta", "1e300",
+        # n = 2 > k: in the closed form's regime, whose levels stay finite here
+        ("semiclassical-compare", "--F", "2", "--k", "1", "--n", "2", "--delta", "1e10",
          "--beta", "1e300"),
     ], ids=["huge_beta_times_level", "partition_function", "semiclassical_numeric"])
     def test_failed_point_named(self, capsys, argv):
         code, out, err, caught = run_cli_recording_warnings(capsys, *argv, *GRID_1_2)
         assert code == 2 and out == "" and caught == []
         assert err.count("\n") == 1 and err.startswith("numerical error:")
-        assert err.rstrip().endswith("at omega=1.0 (F=2, k=1, n=1)")
+        assert err.rstrip().endswith(f"at omega=1.0 (F=2, k=1, n={argv[6]})")
 
-    @pytest.mark.parametrize("command", ["thermo-scan", "semiclassical-compare"])
-    def test_overflowing_omega_diagonal_named(self, capsys, command):
+    @pytest.mark.parametrize("command,ending", [
+        ("thermo-scan", "at omega=1e+308 (F=2, k=1, n=3)"),
+        # the closed form's levels are evaluated before the grid is solved, and
+        # overflow at the same omega
+        ("semiclassical-compare", "(k=1, n=3, hbar=1.0, omega=1e+308, delta=1.0, g=1.0)"),
+    ])
+    def test_overflowing_omega_diagonal_named(self, capsys, command, ending):
         # omega * phi(n - W) reaches 3e308 at the top of the grid
         code, out, err, caught = run_cli_recording_warnings(
             capsys, command, "--F", "2", "--k", "1", "--n", "3", "--omega-min", "1",
             "--omega-max", "1e308", "--omega-scale", "linear", "--omega-count", "2")
         assert code == 2 and out == "" and caught == []
         assert err.count("\n") == 1 and err.startswith("numerical error:")
-        assert err.rstrip().endswith("at omega=1e+308 (F=2, k=1, n=3)")
+        assert err.rstrip().endswith(ending)
 
     @pytest.mark.parametrize("argv,message", [
         (("spectrum", "--F", "2", "--k", "1", "--n", "5", "--deformation", "linear",

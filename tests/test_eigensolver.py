@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -623,9 +624,11 @@ STAIRCASE_WINDOW = 60.0 * math.log(2.0)
 def window_count(H, window):
     """The solver's count of kept vectors, from LAPACK's eigenvalues: those up
     to the smallest plus window, then each next one within CLUSTER_RTOL *
-    ||T||_1 of the last one kept."""
+    ||T||_1 of the last one kept, T the tridiagonal of H in ascending order of
+    its diagonal, as the solver orders it."""
     w = np.linalg.eigvalsh(H)
-    d, e, _ = _tridiagonalize(np.array(H, dtype=complex), False)
+    order = np.argsort(H.diagonal().real, kind="stable")
+    d, e, _ = _tridiagonalize(np.array(H[np.ix_(order, order)], dtype=complex), False)
     count = int(np.count_nonzero(w <= w[0] + window))
     while count < w.size and w[count] - w[count - 1] <= CLUSTER_RTOL * one_norm(d, e):
         count += 1
@@ -654,13 +657,16 @@ def with_levels(levels, rng):
 
 def assert_kept_contracts(stack, window):
     """A windowed solve of a stack: the eigenvalues of the full solve, bit for
-    bit, the counts of window_count, and kept pairs that meet the contracts;
-    returns the counts."""
+    bit, where they are finite and +inf elsewhere, in no more sweeps; the
+    counts of window_count, and kept pairs that meet the contracts; returns
+    the counts."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigendecompose(stack, want_vectors=True, window=window)
         full = eigendecompose(stack, want_vectors=True)
-    assert np.array_equal(spec.eigenvalues, full.eigenvalues) and spec.sweeps == full.sweeps
+    computed = np.isfinite(spec.eigenvalues)
+    assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[computed])
+    assert np.all(spec.eigenvalues[~computed] == math.inf) and spec.sweeps <= full.sweeps
     counts = kept_columns(spec.eigenvectors)
     assert spec.eigenvectors.shape == stack.shape[:-1] + (np.max(counts),)
     assert counts.tolist() == [window_count(H, window) for H in stack]
@@ -677,8 +683,29 @@ class TestWindow:
     def test_staircase_counts(self):
         stack = staircase_stack()
         counts = assert_kept_contracts(stack, STAIRCASE_WINDOW)
-        # the window keeps 1 to 9 of 27 vectors, 134 of 1,080 in all
-        assert (counts.min(), counts.max(), counts.sum()) == (1, 9, 134)
+        # the window keeps 1 to 9 of 27 vectors, 135 of 1,080 in all
+        assert (counts.min(), counts.max(), counts.sum()) == (1, 9, 135)
+
+    def test_staircase_stops_early(self, monkeypatch):
+        # with each basis in ascending order of its diagonal, QL reaches the
+        # low-lying levels first and stops after 177 of the 1,080 eigenvalues,
+        # in 413 of the full solve's 1,906 sweeps; unordered, it would stop
+        # after 808 in 1,430
+        computed = []
+        ql = eigensolver._ql_implicit_shift
+
+        def recorded(d, e2, **kwargs):
+            sweeps = ql(d, e2, **kwargs)
+            computed.append(len(d))
+            return sweeps
+
+        monkeypatch.setattr(eigensolver, "_ql_implicit_shift", recorded)
+        spec = eigendecompose(staircase_stack(), want_vectors=True, window=STAIRCASE_WINDOW)
+        assert (sum(computed), spec.sweeps) == (177, 413)
+        assert np.count_nonzero(np.isfinite(spec.eigenvalues)) == 135
+        computed.clear()
+        full = eigendecompose(staircase_stack(), want_vectors=True)
+        assert (sum(computed), full.sweeps) == (1080, 1906)
 
     def test_kept_vectors_are_the_full_solves(self):
         # the back-transform of fewer columns rounds differently, by about eps
@@ -740,6 +767,60 @@ class TestWindow:
             eigendecompose(np.eye(2), want_vectors=True, window=window)
 
 
+@st.composite
+def windowed_stacks(draw):
+    """Stacks of one to three matrices of 1 to LEAF rows, random, diagonal,
+    block diagonal with exactly zero couplings, or of eigenvalues repeated
+    many times, scaled anywhere from 1e-300 to 1e300, and a window of 0, of
+    1e-3 to 1e2 times the scale, of 1e308 or of inf."""
+    n = draw(st.integers(1, eigensolver.LEAF))
+    kind = draw(st.sampled_from(["random", "diagonal", "blocks", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-300, 1e300))
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "random":
+            H = random_hermitian(n, rng)
+        elif kind == "diagonal":
+            H = np.diag(rng.standard_normal(n)).astype(complex)
+        elif kind == "blocks":
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False))
+            H = block_diagonal(np.diff(np.concatenate([[0], cuts, [n]])), int(rng.integers(2**31)))
+        else:
+            H = with_levels(rng.choice([-1.0, 0.5, 2.0], size=n), rng)
+        stack.append(scale * H)
+    window = draw(st.one_of(st.sampled_from([0.0, 1e308, math.inf]),
+                            st.floats(1e-3, 1e2).map(lambda w: w * scale)))
+    return np.array(stack), window
+
+
+@given(windowed_stacks())
+@settings(max_examples=60, deadline=None)
+def test_window_stop_over_full_range(case):
+    # the stop leaves the levels it computes, the counts and the kept vectors
+    # as they are without it, bit for bit; what it leaves out is beyond the
+    # window, by LAPACK's eigenvalues (to rounding)
+    stack, window = case
+    ql = eigensolver._ql_implicit_shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eigendecompose(stack, want_vectors=True, window=window)
+        values = eigendecompose(stack, window=window).eigenvalues
+        full = eigendecompose(stack, want_vectors=True)
+        with mock.patch.object(eigensolver, "_ql_implicit_shift", lambda d, e2, **_: ql(d, e2)):
+            unstopped = eigendecompose(stack, want_vectors=True, window=window)
+    computed = np.isfinite(spec.eigenvalues)
+    assert np.array_equal(values, spec.eigenvalues)
+    assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[computed])
+    assert np.all(spec.eigenvalues[~computed] == math.inf)
+    assert np.array_equal(unstopped.eigenvalues, full.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, unstopped.eigenvectors)
+    assert spec.sweeps <= full.sweeps
+    ref = np.linalg.eigvalsh(stack)
+    slack = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all((ref > ref[:, :1] + window - slack)[~computed])
+
+
 def tridiagonal(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j
 
@@ -796,8 +877,9 @@ class TestDivideAndConquer:
         # e = eps beside diagonals of 1 is negligible (e**2 <= eps**2 * 2**2):
         # the tear takes nothing off the diagonal, so the eigenvalues are the
         # halves' own, bit for bit; taking e off would move both by an ulp
+        # each half's diagonal ascends, so solved alone it is not reordered
         rng = np.random.default_rng(69)
-        d = rng.uniform(-1.0, 1.0, 64)
+        d = np.concatenate([np.sort(rng.uniform(-1.0, 1.0, 32)), np.sort(rng.uniform(1.0, 3.0, 32))])
         d[31] = d[32] = 1.0
         e = rng.uniform(0.1, 1.0, 63)
         e[31] = sys.float_info.epsilon
@@ -841,6 +923,11 @@ class TestDivideAndConquer:
         # a 64-row block diagonal splits into its two 32-row blocks, so the
         # solve takes the sweeps of the two blocks solved alone
         H = block_diagonal((32, 32), 63)
+        # each block's basis in ascending order of its diagonal, as a solve of
+        # the block alone orders it; the tree keeps the input's order
+        order = np.concatenate([np.argsort(H.diagonal()[:32].real),
+                                32 + np.argsort(H.diagonal()[32:].real)])
+        H = H[np.ix_(order, order)]
         alone = sum(eigendecompose(H[s, s]).sweeps for s in (slice(0, 32), slice(32, 64)))
         assert eigendecompose(H, want_vectors=True).sweeps == alone
         assert eigendecompose(H).sweeps == alone

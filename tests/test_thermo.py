@@ -51,9 +51,20 @@ class TestLogSumExp:
         x = np.array([-1.0, 0.5, 2.0])
         assert log_sum_exp(x, -2.0) == log_sum_exp(-2.0 * x)
 
+    def test_inf_level_is_a_zero_term(self):
+        # a level a windowed solve left out: exp(-beta * inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_sum_exp(np.array([1.0, 2.0, math.inf]), -0.5) == log_sum_exp(np.array([1.0, 2.0]), -0.5)
+            stacked = log_sum_exp(np.array([[1.0, math.inf, math.inf], [1.0, 2.0, 3.0]]), -1.0)
+        assert stacked.tolist() == [-1.0, log_sum_exp(np.array([1.0, 2.0, 3.0]), -1.0)]
+
     @pytest.mark.parametrize("values,scale", [([1.0, math.inf], 1.0), ([1.0, -math.inf], 1.0),
-                                              ([1.0, math.nan], 1.0), ([1.0, 1e300], -1e300)],
-                             ids=["inf", "minus_inf", "nan", "overflowing_term"])
+                                              ([1.0, math.nan], 1.0), ([1.0, 1e300], -1e300),
+                                              ([1.0, -math.inf], -1.0), ([1.0, math.inf], 0.0),
+                                              ([math.inf, math.inf], -1.0)],
+                             ids=["inf", "minus_inf", "nan", "overflowing_term",
+                                  "minus_inf_negative_scale", "inf_zero_scale", "every_term_zero"])
     def test_non_finite_term_rejected(self, values, scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
