@@ -7,8 +7,9 @@ model and serve as independent oracles for the numerical pipeline:
   two-level problems, giving 2k levels E(s, l) with binomial degeneracies
   C(k-1, l); a deformed-oscillator generalization holds in the saturated
   regime n >= k.
-* F = 3, k = 1: the 3x3 block reduces to a depressed cubic with an explicit
-  radical solution.
+* F = 3, k = 1: the 3x3 block reduces to a depressed cubic; the paper's
+  radical solution is evaluated by the trigonometric method, which needs no
+  complex arithmetic and never squares an input.
 * Linearizing the spectrum in a small parameter hbar (structure function
   hbar*x) yields closed-form partition sums accurate away from the crossover
   at omega ~ delta/hbar.  The linearized levels are affine in omega, so
@@ -17,13 +18,11 @@ model and serve as independent oracles for the numerical pipeline:
   the one way to get it, and ``semiclassical_z_f2_closed_form`` is its oracle.
 
 Each function refuses inputs outside its regime of validity instead of
-extrapolating.
+extrapolating; the one rule is ``_check_regime``'s.
 """
 
 from __future__ import annotations
 
-import cmath
-import logging
 import math
 from dataclasses import dataclass
 
@@ -32,11 +31,6 @@ import numpy as np
 from .algebra import _check_integer, _check_order_and_modes
 from .deformations import Deformation, evaluate
 from .errors import NumericalError, OutOfRegimeError, ParameterError
-
-logger = logging.getLogger(__name__)
-
-#: Imaginary parts below this (relative) threshold are rounding noise.
-_REALNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,15 +47,25 @@ class LabeledSpectrum:
         return np.sort(np.asarray(out, dtype=np.float64))
 
 
-def _check_f2_regime(k: int, n: int) -> tuple[int, int]:
-    """(k, n) as ints, once the F=2 closed forms hold for them."""
-    k = _check_order_and_modes(2, k)[1]
+def _check_regime(form: str, F, k, n, e: int = 1, delta: float | None = None) -> tuple[int, int, int]:
+    """(F, k, n) as ints, once the closed form named by form holds for them:
+    n >= k(F-1) + e, with e = 0 for the F=2 spectra and 1 for the rest, and,
+    for the forms expanded in hbar (those given a delta), delta != 0."""
+    F, k = _check_order_and_modes(F, k)
     n = _check_integer(n, 0, "total excitation number n")
-    if n < k:
-        raise OutOfRegimeError(
-            f"F=2 closed form needs the saturated regime n >= k, got n={n}, k={k}"
-        )
-    return k, n
+    least = k * (F - 1) + e
+    if n < least:
+        raise OutOfRegimeError(f"{form} needs n >= {least}, got n={n} (F={F}, k={k})")
+    if delta == 0.0:
+        raise ParameterError(f"{form} expands about delta != 0")
+    return F, k, n
+
+
+def _level_error(formula: str, problem: str = "float overflow", index: int | None = None,
+                 **params) -> NumericalError:
+    """The NumericalError naming the level formula that failed and its parameters."""
+    named = ", ".join(f"{key}={value}" for key, value in params.items())
+    return NumericalError(f"{problem} in the {formula} level formula ({named})", index=index)
 
 
 def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
@@ -69,16 +73,19 @@ def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) ->
 
     E(s, l) = [(2l+1) delta + (2(n-l)-1) omega
                + s * sqrt(4 k g^2 (n-l) + (delta-omega)^2)] / 2
-    for l = 0..k-1, s = +-1, each with degeneracy C(k-1, l).
+    for l = 0..k-1, s = +-1, each with degeneracy C(k-1, l).  The root is
+    taken as hypot(2 g sqrt(k(n-l)), delta - omega), which squares nothing.
     """
-    k, n = _check_f2_regime(k, n)
+    _, k, n = _check_regime("F=2 closed form", 2, k, n, e=0)
     levels = []
     for l in range(k):
-        root = math.sqrt(4.0 * k * g * g * (n - l) + (delta - omega) ** 2)
+        root = math.hypot(2.0 * g * math.sqrt(k * (n - l)), delta - omega)
         base = (2 * l + 1) * delta + (2 * (n - l) - 1) * omega
         degeneracy = math.comb(k - 1, l)
-        levels.append((0.5 * (base + root), degeneracy))
-        levels.append((0.5 * (base - root), degeneracy))
+        upper, lower = 0.5 * (base + root), 0.5 * (base - root)
+        if not (math.isfinite(upper) and math.isfinite(lower)):
+            raise _level_error("F=2", k=k, n=n, l=l, omega=omega, delta=delta, g=g)
+        levels += [(upper, degeneracy), (lower, degeneracy)]
     return LabeledSpectrum(tuple(levels))
 
 
@@ -94,7 +101,7 @@ def exact_f2_deformed(
                              - 2 omega^2 phi(n-k+l) + omega^2 phi(n-k+l+1)).
     Degeneracy C(k-1, l); reduces to the undeformed multiset for phi(x) = x.
     """
-    k, n = _check_f2_regime(k, n)
+    _, k, n = _check_regime("F=2 closed form", 2, k, n, e=0)
     levels = []
     for l in range(k):
         lo = evaluate(phi, n - k + l)
@@ -108,10 +115,7 @@ def exact_f2_deformed(
         base = (2 * (k - l) - 1) * delta + (lo + hi) * omega
         if not (math.isfinite(radicand + base) and radicand >= 0.0):
             problem = "negative radicand" if math.isfinite(radicand + base) else "float overflow"
-            raise NumericalError(
-                f"{problem} in the deformed F=2 level formula "
-                f"(k={k}, n={n}, l={l}, omega={omega}, delta={delta}, g={g})"
-            )
+            raise _level_error("deformed F=2", problem, k=k, n=n, l=l, omega=omega, delta=delta, g=g)
         root = math.sqrt(radicand)
         degeneracy = math.comb(k - 1, l)
         levels.append((0.5 * (base + root), degeneracy))
@@ -119,14 +123,12 @@ def exact_f2_deformed(
     return LabeledSpectrum(tuple(levels))
 
 
-def _depressed_cubic_roots_real(c: float, q0: float) -> list[float]:
-    """Real roots of x^3 - c x + q0 = 0 by the trigonometric method (requires c > 0)."""
-    p = -c
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q0 / (2.0 * p) * math.sqrt(-3.0 / p)
-    arg = min(1.0, max(-1.0, arg))
-    phase = math.acos(arg)
-    return [amp * math.cos((phase - 2.0 * math.pi * j) / 3.0) for j in range(3)]
+def _trigonometric_roots(r: float, u: float) -> list[float]:
+    """The three real roots of x^3 - r^2 x + u r^3 = 0, ascending, for r > 0
+    and |u| <= 2 / (3 sqrt 3): 2 r / sqrt 3 * cos((acos(-3 sqrt(3) u / 2) - 2 pi j) / 3)."""
+    phase = math.acos(-1.5 * math.sqrt(3.0) * u)
+    return sorted(2.0 * r / math.sqrt(3.0) * math.cos((phase - 2.0 * math.pi * j) / 3.0)
+                  for j in range(3))
 
 
 def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
@@ -134,46 +136,26 @@ def exact_f3_k1(n: int, omega: float, delta: float, g: float) -> LabeledSpectrum
 
     The levels are delta + (n-1) omega plus the roots of the depressed cubic
     x^3 - c x + g^2 (delta - omega) with c = g^2 (2n - 1) + (delta - omega)^2.
-    The radical form evaluates
+    The paper writes them in radicals, with principal branches,
 
         E(l) = delta + (n-1) omega + e^{-2 pi i l / 3} W / (3 * 2^(1/3))
                + e^{+2 pi i l / 3} 2^(1/3) c / W,
-        W^3 = sqrt(-108 c^3 + 729 g^4 (delta-omega)^2) + 27 g^2 (omega - delta)
+        W^3 = sqrt(-108 c^3 + 729 g^4 (delta-omega)^2) + 27 g^2 (omega - delta).
 
-    with principal branches; when all three real eigenvalues are distinct the
-    inner square root is imaginary and the principal-branch combination is
-    automatically real.  If residual imaginary parts exceed tolerance the
-    trigonometric real-root solver takes over; it also handles a vanishing W,
-    except at c = 0 (g = 0 with delta = omega), where the cubic x^3 has the
-    triple root 0.
+    Here they are evaluated by the trigonometric method, from c = r^2 with
+    r = hypot(g sqrt(2n - 1), delta - omega) and the ratios g/r and
+    (delta - omega)/r, so no input is squared or cubed.  For n >= 3 the
+    acos argument stays within [-0.2, 0.2], away from a double root.  At
+    r = 0 (g = 0 with delta = omega) the cubic x^3 has the triple root 0.
     """
-    n = _check_integer(n, 0, "total excitation number n")
-    if n < 3:
-        raise OutOfRegimeError(f"F=3, k=1 closed form needs n >= 3, got n={n}")
+    n = _check_regime("F=3, k=1 closed form", 3, 1, n)[2]
     shift = delta + (n - 1) * omega
-    c = g * g * (2 * n - 1) + (delta - omega) ** 2
-    q0 = g * g * (delta - omega)
-    inner = complex(-108.0 * c ** 3 + 729.0 * g ** 4 * (delta - omega) ** 2)
-    w_cubed = cmath.sqrt(inner) + 27.0 * g * g * (omega - delta)
-    scale = 1.0 + abs(shift) + math.sqrt(c)
-    if abs(w_cubed) < 1e-30:
-        logger.info("cubic solver: W = 0, using trigonometric roots")
-        values = sorted(_depressed_cubic_roots_real(c, q0)) if c > 0 else [0.0, 0.0, 0.0]
-    else:
-        w = w_cubed ** (1.0 / 3.0)
-        candidates = []
-        for l in range(3):
-            term = (
-                cmath.exp(-2j * cmath.pi * l / 3) * w / (3.0 * 2.0 ** (1.0 / 3.0))
-                + cmath.exp(2j * cmath.pi * l / 3) * 2.0 ** (1.0 / 3.0) * c / w
-            )
-            candidates.append(term)
-        if max(abs(t.imag) for t in candidates) <= _REALNESS_TOL * scale:
-            values = sorted(t.real for t in candidates)
-        else:
-            logger.info("cubic solver: principal branch left imaginary residue, using trigonometric roots")
-            values = sorted(_depressed_cubic_roots_real(c, q0))
-    return LabeledSpectrum(tuple((shift + v, 1) for v in values))
+    r = math.hypot(g * math.sqrt(2 * n - 1), delta - omega)
+    roots = _trigonometric_roots(r, (g / r) ** 2 * ((delta - omega) / r)) if r else [0.0] * 3
+    levels = tuple((shift + x, 1) for x in roots)
+    if not all(math.isfinite(value) for value, _ in levels):
+        raise _level_error("F=3, k=1", n=n, omega=omega, delta=delta, g=g)
+    return LabeledSpectrum(levels)
 
 
 def _require_finite(values: np.ndarray, formula: str, **params) -> None:
@@ -184,8 +166,7 @@ def _require_finite(values: np.ndarray, formula: str, **params) -> None:
     if bad.size:
         row = int(bad[0])
         params["omega"] = params["omega"][row]
-        named = ", ".join(f"{key}={value}" for key, value in params.items())
-        raise NumericalError(f"float overflow in the {formula} level formula ({named})", index=row)
+        raise _level_error(formula, index=row, **params)
 
 
 def _coefficients(labels, term) -> np.ndarray:
@@ -198,12 +179,7 @@ def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
     order, and their degeneracies C(k-1, l), n > k:
     E(s, l) = [2 g^2 k s hbar (l+n-k+1) + delta^2 (2k - 2l + s - 1)
                + delta omega hbar (2l + 2n - 2k - s + 1)] / (2 delta)."""
-    k = _check_order_and_modes(2, k)[1]
-    n = _check_integer(n, 0, "total excitation number n")
-    if n <= k:
-        raise OutOfRegimeError(f"linearized F=2 levels need n > k, got n={n}, k={k}")
-    if delta == 0.0:
-        raise ParameterError("linearized levels expand about delta != 0")
+    _, k, n = _check_regime("linearized F=2 form", 2, k, n, delta=delta)
     labels = [(l, s) for l in range(k) for s in (+1, -1)]
     omega = np.asarray(omegas, dtype=np.float64)[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
@@ -220,12 +196,7 @@ def _linearized_f2(k: int, n: int, hbar: float, omegas, delta: float, g: float):
 def _linearized_k1(F: int, n: int, hbar: float, omegas, delta: float, g: float):
     """The single-mode linearized levels at each omega, as a (points, F) array:
     the weight-0 branch, the fully occupied branch, then the ladder s = 1..F-2."""
-    F = _check_order_and_modes(F, 1)[0]
-    n = _check_integer(n, 0, "total excitation number n")
-    if delta == 0.0:
-        raise ParameterError("linearized levels expand about delta != 0")
-    if n <= F - 1:
-        raise OutOfRegimeError(f"single-mode linearized levels need n > F-1, got n={n}, F={F}")
+    F, _, n = _check_regime("single-mode linearized form", F, 1, n, delta=delta)
     ladder = [(s,) for s in range(1, F - 1)]
     omega = np.asarray(omegas, dtype=np.float64)[:, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
@@ -263,12 +234,7 @@ def semiclassical_z_f2_closed_form(
     k: int, n: int, hbar: float, omega: float, delta: float, g: float
 ) -> float:
     """Explicit two-term evaluation of the linearized F=2 partition sum (beta = 1)."""
-    k = _check_order_and_modes(2, k)[1]
-    n = _check_integer(n, 0, "total excitation number n")
-    if n <= k:
-        raise OutOfRegimeError(f"closed-form Z needs n > k, got n={n}, k={k}")
-    if delta == 0.0:
-        raise ParameterError("closed-form Z expands about delta != 0")
+    _, k, n = _check_regime("closed-form Z", 2, k, n, delta=delta)
     e = math.exp
     gk = g * g * k
     try:

@@ -139,11 +139,17 @@ class TestSpectrum:
         expected = sorted([3.0, 2.0, 2.0, 1.0, 1.0, 1.0])
         assert values == pytest.approx(expected, abs=1e-12)
 
-    def test_out_of_comparison_regime_has_empty_columns(self, capsys):
-        code, out, _ = run_cli(capsys, "spectrum", "--F", "4", "--k", "2", "--n", "2")
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert all(r[2] == "" and r[3] == "" for r in rows)
+    @pytest.mark.parametrize("F,k,n", [(4, 2, 2), (2, 1, 0), (2, 3, 2), (3, 1, 2)])
+    def test_out_of_comparison_regime_has_empty_columns(self, capsys, F, k, n):
+        # below the closed form's regime the exact columns are empty; where a
+        # closed form exists, they are filled from its least n on (n = k for
+        # F = 2, n = 3 for F = 3 with k = 1)
+        for m, filled in ((n, False), (n + 1, F < 4)):
+            code, out, _ = run_cli(capsys, "spectrum", "--F", str(F), "--k", str(k), "--n", str(m))
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert all(bool(r[2]) == bool(r[3]) == filled for r in rows)
+            assert not filled or all(float(r[3]) <= 1e-8 for r in rows)
 
     @pytest.mark.parametrize("F,k,n", [(2, 3, 6), (4, 2, 2)])
     def test_huge_delta_never_hits_the_sweep_cap(self, capsys, F, k, n):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parafermi_jc import (
     Deformation,
@@ -73,6 +75,21 @@ class TestF2Undeformed:
         with pytest.raises(OutOfRegimeError):
             exact_f2_undeformed(3, 2, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("k,n,omega,delta,g", [(1, 3, 1.0, 1.0, 1e155), (2, 4, 1.0, 1e300, 1.0),
+                                                   (3, 5, -1e300, 1.0, 1e-3)])
+    def test_huge_couplings_stay_finite(self, k, n, omega, delta, g):
+        # 4 k g^2 (n - l) or (delta - omega)^2 would leave the float range; the
+        # levels do not
+        exact = exact_f2_undeformed(k, n, omega, delta, g).values()
+        numeric = np.linalg.eigvalsh(build_block(ModelParams(2, k, omega, delta, g), n).matrix)
+        assert np.max(np.abs(exact - numeric)) <= 1e-13 * np.max(np.abs(numeric))
+
+    def test_overflowing_level_named(self):
+        with pytest.raises(NumericalError) as caught:
+            exact_f2_undeformed(1, 3, 1.0, 1.7e308, 1.0)
+        assert str(caught.value) == ("float overflow in the F=2 level formula "
+                                     "(k=1, n=3, l=0, omega=1.0, delta=1.7e+308, g=1.0)")
+
 
 class TestF2Deformed:
     def test_undeformed_structure_function_reduces(self):
@@ -109,6 +126,41 @@ class TestF2Deformed:
             exact_f2_deformed(3, 2, 1.0, 1.0, 1.0, Deformation.undeformed())
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def f3_couplings(draw):
+    """(n, omega, delta, g) for F=3, k=1: n in 3..40, omega and delta in
+    1e-3..1e3 and g in 1e-6..1e2, log-uniform, with delta within 1e-12..1e-3
+    of omega one time in five."""
+    n, omega, g = draw(st.integers(3, 40)), draw(log_uniform(1e-3, 1e3)), draw(log_uniform(1e-6, 1e2))
+    if draw(st.integers(0, 4)):
+        return n, omega, draw(log_uniform(1e-3, 1e3)), g
+    return n, omega, omega + draw(st.sampled_from((-1.0, 1.0))) * draw(log_uniform(1e-12, 1e-3)), g
+
+
+#: Each closed form at n, with the least n of its regime: k(F-1) for the F=2
+#: spectra, k(F-1) + 1 for the rest.
+REGIMES = {
+    "exact_f2_undeformed": (lambda n: exact_f2_undeformed(3, n, 1.0, 2.0, 0.5).values(), 3),
+    "exact_f2_deformed": (lambda n: exact_f2_deformed(3, n, 1.0, 2.0, 0.5, Deformation.q_exp(0.5)).values(), 3),
+    "exact_f3_k1": (lambda n: exact_f3_k1(n, 1.0, 2.0, 1.0).values(), 3),
+    "semiclassical_level_table_f2": (lambda n: semiclassical_level_table(2, 3, n, 1.0, [1.0], 20.0, 1.0), 4),
+    "semiclassical_level_table_k1": (lambda n: semiclassical_level_table(4, 1, n, 1.0, [1.0], 20.0, 1.0), 4),
+    "semiclassical_z_f2_closed_form": (lambda n: semiclassical_z_f2_closed_form(3, n, 1.0, 1.0, 20.0, 1.0), 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REGIMES))
+def test_regime_boundary(entry):
+    closed_form, least = REGIMES[entry]
+    with pytest.raises(OutOfRegimeError):
+        closed_form(least - 1)
+    assert np.all(np.isfinite(closed_form(least)))
+
+
 class TestF3Cubic:
     def test_matches_numerics_point(self):
         exact = exact_f3_k1(3, 1.0, 2.0, 1.0).values()
@@ -129,13 +181,14 @@ class TestF3Cubic:
         assert exact == pytest.approx(list(numeric), abs=1e-10)
 
     def test_degenerate_inner_root_fallback(self):
-        # g = 0 with omega = delta collapses the depressed cubic to x^3 = 0
+        # g = 0 with omega = delta collapses the depressed cubic to x^3 = 0: r = 0
         exact = exact_f3_k1(4, 1.0, 1.0, 0.0).values()
         assert exact == pytest.approx([4.0, 4.0, 4.0], abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.0, 1e-12])
     def test_vanishing_w_matches_numerics(self, g):
-        # delta = omega with g <= 1e-12 makes |W^3| < 1e-30: the W = 0 branch
+        # delta = omega with g <= 1e-12 makes the radical form's W^3 vanish;
+        # the trigonometric method needs no W
         exact = exact_f3_k1(3, 1.0, 1.0, g).values()
         numeric = numeric_spectrum(3, 1, 3, 1.0, 1.0, g)
         assert np.max(np.abs(exact - numeric)) <= 1e-8
@@ -152,12 +205,30 @@ class TestF3Cubic:
         with pytest.raises(OutOfRegimeError):
             exact_f3_k1(2, 1.0, 1.0, 1.0)
 
-    def test_trigonometric_fallback_helper(self):
-        # x^3 - 7x + 6 = (x - 1)(x - 2)(x + 3)
-        from parafermi_jc.exact import _depressed_cubic_roots_real
+    def test_overflowing_level_named(self):
+        with pytest.raises(NumericalError) as caught:
+            exact_f3_k1(3, 1.0, 1.0, 1e308)
+        assert str(caught.value) == ("float overflow in the F=3, k=1 level formula "
+                                     "(n=3, omega=1.0, delta=1.0, g=1e+308)")
 
-        roots = sorted(_depressed_cubic_roots_real(7.0, 6.0))
+    def test_trigonometric_fallback_helper(self):
+        # x^3 - 7x + 6 = (x - 1)(x - 2)(x + 3), as x^3 - r^2 x + u r^3 with r^2 = 7
+        from parafermi_jc.exact import _trigonometric_roots
+
+        roots = _trigonometric_roots(math.sqrt(7.0), 6.0 / 7.0 ** 1.5)
         assert roots == pytest.approx([-3.0, 1.0, 2.0], abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=f3_couplings())
+    @example(case=(3, 1.0, 2.0, 1e155))
+    @example(case=(5, 1.0, 1e200, 1.0))
+    @example(case=(4, 1.0, 1.0, 0.0))
+    @example(case=(3, 1.0, 1.0, 1e-12))
+    def test_matches_eigvalsh(self, case):
+        n, omega, delta, g = case
+        exact = exact_f3_k1(n, omega, delta, g).values()
+        numeric = np.linalg.eigvalsh(build_block(ModelParams(3, 1, omega, delta, g), n).matrix)
+        assert np.max(np.abs(exact - numeric)) <= 1e-13 * np.max(np.abs(numeric))
 
 
 class TestSemiclassicalLevels:

@@ -87,6 +87,33 @@ def test_orphan_guard_sees_an_unreferenced_helper(tmp_path):
     assert unreferenced([sample]) == ["Unused", "_orphan"]
 
 
+def unused_imports(path):
+    """Names that path binds by an import, at module level or inside
+    functions, and that no name in its code reads; __future__ binds none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # an import left behind by a deleted code path shows up here
+    assert not unused_imports(path), f"{path.name} imports but never uses {unused_imports(path)}"
+
+
+def test_import_guard_sees_an_unused_binding(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('from __future__ import annotations\nimport cmath\nimport math as m\n'
+                      'import os.path\nfrom json import dumps, loads\n\n\n'
+                      'def f():\n    """loads and cmath in a docstring"""\n    import logging\n'
+                      '    return m.pi, os.sep, dumps  # logging\n')
+    assert unused_imports(sample) == ["cmath", "loads", "logging"]
+
+
 def package_imports(path):
     """Names of the package modules that path imports, at module level or
     inside functions, in any of the relative or absolute forms."""
