@@ -39,7 +39,9 @@ from .exact import exact_f2_deformed, exact_f3_k1, semiclassical_level_table
 from .thermo import log_partition_scan, log_sum_exp, omega_scan
 from .verify import SCOPES, run_checks
 
-#: |numeric - exact| beyond which the spectrum command reports a failure.
+#: |numeric - exact| / (1 + max|numeric|) beyond which the spectrum command
+#: reports a failure: both sides round relative to the spectrum's scale, which
+#: neither an absolute bound nor one relative to each level follows.
 SPECTRUM_MATCH_TOL = 1e-8
 
 #: Most output rows (omega grid points, or dims' n = 0..n_max): each row is held
@@ -260,12 +262,13 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
         pass
     rows = []
     mismatch = False
+    tol = SPECTRUM_MATCH_TOL * (1.0 + float(np.max(np.abs(numeric), initial=0.0)))
     for j, value in enumerate(numeric):
         if exact_values is None:
             rows.append([j, value, None, None])
         else:
             diff = abs(value - exact_values[j])
-            mismatch = mismatch or diff > SPECTRUM_MATCH_TOL
+            mismatch = mismatch or diff > tol
             rows.append([j, value, exact_values[j], diff])
     _emit(cfg, ["index", "eigenvalue", "exact_value", "abs_diff"], rows)
     return EXIT_VERIFICATION if mismatch else EXIT_OK

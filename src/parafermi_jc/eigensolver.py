@@ -10,14 +10,15 @@ the input's order at the end; larger matrices keep the input's order.
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
    a panel each column is brought up to date from the panel's reflectors
    when it is reached, and the trailing matrix takes the whole panel as one
-   rank-2*PANEL product.  A diagonal phase rotation then makes the
-   off-diagonal real and nonnegative.  With eigenvectors requested, the
-   reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
-   they are applied to the tridiagonal's eigenvectors, one panel per
-   compact-WY product as in zunmtr (the back-transform), so the Householder
-   unitary is never formed.  Each matrix is first scaled by the power of two
-   of its largest entry, and its eigenvalues scaled back, as LAPACK's zheev
-   does for extreme matrices.
+   rank-2*PANEL product.  A lone matrix takes each column's reflector scalars
+   on Python numbers, as zlarfg does, and a stack on (G,) arrays.  A diagonal
+   phase rotation then makes the off-diagonal real and nonnegative.  With
+   eigenvectors requested, the reduction keeps its reflectors, scaled to
+   unit norm; once stage 2 is done they are applied to the tridiagonal's
+   eigenvectors, one panel per compact-WY product as in zunmtr (the
+   back-transform), so the Householder unitary is never formed.  Each matrix
+   is first scaled by the power of two of its largest entry, and its
+   eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
@@ -209,6 +210,11 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     and p = A u - V (W^H u) - W (V^H u) stands in for the updated A u.  The
     trailing matrix takes all of them at once when the panel ends, as one
     rank-2*PANEL product.
+
+    A matrix without a stack axis takes each column's scalars (||x||, x0, the
+    keep test, the phase, u[0], alpha) as Python numbers and its products as
+    plain 2-D ones, as numpy calls on 0-d arrays cost more than their
+    arithmetic; a stack keeps (G,) arrays, whose calls serve all G matrices.
     """
     n = A.shape[-1]
     stack = A.shape[:-2]
@@ -229,6 +235,29 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
                 pairs = work[..., j:, mid - k:mid + k]
                 col -= _mv(pairs, pairs[..., 0, ::-1].conj())
             x = col[..., 1:]
+            u = work[..., j + 1:, mid - 1 - k]
+            w = work[..., j + 1:, mid + k]
+            if not stack:
+                # a lone matrix: the steps below on Python numbers, and a
+                # skipped u stays the zero column the panel started with
+                xnorm = math.sqrt(np.vdot(x, x).real)
+                x0 = complex(x[0])
+                ax0 = abs(x0)
+                vnorm2 = 2.0 * xnorm * (xnorm + ax0)
+                if vnorm2 >= tiny:
+                    phase = complex(x0.real / ax0, x0.imag / ax0) if ax0 > 0.0 else 1.0
+                    vnorm = math.sqrt(vnorm2)
+                    np.multiply(x, 1.0 / vnorm, out=u)
+                    u[0] = phase * ((ax0 + xnorm) / vnorm)
+                    col[1] = -phase * xnorm
+                p = A[j + 1:, j + 1:] @ u
+                if k:
+                    pairs = work[j + 1:, mid - k:mid + k]
+                    p -= pairs @ (u.conj() @ pairs).conj()[::-1]
+                p *= 2.0
+                np.multiply(u, -np.vdot(u, p), out=w)
+                w += p
+                continue
             xnorm = np.sqrt(_vh(x, x[..., np.newaxis])[..., 0].real)
             x0 = x[..., 0].copy()
             ax0 = np.abs(x0)
@@ -245,7 +274,6 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
                       out=phase[..., np.newaxis].view(np.float64),
                       where=ax0[..., np.newaxis] > 0.0)
             vnorm = np.sqrt(vnorm2)
-            u = work[..., j + 1:, mid - 1 - k]
             inv = np.divide(1.0, vnorm, out=zeros.copy(), where=keep)
             np.multiply(x, inv[..., np.newaxis], out=u)
             u[..., 0] = phase * np.divide(ax0 + xnorm, vnorm, out=zeros.copy(), where=keep)
@@ -255,7 +283,6 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
                 pairs = work[..., j + 1:, mid - k:mid + k]
                 p -= _mv(pairs, _vh(u, pairs).conj()[..., ::-1])
             p *= 2.0
-            w = work[..., j + 1:, mid + k]
             np.multiply(u, -_vh(u, p[..., np.newaxis]), out=w)
             w += p
         nb = j1 - j0
@@ -284,6 +311,7 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
     with T from V's Gram matrix by the UT transform
     T^-1 = striu(V^H V) + diag(V^H V) / 2; a skipped reflector's zero column
     gets pivot 1.  The panels are applied last first, so Q is never formed.
+    Z is a (G, n, m) stack; a lone matrix's reflectors apply to a stack of one.
     """
     phases, panels = reflectors
     X = phases[..., :, np.newaxis] * Z
@@ -723,7 +751,9 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     exponent = np.frexp(peak.reshape(G))[1]
     parts = work.view(np.float64)
     np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
-    d, e, reflectors = _tridiagonalize(work, want_vectors)
+    # a lone matrix goes in without its stack axis, for Householder's scalar route
+    d, e, reflectors = _tridiagonalize(work[0] if G == 1 else work, want_vectors)
+    d, e = np.atleast_2d(d, e)
     del work, parts  # the view parts would keep work alive
     # entries of the tridiagonal are at most about n, so its 1-norm is finite
     # exactly when every entry is

@@ -22,7 +22,7 @@ class OutOfRegimeError(ParameterError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: negative radicand, a partition function beyond the float range, ...
+    """Numerical failure: a level or a partition function beyond the float range, ...
 
     ``index`` is the position of the failing matrix when the failure hit one
     matrix of a stack, so a caller that built the stack can name its point.

@@ -61,11 +61,10 @@ def _check_regime(form: str, F, k, n, e: int = 1, delta: float | None = None) ->
     return F, k, n
 
 
-def _level_error(formula: str, problem: str = "float overflow", index: int | None = None,
-                 **params) -> NumericalError:
-    """The NumericalError naming the level formula that failed and its parameters."""
+def _level_error(formula: str, index: int | None = None, **params) -> NumericalError:
+    """The NumericalError naming the level formula that overflowed and its parameters."""
     named = ", ".join(f"{key}={value}" for key, value in params.items())
-    return NumericalError(f"{problem} in the {formula} level formula ({named})", index=index)
+    return NumericalError(f"float overflow in the {formula} level formula ({named})", index=index)
 
 
 def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
@@ -100,26 +99,21 @@ def exact_f2_deformed(
              + phi(n-k+l+1) (4 k g^2 - 2 omega delta
                              - 2 omega^2 phi(n-k+l) + omega^2 phi(n-k+l+1)).
     Degeneracy C(k-1, l); reduces to the undeformed multiset for phi(x) = x.
+    R(l) is taken as hypot(delta - omega (phi(n-k+l+1) - phi(n-k+l)),
+    2 g sqrt(k phi(n-k+l+1))), the same sum of squares, which squares nothing.
     """
     _, k, n = _check_regime("F=2 closed form", 2, k, n, e=0)
     levels = []
     for l in range(k):
         lo = evaluate(phi, n - k + l)
         hi = evaluate(phi, n - k + l + 1)
-        try:
-            radicand = (delta + omega * lo) ** 2 + hi * (
-                4.0 * k * g * g - 2.0 * omega * delta - 2.0 * omega * omega * lo + omega * omega * hi
-            )
-        except OverflowError:
-            radicand = math.inf
+        root = math.hypot(delta - omega * (hi - lo), 2.0 * g * math.sqrt(k * hi))
         base = (2 * (k - l) - 1) * delta + (lo + hi) * omega
-        if not (math.isfinite(radicand + base) and radicand >= 0.0):
-            problem = "negative radicand" if math.isfinite(radicand + base) else "float overflow"
-            raise _level_error("deformed F=2", problem, k=k, n=n, l=l, omega=omega, delta=delta, g=g)
-        root = math.sqrt(radicand)
+        upper, lower = 0.5 * (base + root), 0.5 * (base - root)
+        if not (math.isfinite(upper) and math.isfinite(lower)):
+            raise _level_error("deformed F=2", k=k, n=n, l=l, omega=omega, delta=delta, g=g)
         degeneracy = math.comb(k - 1, l)
-        levels.append((0.5 * (base + root), degeneracy))
-        levels.append((0.5 * (base - root), degeneracy))
+        levels += [(upper, degeneracy), (lower, degeneracy)]
     return LabeledSpectrum(tuple(levels))
 
 

@@ -151,6 +151,23 @@ class TestSpectrum:
             assert all(bool(r[2]) == bool(r[3]) == filled for r in rows)
             assert not filled or all(float(r[3]) <= 1e-8 for r in rows)
 
+    @pytest.mark.parametrize("argv,largest", [
+        (("--F", "2", "--k", "2", "--n", "3", "--delta", "1e9"), 2e9),
+        (("--F", "3", "--k", "1", "--n", "3", "--g", "1e8"), 2.2e8),
+        (("--F", "2", "--k", "1", "--n", "3", "--g", "1e155"), 1.7e155),
+        (("--F", "2", "--k", "3", "--n", "6", "--delta", "1e300"), 3e300),
+    ], ids=["delta_1e9", "g_1e8", "g_1e155", "delta_1e300"])
+    def test_large_levels_match_closed_form(self, capsys, argv, largest):
+        # the sides agree to about 1e-15 of the spectrum's scale, which an
+        # absolute 1e-8 did not allow, and the F=2 closed form squares nothing
+        code, out, _ = run_cli(capsys, "spectrum", *argv)
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert all(math.isfinite(r[2]) for r in rows)
+        scale = max(abs(r[1]) for r in rows)
+        assert scale == pytest.approx(largest, rel=0.1)
+        assert max(r[3] for r in rows) <= 1e-14 * scale
+
     @pytest.mark.parametrize("F,k,n", [(2, 3, 6), (4, 2, 2)])
     def test_huge_delta_never_hits_the_sweep_cap(self, capsys, F, k, n):
         with warnings.catch_warnings():
@@ -717,13 +734,6 @@ class TestEmit:
 class TestOverflowFailsCleanly:
     """Inputs that overflow the float range exit 1 or 2 with one error line
     and no numpy RuntimeWarning."""
-
-    def test_overflowing_f2_formula_named(self, capsys):
-        code, out, err, caught = run_cli_recording_warnings(
-            capsys, "spectrum", "--F", "2", "--k", "3", "--n", "6", "--delta", "1e300")
-        assert code == 2 and out == "" and caught == []
-        assert err.startswith("numerical error: float overflow in the deformed F=2 level formula")
-        assert "(k=3, n=6, l=0, omega=1.0, delta=1e+300, g=1.0)" in err
 
     @pytest.mark.parametrize("argv,expected", [
         (("thermo-scan", "--F", "2", "--k", "1", "--n", "4", "--omega-min=-1.7e308",

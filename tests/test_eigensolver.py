@@ -443,9 +443,31 @@ def skipping_with_tiny_columns():
     return H
 
 
-def stored_reflectors(H):
-    """Every reflector u_j that _tridiagonalize keeps, as column j over all rows."""
-    _, _, (_, panels) = _tridiagonalize(np.array(H, dtype=complex), True)
+#: The two routes of the Householder stage's reflector scalars: Python numbers
+#: for a lone matrix, (G,) arrays for a stack.
+ROUTES = ["lone", "stack_of_two"]
+
+
+def on_route(H, route):
+    """H alone on the lone route; on the stacked route, the stack of H and
+    another matrix of its size, which the test does not look at."""
+    H = np.array(H, dtype=complex)
+    return H if route == "lone" else np.array([H, random_hermitian(H.shape[0], 99)])
+
+
+def matrix_reflectors(reflectors, g):
+    """The (phases, panels) of matrix g of a stack's reflectors; a lone
+    matrix's reflectors are its own."""
+    phases, panels = reflectors
+    if phases.ndim == 1:
+        return reflectors
+    return phases[g], [(r0, V[g]) for r0, V in panels]
+
+
+def stored_reflectors(H, route="lone"):
+    """Every reflector u_j that _tridiagonalize keeps for H, as column j over all rows."""
+    _, _, reflectors = _tridiagonalize(on_route(H, route), True)
+    _, panels = matrix_reflectors(reflectors, 0)
     return np.hstack([np.vstack([np.zeros((r0, V.shape[1])), V]) for r0, V in panels])
 
 
@@ -494,14 +516,18 @@ class TestPanels:
     @pytest.mark.parametrize("build", [lambda: block_diagonal(SKIPPING_SIZES, 30),
                                        skipping_with_tiny_columns],
                              ids=["block_diagonal", "tiny_columns"])
-    def test_skipped_reflectors(self, build):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_skipped_reflectors(self, build, route):
         H = build()
-        U = stored_reflectors(H)
+        U = stored_reflectors(H, route)
         norms = np.linalg.norm(U, axis=0)
         skipped = [j for j in range(U.shape[1]) if not norms[j]]
         assert skipped == [9, 31, 63]
         assert np.max(np.abs(np.delete(norms, skipped) - 1.0)) <= 1e-14
-        assert_contracts(H)
+        if route == "lone":
+            assert_contracts(H)
+        else:
+            assert_stack_contracts(on_route(H, route))
 
     @pytest.mark.parametrize("build", [lambda: random_hermitian(35, 50),
                                        lambda: random_hermitian(66, 51),
@@ -509,18 +535,39 @@ class TestPanels:
                                        lambda: block_diagonal(SKIPPING_SIZES, 53),
                                        skipping_with_tiny_columns],
                              ids=["n35", "n66", "n100", "block_diagonal", "tiny_columns"])
-    def test_back_transform_matches_reflectors_one_by_one(self, build):
-        H = build()
-        n = H.shape[0]
-        d, e, reflectors = _tridiagonalize(H.copy(), True)
-        Z = np.random.default_rng(n).standard_normal((n, n))
-        expected = apply_reflectors_one_by_one(reflectors, Z)
-        assert np.max(np.abs(_back_transform(reflectors, Z) - expected)) <= 1e-12 * n
-        # the unitary takes the tridiagonal back to H
-        Q = _back_transform(reflectors, np.eye(n))
-        T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-        assert np.max(np.abs(Q @ T @ Q.conj().T - H)) <= 1e-13 * n * np.max(np.abs(H))
-        assert np.max(np.abs(Q.conj().T @ Q - np.eye(n))) <= 1e-13 * n
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_back_transform_matches_reflectors_one_by_one(self, build, route):
+        stack = on_route(build(), route)
+        n = stack.shape[-1]
+        d, e, reflectors = _tridiagonalize(stack.copy(), True)
+        # a stack's reflectors take a stack of Z, a lone matrix's a stack of one,
+        # as eigendecompose passes them
+        stack, d, e = stack.reshape(-1, n, n), d.reshape(-1, n), e.reshape(-1, n - 1)
+        Z = np.random.default_rng(n).standard_normal((len(stack), n, n))
+        X = _back_transform(reflectors, Z)
+        Q = _back_transform(reflectors, np.repeat(np.eye(n)[np.newaxis], len(stack), axis=0))
+        for g, H in enumerate(stack):
+            expected = apply_reflectors_one_by_one(matrix_reflectors(reflectors, g), Z[g])
+            assert np.max(np.abs(X[g] - expected)) <= 1e-12 * n
+            # the unitary takes the tridiagonal back to H
+            T = np.diag(d[g]) + np.diag(e[g], -1) + np.diag(e[g], 1)
+            assert np.max(np.abs(Q[g] @ T @ Q[g].conj().T - H)) <= 1e-13 * n * np.max(np.abs(H))
+            assert np.max(np.abs(Q[g].conj().T @ Q[g] - np.eye(n))) <= 1e-13 * n
+
+    def test_subnormal_x0_on_both_routes(self):
+        # column 0's x0 is 1e-310 / 8 once scaled by the power of two of the
+        # largest entry, beside O(1) entries, and the basis is already in
+        # ascending order of the diagonal: the phase x0 / |x0| is taken part
+        # by part on both routes, and the two routes' eigenvalues agree
+        n = 12
+        H = random_hermitian(n, 70) + np.diag(10.0 * np.arange(n))
+        H[1, 0] = 1e-310 * (1.0 + 1.0j)
+        H[0, 1] = np.conj(H[1, 0])
+        peak = np.max(np.abs(H))
+        assert np.all(np.diff(H.diagonal().real) > 0)
+        assert 0.0 < math.ldexp(abs(H[1, 0]), -math.frexp(peak)[1]) < sys.float_info.min
+        assert_contracts(H)
+        assert_stack_contracts(on_route(H, "stack_of_two"))
 
     def test_values_path_stores_nothing(self):
         assert _tridiagonalize(random_hermitian(70, 54), False)[2] is None
@@ -567,6 +614,8 @@ class TestStacks:
     def test_stack_matches_matrices_one_by_one(self):
         assert_stack_contracts(staircase_stack(8))
         assert_stack_contracts(np.array([random_hermitian(30, seed) for seed in range(6)]))
+        # divide and conquer: the stacked route against the lone route at d = 100
+        assert_stack_contracts(np.array([random_hermitian(100, seed) for seed in (600, 601)]))
 
     def test_runs_bit_identical(self):
         stack = staircase_stack(8)
@@ -574,6 +623,10 @@ class TestStacks:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
         assert first.sweeps == second.sweeps
+        # a stack of one takes the lone matrix's route
+        lone, one = (eigendecompose(M, want_vectors=True) for M in (stack[0], stack[:1]))
+        assert np.array_equal(lone.eigenvalues, one.eigenvalues[0])
+        assert np.array_equal(lone.eigenvectors, one.eigenvectors[0])
 
     def test_staircase_orthonormality(self):
         # each block's eigenvalues bunch into clusters of up to 7: without the

@@ -125,6 +125,25 @@ class TestF2Deformed:
         with pytest.raises(OutOfRegimeError):
             exact_f2_deformed(3, 2, 1.0, 1.0, 1.0, Deformation.undeformed())
 
+    @pytest.mark.parametrize("k,n,omega,delta,g,phi", [
+        (1, 3, 1.0, 1.0, 1e155, Deformation.undeformed()),
+        (2, 4, 1.0, 1.0, 1e155, Deformation.q_exp(1.0)),
+        (2, 4, 1.0, 1e300, 1.0, Deformation.linear(0.5)),
+        (3, 5, -1e300, 1.0, 1e-3, Deformation.undeformed()),
+    ])
+    def test_huge_couplings_stay_finite(self, k, n, omega, delta, g, phi):
+        # 4 k g^2 or (delta + omega phi)^2 would leave the float range; the
+        # levels do not
+        exact = exact_f2_deformed(k, n, omega, delta, g, phi).values()
+        numeric = numeric_spectrum(2, k, n, omega, delta, g, phi)
+        assert np.max(np.abs(exact - numeric)) <= 1e-13 * np.max(np.abs(numeric))
+
+    def test_overflowing_level_named(self):
+        with pytest.raises(NumericalError) as caught:
+            exact_f2_deformed(3, 6, 1.0, 1.7e308, 1.0, Deformation.undeformed())
+        assert str(caught.value) == ("float overflow in the deformed F=2 level formula "
+                                     "(k=3, n=6, l=0, omega=1.0, delta=1.7e+308, g=1.0)")
+
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
