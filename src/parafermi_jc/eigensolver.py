@@ -2,9 +2,11 @@
 
 Self-contained two-stage reduction, no LAPACK eigenroutine involved.  Every
 stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
-A matrix of at most LEAF rows is solved in its basis reordered by ascending
-real diagonal (a stable sort), and its eigenvectors' rows are put back in
-the input's order at the end; larger matrices keep the input's order.
+A matrix of at most LEAF rows, in a stack of fewer than LOCKSTEP matrices, is
+solved in its basis reordered by ascending real diagonal (a stable sort), and
+its eigenvectors' rows are put back in the input's order at the end; larger
+matrices and larger stacks keep the input's order, as the ordering only
+helps QL on the row-by-row schedule stop at a window (see 2.).
 
 1. Householder similarity transformations bring each Hermitian matrix to
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
@@ -26,12 +28,20 @@ the input's order at the end; larger matrices keep the input's order.
    piece up to LEAF rows), each tear taking its off-diagonal out of the two
    diagonal entries beside it.  Root-free implicit-shift QL (the
    Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) finds the
-   leaves' eigenvalues, one leaf at a time on Python floats: it works on the
-   squares e_i**2, computed once, so a sweep takes one square root and one
-   hypot for its shift and none per rotation; the scaling keeps the squares in
-   range.  A block's end is found once; each sweep then tests only the
-   off-diagonal at the block's top, where QL converges, and may cross an entry
-   that became negligible during the block's sweeps.  When eigenvectors are
+   leaves' eigenvalues: it works on the squares e_i**2, computed once, so a
+   sweep takes one square root and one hypot for its shift and none per
+   rotation; the scaling keeps the squares in range.  The leaves of one size
+   over the whole stack form a group, and QL runs on one of two schedules.
+   A group of fewer than LOCKSTEP leaves goes row by row, one leaf at a time
+   on Python floats: a block's end is found once; each sweep then tests only
+   the off-diagonal at the block's top, where QL converges, and may cross an
+   entry that became negligible during the block's sweeps.  A larger group
+   goes in lockstep, with the same arithmetic on numpy rows: every leaf
+   deflates row l before any moves on to l + 1, and one sweep serves every
+   leaf whose off-diagonal l is not yet negligible, chased from the leaf's
+   last row, across any exactly zero coupling (no rotation there).  On the
+   semiclassical comparison's 161-point scans (d = 2 to 8, values only) the
+   lockstep took 0.2 to 0.5 of the row-by-row QL time.  When eigenvectors are
    requested or the leaves are to be merged, inverse iteration on the same
    leaves finds their vectors, as LAPACK's dstein does, for every eigenvalue
    of the leaves of one size at once: each eigenvalue is its own shift,
@@ -41,13 +51,18 @@ the input's order at the end; larger matrices keep the input's order.
    and those closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
    orthonormalizes each group after every solve but the last, and each
    cluster, in ascending order, after the last.  Inverse iteration splits T at
-   its zero off-diagonals, where QL's blocks end.  Given a window, a matrix
+   its zero off-diagonals, where QL's blocks end; a matrix whose shifts
+   include a group also splits at its couplings under GROUP_RTOL * ||T||_1,
+   its shifts then from QL on the split tridiagonal, so that each piece
+   solves its own copy of an eigenvalue that several pieces share.  Given a
+   window, a matrix
    solved as a single leaf keeps only the vectors of its eigenvalues up to
    its smallest plus the window, and of the chain of neighbours closer than
    CLUSTER_RTOL * ||T||_1 that continues from the last of them, so no
    cluster straddles the cut; the other shifts are not solved, and their
-   columns are zero.  The window also stops that leaf's QL, which in the
-   ascending order deflates the low-lying states first: once a Sturm count
+   columns are zero.  On the row-by-row schedule the window also stops that
+   leaf's QL, which in the ascending order deflates the low-lying states
+   first (the lockstep computes every level): once a Sturm count
    certifies that no undeflated eigenvalue reaches the kept chain, QL
    returns, and every level beyond the chain is +inf.  The finite levels are
    then the kept ones, with the bits of the full solve; on the staircase
@@ -64,14 +79,15 @@ the input's order at the end; larger matrices keep the input's order.
    vectors path, bit for bit.
 
 Working set: the input is copied once and, when the caller keeps no
-reference to it, freed (from Python 3.11); up to LEAF rows the copy is one
-gather into the ascending order, through an integer index the size of the
-stack, and the eigenvectors return to the input's order through one
-scatter into a new array.  The Householder workspace has
-2 * min(PANEL, d - 2) columns, inverse iteration holds its factors only
-through the solves, and the back-transform applies T^-1 to the nb x d
-product V^H X; the root's eigenvectors reach it with no other reference, so
-it frees them once phase-rotated.  A merge holds the two pieces' vectors,
+reference to it, freed (from Python 3.11); for an ordered matrix the copy
+is one gather into the ascending order, through an integer index the size
+of the stack, and the eigenvectors return to the input's order through one
+scatter into a new array.  The lockstep holds its group's diagonals and
+squares, and per sweep a few arrays of the rows it moves.  The Householder
+workspace has 2 * min(PANEL, d - 2) columns, inverse iteration holds its
+factors only through the solves, and the back-transform applies T^-1 to the
+nb x d product V^H X; the root's eigenvectors reach it with no other
+reference, so it frees them once phase-rotated.  A merge holds the two pieces' vectors,
 its own, one d x d coefficient matrix, and d x d arrays of the secular
 solver's rows (the roots' distances to the poles, and while a level has
 several equations, their weights), which shrink as roots converge.  With
@@ -136,12 +152,20 @@ GROUP_RTOL = 1e-12
 #: inverse iteration solve the pieces, which are merged back level by level.
 LEAF = 64
 
+#: A size group of at least this many leaves is solved by QL in lockstep, one
+#: numpy sweep serving all of its rows; a smaller one row by row on Python
+#: floats.  Solving omega scans of d = 2 to 16 blocks for values or windowed
+#: vectors, the lockstep took 0.5 to 1.0 times the row-by-row time at 128
+#: matrices, and 0.6 to 1.3 times at 64.
+LOCKSTEP = 128
+
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
     and the number of QL implicit-shift sweeps the solve took, those of its
-    leaves.
+    leaves.  A lockstep sweep counts once for every leaf it moves, so both
+    schedules count the sweeps that each leaf took.
 
     For a (G, d, d) stack, eigenvalues is (G, d), eigenvectors (G, d, d) and
     sweeps the total over the stack.  A solve with a window returns the
@@ -447,6 +471,106 @@ def _ql_implicit_shift(d: list, e2: list, *, window: float = math.inf, tol: floa
     return sweeps
 
 
+def _ql_rows(d: np.ndarray, e: np.ndarray, window: Optional[np.ndarray],
+             norm: np.ndarray) -> tuple[np.ndarray, int]:
+    """_ql_implicit_shift on each of R tridiagonals (d (R, n), e (R, n - 1)),
+    one at a time on Python floats; returns the eigenvalues (R, n) in QL's
+    positions, +inf where a window (R,) stopped QL short, and the sweeps.
+    Row r stops at window[r] with chains within CLUSTER_RTOL * norm[r]; a
+    ConvergenceError names the row as its ``index``.
+    """
+    R, n = d.shape
+    diags = d.tolist()
+    windows, tols = repeat(math.inf), repeat(0.0)
+    if window is not None:
+        windows, tols = window.tolist(), (CLUSTER_RTOL * norm).tolist()
+    sweeps = 0
+    for r, (diag, squares, w, tol) in enumerate(zip(diags, (e * e).tolist(), windows, tols)):
+        try:
+            sweeps += _ql_implicit_shift(diag, squares, window=w, tol=tol)
+        except ConvergenceError as exc:
+            exc.index = r
+            raise
+        if len(diag) < n:  # the levels QL stopped short of
+            diag += [math.inf] * (n - len(diag))
+    return np.array(diags).reshape(R, n), sweeps
+
+
+def _ql_lockstep(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """_ql_implicit_shift's QL, without a window, on R tridiagonals of one size at once.
+
+    d (R, n) and e (R, n - 1) >= 0 are scaled as _ql_implicit_shift's input.
+    Returns the eigenvalues (R, n) in QL's positions and the sweeps, one for
+    each row that a sweep moves, as _ql_rows counts them.  Every row deflates
+    off-diagonal l before any row moves on to l + 1: a sweep works on the rows
+    whose e2[l] is not yet negligible, compacted into (n - l, A) arrays, and
+    chases each of them from its last row up to l, with no per-row block
+    end.  Where the chase crosses an exactly zero coupling, c = 1 and s = 0
+    there, so the block above gets the bits of the chase that
+    _ql_implicit_shift starts at the block's end, and the block below an
+    exact QL step with the upper block's shift, which keeps its eigenvalues.
+    Past MAX_SWEEPS_PER_DIM * n sweeps of one row, a ConvergenceError names
+    that row as its ``index``.
+    """
+    R, n = d.shape
+    D = d.T.copy()
+    # the squares, and below the last row the zero that each chase starts from
+    E2 = np.zeros((n, R))
+    np.square(e.T, out=E2[:-1])
+    eps2 = sys.float_info.epsilon ** 2
+    cap = MAX_SWEEPS_PER_DIM * max(n, 1)
+    sweeps = np.zeros(R, dtype=np.intp)
+    for l in range(n - 1):
+        t = np.abs(D[l]) + np.abs(D[l + 1])
+        rows = np.flatnonzero(E2[l] > eps2 * t * t)
+        dd, ee = D[l:, rows], E2[l:, rows]
+        taken = 0  # the sweeps of every row of rows at this l
+        room = cap - np.max(sweeps[rows], initial=0)
+        while rows.size:
+            taken += 1
+            if taken > room:
+                raise ConvergenceError(
+                    f"eigensolver exceeded {cap} implicit-shift sweeps on a {n}x{n} matrix",
+                    index=int(rows[np.argmax(sweeps[rows])]),
+                )
+            rte = np.sqrt(ee[0])
+            g = (dd[1] - dd[0]) / (2.0 * rte)
+            r = np.hypot(g, 1.0)
+            # r if g >= 0 else -r: adding 0.0 turns g = -0.0 into +0.0
+            sigma = dd[0] - rte / (g + np.copysign(r, g + 0.0))
+            # (c, s) stays (1, 0), no rotation, where r = 0: p = 0 meets a
+            # zero coupling
+            shifted = dd - sigma
+            cs, ss = np.ones(dd.shape), np.zeros(dd.shape)
+            c, s = cs[-1], ss[-1]
+            gamma = shifted[-1]
+            p = gamma * gamma
+            for i in range(n - l - 2, -1, -1):
+                bb = ee[i]
+                r = p + bb
+                np.multiply(s, r, out=ee[i + 1])
+                old_c = c
+                moves = r > 0.0
+                c = np.divide(p, r, out=cs[i], where=moves)
+                s = np.divide(bb, r, out=ss[i], where=moves)
+                old_gamma = gamma
+                gamma = c * shifted[i]
+                gamma -= s * old_gamma
+                np.add(old_gamma, dd[i] - gamma, out=dd[i + 1])
+                p = np.divide(gamma * gamma, c, out=old_c * bb, where=c != 0.0)
+            np.multiply(s, p, out=ee[0])
+            np.add(sigma, gamma, out=dd[0])
+            t = np.abs(dd[0]) + np.abs(dd[1])
+            done = ee[0] <= eps2 * t * t
+            if np.count_nonzero(done):
+                D[l:, rows[done]] = dd[:, done]
+                E2[l:, rows[done]] = ee[:, done]
+                sweeps[rows[done]] += taken
+                rows, dd, ee = rows[~done], dd[:, ~done], ee[:, ~done]
+                room = cap - np.max(sweeps[rows], initial=0)
+    return D.T, int(np.sum(sweeps))
+
+
 def _factor_shifted(a: np.ndarray, b: np.ndarray):
     """T - sigma I = P L U for many shifts at once, with partial pivoting (dgttrf).
 
@@ -544,26 +668,49 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray,
     by a power of two near its 1-norm so the tolerances are absolute, and
     levels (G, n) the QL eigenvalues of the scaled tridiagonals in QL's
     positions.  Returns Z (G, n, n) whose column j is the eigenvector of the
-    j-th smallest eigenvalue.  Unless counts (G,) is None, only the eigenvalues of rank
-    below their matrix's count are shifts: Z is (G, n, max(counts)), and
-    column j of matrix g is zero for j >= counts[g].  The counts must end
-    between clusters, as _window_counts' do, so every cluster is solved whole.
+    j-th smallest eigenvalue.  Unless counts (G,) is None, only the
+    eigenvalues of rank below their matrix's count are shifts: Z is (G, n,
+    max(counts)), and column j of matrix g is zero for j >= counts[g].  The
+    counts must end between clusters, as _window_counts' do, so every
+    cluster is solved whole.
 
     T splits at its zero off-diagonals, where QL's blocks end, so QL leaves
     the eigenvalues of a split block in its rows; a shift's start
-    vector is zero outside its block, which the factorization keeps so.  The
-    eigenvalues are sorted by (matrix, block, value), and each is its own
-    shift.  Neighbours closer than GROUP_RTOL form a group and neighbours
-    closer than CLUSTER_RTOL a cluster.  All shifts make INVERSE_SOLVES solves
-    together; after each but the last, every group is orthonormalized by one
-    QR factorization, and after the last every cluster is, in ascending order
-    of its eigenvalues.
+    vector is zero outside its block, which the factorization keeps so.  A
+    matrix whose shifts include a group also splits at its couplings under
+    GROUP_RTOL * ||T||_1, and QL on that split tridiagonal gives its shifts,
+    rank for rank: one factorization across pieces that share an eigenvalue
+    amplifies one piece's vector by up to eps**-k for k tiny pivots, and the
+    group's other vectors drown in its rounding (residuals up to 1e-2, in
+    about 1 of 8,000 random matrices of repeated eigenvalues).  The split
+    moves no eigenvalue by more than GROUP_RTOL * ||T||_1, nor a residual by
+    more than twice that.  The eigenvalues are sorted by (matrix, block,
+    value), and each is its own shift.  Neighbours closer than GROUP_RTOL
+    form a group and neighbours closer than CLUSTER_RTOL a cluster.  All
+    shifts make INVERSE_SOLVES solves together; after each but the last,
+    every group is orthonormalized by one QR factorization, and after the
+    last every cluster is, in ascending order of its eigenvalues.
     """
     G, n = d.shape
     if n == 0:
         return np.zeros((G, 0, 0))
-    a, b = d.T, e.T
     norm = _one_norm(d, e)
+    tiny = (e > 0.0) & (e <= GROUP_RTOL * norm[:, np.newaxis])
+    ordered = np.sort(levels, axis=1)
+    grouped = ordered[:, 1:] <= ordered[:, :-1] + GROUP_RTOL * norm[:, np.newaxis]
+    if counts is not None:  # only the shifts to be solved, so a window's stop changes nothing
+        grouped &= np.arange(1, n) < counts[:, np.newaxis]
+    tiny &= np.any(grouped, axis=1)[:, np.newaxis]
+    torn = np.flatnonzero(np.any(tiny, axis=1))
+    if torn.size:
+        e = np.where(tiny, 0.0, e)
+        levels = levels.copy()
+        try:
+            levels[torn] = _ql_rows(d[torn], e[torn], None, norm[torn])[0]
+        except ConvergenceError as exc:
+            exc.index = int(torn[exc.index])
+            raise
+    a, b = d.T, e.T
     block = np.zeros((G, n), dtype=np.intp)
     np.cumsum(e == 0.0, axis=1, out=block[:, 1:])
     rank = np.argsort(np.argsort(levels, axis=1, kind="stable"), axis=1)
@@ -634,17 +781,18 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
     negligible off-diagonals are zero, the eigenvectors (G, n, n) of the
     matrices they came from when reflectors is not None (else None), and the
     QL sweeps.  d is overwritten.  Given a window (G,), scaled as the
-    eigenvalues are, a single leaf stops QL at the window, its chains taken
-    within CLUSTER_RTOL * norm (G,), ||T||_1 before the split, and solves
-    only _window_counts' vectors: they are (G, n, m), m the largest count,
-    with zero columns beyond each count.
+    eigenvalues are, a single leaf solves only _window_counts' vectors, its
+    chains taken within CLUSTER_RTOL * norm (G,), ||T||_1 before the split:
+    they are (G, n, m), m the largest count, with zero columns beyond each
+    count; below LOCKSTEP matrices its QL also stops at the window.
 
     T is halved, the odd row going to the upper half, until no piece has more
     than LEAF rows.  Each tear takes its off-diagonal beta off the two diagonal
     entries beside it, T = diag(pieces) + beta u u^T with u the sum of the
     unit vectors of the two rows.  QL and inverse iteration solve the leaves
-    as one stack per size, and divide._merge_level merges the pieces level by
-    level.  A single leaf solved for values only skips inverse iteration; the
+    as one stack per size, QL row by row (_ql_rows) or, from LOCKSTEP rows,
+    in lockstep (_ql_lockstep), and divide._merge_level merges the pieces
+    level by level.  A single leaf solved for values only skips inverse iteration; the
     values-only path of a tree runs the same merges and skips only the top
     level's eigenvectors, so its eigenvalues are those of the vectors path.
     """
@@ -664,27 +812,23 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
         rows = G * len(group)  # matrix g's leaves are rows g * len(group)..
         ld = np.stack([d[:, lo:hi] for lo, hi in group], axis=1).reshape(rows, size)
         le = np.stack([e[:, lo:hi - 1] for lo, hi in group], axis=1).reshape(rows, max(size - 1, 0))
-        diags = ld.tolist()
-        windows, tols = repeat(math.inf), repeat(0.0)
-        if window is not None and len(tree) == 1:
-            windows, tols = window.tolist(), (CLUSTER_RTOL * norm).tolist()
-        for r, (diag, squares, w, tol) in enumerate(zip(diags, (le * le).tolist(), windows, tols)):
-            try:
-                sweeps += _ql_implicit_shift(diag, squares, window=w, tol=tol)
-            except ConvergenceError as exc:
-                exc.index = r // len(group)
-                raise
-            if len(diag) < size:  # the levels QL stopped short of
-                diag += [math.inf] * (size - len(diag))
-        levels = np.array(diags).reshape(rows, size)
-        values = np.sort(levels, axis=1).reshape(G, len(group), size)
         vectors = None
-        if reflectors is not None or len(tree) > 1:
-            counts = None
-            if window is not None and len(tree) == 1:
-                counts = _window_counts(values[:, 0], norm, window)
-            vectors = _inverse_iteration(ld, le, levels, counts)
-            vectors = vectors.reshape(G, len(group), size, vectors.shape[-1])
+        try:
+            if rows >= LOCKSTEP:
+                levels, spent = _ql_lockstep(ld, le)
+            else:
+                levels, spent = _ql_rows(ld, le, window if len(tree) == 1 else None, norm)
+            values = np.sort(levels, axis=1).reshape(G, len(group), size)
+            if reflectors is not None or len(tree) > 1:
+                counts = None
+                if window is not None and len(tree) == 1:
+                    counts = _window_counts(values[:, 0], norm, window)
+                vectors = _inverse_iteration(ld, le, levels, counts)
+                vectors = vectors.reshape(G, len(group), size, vectors.shape[-1])
+        except ConvergenceError as exc:
+            exc.index //= len(group)
+            raise
+        sweeps += spent
         for k, piece in enumerate(group):
             pieces[piece] = (values[:, k], None if vectors is None else vectors[:, k])
     del vectors
@@ -713,10 +857,11 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     eigenvectors of its eigenvalues up to its smallest plus window only, and
     of every eigenvalue in a cluster with one of those; the other columns of
     its eigenvectors are zero, and the array has as many columns as the
-    matrix of the stack that keeps the most.  Its QL may stop before it
-    reaches the other eigenvalues: each eigenvalue it leaves out is +inf,
-    after the kept ones, which have the bits of a solve without a window.
-    Larger matrices ignore the window.
+    matrix of the stack that keeps the most.  In a stack of fewer than
+    LOCKSTEP matrices its QL may stop before it reaches the other
+    eigenvalues: each eigenvalue it leaves out is +inf, after the kept ones,
+    which have the bits of a solve without a window.  Larger matrices
+    ignore the window.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input
     or a window that is not >= 0, NumericalError if the tridiagonal stage or
@@ -735,7 +880,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     # order of its diagonal, so the tridiagonal's top holds the low-lying
     # states, which QL deflates first, and a windowed solve stops sooner
     order = None
-    if n <= LEAF:
+    if n <= LEAF and G < LOCKSTEP:
         order = np.argsort(A.diagonal(axis1=-2, axis2=-1).real, axis=-1, kind="stable")
         # one flat gather: entry (i, j) of matrix g is A[g, order[g, i], order[g, j]]
         rows = order * n + n * n * np.arange(G)[:, np.newaxis]

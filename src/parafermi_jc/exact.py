@@ -67,24 +67,45 @@ def _level_error(formula: str, index: int | None = None, **params) -> NumericalE
     return NumericalError(f"float overflow in the {formula} level formula ({named})", index=index)
 
 
+def _level_pair(a: float, b: float, c: float, base: float, root: float):
+    """(upper, lower), the eigenvalues (base +- root) / 2 of the 2x2 block
+    [[a, c], [c, b]], base = a + b and root = hypot(a - b, 2c); None if
+    either is beyond the float range.
+
+    The level L of larger magnitude is (base + root) / 2 for base >= 0 and
+    (base - root) / 2 otherwise, a sum of like signs.  The other, where the
+    difference would cancel, is the determinant a b - c^2 over L (the stable
+    quadratic root), formed as a (b / L) - c (c / L): |L| >= max(|a|, |b|,
+    |c|), so no quotient or product overflows.
+    """
+    larger = 0.5 * (base + root) if base >= 0.0 else 0.5 * (base - root)
+    smaller = a * (b / larger) - c * (c / larger) if larger else 0.0
+    if not (math.isfinite(larger) and math.isfinite(smaller)):
+        return None
+    return (larger, smaller) if base >= 0.0 else (smaller, larger)
+
+
 def exact_f2_undeformed(k: int, n: int, omega: float, delta: float, g: float) -> LabeledSpectrum:
     """Spectrum of the F=2 block with an ordinary oscillator, n >= k.
 
     E(s, l) = [(2l+1) delta + (2(n-l)-1) omega
                + s * sqrt(4 k g^2 (n-l) + (delta-omega)^2)] / 2
     for l = 0..k-1, s = +-1, each with degeneracy C(k-1, l).  The root is
-    taken as hypot(2 g sqrt(k(n-l)), delta - omega), which squares nothing.
+    taken as hypot(2 g sqrt(k(n-l)), delta - omega), which squares nothing;
+    the pair is that of _level_pair, with a = (l+1) delta + (n-l-1) omega,
+    b = l delta + (n-l) omega and c = g sqrt(k(n-l)).
     """
     _, k, n = _check_regime("F=2 closed form", 2, k, n, e=0)
     levels = []
     for l in range(k):
-        root = math.hypot(2.0 * g * math.sqrt(k * (n - l)), delta - omega)
+        coupling = g * math.sqrt(k * (n - l))
+        root = math.hypot(2.0 * coupling, delta - omega)
         base = (2 * l + 1) * delta + (2 * (n - l) - 1) * omega
-        degeneracy = math.comb(k - 1, l)
-        upper, lower = 0.5 * (base + root), 0.5 * (base - root)
-        if not (math.isfinite(upper) and math.isfinite(lower)):
+        pair = _level_pair((l + 1) * delta + (n - l - 1) * omega, l * delta + (n - l) * omega,
+                           coupling, base, root)
+        if pair is None:
             raise _level_error("F=2", k=k, n=n, l=l, omega=omega, delta=delta, g=g)
-        levels += [(upper, degeneracy), (lower, degeneracy)]
+        levels += [(level, math.comb(k - 1, l)) for level in pair]
     return LabeledSpectrum(tuple(levels))
 
 
@@ -100,20 +121,23 @@ def exact_f2_deformed(
                              - 2 omega^2 phi(n-k+l) + omega^2 phi(n-k+l+1)).
     Degeneracy C(k-1, l); reduces to the undeformed multiset for phi(x) = x.
     R(l) is taken as hypot(delta - omega (phi(n-k+l+1) - phi(n-k+l)),
-    2 g sqrt(k phi(n-k+l+1))), the same sum of squares, which squares nothing.
+    2 g sqrt(k phi(n-k+l+1))), the same sum of squares, which squares nothing;
+    the pair is that of _level_pair, with a = (k-l) delta + omega phi(n-k+l),
+    b = (k-l-1) delta + omega phi(n-k+l+1) and c = g sqrt(k phi(n-k+l+1)).
     """
     _, k, n = _check_regime("F=2 closed form", 2, k, n, e=0)
     levels = []
     for l in range(k):
         lo = evaluate(phi, n - k + l)
         hi = evaluate(phi, n - k + l + 1)
-        root = math.hypot(delta - omega * (hi - lo), 2.0 * g * math.sqrt(k * hi))
+        coupling = g * math.sqrt(k * hi)
+        root = math.hypot(delta - omega * (hi - lo), 2.0 * coupling)
         base = (2 * (k - l) - 1) * delta + (lo + hi) * omega
-        upper, lower = 0.5 * (base + root), 0.5 * (base - root)
-        if not (math.isfinite(upper) and math.isfinite(lower)):
+        pair = _level_pair((k - l) * delta + omega * lo, (k - l - 1) * delta + omega * hi,
+                           coupling, base, root)
+        if pair is None:
             raise _level_error("deformed F=2", k=k, n=n, l=l, omega=omega, delta=delta, g=g)
-        degeneracy = math.comb(k - 1, l)
-        levels += [(upper, degeneracy), (lower, degeneracy)]
+        levels += [(level, math.comb(k - 1, l)) for level in pair]
     return LabeledSpectrum(tuple(levels))
 
 

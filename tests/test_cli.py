@@ -168,6 +168,16 @@ class TestSpectrum:
         assert scale == pytest.approx(largest, rel=0.1)
         assert max(r[3] for r in rows) <= 1e-14 * scale
 
+    def test_small_level_beside_huge_delta(self, capsys):
+        # the level 6 beside levels of 1e300: the closed form takes it as the
+        # pair's determinant over the larger level, which does not cancel
+        code, out, _ = run_cli(capsys, "spectrum", "--F", "2", "--k", "3", "--n", "6",
+                               "--delta", "1e300")
+        assert code == 0
+        index, numeric, exact, _ = (float(x) for x in out.strip().split("\n")[1].split(","))
+        assert index == 0 and numeric == 6.0
+        assert abs(exact - numeric) <= 1e-12 * abs(numeric)
+
     @pytest.mark.parametrize("F,k,n", [(2, 3, 6), (4, 2, 2)])
     def test_huge_delta_never_hits_the_sweep_cap(self, capsys, F, k, n):
         with warnings.catch_warnings():

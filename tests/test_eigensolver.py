@@ -663,6 +663,25 @@ class TestStacks:
         e[rng.random(n - 1) < 0.3] = 5e-161
         assert_contracts(np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j)
 
+    def test_group_across_tiny_couplings(self):
+        # a triple eigenvalue whose copies lie in pieces of T coupled at
+        # 0.5 to 1.2 eps * ||T||_1, too much for the split test: one
+        # factorization across the pieces left a vector 1.7e-2 from an
+        # eigenvector; split there, each piece solves its own copy
+        d = np.array([[0.022705838828248528, 0.09861680697982395, 0.20647871445414037,
+                       0.0035316558590823693, 0.1677308829507643, 0.15653882145236633,
+                       -0.0016886471058590868, -0.10757847298154527, 0.10926712008740436,
+                       0.1092671200874043]])
+        e = np.array([[0.21698822139923285, 0.22768762424171213, 1.561811199043956e-16,
+                       0.2579338749011528, 0.18029847783995168, 1.201476041637533e-16,
+                       0.15511372969999626, 9.53699260999922e-17, 6.756519681985222e-17]])
+        levels, _ = eigensolver._ql_rows(d, e, None, np.ones(1))
+        Z = eigensolver._inverse_iteration(d, e, levels, None)[0]
+        w = np.sort(levels[0])
+        assert np.count_nonzero(np.abs(w - w[0]) <= 1e-15) == 3
+        assert np.max(np.abs(Z.T @ Z - np.eye(10))) <= RESIDUAL_RTOL
+        assert np.max(np.linalg.norm(tridiagonal(d[0], e[0]).real @ Z - Z * w, axis=0)) <= 1e-14
+
     def test_failure_names_its_matrix(self):
         stack = np.array([np.eye(2), np.full((2, 2), 1.7e308)])
         with pytest.raises(NumericalError, match="float range") as caught:
@@ -821,17 +840,18 @@ class TestWindow:
 
 
 @st.composite
-def windowed_stacks(draw):
-    """Stacks of one to three matrices of 1 to LEAF rows, random, diagonal,
-    block diagonal with exactly zero couplings, or of eigenvalues repeated
-    many times, scaled anywhere from 1e-300 to 1e300, and a window of 0, of
-    1e-3 to 1e2 times the scale, of 1e308 or of inf."""
-    n = draw(st.integers(1, eigensolver.LEAF))
+def windowed_stacks(draw, rows=st.integers(1, eigensolver.LEAF), matrices=st.integers(1, 3)):
+    """Stacks of one to three matrices (or as many as matrices draws) of 1 to
+    LEAF rows (or rows), random, diagonal, block diagonal with exactly zero
+    couplings, or of eigenvalues repeated many times, scaled anywhere from
+    1e-300 to 1e300, and a window of 0, of 1e-3 to 1e2 times the scale, of
+    1e308 or of inf."""
+    n = draw(rows)
     kind = draw(st.sampled_from(["random", "diagonal", "blocks", "repeated"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.floats(1e-300, 1e300))
     stack = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(matrices)):
         if kind == "random":
             H = random_hermitian(n, rng)
         elif kind == "diagonal":
@@ -872,6 +892,174 @@ def test_window_stop_over_full_range(case):
     ref = np.linalg.eigvalsh(stack)
     slack = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all((ref > ref[:, :1] + window - slack)[~computed])
+
+
+#: The (F, k) of the free-energy scans, n = k(F - 1) + 3: over 161 frequencies
+#: their stacks of d = 2 to 8 blocks are solved in lockstep.
+FREE_ENERGY_CASES = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3)]
+
+
+def free_energy_stack(F, k, points=161):
+    """The (F, k) block (delta = 20, g = 1) over a log grid of omega from 0.5 to 80."""
+    params = ModelParams(F, k, 1.0, 20.0, 1.0)
+    omegas = np.logspace(math.log10(0.5), math.log10(80.0), points)
+    return np.array([build_block(params.with_omega(w), k * (F - 1) + 3).matrix for w in omegas])
+
+
+def row_by_row():
+    """Every size group solved row by row, as below the LOCKSTEP threshold."""
+    return mock.patch.object(eigensolver, "LOCKSTEP", sys.maxsize)
+
+
+def lockstep_spy():
+    """_ql_lockstep, wrapped to count its calls."""
+    return mock.patch.object(eigensolver, "_ql_lockstep", wraps=eigensolver._ql_lockstep)
+
+
+def assert_schedules_agree(stack):
+    """The lockstep solve of a stack at or above LOCKSTEP matrices: eigenvalues
+    within 1e-14 * max|lambda| of the row-by-row solve and 1e-13 * max|lambda|
+    of eigvalsh, per matrix, with no warning."""
+    assert len(stack) >= eigensolver.LOCKSTEP
+    with warnings.catch_warnings(), lockstep_spy() as spy:
+        warnings.simplefilter("error")
+        values = eigenvalues_only(stack)
+    assert spy.call_count == 1
+    with row_by_row():
+        scalar = eigenvalues_only(stack)
+    scale = np.max(np.abs(scalar), axis=1)
+    assert np.all(np.max(np.abs(values - scalar), axis=1) <= 1e-14 * scale)
+    ref = np.linalg.eigvalsh(stack)
+    assert np.all(np.max(np.abs(values - ref), axis=1) <= 1e-13 * scale)
+
+
+def equal_blocks(n, seed):
+    """Two copies of one random real tridiagonal block of n rows, so every
+    eigenvalue is double and T has an exactly zero coupling between them."""
+    rng = np.random.default_rng(seed)
+    d, e = rng.standard_normal(n), rng.uniform(0.1, 1.0, n - 1)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return np.kron(np.eye(2), T) + 0j
+
+
+class TestLockstep:
+    """QL on a size group of at least LOCKSTEP leaves, one numpy sweep serving
+    all of its rows."""
+
+    @pytest.mark.parametrize("F,k", FREE_ENERGY_CASES)
+    def test_free_energy_stacks(self, F, k):
+        assert_schedules_agree(free_energy_stack(F, k))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 27])
+    def test_same_arithmetic_as_row_by_row(self, n):
+        # without zero couplings both schedules chase every sweep from the
+        # last row; only numpy's hypot for the shift may round otherwise
+        rng = np.random.default_rng(800 + n)
+        d, e = rng.standard_normal((40, n)), rng.uniform(0.1, 1.0, (40, n - 1))
+        scale = np.frexp(eigensolver._one_norm(d, e))[1][:, np.newaxis]
+        d, e = np.ldexp(d, -scale), np.ldexp(e, -scale)
+        levels, sweeps = eigensolver._ql_lockstep(d, e)
+        rows, row_sweeps = eigensolver._ql_rows(d, e, None, np.ones(40))
+        assert np.max(np.abs(levels - rows)) <= 1e-15 and abs(sweeps - row_sweeps) <= 0.02 * row_sweeps
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 4), (1, 1, 1, 1), (2, 5)])
+    def test_block_diagonal_stacks(self, sizes):
+        stack = np.array([block_diagonal(sizes, 810 + 10 * g) for g in range(eigensolver.LOCKSTEP)])
+        assert_schedules_agree(stack)
+        assert_stack_contracts(stack)
+
+    def test_equal_blocks(self):
+        # the chase meets the zero coupling with p = 0 where a lower block's
+        # shift is exact: no rotation there
+        for n in range(1, 6):
+            same = np.array([equal_blocks(n, 830 + g) for g in range(eigensolver.LOCKSTEP)])
+            assert_schedules_agree(same)
+            assert_stack_contracts(same)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, scale):
+        stack = scale * np.array([random_hermitian(6, 840 + g) for g in range(eigensolver.LOCKSTEP)])
+        assert_schedules_agree(stack)
+        assert_stack_contracts(stack)
+
+    def test_one_row_leaves(self, monkeypatch):
+        # a stack of 1 x 1 matrices is its diagonal, in no sweeps
+        diagonal = np.random.default_rng(850).standard_normal(eigensolver.LOCKSTEP)
+        with lockstep_spy() as spy:
+            spec = eigendecompose(diagonal[:, np.newaxis, np.newaxis] + 0j, want_vectors=True)
+        assert spy.call_count == 1 and spec.sweeps == 0
+        assert np.array_equal(spec.eigenvalues[:, 0], diagonal)
+        assert np.all(spec.eigenvectors == 1.0)
+        # a tree of d = 5 halved down to LEAF = 2: its three 1-row leaves a
+        # matrix go in lockstep, its 2-row leaves row by row
+        monkeypatch.setattr(eigensolver, "LEAF", 2)
+        stack = np.array([random_hermitian(5, 860 + g) for g in range(50)])
+        with lockstep_spy() as spy:
+            assert_stack_contracts(stack)
+        assert {call.args[0].shape for call in spy.call_args_list} == {(150, 1)}
+
+    def test_sweep_cap_names_its_matrix(self, monkeypatch):
+        # matrix 77 alone needs sweeps; the diagonal ones around it do not
+        stack = np.array([np.diag(np.arange(4.0)) + 0j] * eigensolver.LOCKSTEP)
+        stack[77] = random_hermitian(4, 870)
+        assert eigendecompose(stack).sweeps > 0
+        monkeypatch.setattr(eigensolver, "MAX_SWEEPS_PER_DIM", 0)
+        with pytest.raises(ConvergenceError, match="sweeps") as caught:
+            eigendecompose(stack)
+        assert caught.value.index == 77
+
+    def test_leaf_sweep_cap_names_its_matrix(self, monkeypatch):
+        # two leaves a matrix, 128 rows in all: matrix 41's leaves take sweeps
+        monkeypatch.setattr(eigensolver, "LEAF", 4)
+        stack = np.array([np.diag(np.arange(8.0)) + 0j] * (eigensolver.LOCKSTEP // 2))
+        stack[41] = random_hermitian(8, 871)
+        monkeypatch.setattr(eigensolver, "MAX_SWEEPS_PER_DIM", 0)
+        with pytest.raises(ConvergenceError, match="sweeps") as caught, lockstep_spy() as spy:
+            eigendecompose(stack)
+        assert spy.call_count == 1 and caught.value.index == 41
+
+    def test_skips_the_ordering(self):
+        # the ordering only helps a windowed scalar QL stop early: a lockstep
+        # stack is solved in the input's basis, one below the threshold ordered
+        # (the tridiagonal's top is the first basis state's diagonal entry, scaled)
+        H = np.diag([3.0, 1.0, 2.0]) + 0.1 * random_hermitian(3, 880)
+        tridiagonal_tops = []
+        solve = eigensolver._solve_tridiagonal
+
+        def recorded(d, *args):
+            tridiagonal_tops.append(d[0, 0])
+            return solve(d, *args)
+
+        with mock.patch.object(eigensolver, "_solve_tridiagonal", recorded):
+            for count in (eigensolver.LOCKSTEP - 1, eigensolver.LOCKSTEP):
+                eigendecompose(np.array([H] * count))
+        ordered, unordered = tridiagonal_tops
+        assert unordered > 2.0 * ordered > 0.0
+
+
+@given(windowed_stacks(st.integers(1, 16),
+                       st.integers(eigensolver.LOCKSTEP, eigensolver.LOCKSTEP + 8)))
+@settings(max_examples=25, deadline=None)
+def test_lockstep_over_full_range(case):
+    # the lockstep ignores the window: every level is computed, with the bits
+    # of the full solve, and the window only trims the vectors, whose kept
+    # columns meet the contracts
+    stack, window = case
+    with warnings.catch_warnings(), lockstep_spy() as spy:
+        warnings.simplefilter("error")
+        spec = eigendecompose(stack, want_vectors=True, window=window)
+        values = eigendecompose(stack, window=window).eigenvalues
+        full = eigendecompose(stack, want_vectors=True)
+    assert spy.call_count == 3
+    assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+    assert np.array_equal(values, full.eigenvalues)
+    assert np.all(np.isfinite(spec.eigenvalues)) and spec.sweeps == full.sweeps
+    counts = kept_columns(spec.eigenvectors)
+    w = spec.eigenvalues
+    assert np.all(counts >= np.count_nonzero(w <= w[:, :1] + window, axis=1))
+    for H, w, V, c in zip(stack, spec.eigenvalues, spec.eigenvectors, counts):
+        assert max_residual(H, V[:, :c], w[:c]) <= residual_bound(H)
+        assert np.max(np.abs(V[:, :c].conj().T @ V[:, :c] - np.eye(c))) <= RESIDUAL_RTOL
 
 
 def tridiagonal(d, e):

@@ -39,6 +39,20 @@ def numeric_spectrum(F, k, n, omega, delta, g, deformation=None):
     return eigenvalues_only(build_block(p, n).matrix)
 
 
+def assert_levels_match_eigvalsh(closed_form, deformation=None):
+    """closed_form(k, n, omega, delta, g) against eigvalsh level by level,
+    relative to each level, for delta from 1e-3 to 1e300: the pair's smaller
+    level, about n omega beside delta, survives any delta."""
+    for k, n in ((1, 1), (1, 3), (2, 4), (3, 3), (3, 5)):
+        for delta in np.logspace(-3, 300, 31):
+            for omega, g in ((1.3, 0.5), (0.7, 2.0)):
+                params = ModelParams(2, k, omega, float(delta), g,
+                                     deformation=deformation or Deformation.undeformed())
+                exact = closed_form(k, n, omega, float(delta), g).values()
+                ref = np.linalg.eigvalsh(build_block(params, n).matrix)
+                assert np.max(np.abs(exact - ref) / np.abs(ref)) <= 1e-13, (k, n, delta, omega, g)
+
+
 class TestF2Undeformed:
     def test_hand_diagonalized_case(self):
         spec = exact_f2_undeformed(1, 1, 1.0, 1.0, 1.0)
@@ -83,6 +97,9 @@ class TestF2Undeformed:
         exact = exact_f2_undeformed(k, n, omega, delta, g).values()
         numeric = np.linalg.eigvalsh(build_block(ModelParams(2, k, omega, delta, g), n).matrix)
         assert np.max(np.abs(exact - numeric)) <= 1e-13 * np.max(np.abs(numeric))
+
+    def test_levels_match_eigvalsh_over_delta(self):
+        assert_levels_match_eigvalsh(exact_f2_undeformed)
 
     def test_overflowing_level_named(self):
         with pytest.raises(NumericalError) as caught:
@@ -137,6 +154,12 @@ class TestF2Deformed:
         exact = exact_f2_deformed(k, n, omega, delta, g, phi).values()
         numeric = numeric_spectrum(2, k, n, omega, delta, g, phi)
         assert np.max(np.abs(exact - numeric)) <= 1e-13 * np.max(np.abs(numeric))
+
+    @pytest.mark.parametrize("phi", [Deformation.undeformed(), Deformation.q_exp(1.0),
+                                     Deformation.linear(0.5)], ids=["undeformed", "qexp", "linear"])
+    def test_levels_match_eigvalsh_over_delta(self, phi):
+        assert_levels_match_eigvalsh(
+            lambda k, n, omega, delta, g: exact_f2_deformed(k, n, omega, delta, g, phi), phi)
 
     def test_overflowing_level_named(self):
         with pytest.raises(NumericalError) as caught:
