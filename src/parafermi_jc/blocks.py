@@ -16,13 +16,23 @@ of occupation tuples P (boson occupation n - W(P)) the matrix elements are
 
 with the exact q-phase exponents of the algebra module.  Hermiticity is
 asserted, never symmetrized, so a transcription error fails loudly.
+
+A block is assembled from index arrays, not a loop over its states: the
+basis's mixed-radix codes ascend in its lexicographic order, so a sorted
+search finds each lowered state's row, and phi, the q-phases and the spin
+factors are each evaluated once per distinct argument.  The entries are bit
+for bit those of a loop over the states and their hops (the tests keep one
+as the reference), and phi is evaluated at that loop's arguments in its
+order, phi(n) first, so a failure names the same x.  The index arrays of the
+last 64 (F, k, n) are cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,48 +100,95 @@ class BlockHamiltonian:
         return len(self.basis)
 
 
-def _lowered(p: OccupationConfig, l: int) -> OccupationConfig:
-    return p[:l] + (p[l] - 1,) + p[l + 1:]
+class _Hops(NamedTuple):
+    """Block (F, k, n) as read-only index arrays: its basis, each state's
+    weight W, the largest weight, and the two entries of each hop.  Hop h
+    takes state P of weight W, lowered at mode l, to state P': its entries
+    (P', P) and (P, P') are at index[h] and index[h + hops] of the flattened
+    matrix.  Both take phi(n + 1 - W) = phi(n - (W - 1)) from raised = W - 1
+    and carry P's occupation occ = i_l; tail = sum_{s>l} i_s indexes the
+    q-phases at the first entry and, offset by top + 1, their conjugates at
+    the second."""
+
+    basis: tuple[OccupationConfig, ...]
+    weights: np.ndarray
+    top: int
+    index: np.ndarray
+    raised: np.ndarray
+    occ: np.ndarray
+    tail: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _hops(F: int, k: int, n: int) -> _Hops:
+    """The hops of block (F, k, n), cached: a scan and each of its derivative
+    checks build the same block, and tiny blocks would otherwise pay numpy's
+    call overhead once per request."""
+    basis = tuple(enumerate_block_basis(F, k, n))
+    dim = len(basis)
+    occupations = np.array(basis, dtype=np.int64).reshape(dim, k)
+    # mixed-radix codes, no digit above n, ascend in the basis's lexicographic
+    # order; Python ints once the codes could pass int64
+    radix = min(F, n + 1)
+    place = np.array([radix ** (k - 1 - l) for l in range(k)],
+                     dtype=np.int64 if radix ** k < 2 ** 62 else object)
+    codes = occupations @ place
+    cols, modes = np.nonzero(occupations)
+    rows = np.searchsorted(codes, codes[cols] - place[modes])
+    weights = occupations.sum(axis=1)
+    top = int(weights.max())
+    tail = (np.cumsum(occupations[:, ::-1], axis=1)[:, ::-1] - occupations)[cols, modes]
+    hops = _Hops(basis, weights, top, np.concatenate([rows * dim + cols, cols * dim + rows]),
+                 np.tile(weights[cols] - 1, 2), np.tile(occupations[cols, modes], 2),
+                 np.concatenate([tail, tail + top + 1]))
+    for array in hops:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return hops
+
+
+def _structure_values(phi: Deformation, n: int, top: int) -> np.ndarray:
+    """phi(n - W) for W = 0..top, evaluated in that order: descending from
+    phi(n), as a loop over the basis states first meets them, so the first
+    failure names the x that such a loop would."""
+    return np.array([evaluate(phi, n - W) for W in range(top + 1)], dtype=np.float64)
 
 
 def _assemble(
-    params: ModelParams, n: int, hop_factor: Callable[[OccupationConfig, int], complex]
+    params: ModelParams, n: int, hop_factors: Callable[[_Hops], np.ndarray]
 ) -> BlockHamiltonian:
-    """Block H_n whose hop from P to P lowered at mode l carries hop_factor(P, l).
+    """Block H_n whose hops' entries carry the factors hop_factors(hops).
 
-    An entry beyond the float range raises NumericalError naming its relation
-    and (F, k, n).
+    The entries are those of a loop over the basis states and their hops,
+    bit for bit: phi at the same arguments, the same products, and each
+    off-diagonal entry added to a zero.  An entry beyond the float range
+    raises NumericalError naming its relation and (F, k, n).
     """
-    basis = enumerate_block_basis(params.F, params.k, n)
-    index = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
-    phi = params.deformation
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    for p, col in index.items():
-        W = weight(p)
-        H[col, col] = params.omega * evaluate(phi, n - W) + params.delta * W
-        hop_modes = [l for l in range(params.k) if p[l] > 0]
-        if not hop_modes:
-            continue
-        # hopping to the config with mode l lowered: boson gains one quantum
-        amp_base = params.g * math.sqrt(evaluate(phi, n + 1 - W))
-        for l in hop_modes:
-            row = index[_lowered(p, l)]
-            factor = hop_factor(p, l)
-            H[row, col] += amp_base * factor
-            H[col, row] += amp_base * factor.conjugate()
-    bad = ~np.isfinite(H)
-    if bad.any():
-        relation = ("diagonal omega * phi(n - W) + delta * W" if bad.diagonal().any()
-                    else "hop g * sqrt(phi(n + 1 - W))")
+    hops = _hops(params.F, params.k, n)
+    W = hops.weights
+    phi = _structure_values(params.deformation, n, hops.top)
+    factors = hop_factors(hops)
+    H = np.zeros((W.size, W.size), dtype=np.complex128)
+    entries = H.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        entries[::W.size + 1] = params.omega * phi[W] + params.delta * W
+        # a hop lowers a mode and raises the boson
+        entries[hops.index] += params.g * np.sqrt(phi[hops.raised]) * factors
+    if not np.isfinite(H).all():
+        relation = ("diagonal omega * phi(n - W) + delta * W"
+                    if not np.isfinite(H.diagonal()).all() else "hop g * sqrt(phi(n + 1 - W))")
         raise NumericalError(f"the block's {relation} leaves the float range "
                              f"(F={params.F}, k={params.k}, n={n})")
-    return BlockHamiltonian(n, tuple(basis), H)
+    return BlockHamiltonian(n, hops.basis, H)
 
 
 def build_block(params: ModelParams, n: int) -> BlockHamiltonian:
     """Assemble the dense block H_n of the parafermion-oscillator Hamiltonian."""
-    return _assemble(params, n, lambda p, l: root_of_unity_power(params.F, -sum(p[l + 1:])))
+    def phases(hops: _Hops) -> np.ndarray:
+        # q^(-t) for each tail t <= top, then the conjugates
+        table = [root_of_unity_power(params.F, -t) for t in range(hops.top + 1)]
+        return np.array(table + [z.conjugate() for z in table])[hops.tail]
+    return _assemble(params, n, phases)
 
 
 def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
@@ -141,7 +198,8 @@ def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
     carries sqrt(i_l * (F - i_l)) instead of a root-of-unity phase, so the
     matrix is real symmetric.
     """
-    return _assemble(params, n, lambda p, l: math.sqrt(p[l] * (params.F - p[l])))
+    return _assemble(params, n, lambda hops: np.array(
+        [math.sqrt(i * (params.F - i)) for i in range(min(params.F, hops.top + 1))])[hops.occ])
 
 
 def build_full_truncated(

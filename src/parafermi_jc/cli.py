@@ -295,8 +295,9 @@ def cmd_semiclassical_compare(cfg: argparse.Namespace) -> int:
     grid, log_z = zip(*log_partition_scan(params, cfg.n, omegas))
     log_z_semiclassical = log_sum_exp(levels, -cfg.beta)
     with np.errstate(over="ignore", invalid="ignore"):  # _emit names a non-finite cell
-        f_numeric = -np.array(log_z) / cfg.beta
-        f_semiclassical = -log_z_semiclassical / cfg.beta
+        # + 0.0: a zero free energy is 0.0, not -0.0
+        f_numeric = -np.array(log_z) / cfg.beta + 0.0
+        f_semiclassical = -log_z_semiclassical / cfg.beta + 0.0
         rel_err = np.abs(f_numeric - f_semiclassical) / np.maximum(np.abs(f_numeric), 1e-300)
     rows = np.column_stack([grid, f_numeric, f_semiclassical, rel_err]).tolist()
     _emit(cfg, ["omega", "F_numeric", "F_semiclassical", "rel_err"], rows)

@@ -18,7 +18,9 @@ helps QL on the row-by-row schedule stop at a window (see 2.).
    eigenvectors requested, the reduction keeps its reflectors, scaled to
    unit norm; once stage 2 is done they are applied to the tridiagonal's
    eigenvectors, one panel per compact-WY product as in zunmtr (the
-   back-transform), so the Householder unitary is never formed.  Each matrix
+   back-transform), its triangular factor T formed by zlarft's recurrence
+   from the panel's Gram matrix, so the Householder unitary is never formed
+   and no linear system is solved.  Each matrix
    is first scaled by the power of two of its largest entry, and its
    eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
@@ -85,15 +87,16 @@ of the stack, and the eigenvectors return to the input's order through one
 scatter into a new array.  The lockstep holds its group's diagonals and
 squares, and per sweep a few arrays of the rows it moves.  The Householder
 workspace has 2 * min(PANEL, d - 2) columns, inverse iteration holds its
-factors only through the solves, and the back-transform applies T^-1 to the
-nb x d product V^H X; the root's eigenvectors reach it with no other
-reference, so it frees them once phase-rotated.  A merge holds the two pieces' vectors,
-its own, one d x d coefficient matrix, and d x d arrays of the secular
-solver's rows (the roots' distances to the poles, and while a level has
-several equations, their weights), which shrink as roots converge.  With
-eigenvectors the traced peak is about 5.4 times the complex stack at
-d = 27, and 3.3 times at d = 256; the staircase stack (d = 27, 40 matrices)
-with the window of beta = 1 keeps 135 of its 1,080 vectors and peaks at 4.0.
+factors only through the solves, and the back-transform applies a panel's
+nb x nb factor T to the nb x m product V^H X; the root's eigenvectors reach
+it with no other reference, so it frees them once phase-rotated.  A merge
+holds the two pieces' vectors, its own, one d x d coefficient matrix, and
+d x d arrays of the secular solver's rows (the roots' distances to the
+poles, and while a level has several equations, their weights), which
+shrink as roots converge.  With eigenvectors the traced peak is about 4.9
+times the complex stack at d = 27, and 3.3 times at d = 256; the staircase
+stack (d = 27, 40 matrices) with the window of beta = 1 keeps 135 of its
+1,080 vectors and peaks at 4.0.
 
 Contracts: eigenvalues ascending, with +inf for the levels a window leaves
 out; when vectors are requested, per-pair residual
@@ -190,21 +193,40 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     square matrix or a stack of them, finite and Hermitian.
 
     The package's one Hermiticity check: the eigensolver and block assembly
-    both call it.  Raises ParameterError otherwise.
+    both call it.  A matrix is rejected when max|H - H^dag| exceeds
+    HERMITICITY_RTOL * max(1, max|H|), compared in squares a few ulps on the
+    safe side, so it rejects every matrix that the comparison of the
+    deviations themselves, by hypot, rejects.  Raises ParameterError
+    otherwise.
     """
     A = np.asarray(H, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ParameterError(f"matrix must be square, got shape {A.shape}")
-    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    peak = np.abs(A).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(peak).all():
         raise ParameterError("matrix has non-finite entries")
-    # |H - H^dag| from real parts (antisymmetric part) and imaginary parts
-    # (symmetric part), in half-size arrays
-    diff = A.real - A.real.swapaxes(-1, -2)
-    np.hypot(diff, A.imag + A.imag.swapaxes(-1, -2), out=diff)
-    dev = np.max(diff, axis=(-2, -1), initial=0.0)
-    if (dev > HERMITICITY_RTOL * np.maximum(1.0, peak)).any():
-        raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {np.max(dev):.3e}")
+    # |H - H^dag|^2 from the real parts' antisymmetric part and the imaginary
+    # parts' symmetric part, in half-size arrays, in units of the power of two
+    # of max(1, max|H|), where the squares stay in range for any finite H
+    scale = np.maximum(1.0, peak)
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])
+    with np.errstate(over="ignore"):  # a deviation beyond the float range is inf, and rejected
+        dev2 = A.real - A.real.swapaxes(-1, -2)
+        im = A.imag + A.imag.swapaxes(-1, -2)
+    units = unit[..., np.newaxis, np.newaxis]
+    dev2 *= units
+    im *= units
+    dev2 *= dev2
+    im *= im
+    dev2 += im
+    # hypot rounds by one ulp, the squares and their sum by a few: the bound's
+    # square, 8 ulps smaller, keeps every deviation rejected that hypot would
+    bound = HERMITICITY_RTOL * scale * unit
+    if (dev2.max(axis=(-2, -1), initial=0.0)
+            > bound * bound * (1.0 - 8.0 * sys.float_info.epsilon)).any():
+        with np.errstate(over="ignore"):
+            dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)))
+        raise ParameterError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")
     return A, peak
 
 
@@ -331,24 +353,29 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
 def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
     """Q Z for the unitary Q = H_0 H_1 ... diag(phases) that _tridiagonalize stored.
 
-    The product of a panel's reflectors is I - V T V^H in compact-WY form,
-    with T from V's Gram matrix by the UT transform
-    T^-1 = striu(V^H V) + diag(V^H V) / 2; a skipped reflector's zero column
-    gets pivot 1.  The panels are applied last first, so Q is never formed.
-    Z is a (G, n, m) stack; a lone matrix's reflectors apply to a stack of one.
+    The product of a panel's reflectors H_j = I - tau_j v_j v_j^H is
+    I - V T V^H in compact-WY form, with the upper triangular T of LAPACK's
+    zlarft (forward, columnwise): from S = V^H V, T_jj = tau_j = 2 / S_jj and
+    T[:j, j] = -tau_j T[:j, :j] S[:j, j], a skipped reflector's zero column
+    taking tau_j = 0.  The panels are applied last first, as X - V (T (V^H X)),
+    so Q is never formed.  Z is a (G, n, m) stack; a lone matrix's reflectors
+    apply to a stack of one.
     """
     phases, panels = reflectors
     X = phases[..., :, np.newaxis] * Z
     del Z
     for r0, V in reversed(panels):
         nb = V.shape[-1]
-        T_inv = V.conj().swapaxes(-1, -2) @ V
-        pivots = np.diagonal(T_inv, axis1=-2, axis2=-1).real / 2.0
-        T_inv *= np.tri(nb, nb, -1, dtype=bool).T
-        T_inv[..., np.arange(nb), np.arange(nb)] = np.where(pivots == 0.0, 1.0, pivots)
-        # T (V^H X) on the nb x d product; only the solution outlives the solve
-        Y = np.linalg.solve(T_inv, V.conj().swapaxes(-1, -2) @ X[..., r0:, :])
-        X[..., r0:, :] -= V @ Y
+        # T overwrites S = V^H V column by column: column j of T needs S's
+        # column j and T's columns before it
+        T = V.conj().swapaxes(-1, -2) @ V
+        norms = np.diagonal(T, axis1=-2, axis2=-1).real
+        tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        T *= np.tri(nb, nb, -1, dtype=bool).T
+        T[..., np.arange(nb), np.arange(nb)] = tau
+        for j in range(1, nb):
+            T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
+        X[..., r0:, :] -= V @ (T @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
     return X
 
 

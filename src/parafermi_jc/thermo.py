@@ -32,7 +32,7 @@ A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
 matrix may exceed the cap).  A scan's traced peak is at most about 5.9
 times its complex stack with eigenvectors, reached when every vector is kept
-(5.9 at d = 8, 5.4 at d = 27, 4.3 at d = 256, which keeps them all
+(5.9 at d = 8, 4.9 at d = 27, 4.3 at d = 256, which keeps them all
 anyway); the staircase grid (d = 27, delta = 1000, beta = 1) keeps 12% of
 them and peaks at 3.9.  Without eigenvectors the peak is 3.2 to 3.3 times
 the stack, so a full chunk peaks near 3 MB.  The solver gets the only
@@ -49,8 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import eigensolver
-from .blocks import BlockHamiltonian, ModelParams, build_block
-from .deformations import evaluate
+from .blocks import BlockHamiltonian, ModelParams, _hops, _structure_values, build_block
 from .eigensolver import Spectrum
 from .errors import NumericalError, ParameterError
 
@@ -131,9 +130,10 @@ class PlateauReport:
 
 def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndarray:
     """The diagonal operators N = n - W, W and phi(n - W) as the columns of a (dim, 3) array."""
-    boson = [block.n - sum(p) for p in block.basis]
-    return np.array([[m, block.n - m, evaluate(params.deformation, m)] for m in boson],
-                    dtype=np.float64)
+    hops = _hops(params.F, params.k, block.n)
+    W = hops.weights
+    phi = _structure_values(params.deformation, block.n, hops.top)
+    return np.column_stack([block.n - W, W, phi[W]])
 
 
 def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta: float,
@@ -160,7 +160,7 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
             raise NumericalError(
                 f"partition function exceeds the float range: log Z = {lz!r}", index=index
             ) from None
-        free_energy = -lz / beta
+        free_energy = -lz / beta + 0.0  # + 0.0: a zero is 0.0, not -0.0
         if not math.isfinite(free_energy):
             raise NumericalError(
                 f"free_energy = -log Z / beta exceeds the float range: log Z = {lz!r}, "

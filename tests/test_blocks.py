@@ -19,7 +19,9 @@ from parafermi_jc import (
     enumerate_block_basis,
     weight,
 )
+from parafermi_jc.algebra import root_of_unity_power
 from parafermi_jc.blocks import build_full_truncated
+from parafermi_jc.deformations import evaluate
 
 
 def params(F=2, k=1, omega=1.0, delta=1.0, g=1.0, **kw):
@@ -28,6 +30,124 @@ def params(F=2, k=1, omega=1.0, delta=1.0, g=1.0, **kw):
 
 def hermiticity_defect(H):
     return float(np.max(np.abs(H - H.conj().T)))
+
+
+def reference_block(p, n, spin=False):
+    """The block H_n by the per-hop loop over the basis that the index-array
+    assembly replaced, with its finiteness check: the reference for its bits,
+    and for the first argument of phi that fails."""
+    basis = enumerate_block_basis(p.F, p.k, n)
+    index = {cfg: i for i, cfg in enumerate(basis)}
+    H = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for cfg, col in index.items():
+        W = weight(cfg)
+        H[col, col] = p.omega * evaluate(p.deformation, n - W) + p.delta * W
+        hop_modes = [l for l in range(p.k) if cfg[l] > 0]
+        if not hop_modes:
+            continue
+        amp_base = p.g * math.sqrt(evaluate(p.deformation, n + 1 - W))
+        for l in hop_modes:
+            row = index[cfg[:l] + (cfg[l] - 1,) + cfg[l + 1:]]
+            factor = (math.sqrt(cfg[l] * (p.F - cfg[l])) if spin
+                      else root_of_unity_power(p.F, -sum(cfg[l + 1:])))
+            H[row, col] += amp_base * factor
+            H[col, row] += amp_base * factor.conjugate()
+    bad = ~np.isfinite(H)
+    if bad.any():
+        relation = ("diagonal omega * phi(n - W) + delta * W" if bad.diagonal().any()
+                    else "hop g * sqrt(phi(n + 1 - W))")
+        raise NumericalError(f"the block's {relation} leaves the float range "
+                             f"(F={p.F}, k={p.k}, n={n})")
+    return tuple(basis), H
+
+
+def outcome(build, *args):
+    """(basis, matrix bytes) of a build, or (exception type, message) if it raises."""
+    try:
+        result = build(*args)
+    except (NumericalError, DeformationError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, BlockHamiltonian):
+        return result.basis, result.matrix.tobytes()
+    return result[0], result[1].tobytes()
+
+
+DEFORMATIONS = {
+    "undeformed": Deformation.undeformed(),
+    "linear": Deformation.linear(0.7),
+    "qexp": Deformation.q_exp(0.3),
+    "qsym": Deformation.q_sym(1.7),
+    # negative past x = 6, so the larger blocks raise DeformationError
+    "parafermionic": Deformation.parafermionic(6),
+    "custom": Deformation.custom(lambda x: math.log1p(x) * (1.0 - 0.3 * x)),
+}
+
+
+class TestAssemblyMatchesLoop:
+    """The index-array assembly against the per-hop loop: the same bytes, and
+    the same exception naming the same x."""
+
+    @pytest.mark.parametrize("spin", [False, True], ids=["parafermion", "higher_spin"])
+    @pytest.mark.parametrize("kind", sorted(DEFORMATIONS))
+    def test_bytes_match_the_loop(self, kind, spin):
+        build = build_higher_spin_block if spin else build_block
+        raised = 0
+        for F in range(2, 6):
+            for k in range(1, 5):
+                p = params(F=F, k=k, omega=1.3, delta=-0.7, g=1.1,
+                           deformation=DEFORMATIONS[kind])
+                for n in range(k * (F - 1) + 2):
+                    expected = outcome(reference_block, p, n, spin)
+                    assert outcome(build, p, n) == expected, (F, k, n)
+                    raised += isinstance(expected[0], type)
+        # only the deformations that go negative raise
+        assert (raised > 0) == (kind in ("parafermionic", "custom"))
+
+    @pytest.mark.parametrize("spin", [False, True], ids=["parafermion", "higher_spin"])
+    def test_signed_zeros_match_the_loop(self, spin):
+        # g = -0.0 and phi = 0 make zero hops of either sign
+        build = build_higher_spin_block if spin else build_block
+        for g in (0.0, -0.0):
+            for omega, delta in ((0.0, -0.0), (-0.0, 0.0), (-1.0, 2.0)):
+                p = params(F=3, k=3, omega=omega, delta=delta, g=g)
+                for n in (0, 1, 4, 7):
+                    assert outcome(build, p, n) == outcome(reference_block, p, n, spin)
+
+    def test_modes_past_int64_codes(self):
+        # 3**45 > 2**62: the codes are Python ints
+        p = params(F=3, k=45, g=0.9, deformation=Deformation.q_exp(0.2))
+        assert outcome(build_block, p, 2) == outcome(reference_block, p, 2)
+
+    @pytest.mark.parametrize("F,k,n,phi,error", [
+        # sinh(700 x) overflows at x = 2 and 3; the loop meets phi(n) = phi(3) first
+        (2, 1, 3, Deformation.q_exp(700.0), NumericalError),
+        (3, 2, 3, Deformation.q_exp(700.0), NumericalError),
+        (4, 3, 5, Deformation.q_exp(300.0), NumericalError),
+        # phi(x) = x (3 - x) is negative from x = 4 on
+        (3, 1, 5, Deformation.parafermionic(3), DeformationError),
+        (2, 3, 6, Deformation.parafermionic(3), DeformationError),
+        # phi(n - W) leaves the float range on the diagonal, then in a hop
+        (2, 1, 5, Deformation.linear(1e308), NumericalError),
+        (3, 2, 4, Deformation.linear(1e300), NumericalError),
+    ])
+    @pytest.mark.parametrize("spin", [False, True], ids=["parafermion", "higher_spin"])
+    def test_same_error_as_the_loop(self, F, k, n, phi, error, spin):
+        p = params(F=F, k=k, omega=10.0, g=1e308, deformation=phi)
+        expected = outcome(reference_block, p, n, spin)
+        assert expected[0] is error
+        assert outcome(build_higher_spin_block if spin else build_block, p, n) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_phi_of_n_plus_one_never_evaluated(self, n):
+        # phi(n + 1) would raise, but no hop leaves the state of weight 0
+        def phi(x):
+            if x > n:
+                raise OverflowError
+            return x
+        p = params(F=3, k=2, deformation=Deformation.custom(phi))
+        assert outcome(reference_block, p, n)[0] == tuple(enumerate_block_basis(3, 2, n))
+        assert outcome(build_block, p, n) == outcome(reference_block, p, n)
+        assert outcome(build_higher_spin_block, p, n) == outcome(reference_block, p, n, True)
 
 
 class TestModelParams:

@@ -226,6 +226,19 @@ class TestThermoScan:
         assert code == 1 and out == ""
         assert err.startswith("parameter error:") and "omega count" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_free_energy_unsigned(self, capsys, fmt):
+        # block n = 0 is the one state of level 0: log Z = 0, and -log Z / beta
+        # would be -0.0
+        code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "0",
+                                 "--format", fmt, *GRID_1_2)
+        assert code == 0 and err == ""
+        if fmt == "csv":
+            assert out.split("\n")[1:3] == ["1.0,1.0,0.0,0.0,0.0,0.0", "2.0,1.0,0.0,0.0,0.0,0.0"]
+        else:
+            values = [row["free_energy"] for row in json.loads(out)["rows"]]
+            assert values == [0.0, 0.0] and "-0.0" not in out
+
     def test_non_finite_beta_rejected(self, capsys):
         code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "2",
                                  "--beta=nan", *GRID_1_2)
@@ -512,6 +525,17 @@ class TestSemiclassicalCompare:
         assert code == 0 and err == ""
         cells = [float(c) for line in out.strip().split("\n")[1:] for c in line.split(",")]
         assert len(cells) == 36 and all(math.isfinite(c) for c in cells)
+
+    def test_zero_free_energies_unsigned(self, capsys, monkeypatch):
+        # log Z = 0 on both sides; -log Z / beta would be -0.0
+        monkeypatch.setattr(cli, "log_partition_scan",
+                            lambda params, n, omegas: [(omega, 0.0) for omega in omegas])
+        monkeypatch.setattr(cli, "semiclassical_level_table",
+                            lambda *args: np.zeros((2, 1)))
+        code, out, err = run_cli(capsys, "semiclassical-compare", "--F", "2", "--k", "1",
+                                 "--n", "2", *GRID_1_2)
+        assert code == 0 and err == ""
+        assert out.split("\n")[1:3] == ["1.0,0.0,0.0,0.0", "2.0,0.0,0.0,0.0"]
 
     def test_regime_validation(self, capsys):
         code, _, err = run_cli(capsys, "semiclassical-compare", "--F", "3", "--k", "2",

@@ -23,9 +23,11 @@ from parafermi_jc import divide, eigensolver
 from parafermi_jc.divide import _secular_roots
 from parafermi_jc.eigensolver import (
     CLUSTER_RTOL,
+    HERMITICITY_RTOL,
     RESIDUAL_RTOL,
     _back_transform,
     _ql_implicit_shift,
+    _require_hermitian,
     _tridiagonalize,
 )
 
@@ -85,6 +87,134 @@ class TestBasicCases:
         H[1, 1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             eigendecompose(H)
+
+
+def hypot_rejection(A):
+    """The message with which the deviations' own comparison, by hypot,
+    rejects a finite square matrix or stack, or None if it accepts: the
+    reference that the check's comparison in squares must never be looser
+    than."""
+    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore"):
+        dev = np.max(np.hypot(A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2)),
+                     axis=(-2, -1), initial=0.0)
+    if (dev > HERMITICITY_RTOL * np.maximum(1.0, peak)).any():
+        return f"matrix is not Hermitian: max|H - H^dag| = {np.max(dev):.3e}"
+    return None
+
+
+def check_rejection(A):
+    """The message with which _require_hermitian rejects A, or None if it accepts."""
+    try:
+        _require_hermitian(A)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def relative_excess(A):
+    """max over the matrices of max|H - H^dag| / (HERMITICITY_RTOL * max(1, max|H|)) - 1, by hypot."""
+    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
+    dev = np.max(np.hypot(A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2)),
+                 axis=(-2, -1), initial=0.0)
+    return float(np.max(dev / (HERMITICITY_RTOL * np.maximum(1.0, peak)))) - 1.0
+
+
+@st.composite
+def perturbed_hermitian(draw, factors):
+    """A Hermitian matrix or stack at a scale from 1e-300 to 1e300, one entry
+    of one matrix moved off Hermiticity by factor * the tolerance, the
+    factor drawn from factors: an off-diagonal entry replaced by the
+    deviation, its partner by zero, or a diagonal entry's imaginary part by
+    half of it, so that the deviation is exact."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(n, n), (1, n, n), (3, n, n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    A = (A + A.conj().swapaxes(-1, -2)) / 2 * 10.0 ** draw(st.floats(-300, 300))
+    g = draw(st.integers(0, A.size // (n * n) - 1))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    matrix = A.reshape(-1, n, n)[g]
+    matrix[i, j] = matrix[j, i] = matrix[i, j].real
+    tol = HERMITICITY_RTOL * max(1.0, float(np.max(np.abs(matrix))))
+    size = draw(factors) * tol
+    if i == j:
+        matrix[i, i] += 0.5j * size
+    else:
+        matrix[i, j] = size * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        matrix[j, i] = 0.0
+    return A
+
+
+class TestHermiticityCheck:
+    """The comparison in squares against the comparison of the deviations by hypot."""
+
+    @given(perturbed_hermitian(st.sampled_from([0.5, 1 - 1e-6, 1 + 1e-6, 2.0])))
+    @settings(max_examples=400, deadline=None)
+    def test_same_decision_away_from_the_tolerance(self, A):
+        assert check_rejection(A) == hypot_rejection(A)
+
+    @given(perturbed_hermitian(st.integers(-32, 32).map(lambda k: 1.0 + k * sys.float_info.epsilon)))
+    @settings(max_examples=400, deadline=None)
+    def test_never_looser_at_the_tolerance(self, A):
+        expected = hypot_rejection(A)
+        if expected is not None:
+            assert check_rejection(A) == expected
+        elif abs(relative_excess(A)) > 1e-14:
+            assert check_rejection(A) is None
+
+    def test_never_looser_on_random_trials(self):
+        # 2 x 2 matrices whose one deviation lies within an ulp of the
+        # tolerance, where the squares round to the other side of it about
+        # once in 250 matrices; scales put max(1, max|H|) on either side of 1
+        rng = np.random.default_rng(2024)
+        tighter = 0
+        for trial in range(3000):
+            a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
+            tol = HERMITICITY_RTOL * max(1.0, abs(a), abs(b))
+            ulps = rng.integers(0, 2)
+            H = np.array([[a, 0.0], [0.0, b]], dtype=complex)
+            H[0, 1] = tol * (1.0 + ulps * sys.float_info.epsilon) * np.exp(1j * rng.uniform(0, 7))
+            expected, got = hypot_rejection(H), check_rejection(H)
+            assert expected is None or got == expected, trial
+            tighter += expected is None and got is not None
+        # the margin rejects some matrices at the tolerance that hypot accepts
+        assert 0 < tighter < 3000
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e307])
+    def test_message_reports_the_deviation(self, scale):
+        A = random_hermitian(5, 7) * scale
+        A[1, 3] += 1e-6 * max(1.0, scale)
+        message = check_rejection(A)
+        assert message is not None and message == hypot_rejection(A)
+        stack = np.array([random_hermitian(5, 8) * scale, A])
+        assert check_rejection(stack) == hypot_rejection(stack)
+
+    def test_opposite_huge_entries(self):
+        # H - H^dag overflows to inf: rejected, as by hypot
+        A = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]], dtype=complex)
+        assert check_rejection(A) == hypot_rejection(A) == (
+            "matrix is not Hermitian: max|H - H^dag| = inf")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_entries(self, bad, stacked):
+        A = np.eye(3, dtype=complex)
+        A[0, 2] = bad
+        if stacked:
+            A = np.array([np.eye(3), A])
+        with pytest.raises(ParameterError, match="^matrix has non-finite entries$"):
+            _require_hermitian(A)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3, 3)])
+    def test_empty_shapes_accepted(self, shape):
+        A, peak = _require_hermitian(np.zeros(shape))
+        assert A.shape == shape and peak.shape == shape[:-2]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2), ()])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ParameterError, match="^matrix must be square"):
+            _require_hermitian(np.zeros(shape))
 
 
 class TestContracts:
@@ -553,6 +683,38 @@ class TestPanels:
             T = np.diag(d[g]) + np.diag(e[g], -1) + np.diag(e[g], 1)
             assert np.max(np.abs(Q[g] @ T @ Q[g].conj().T - H)) <= 1e-13 * n * np.max(np.abs(H))
             assert np.max(np.abs(Q[g].conj().T @ Q[g] - np.eye(n))) <= 1e-13 * n
+
+    @pytest.mark.parametrize("build", [lambda: random_hermitian(34, 55),
+                                       lambda: random_hermitian(35, 56),
+                                       lambda: random_hermitian(70, 57),
+                                       lambda: block_diagonal(SKIPPING_SIZES, 58),
+                                       skipping_with_tiny_columns],
+                             ids=["n34", "n35", "n70", "block_diagonal", "tiny_columns"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_back_transform_is_the_reflector_product(self, build, route):
+        # Q = H_0 H_1 ... H_{n-3} diag(phases) formed explicitly, each
+        # H_j = I - 2 u_j u_j^H (the identity for a skipped, zero u_j)
+        stack = on_route(build(), route)
+        n = stack.shape[-1]
+        _, _, reflectors = _tridiagonalize(stack.copy(), True)
+        G = 1 if stack.ndim == 2 else len(stack)
+        Q = _back_transform(reflectors, np.repeat(np.eye(n, dtype=complex)[np.newaxis], G, axis=0))
+        for g in range(G):
+            phases, panels = matrix_reflectors(reflectors, g)
+            expected = np.eye(n, dtype=complex)
+            for r0, V in panels:
+                for u in V.T:
+                    full = np.zeros(n, dtype=complex)
+                    full[r0:] = u
+                    expected = expected - 2.0 * np.outer(expected @ full, full.conj())
+            expected = expected * phases
+            assert np.max(np.abs(Q[g] - expected)) <= 1e-14
+
+    def test_eigensolver_solves_no_linear_system(self):
+        # T of the compact-WY form comes by recurrence; QR is the one LAPACK call left
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")):
+            assert_contracts(random_hermitian(70, 59))
+            assert_stack_contracts(np.array([random_hermitian(40, 60 + g) for g in range(3)]))
 
     def test_subnormal_x0_on_both_routes(self):
         # column 0's x0 is 1e-310 / 8 once scaled by the power of two of the

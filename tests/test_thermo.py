@@ -25,6 +25,7 @@ from parafermi_jc import (
     phi_n_via_omega_derivative,
     thermo_from_block,
 )
+from parafermi_jc.deformations import evaluate
 from parafermi_jc.thermo import log_partition_scan
 
 
@@ -522,3 +523,15 @@ class TestStaircasePhysics:
         assert counts[0.3] == counts[0.1] == 5
         assert inner_widths[0.3] > inner_widths[0.1]  # regimes shrinking
         assert counts[0.01] == 2  # fully collapsed to the undeformed pair
+
+
+@pytest.mark.parametrize("phi", [Deformation.undeformed(), Deformation.q_exp(0.4),
+                                 Deformation.parafermionic(9)], ids=["undeformed", "qexp", "parafermionic"])
+@pytest.mark.parametrize("F,k,n", [(2, 1, 0), (2, 3, 6), (3, 3, 8), (4, 2, 9)])
+def test_diagonal_operators_match_the_per_state_loop(F, k, n, phi):
+    # N = n - W, W and phi(n - W) for each basis state, as a loop over the basis gives them
+    params = ModelParams(F, k, 1.0, 1.0, 1.0, deformation=phi)
+    block = build_block(params, n)
+    expected = np.array([[n - sum(p), sum(p), evaluate(phi, n - sum(p))] for p in block.basis],
+                        dtype=np.float64)
+    assert thermo._diagonal_operators(block, params).tobytes() == expected.tobytes()
