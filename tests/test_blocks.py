@@ -33,8 +33,8 @@ def hermiticity_defect(H):
 
 
 def reference_block(p, n, spin=False):
-    """The block H_n by the per-hop loop over the basis that the index-array
-    assembly replaced, with its finiteness check: the reference for its bits,
+    """The block H_n by a loop over the basis states and their hops, with the
+    same finiteness check: the reference for the index-array assembly's bits,
     and for the first argument of phi that fails."""
     basis = enumerate_block_basis(p.F, p.k, n)
     index = {cfg: i for i, cfg in enumerate(basis)}
