@@ -15,7 +15,8 @@ of occupation tuples P (boson occupation n - W(P)) the matrix elements are
               between P and P lowered at mode l
 
 with the exact q-phase exponents of the algebra module.  Hermiticity is
-asserted, never symmetrized, so a transcription error fails loudly.
+asserted once, when the block is built, and never symmetrized, so a
+transcription error fails loudly.
 
 A block is assembled from index arrays, not a loop over its states: the
 basis's mixed-radix codes ascend in its lexicographic order, so a sorted
@@ -83,13 +84,38 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """One conserved-number block: its label n, basis, and dense Hermitian matrix."""
+    """One conserved-number block: its label n, basis, and dense Hermitian matrix.
+
+    The block keeps a read-only complex copy of the matrix it is given, so no
+    view of the caller's array can change it once checked, and the solver
+    can skip the check (thermo_from_block).
+    """
 
     n: int
     basis: tuple[OccupationConfig, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.complex128))  # frozen
+        self._check()
+
+    @classmethod
+    def _taking(cls, n: int, basis: tuple[OccupationConfig, ...], matrix: np.ndarray):
+        """The block of a fresh complex array that no one else holds, without
+        the copy: at d = 256 the copy's new pages cost about as much as the
+        Hermiticity check."""
+        block = cls.__new__(cls)
+        for name, value in (("n", n), ("basis", basis), ("matrix", matrix)):
+            object.__setattr__(block, name, value)
+        block._check()
+        return block
+
+    def __reduce__(self):
+        # a copy or an unpickled block goes through the constructor, so it
+        # too owns a read-only, checked matrix
+        return type(self), (self.n, self.basis, self.matrix)
+
+    def _check(self):
         if self.matrix.shape != (len(self.basis), len(self.basis)):
             raise ParameterError("matrix dimension does not match basis length")
         _require_hermitian(self.matrix)
@@ -179,7 +205,7 @@ def _assemble(
                     if not np.isfinite(H.diagonal()).all() else "hop g * sqrt(phi(n + 1 - W))")
         raise NumericalError(f"the block's {relation} leaves the float range "
                              f"(F={params.F}, k={params.k}, n={n})")
-    return BlockHamiltonian(n, hops.basis, H)
+    return BlockHamiltonian._taking(n, hops.basis, H)
 
 
 def build_block(params: ModelParams, n: int) -> BlockHamiltonian:

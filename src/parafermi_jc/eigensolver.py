@@ -12,15 +12,17 @@ helps QL on the row-by-row schedule stop at a window (see 2.).
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
    a panel each column is brought up to date from the panel's reflectors
    when it is reached, and the trailing matrix takes the whole panel as one
-   rank-2*PANEL product.  A lone matrix takes each column's reflector scalars
-   on Python numbers, as zlarfg does, and a stack on (G,) arrays.  A diagonal
-   phase rotation then makes the off-diagonal real and nonnegative.  With
-   eigenvectors requested, the reduction keeps its reflectors, scaled to
-   unit norm; once stage 2 is done they are applied to the tridiagonal's
-   eigenvectors, one panel per compact-WY product as in zunmtr (the
-   back-transform), its triangular factor T formed by zlarft's recurrence
-   from the panel's Gram matrix, so the Householder unitary is never formed
-   and no linear system is solved.  Each matrix
+   rank-2*PANEL product; no operand of these products is a view of negative
+   stride, which would take numpy's matmul off BLAS.  A lone matrix takes
+   each column's reflector scalars on Python numbers, as zlarfg does, and a
+   stack on (G,) arrays.  A diagonal phase rotation then makes the
+   off-diagonal real and nonnegative.  With eigenvectors requested, the
+   reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
+   they are applied to the tridiagonal's eigenvectors, one panel per
+   compact-WY product as in zunmtr (the back-transform), so the Householder
+   unitary is never formed.  The panel's triangular factor T comes from its
+   Gram matrix: for a lone matrix as one inverse of the closed form of
+   T^-1, for a stack by zlarft's recurrence.  Each matrix
    is first scaled by the power of two of its largest entry, and its
    eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
@@ -192,8 +194,10 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H as a complex array, and max|H| per matrix, once H is known to be a
     square matrix or a stack of them, finite and Hermitian.
 
-    The package's one Hermiticity check: the eigensolver and block assembly
-    both call it.  A matrix is rejected when max|H - H^dag| exceeds
+    The package's one Hermiticity check, made once per matrix: block
+    assembly calls it on each block, and eigendecompose on its input, while
+    thermo_from_block solves a block's already checked matrix through
+    _solve.  A matrix is rejected when max|H - H^dag| exceeds
     HERMITICITY_RTOL * max(1, max|H|), compared in squares a few ulps on the
     safe side, so it rejects every matrix that the comparison of the
     deviations themselves, by hypot, rejects.  Raises ParameterError
@@ -298,8 +302,10 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
                     col[1] = -phase * xnorm
                 p = A[j + 1:, j + 1:] @ u
                 if k:
+                    # reversed before conj(), which copies: a vector of
+                    # negative stride would take matmul off BLAS
                     pairs = work[j + 1:, mid - k:mid + k]
-                    p -= pairs @ (u.conj() @ pairs).conj()[::-1]
+                    p -= pairs @ (u.conj() @ pairs)[::-1].conj()
                 p *= 2.0
                 np.multiply(u, -np.vdot(u, p), out=w)
                 w += p
@@ -327,7 +333,7 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
             p = _mv(A[..., j + 1:, j + 1:], u)
             if k:
                 pairs = work[..., j + 1:, mid - k:mid + k]
-                p -= _mv(pairs, _vh(u, pairs).conj()[..., ::-1])
+                p -= _mv(pairs, _vh(u, pairs)[..., ::-1].conj())
             p *= 2.0
             np.multiply(u, -_vh(u, p[..., np.newaxis]), out=w)
             w += p
@@ -355,26 +361,35 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
 
     The product of a panel's reflectors H_j = I - tau_j v_j v_j^H is
     I - V T V^H in compact-WY form, with the upper triangular T of LAPACK's
-    zlarft (forward, columnwise): from S = V^H V, T_jj = tau_j = 2 / S_jj and
-    T[:j, j] = -tau_j T[:j, :j] S[:j, j], a skipped reflector's zero column
-    taking tau_j = 0.  The panels are applied last first, as X - V (T (V^H X)),
-    so Q is never formed.  Z is a (G, n, m) stack; a lone matrix's reflectors
-    apply to a stack of one.
+    zlarft (forward, columnwise), from S = V^H V and tau_j = 2 / S_jj.  A
+    lone matrix's T is one inverse, of T^-1 = striu(S) + diag(S) / 2
+    (Puglisi 1992; Joffrain et al. 2006), where a skipped reflector's zero
+    row and column of S take the diagonal 1; triangular, it needs no
+    pivoting.  A stack's T comes by zlarft's recurrence, T_jj = tau_j and
+    T[:j, j] = -tau_j T[:j, :j] S[:j, j], a skipped reflector taking
+    tau_j = 0: a batched inverse took twice as long.  Either way the zero
+    column of V makes that entry of T irrelevant.  The panels are applied
+    last first, as X - V (T (V^H X)), so Q is never formed.  Z is a (G, n, m)
+    stack; a lone matrix's reflectors apply to a stack of one.
     """
     phases, panels = reflectors
     X = phases[..., :, np.newaxis] * Z
     del Z
     for r0, V in reversed(panels):
         nb = V.shape[-1]
-        # T overwrites S = V^H V column by column: column j of T needs S's
-        # column j and T's columns before it
+        # S = V^H V, of which T keeps the part above the diagonal
         T = V.conj().swapaxes(-1, -2) @ V
-        norms = np.diagonal(T, axis1=-2, axis2=-1).real
-        tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        norms = np.diagonal(T, axis1=-2, axis2=-1).real.copy()
         T *= np.tri(nb, nb, -1, dtype=bool).T
-        T[..., np.arange(nb), np.arange(nb)] = tau
-        for j in range(1, nb):
-            T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
+        if V.ndim == 2:
+            np.fill_diagonal(T, np.where(norms > 0.0, 0.5 * norms, 1.0))
+            T = np.linalg.inv(T)
+        else:
+            # column j of T needs S's column j and T's columns before it
+            tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+            T[..., np.arange(nb), np.arange(nb)] = tau
+            for j in range(1, nb):
+                T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
         X[..., r0:, :] -= V @ (T @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
     return X
 
@@ -899,6 +914,15 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     if not window >= 0.0:
         raise ParameterError(f"window must be >= 0, got {window}")
     A, peak = _require_hermitian(H)
+    del H
+    # A goes in unnamed, so that _solve frees an input the caller does not keep
+    return _solve((A, A := None)[0], peak, want_vectors, window)
+
+
+def _solve(A: np.ndarray, peak: np.ndarray, want_vectors: bool, window: float) -> Spectrum:
+    """eigendecompose of a complex matrix or (G, d, d) stack A that is known to
+    be square, finite and Hermitian, max|A| per matrix given as peak: the
+    solve without the check, for a caller whose matrix has passed it."""
     single = A.ndim == 2
     if single:
         A = A[np.newaxis]
@@ -914,7 +938,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
         work = A.reshape(-1).take(rows[:, :, np.newaxis] + order[:, np.newaxis, :])
     else:
         work = A.copy()
-    del H, A  # an input that the caller does not keep is freed here (Python 3.11+)
+    del A  # an input that the caller does not keep is freed here (Python 3.11+)
     # scale each matrix by the power of two of its largest entry, as LAPACK's
     # zheev does for extreme ones, so the Householder norms neither overflow
     # nor drop columns that underflow; every sum of squares scales by an even

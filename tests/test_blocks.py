@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +231,29 @@ class TestBuildBlock:
         block = build_block(params(), 1)
         with pytest.raises(ValueError):
             block.matrix[0, 0] = 9.0
+
+    def test_view_taken_before_construction_cannot_change_the_block(self):
+        # the block keeps a copy of its own, so a writeable view of the
+        # caller's array leaves the checked matrix Hermitian
+        H = np.eye(2, dtype=complex)
+        view = H[:]
+        block = BlockHamiltonian(0, ((0,), (1,)), H)
+        view[0, 1] = 5.0
+        assert np.array_equal(block.matrix, np.eye(2))
+        assert not block.matrix.flags.writeable and block.matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda b: pickle.loads(pickle.dumps(b))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_duplicated_block_keeps_a_read_only_matrix(self, duplicate):
+        # pickle restores arrays writeable; a duplicate is built by the
+        # constructor instead, so its matrix is its own, read-only and checked
+        block = build_block(params(), 2)
+        twin = duplicate(block)
+        assert np.array_equal(twin.matrix, block.matrix) and twin.n == block.n
+        assert twin.basis == block.basis and not twin.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            twin.matrix[0, 0] = 9.0
 
     def test_deformation_contract_error_propagates(self):
         # boson occupation exceeds the support of the parafermionic-oscillator

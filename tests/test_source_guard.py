@@ -1,7 +1,9 @@
 """Static guards: the library solves its own eigenproblems and runs serially,
-every public name has a caller outside the tests, every module-level
-function and class is referenced, and no two modules import each other,
-directly or around a ring.
+the solver's products take no operand reversed after conj(), every public
+name has a caller outside the tests, every module-level function and class
+is referenced, and no two modules import each other, directly or around a
+ring.  One run-time guard patches numpy's eigenroutines to raise and runs
+every solver route and the commands built on them.
 
 LAPACK eigenroutines and polynomial root finders (which call them) belong to
 the test suite as oracles; the package itself must not reference them, nor
@@ -11,13 +13,25 @@ may still name what the code must not use.
 
 import ast
 import collections
+import math
 import pathlib
 import re
 import tokenize
 
+import numpy as np
 import pytest
 
 import parafermi_jc
+from parafermi_jc import (
+    ModelParams,
+    build_block,
+    eigendecompose,
+    eigenvalues_only,
+    omega_scan,
+    thermo_from_block,
+)
+from parafermi_jc.cli import main
+from parafermi_jc.thermo import log_partition_scan
 
 PACKAGE = pathlib.Path(parafermi_jc.__file__).parent
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -50,6 +64,64 @@ def test_guard_sees_code_but_not_prose(tmp_path):
     sample.write_text('"""np.roots in a docstring"""\n# eigh in a comment\n'
                       "roots = np . roots([1.0, 0.0])\nweight = 1\n")
     assert [row for row, text in code_text(sample).items() if FORBIDDEN.search(text)] == [3]
+
+
+#: x.conj()[::-1] and x.conj()[..., ::-1]: the copy that conj() makes, viewed
+#: with a negative stride, which takes matmul off BLAS; x[::-1].conj() gives
+#: the same values contiguous.
+REVERSED_AFTER_CONJ = re.compile(r"\.conj\(\)\[(\.\.\.,)?::-1\]")
+
+
+def compact_code(path):
+    """Names, operators and numbers of a module, without spaces, one line per source line."""
+    lines = {}
+    with open(path, encoding="utf-8") as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER):
+                lines.setdefault(tok.start[0], []).append(tok.string)
+    return {row: "".join(parts) for row, parts in lines.items()}
+
+
+@pytest.mark.parametrize("name", ["eigensolver.py", "divide.py"])
+def test_no_operand_reversed_after_conj(name):
+    hits = [f"{name}:{row}: {text}" for row, text in compact_code(PACKAGE / name).items()
+            if REVERSED_AFTER_CONJ.search(text)]
+    assert not hits, "reverse before conj(), so products stay on BLAS:\n" + "\n".join(hits)
+
+
+def test_reversal_guard_sees_code_but_not_prose(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""u.conj()[::-1] in a docstring"""\n# v.conj()[..., ::-1] in a comment\n'
+                      "p = M @ u.conj() [::-1]\nq = _mv(M, v.conj()[..., ::-1])\n"
+                      "r = M @ u[::-1].conj() + _vh(v[..., ::-1].conj(), M)\n")
+    assert [row for row, text in compact_code(sample).items()
+            if REVERSED_AFTER_CONJ.search(text)] == [3, 4]
+
+
+def test_no_solve_reaches_a_lapack_eigenroutine(monkeypatch, capsys):
+    # the README's promise at run time: with numpy's eigenroutines patched to
+    # raise, a lone matrix, a stack, a tree of more than LEAF rows, the
+    # thermal reductions and the spectrum command all still solve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a LAPACK eigenroutine was called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rng = np.random.default_rng(11)
+
+    def hermitian(n):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return A + A.conj().T
+
+    tree = hermitian(parafermi_jc.eigensolver.LEAF + 20)
+    for H in (hermitian(12), np.array([hermitian(12) for _ in range(3)]), tree):
+        assert np.isfinite(eigendecompose(H, want_vectors=True).eigenvalues).all()
+    assert np.isfinite(eigenvalues_only(tree)).all()
+    params = ModelParams(3, 2, 1.0, 2.0, 0.7)
+    assert math.isfinite(thermo_from_block(build_block(params, 4), params).log_z)
+    assert len(omega_scan(params, 4, [0.5, 1.0])) == len(log_partition_scan(params, 4, [0.5, 1.0])) == 2
+    assert main(["spectrum", "--F", "2", "--k", "2", "--n", "3"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_every_export_has_a_caller_outside_the_tests():
