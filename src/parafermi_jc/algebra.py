@@ -22,6 +22,7 @@ lexicographic order with i_1 most significant, e.g. for F=2, k=2:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -89,6 +90,12 @@ def block_dimension(F: int, k: int, n: int) -> int:
     prefix-sum operator (multiplication by 1/(1-x)) k+1 times.  Saturates at
     F^k once n >= k*(F-1), so n is clamped there.
     """
+    return _block_dimensions(F, k, n)[-1]
+
+
+def _block_dimensions(F: int, k: int, n: int) -> list[int]:
+    """block_dimension's d_0(k), ..., d_m(k) with m = min(n, k*(F-1)), from
+    one convolution: every later d_n(k) is the last, F^k."""
     F, k = _check_order_and_modes(F, k)
     n = _check_integer(n, 0, "total excitation number n")
     n = min(n, k * (F - 1))
@@ -96,11 +103,8 @@ def block_dimension(F: int, k: int, n: int) -> int:
     for s in range(0, min(k, n // F) + 1):
         coeffs[F * s] = (-1) ** s * math.comb(k, s)
     for _ in range(k + 1):
-        acc = 0
-        for j in range(n + 1):
-            acc += coeffs[j]
-            coeffs[j] = acc
-    return coeffs[n]
+        coeffs = list(itertools.accumulate(coeffs))
+    return coeffs
 
 
 def _signed_binomial(a: int, j: int) -> int:

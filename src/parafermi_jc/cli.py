@@ -27,10 +27,12 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
+from .algebra import _block_dimensions
 from .blocks import ModelParams, build_block
 from .deformations import Deformation
 from .eigensolver import eigenvalues_only
@@ -234,15 +236,11 @@ def _write_text(out: str, text: str) -> None:
 
 
 def cmd_dims(cfg: argparse.Namespace) -> int:
-    from .algebra import block_dimension
-
     if not 0 <= cfg.n_max < MAX_ROWS:
         raise ParameterError(f"n-max must be between 0 and {MAX_ROWS - 1}, got {cfg.n_max}")
-    # the dimension saturates at F**k from n = k(F-1) on; n = 0 is always
-    # computed, so invalid F and k fail as they would for any n
-    below = min(cfg.n_max, max(cfg.k * (cfg.F - 1), 0))
-    rows = [[n, block_dimension(cfg.F, cfg.k, n)] for n in range(below + 1)]
-    rows += [[n, rows[-1][1]] for n in range(below + 1, cfg.n_max + 1)]
+    # one convolution up to n = k(F-1), from where the dimension stays F**k
+    dims = _block_dimensions(cfg.F, cfg.k, cfg.n_max)
+    rows = [[n, dims[min(n, len(dims) - 1)]] for n in range(cfg.n_max + 1)]
     _emit(cfg, ["n", "dim"], rows)
     return EXIT_OK
 
@@ -343,6 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, command_help, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
+        # any negative number is a flag's value: argparse's own pattern takes -1e3 for an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", help="flat JSON config file; flags override it")
         for key in keys:
             kind, _, key_help = _INPUTS[key]

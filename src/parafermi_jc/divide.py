@@ -1,12 +1,12 @@
 """The merge of the eigensolver's divide and conquer (Cuppen's method, as LAPACK's dstedc).
 
-``eigensolver`` halves a tridiagonal of more than LEAF rows into leaves and
-solves them; this module merges the pieces back, one level at a time.  A
-merge is a rank-one update of its two pieces' eigenvalues: dlaed2's
-deflation, the secular equations of all merges of a level solved at once by
-dlaed4's middle way, and Gu and Eisenstat's eigenvectors, applied to the
-pieces' vectors by one product per piece.  ``eigensolver`` imports this
-module on first use.
+With eigenvectors requested, ``eigensolver`` halves a tridiagonal of more than
+LEAF rows into leaves and solves them; this module merges the pieces back, one
+level at a time.  A merge is a rank-one update of its two pieces' eigenvalues:
+dlaed2's deflation, the secular equations of all merges of a level solved at
+once by dlaed4's middle way, and Gu and Eisenstat's eigenvectors, applied to
+the pieces' vectors by one product per piece.  ``eigensolver`` imports it on
+first use, which a values-only solve never makes.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _secular_roots(poles: list, weights: list, rho: np.ndarray, owner: np.ndarra
     return [(x, D[:, :n]) for x, D, n in zip(np.split(roots, bounds), np.split(out, bounds), count)]
 
 
-def _merge_level(pairs, want_vectors: bool):
+def _merge_level(pairs):
     """Merge each pair of solved neighbouring pieces of a level, for every
     tridiagonal of the stack (Cuppen's divide and conquer, as dlaed1).
 
@@ -236,7 +236,7 @@ def _merge_level(pairs, want_vectors: bool):
     off-diagonal torn between them, 0 where it was negligible.  Their merge
     is diag(lower, upper) + 2 beta z z^T, z the unit vector made of the
     lower vectors' last row and the upper's first row.  Returns the merged
-    (values, vectors) per pair; vectors is None unless want_vectors.
+    (values, vectors) per pair.
     """
     merges, poles, weights, rhos, owner = [], [], [], [], []
     for (l1, Q1), (l2, Q2), beta in pairs:
@@ -266,14 +266,12 @@ def _merge_level(pairs, want_vectors: bool):
         G, n = order.shape
         n1 = Q1.shape[-1]
         values = np.empty((G, n))
-        vectors = np.empty((G, n, n)) if want_vectors else None
+        vectors = np.empty((G, n, n))
         for g, (p, w, kept, gone, turns) in enumerate(parts):
             roots, delta = next(solved) if kept else (p[:0], None)
             lam = np.concatenate([roots, p[gone]])
             rank = np.argsort(lam, kind="stable")
             values[g] = lam[rank]
-            if not want_vectors:
-                continue
             # the merged vectors are diag(Q1, Q2) Y: Y's rows follow the poles
             # back to their pieces' rows, and its columns are the rank-one
             # problem's vectors, a unit vector for each deflated pair, with

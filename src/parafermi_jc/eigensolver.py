@@ -28,59 +28,58 @@ helps QL on the row-by-row schedule stop at a window (see 2.).
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
-   zero, once.  T is halved until no piece has more than LEAF rows (a single
-   piece up to LEAF rows), each tear taking its off-diagonal out of the two
-   diagonal entries beside it.  Root-free implicit-shift QL (the
-   Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson shift) finds the
-   leaves' eigenvalues: it works on the squares e_i**2, computed once, so a
-   sweep takes one square root and one hypot for its shift and none per
-   rotation; the scaling keeps the squares in range.  The leaves of one size
-   over the whole stack form a group, and QL runs on one of two schedules.
-   A group of fewer than LOCKSTEP leaves goes row by row, one leaf at a time
-   on Python floats: a block's end is found once; each sweep then tests only
-   the off-diagonal at the block's top, where QL converges, and may cross an
-   entry that became negligible during the block's sweeps.  A larger group
-   goes in lockstep, with the same arithmetic on numpy rows: every leaf
+   zero, once.  With eigenvectors requested, T is halved until no piece has
+   more than LEAF rows (a single piece up to LEAF rows), each tear taking its
+   off-diagonal out of the two diagonal entries beside it; without, T is one
+   leaf of any size, as LAPACK's zheevd hands jobz = 'N' to dsterf.  Root-free
+   implicit-shift QL (the Pal-Walker-Kahan form of LAPACK's dsterf, Wilkinson
+   shift) finds the leaves' eigenvalues: it works on the squares e_i**2,
+   computed once, so a sweep takes one square root and one hypot for its shift
+   and none per rotation; the scaling keeps the squares in range.  The leaves
+   of one size over the whole stack form a group, and QL runs on one of two
+   schedules.  A group of fewer than LOCKSTEP leaves goes row by row, one leaf
+   at a time on Python floats: a block's end is found once; each sweep then
+   tests only the off-diagonal at the block's top, where QL converges, and may
+   cross an entry that became negligible during the block's sweeps.  A larger
+   group goes in lockstep, with the same arithmetic on numpy rows: every leaf
    deflates row l before any moves on to l + 1, and one sweep serves every
    leaf whose off-diagonal l is not yet negligible, chased from the leaf's
    last row, across any exactly zero coupling (no rotation there).  On the
    semiclassical comparison's 161-point scans (d = 2 to 8, values only) the
    lockstep took 0.2 to 0.5 of the row-by-row QL time.  When eigenvectors are
-   requested or the leaves are to be merged, inverse iteration on the same
-   leaves finds their vectors, as LAPACK's dstein does, for every eigenvalue
-   of the leaves of one size at once: each eigenvalue is its own shift,
-   T - lambda I is factored with partial pivoting for every shift in one loop
-   over the rows, and INVERSE_SOLVES solves from a fixed start follow.
-   Neighbouring eigenvalues closer than CLUSTER_RTOL * ||T||_1 form a cluster,
-   and those closer than GROUP_RTOL * ||T||_1 a group.  A QR factorization
-   orthonormalizes each group after every solve but the last, and each
-   cluster, in ascending order, after the last.  Inverse iteration splits T at
-   its zero off-diagonals, where QL's blocks end; a matrix whose shifts
-   include a group also splits at its couplings under GROUP_RTOL * ||T||_1,
-   its shifts then from QL on the split tridiagonal, so that each piece
-   solves its own copy of an eigenvalue that several pieces share.  Given a
-   window, a matrix
-   solved as a single leaf keeps only the vectors of its eigenvalues up to
-   its smallest plus the window, and of the chain of neighbours closer than
-   CLUSTER_RTOL * ||T||_1 that continues from the last of them, so no
-   cluster straddles the cut; the other shifts are not solved, and their
-   columns are zero.  On the row-by-row schedule the window also stops that
-   leaf's QL, which in the ascending order deflates the low-lying states
-   first (the lockstep computes every level): once a Sturm count
-   certifies that no undeflated eigenvalue reaches the kept chain, QL
-   returns, and every level beyond the chain is +inf.  The finite levels are
-   then the kept ones, with the bits of the full solve; on the staircase
-   stack (d = 27, 40 matrices, beta = 1) QL finds 177 of the 1,080
-   eigenvalues, in 413 sweeps instead of 1,906.  The pieces of a larger
-   matrix are then merged
-   back level by level (Cuppen's divide and conquer, as LAPACK's dstedc;
-   module ``divide``, imported on first use): each merge is a rank-one update
-   of the two pieces' eigenvalues, deflated as in dlaed2, its secular
-   equations solved all at once by dlaed4's middle way, and its eigenvectors
-   taken from Gu and Eisenstat's weights and applied to the pieces' vectors by
-   one product per piece.  The values-only path runs the same merges and skips
-   only the top level's eigenvectors, so its eigenvalues are those of the
-   vectors path, bit for bit.
+   requested, inverse iteration on the same leaves finds their vectors, as
+   LAPACK's dstein does, for every eigenvalue of the leaves of one size at
+   once: each eigenvalue is its own shift, T - lambda I is factored with
+   partial pivoting for every shift in one loop over the rows, and
+   INVERSE_SOLVES solves from a fixed start follow.  Neighbouring eigenvalues
+   closer than CLUSTER_RTOL * ||T||_1 form a cluster, and those closer than
+   GROUP_RTOL * ||T||_1 a group.  A QR factorization orthonormalizes each
+   group after every solve but the last, and each cluster, in ascending order,
+   after the last.  Inverse iteration splits T at its zero off-diagonals,
+   where QL's blocks end; a matrix whose shifts include a group also splits at
+   its couplings under GROUP_RTOL * ||T||_1, its shifts then from QL on the
+   split tridiagonal, so that each piece solves its own copy of an eigenvalue
+   that several pieces share.  Given a window, a matrix solved as a single
+   leaf keeps only the vectors of its eigenvalues up to its smallest plus the
+   window, and of the chain of neighbours closer than CLUSTER_RTOL * ||T||_1
+   that continues from the last of them, so no cluster straddles the cut; the
+   other shifts are not solved, and their columns are zero.  On the row-by-row
+   schedule the window also stops that leaf's QL, which in the ascending order
+   deflates the low-lying states first (the lockstep computes every level):
+   once a Sturm count certifies that no undeflated eigenvalue reaches the kept
+   chain, QL returns, and every level beyond the chain is +inf.  The finite
+   levels are then the kept ones, with the bits of the full solve; on the
+   staircase stack (d = 27, 40 matrices, beta = 1) QL finds 177 of the 1,080
+   eigenvalues, in 413 sweeps instead of 1,906.  The pieces of a larger matrix
+   solved with eigenvectors are then merged back level by level (Cuppen's
+   divide and conquer, as LAPACK's dstedc; module ``divide``, imported on
+   first use): each merge is a rank-one update of the two pieces' eigenvalues,
+   deflated as in dlaed2, its secular equations solved all at once by dlaed4's
+   middle way, and its eigenvectors taken from Gu and Eisenstat's weights and
+   applied to the pieces' vectors by one product per piece.  Up to LEAF rows
+   the values-only path solves the leaf that the vectors path solves, so its
+   eigenvalues are those of the vectors path, bit for bit; above, its one QL
+   and the merges agree to rounding.
 
 Working set: the input is copied once and, when the caller keeps no
 reference to it, freed (from Python 3.11); for an ordered matrix the copy
@@ -153,8 +152,9 @@ CLUSTER_RTOL = 1e-3
 #: this close in shift barely separate them, so they would turn into one vector.
 GROUP_RTOL = 1e-12
 
-#: Tridiagonals are halved until no piece has more rows than this; QL and
-#: inverse iteration solve the pieces, which are merged back level by level.
+#: With eigenvectors, tridiagonals are halved until no piece has more rows
+#: than this; QL and inverse iteration solve the pieces, which are merged back
+#: level by level.  Without them, QL solves each tridiagonal whole.
 LEAF = 64
 
 #: A size group of at least this many leaves is solved by QL in lockstep, one
@@ -828,21 +828,21 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
     they are (G, n, m), m the largest count, with zero columns beyond each
     count; below LOCKSTEP matrices its QL also stops at the window.
 
-    T is halved, the odd row going to the upper half, until no piece has more
-    than LEAF rows.  Each tear takes its off-diagonal beta off the two diagonal
-    entries beside it, T = diag(pieces) + beta u u^T with u the sum of the
-    unit vectors of the two rows.  QL and inverse iteration solve the leaves
-    as one stack per size, QL row by row (_ql_rows) or, from LOCKSTEP rows,
-    in lockstep (_ql_lockstep), and divide._merge_level merges the pieces
-    level by level.  A single leaf solved for values only skips inverse iteration; the
-    values-only path of a tree runs the same merges and skips only the top
-    level's eigenvectors, so its eigenvalues are those of the vectors path.
+    Without reflectors each tridiagonal is a single leaf, whatever its size,
+    and QL alone solves it.  With them, T is halved, the odd row going to the
+    upper half, until no piece has more than LEAF rows.  Each tear takes its
+    off-diagonal beta off the two diagonal entries beside it, T =
+    diag(pieces) + beta u u^T with u the sum of the unit vectors of the two
+    rows.  QL and inverse iteration solve the leaves as one stack per size,
+    QL row by row (_ql_rows) or, from LOCKSTEP rows, in lockstep
+    (_ql_lockstep), and divide._merge_level merges the pieces level by level.
     """
     G, n = d.shape
     tree = [[(0, n)]]
-    while max(hi - lo for lo, hi in tree[-1]) > LEAF:
+    while reflectors is not None and max(hi - lo for lo, hi in tree[-1]) > LEAF:
         tree.append([half for lo, hi in tree[-1]
                      for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))])
+        window = None  # the merges need every leaf's vectors
     tears = np.array([lo for lo, _ in tree[-1][1:]], dtype=np.intp)
     d[:, tears - 1] -= e[:, tears - 1]
     d[:, tears] -= e[:, tears - 1]
@@ -859,12 +859,10 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
             if rows >= LOCKSTEP:
                 levels, spent = _ql_lockstep(ld, le)
             else:
-                levels, spent = _ql_rows(ld, le, window if len(tree) == 1 else None, norm)
+                levels, spent = _ql_rows(ld, le, window, norm)
             values = np.sort(levels, axis=1).reshape(G, len(group), size)
-            if reflectors is not None or len(tree) > 1:
-                counts = None
-                if window is not None and len(tree) == 1:
-                    counts = _window_counts(values[:, 0], norm, window)
+            if reflectors is not None:
+                counts = None if window is None else _window_counts(values[:, 0], norm, window)
                 vectors = _inverse_iteration(ld, le, levels, counts)
                 vectors = vectors.reshape(G, len(group), size, vectors.shape[-1])
         except ConvergenceError as exc:
@@ -875,20 +873,18 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
             pieces[piece] = (values[:, k], None if vectors is None else vectors[:, k])
     del vectors
     if len(tree) > 1:
-        # imported on first use, so that a process solving only small blocks
-        # does not compile it (as costly as this module where bytecode is not
-        # cached)
+        # imported on first use, so that a process that solves no matrix of
+        # more than LEAF rows with eigenvectors does not compile it (as costly
+        # as this module where bytecode is not cached)
         from .divide import _merge_level
     for depth in range(len(tree) - 2, -1, -1):
         pieces.update(zip(tree[depth], _merge_level(
             [(pieces.pop((lo, (lo + hi) // 2)), pieces.pop(((lo + hi) // 2, hi)),
-              e[:, (lo + hi) // 2 - 1]) for lo, hi in tree[depth]],
-            reflectors is not None or depth > 0)))
+              e[:, (lo + hi) // 2 - 1]) for lo, hi in tree[depth]])))
     values = pieces[(0, n)][0]
-    if reflectors is None:
-        return values, None, sweeps
     # the root's vectors are passed on unnamed, so _back_transform can free them early
-    return values, _back_transform(reflectors, pieces.pop((0, n))[1]), sweeps
+    vectors = None if reflectors is None else _back_transform(reflectors, pieces.pop((0, n))[1])
+    return values, vectors, sweeps
 
 
 def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
@@ -899,11 +895,11 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     eigenvectors of its eigenvalues up to its smallest plus window only, and
     of every eigenvalue in a cluster with one of those; the other columns of
     its eigenvectors are zero, and the array has as many columns as the
-    matrix of the stack that keeps the most.  In a stack of fewer than
-    LOCKSTEP matrices its QL may stop before it reaches the other
-    eigenvalues: each eigenvalue it leaves out is +inf, after the kept ones,
-    which have the bits of a solve without a window.  Larger matrices
-    ignore the window.
+    matrix of the stack that keeps the most.  Larger matrices solved with
+    eigenvectors ignore the window.  Any matrix that does not ignore it, in a
+    stack of fewer than LOCKSTEP matrices, may have its QL stop before it
+    reaches the other eigenvalues: each eigenvalue it leaves out is +inf,
+    after the kept ones, which have the bits of a solve without a window.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input
     or a window that is not >= 0, NumericalError if the tridiagonal stage or

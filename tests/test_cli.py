@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,9 @@ def run_cli(capsys, *argv):
 
 GRID_1_2 = ("--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
 
+#: d_n for F = 4, k = 3 and n = 0..10: saturated at F**k = 64 from n = 9 on.
+DIMS_F4_K3 = [1, 4, 10, 20, 32, 44, 54, 60, 63, 64, 64]
+
 
 class TestDims:
     def test_generating_function_expansion(self, capsys):
@@ -42,7 +46,7 @@ class TestDims:
         lines = out.strip().split("\n")
         assert lines[0] == "n,dim"
         dims = [int(line.split(",")[1]) for line in lines[1:]]
-        assert dims == [1, 4, 10, 20, 32, 44, 54, 60, 63, 64, 64]
+        assert dims == DIMS_F4_K3
 
     def test_small_cases(self, capsys):
         code, out, _ = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", "3")
@@ -52,24 +56,29 @@ class TestDims:
         assert [int(l.split(",")[1]) for l in out.strip().split("\n")[1:]] == [1]
 
     def test_saturated_rows_computed_once(self, capsys, monkeypatch):
-        # from n = k(F-1) = 9 on every row is F**k = 64: block_dimension runs
-        # for n = 0..9 only, and the rows past it repeat its last value
-        calls = []
-
-        def counted(F, k, n):
-            calls.append(n)
-            return block_dimension(F, k, n)
-
-        block_dimension = algebra.block_dimension
-        monkeypatch.setattr(algebra, "block_dimension", counted)
+        # from n = k(F-1) = 9 on every row is F**k = 64: one convolution gives
+        # the rows for n = 0..9, and the rows past it repeat its last value
+        spy = mock.Mock(wraps=algebra._block_dimensions)
+        monkeypatch.setattr(cli, "_block_dimensions", spy)
         code, out, _ = run_cli(capsys, "dims", "--F", "4", "--k", "3", "--n-max", "5000")
         assert code == 0
-        assert calls == list(range(10))
+        spy.assert_called_once_with(4, 3, 5000)
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 5001 and rows[9] == "9,64" and rows[-1] == "5000,64"
-        calls.clear()
-        run_cli(capsys, "dims", "--F", "4", "--k", "3", "--n-max", "4")
-        assert calls == list(range(5))
+        spy.reset_mock()
+        code, out, _ = run_cli(capsys, "dims", "--F", "4", "--k", "3", "--n-max", "4")
+        spy.assert_called_once_with(4, 3, 4)
+        assert [int(line.split(",")[1]) for line in out.strip().split("\n")[1:]] == DIMS_F4_K3[:5]
+
+    def test_long_ramp_in_linear_time(self, capsys):
+        # k = 1: d_n = n + 1 up to n = F - 1, then F; one convolution of 10**5
+        # terms, where one per row took time quadratic in F
+        code, out, _ = run_cli(capsys, "dims", "--F", "100000", "--k", "1", "--n-max", "100000")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 100001
+        assert rows[:3] == ["0,1", "1,2", "2,3"]
+        assert rows[99998:] == ["99998,99999", "99999,100000", "100000,100000"]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "dims", "--F", "2", "--k", "1", "--n-max", "2",
@@ -330,6 +339,28 @@ class TestInputs:
         code, out, err = run_cli(capsys, "spectrum", "--F", "abc")
         assert code == 1 and out == ""
         assert err.startswith("parameter error:") and "--F" in err
+
+    @pytest.mark.parametrize("command,spaced,joined", [
+        ("spectrum", ["--delta", "-1e3"], ["--delta=-1000.0"]),
+        ("spectrum", ["--omega", "-2.5E1"], ["--omega=-25.0"]),
+        ("thermo-scan", ["--omega-min", "-1e3", "--omega-max", "2", "--omega-count", "2",
+                         "--omega-scale", "linear"],
+         ["--omega-min=-1000.0", "--omega-max", "2", "--omega-count", "2", "--omega-scale", "linear"]),
+    ])
+    def test_negative_value_with_exponent_after_its_flag(self, capsys, command, spaced, joined):
+        # argparse's own pattern takes -1e3 for an option, so --delta -1e3
+        # failed with "expected one argument"; the = form never did
+        block = ["--F", "2", "--k", "1", "--n", "2"]
+        spaced_run = run_cli(capsys, command, *block, *spaced)
+        assert spaced_run == run_cli(capsys, command, *block, *joined)
+        assert "expected one argument" not in spaced_run[2]
+        if command == "spectrum":
+            assert spaced_run[0] == 0
+
+    def test_flag_still_needs_its_value(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--F", "2", "--k", "1", "--omega", "--n", "3")
+        assert code == 1 and out == ""
+        assert "argument --omega: expected one argument" in err
 
     @pytest.mark.parametrize("values", [{"delta": "x"}, {"omega_count": 2.5}, {"F": 3.0},
                                         {"beta": True}, {"omega_scale": "cubic"}])

@@ -612,16 +612,29 @@ def apply_reflectors_one_by_one(reflectors, Z):
     return X
 
 
+def assert_values_only(values, with_vectors, stack):
+    """Values-only eigenvalues of a stack: those of the vectors path, bit for
+    bit, up to LEAF rows, where both solve one leaf; above it, one QL on the
+    whole tridiagonal, within 1e-11 * max|lambda| of LAPACK per matrix."""
+    if stack.shape[-1] <= eigensolver.LEAF:
+        assert np.array_equal(values, with_vectors)
+        return
+    ref = np.linalg.eigvalsh(stack)
+    bound = 1e-11 * np.maximum(np.max(np.abs(ref), axis=-1), np.finfo(float).tiny)
+    assert np.all(np.max(np.abs(values - ref), axis=-1) <= bound)
+
+
 def assert_contracts(H):
     """Residual and orthonormality at RESIDUAL_RTOL, ascending eigenvalues that
-    match LAPACK to 1e-11, and bit-identical values-only eigenvalues."""
+    match LAPACK to 1e-11, and values-only eigenvalues as assert_values_only
+    holds them."""
     n = H.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigendecompose(H, want_vectors=True)
         values = eigenvalues_only(H)
     V, w = spec.eigenvectors, spec.eigenvalues
-    assert np.array_equal(values, w)
+    assert_values_only(values, w, H)
     assert np.all(np.diff(w) >= 0)
     ref = np.linalg.eigvalsh(H)
     assert np.max(np.abs(w - ref)) <= 1e-11 * max(np.max(np.abs(ref)), np.finfo(float).tiny)
@@ -759,13 +772,14 @@ def staircase_stack(count=40):
 
 
 def assert_stack_contracts(stack):
-    """Every matrix of a stacked solve meets the contracts, and its eigenvalues
-    match a solve of that matrix alone to 1e-13 relative."""
+    """Every matrix of a stacked solve meets the contracts, its eigenvalues
+    match a solve of that matrix alone to 1e-13 relative, and the values-only
+    eigenvalues are as assert_values_only holds them."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigendecompose(stack, want_vectors=True)
         values = eigenvalues_only(stack)
-    assert np.array_equal(values, spec.eigenvalues)
+    assert_values_only(values, spec.eigenvalues, stack)
     n = stack.shape[-1]
     for H, w, V in zip(stack, spec.eigenvalues, spec.eigenvectors):
         alone = eigenvalues_only(H)
@@ -997,6 +1011,22 @@ class TestWindow:
         assert np.array_equal(spec.eigenvalues, full.eigenvalues)
         assert np.array_equal(spec.eigenvectors, full.eigenvectors)
 
+    def test_values_only_stops_above_leaf(self):
+        # a values-only solve of 243 rows is one leaf, so its QL stops at the
+        # window: with the basis already in ascending order of its diagonal,
+        # after 15 levels in 35 of the full solve's 490 sweeps
+        params = ModelParams(3, 5, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))
+        H = build_block(params, 10).matrix
+        order = np.argsort(H.diagonal().real, kind="stable")
+        H = H[np.ix_(order, order)]
+        spec = eigendecompose(H, window=STAIRCASE_WINDOW)
+        full = eigendecompose(H)
+        computed = np.isfinite(spec.eigenvalues)
+        assert (np.count_nonzero(computed), spec.sweeps, full.sweeps) == (15, 35, 490)
+        assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[:15])
+        ref = np.linalg.eigvalsh(H)
+        assert ref[15] > ref[0] + STAIRCASE_WINDOW
+
     @pytest.mark.parametrize("window", [-1.0, -math.inf, math.nan])
     def test_window_validated(self, window):
         with pytest.raises(ParameterError, match="window must be >= 0"):
@@ -1031,31 +1061,38 @@ def windowed_stacks(draw, rows=st.integers(1, eigensolver.LEAF), matrices=st.int
     return np.array(stack), window
 
 
-@given(windowed_stacks())
+@given(windowed_stacks(st.integers(1, 2 * eigensolver.LEAF)))
 @settings(max_examples=60, deadline=None)
 def test_window_stop_over_full_range(case):
     # the stop leaves the levels it computes, the counts and the kept vectors
     # as they are without it, bit for bit; what it leaves out is beyond the
-    # window, by LAPACK's eigenvalues (to rounding)
+    # window, by LAPACK's eigenvalues (to rounding).  Above LEAF rows only a
+    # values-only solve is one leaf, and only its QL stops at the window.
     stack, window = case
     ql = eigensolver._ql_implicit_shift
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = eigendecompose(stack, want_vectors=True, window=window)
         values = eigendecompose(stack, window=window).eigenvalues
-        full = eigendecompose(stack, want_vectors=True)
-        with mock.patch.object(eigensolver, "_ql_implicit_shift", lambda d, e2, **_: ql(d, e2)):
-            unstopped = eigendecompose(stack, want_vectors=True, window=window)
-    computed = np.isfinite(spec.eigenvalues)
-    assert np.array_equal(values, spec.eigenvalues)
-    assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[computed])
-    assert np.all(spec.eigenvalues[~computed] == math.inf)
-    assert np.array_equal(unstopped.eigenvalues, full.eigenvalues)
-    assert np.array_equal(spec.eigenvectors, unstopped.eigenvectors)
-    assert spec.sweeps <= full.sweeps
+        unwindowed = eigenvalues_only(stack)
+    computed = np.isfinite(values)
+    assert np.array_equal(values[computed], unwindowed[computed])
+    assert np.all(values[~computed] == math.inf)
     ref = np.linalg.eigvalsh(stack)
     slack = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all((ref > ref[:, :1] + window - slack)[~computed])
+    if stack.shape[-1] > eigensolver.LEAF:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eigendecompose(stack, want_vectors=True, window=window)
+        full = eigendecompose(stack, want_vectors=True)
+        with mock.patch.object(eigensolver, "_ql_implicit_shift", lambda d, e2, **_: ql(d, e2)):
+            unstopped = eigendecompose(stack, want_vectors=True, window=window)
+    assert np.array_equal(values, spec.eigenvalues)
+    assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[computed])
+    assert np.array_equal(unstopped.eigenvalues, full.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, unstopped.eigenvectors)
+    assert spec.sweeps <= full.sweeps
 
 
 #: The (F, k) of the free-energy scans, n = k(F - 1) + 3: over 161 frequencies
@@ -1173,13 +1210,14 @@ class TestLockstep:
         assert caught.value.index == 77
 
     def test_leaf_sweep_cap_names_its_matrix(self, monkeypatch):
-        # two leaves a matrix, 128 rows in all: matrix 41's leaves take sweeps
+        # two leaves a matrix, 128 rows in all: matrix 41's leaves take sweeps;
+        # only the vectors path halves its tridiagonals into leaves
         monkeypatch.setattr(eigensolver, "LEAF", 4)
         stack = np.array([np.diag(np.arange(8.0)) + 0j] * (eigensolver.LOCKSTEP // 2))
         stack[41] = random_hermitian(8, 871)
         monkeypatch.setattr(eigensolver, "MAX_SWEEPS_PER_DIM", 0)
         with pytest.raises(ConvergenceError, match="sweeps") as caught, lockstep_spy() as spy:
-            eigendecompose(stack)
+            eigendecompose(stack, want_vectors=True)
         assert spy.call_count == 1 and caught.value.index == 41
 
     def test_skips_the_ordering(self):
@@ -1231,8 +1269,10 @@ def tridiagonal(d, e):
 
 
 class TestDivideAndConquer:
-    """Tridiagonals of more than LEAF rows: halved into leaves that QL and
-    inverse iteration solve, and merged back through secular equations."""
+    """Tridiagonals of more than LEAF rows, solved with eigenvectors: halved
+    into leaves that QL and inverse iteration solve, and merged back through
+    secular equations.  Without eigenvectors, one QL solves the whole
+    tridiagonal."""
 
     @pytest.fixture
     def halves(self, monkeypatch):
@@ -1290,6 +1330,8 @@ class TestDivideAndConquer:
         e[31] = sys.float_info.epsilon
         H = tridiagonal(d, e)
         halves = np.sort(np.concatenate([eigenvalues_only(H[:32, :32]), eigenvalues_only(H[32:, 32:])]))
+        assert np.array_equal(eigendecompose(H, want_vectors=True).eigenvalues, halves)
+        # the values-only solve's one QL splits at the zeroed coupling as well
         assert np.array_equal(eigenvalues_only(H), halves)
 
     @pytest.mark.parametrize("leaf", [16, 32])
@@ -1326,7 +1368,8 @@ class TestDivideAndConquer:
     @pytest.mark.usefixtures("halves")
     def test_sweeps_are_the_leaves(self):
         # a 64-row block diagonal splits into its two 32-row blocks, so the
-        # solve takes the sweeps of the two blocks solved alone
+        # solve takes the sweeps of the two blocks solved alone; so does the
+        # values-only solve, whose one QL ends a block at the zero coupling
         H = block_diagonal((32, 32), 63)
         # each block's basis in ascending order of its diagonal, as a solve of
         # the block alone orders it; the tree keeps the input's order
@@ -1365,24 +1408,52 @@ class TestDivideAndConquer:
         assert_contracts(scale * random_hermitian(64, 65))
 
     @pytest.mark.usefixtures("halves")
-    @pytest.mark.parametrize("want_vectors", [True, False])
-    def test_secular_cap_names_its_matrix(self, monkeypatch, want_vectors):
+    def test_secular_cap_names_its_matrix(self, monkeypatch):
         # matrix 0 splits exactly at its tear and needs no secular equation;
-        # matrix 1's first secular equation does not converge at the cap
+        # matrix 1's first secular equation does not converge at the cap (a
+        # values-only solve has no secular equation)
         monkeypatch.setattr(divide, "MAX_SECULAR_ITERATIONS", 0)
         stack = np.array([block_diagonal((32, 32), 66), random_hermitian(64, 67)])
         with pytest.raises(ConvergenceError, match="secular") as caught:
-            eigendecompose(stack, want_vectors=want_vectors)
+            eigendecompose(stack, want_vectors=True)
         assert caught.value.index == 1
 
     @pytest.mark.usefixtures("halves")
-    def test_leaf_sweep_cap_names_its_matrix(self, monkeypatch):
-        # the diagonal matrix 0 takes no sweeps; matrix 1's leaves do
+    @pytest.mark.parametrize("want_vectors", [True, False])
+    def test_leaf_sweep_cap_names_its_matrix(self, monkeypatch, want_vectors):
+        # the diagonal matrix 0 takes no sweeps; matrix 1's leaves do, and so
+        # does its whole tridiagonal without eigenvectors
         monkeypatch.setattr(eigensolver, "MAX_SWEEPS_PER_DIM", 0)
         stack = np.array([np.diag(np.arange(64.0)) + 0j, random_hermitian(64, 68)])
         with pytest.raises(ConvergenceError, match="sweeps") as caught:
-            eigendecompose(stack)
+            eigendecompose(stack, want_vectors=want_vectors)
         assert caught.value.index == 1
+
+    @pytest.mark.parametrize("build", [lambda: random_hermitian(100, 69),
+                                       lambda: build_block(ModelParams(3, 5, 1.3, 2.0, 0.7), 10).matrix,
+                                       lambda: build_block(ModelParams(4, 4, 1.0, 2.0, 1.0), 12).matrix],
+                             ids=["d100", "d243", "d256"])
+    def test_values_only_is_one_leaf(self, build):
+        # without eigenvectors no size is halved: no leaf takes inverse
+        # iteration, and no level is merged
+        H = build()
+        assert H.shape[0] > eigensolver.LEAF
+        forbidden = mock.Mock(side_effect=AssertionError("the values-only path reached the tree"))
+        with mock.patch.object(eigensolver, "_inverse_iteration", forbidden), \
+                mock.patch.object(divide, "_merge_level", forbidden):
+            values = eigenvalues_only(H)
+        ref = np.linalg.eigvalsh(H)
+        assert np.max(np.abs(values - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_contracts_at_729_rows(self):
+        # F = 3, k = 6, n = 12: with eigenvectors, 729 rows halve four times
+        # into leaves of 45 and 46 rows, merged back over four levels; values
+        # only, one QL on all 729 rows
+        H = build_block(ModelParams(3, 6, 1.3, 2.0, 0.7), 12).matrix
+        assert H.shape == (729, 729)
+        with mock.patch.object(divide, "_merge_level", wraps=divide._merge_level) as spy:
+            assert_contracts(H)
+        assert spy.call_count == 4
 
 
 class TestExtremeMagnitudes:
