@@ -26,7 +26,7 @@ def run(outdir: pathlib.Path, delta: float, hbar: float, per_decade: int) -> Non
         F, k, n = case["F"], case["k"], case["n"]
         lo, hi = case["omega_min"], case["omega_max"]
         count = int(per_decade * np.log10(hi / lo)) + 1
-        grid = np.logspace(np.log10(lo), np.log10(hi), count)
+        grid = np.geomspace(lo, hi, count)
         params = ModelParams(F, k, 1.0, delta, 1.0, hbar=hbar,
                              deformation=Deformation.q_exp(hbar))
         scan = omega_scan(params, n, grid)

@@ -21,7 +21,7 @@ from .blocks import (
     build_higher_spin_block,
 )
 from .deformations import Deformation, evaluate
-from .eigensolver import Spectrum, eigendecompose, eigenvalues_only
+from .eigensolver import Spectrum, eigendecompose
 from .errors import (
     ConvergenceError,
     DeformationError,
@@ -75,7 +75,6 @@ __all__ = [
     "destruction_phase_exponent",
     "detect_plateaus",
     "eigendecompose",
-    "eigenvalues_only",
     "enumerate_block_basis",
     "evaluate",
     "exact_f2_deformed",

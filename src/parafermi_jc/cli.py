@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import _block_dimensions
 from .blocks import ModelParams, build_block
 from .deformations import Deformation
-from .eigensolver import eigenvalues_only
+from .eigensolver import eigendecompose
 from .errors import NumericalError, OutOfRegimeError, ParameterError
 from .exact import exact_f2_deformed, exact_f3_k1, semiclassical_level_table
 from .thermo import log_partition_scan, log_sum_exp, omega_scan
@@ -182,7 +182,7 @@ def _omega_grid(cfg: argparse.Namespace) -> np.ndarray:
         return np.linspace(cfg.omega_min, cfg.omega_max, cfg.omega_count)
     if cfg.omega_min <= 0:
         raise ParameterError("log-scaled grids need omega-min > 0")
-    return np.logspace(math.log10(cfg.omega_min), math.log10(cfg.omega_max), cfg.omega_count)
+    return np.geomspace(cfg.omega_min, cfg.omega_max, cfg.omega_count)
 
 
 def _format_cell(value) -> str:
@@ -247,7 +247,7 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     params = _model_params(cfg)
-    numeric = eigenvalues_only(build_block(params, cfg.n).matrix)
+    numeric = eigendecompose(build_block(params, cfg.n).matrix).eigenvalues
     exact_values = None
     try:  # the closed forms' own regime rules decide where the columns are filled
         if params.F == 2:

@@ -21,10 +21,9 @@ helps QL on the row-by-row schedule stop at a window (see 2.).
    they are applied to the tridiagonal's eigenvectors, one panel per
    compact-WY product as in zunmtr (the back-transform), so the Householder
    unitary is never formed.  The panel's triangular factor T comes from its
-   Gram matrix: for a lone matrix as one inverse of the closed form of
-   T^-1, for a stack by zlarft's recurrence.  Each matrix
-   is first scaled by the power of two of its largest entry, and its
-   eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
+   Gram matrix by zlarft's recurrence.  Each matrix is first scaled by the
+   power of two of its largest entry, and its eigenvalues scaled back, as
+   LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
@@ -361,14 +360,10 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
 
     The product of a panel's reflectors H_j = I - tau_j v_j v_j^H is
     I - V T V^H in compact-WY form, with the upper triangular T of LAPACK's
-    zlarft (forward, columnwise), from S = V^H V and tau_j = 2 / S_jj.  A
-    lone matrix's T is one inverse, of T^-1 = striu(S) + diag(S) / 2
-    (Puglisi 1992; Joffrain et al. 2006), where a skipped reflector's zero
-    row and column of S take the diagonal 1; triangular, it needs no
-    pivoting.  A stack's T comes by zlarft's recurrence, T_jj = tau_j and
-    T[:j, j] = -tau_j T[:j, :j] S[:j, j], a skipped reflector taking
-    tau_j = 0: a batched inverse took twice as long.  Either way the zero
-    column of V makes that entry of T irrelevant.  The panels are applied
+    zlarft (forward, columnwise) by its recurrence from S = V^H V and
+    tau_j = 2 / S_jj: T_jj = tau_j and T[:j, j] = -tau_j T[:j, :j] S[:j, j].
+    A skipped reflector takes tau_j = 0, which its zero column of V makes
+    irrelevant.  No panel solves a linear system.  The panels are applied
     last first, as X - V (T (V^H X)), so Q is never formed.  Z is a (G, n, m)
     stack; a lone matrix's reflectors apply to a stack of one.
     """
@@ -381,15 +376,11 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
         T = V.conj().swapaxes(-1, -2) @ V
         norms = np.diagonal(T, axis1=-2, axis2=-1).real.copy()
         T *= np.tri(nb, nb, -1, dtype=bool).T
-        if V.ndim == 2:
-            np.fill_diagonal(T, np.where(norms > 0.0, 0.5 * norms, 1.0))
-            T = np.linalg.inv(T)
-        else:
-            # column j of T needs S's column j and T's columns before it
-            tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-            T[..., np.arange(nb), np.arange(nb)] = tau
-            for j in range(1, nb):
-                T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
+        # column j of T needs S's column j and T's columns before it
+        tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        T[..., np.arange(nb), np.arange(nb)] = tau
+        for j in range(1, nb):
+            T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
         X[..., r0:, :] -= V @ (T @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
     return X
 
@@ -985,8 +976,3 @@ def _solve(A: np.ndarray, peak: np.ndarray, want_vectors: bool, window: float) -
         values = values[0]
         vectors = None if vectors is None else vectors[0]
     return Spectrum(values, vectors, sweeps)
-
-
-def eigenvalues_only(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues without the eigenvector cost."""
-    return eigendecompose(H, want_vectors=False).eigenvalues

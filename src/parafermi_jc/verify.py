@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra
 from .blocks import ModelParams, build_block, build_full_truncated, build_higher_spin_block
 from .deformations import Deformation
-from .eigensolver import eigenvalues_only
+from .eigensolver import eigendecompose
 from .errors import ParameterError
 from .exact import (
     _linearized_f2,
@@ -139,7 +139,7 @@ def _closed_form_deviation(shapes, couplings, phi: Deformation, exact) -> float:
     for F, k, n in shapes:
         stack = np.stack([build_block(ModelParams(F, k, *c, deformation=phi), n).matrix
                           for c in couplings])
-        numeric = eigenvalues_only(stack)
+        numeric = eigendecompose(stack).eigenvalues
         closed = np.array([exact(k, n, *c).values() for c in couplings])
         worst = max(worst, float(np.max(np.abs(numeric - closed) / (1 + np.abs(numeric)))))
     return worst
@@ -159,9 +159,9 @@ def spin_equivalence() -> CheckResult:
     equal, apart, failures = 0.0, math.inf, []
     for F, n in cases:
         spin = ModelParams(F, 1, omega, delta, g / math.sqrt(F - 1))
-        values = eigenvalues_only(np.stack([
+        values = eigendecompose(np.stack([
             build_block(ModelParams(F, 1, omega, delta, g), n).matrix,
-            build_higher_spin_block(spin, n).matrix]))
+            build_higher_spin_block(spin, n).matrix])).eigenvalues
         dev = float(np.max(np.abs(values[0] - values[1])))
         if F <= 3:
             equal = max(equal, dev)

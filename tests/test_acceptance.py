@@ -17,7 +17,7 @@ from parafermi_jc import (
     clifford_mode,
     clifford_triple,
     detect_plateaus,
-    eigenvalues_only,
+    eigendecompose,
     exact_f2_deformed,
     exact_f2_undeformed,
     exact_f3_k1,
@@ -80,7 +80,7 @@ def test_criterion_02_f2_exact_vs_numeric(capsys):
             for omega, delta, g in itertools.product(COUPLING_GRID, repeat=3):
                 for phi in deformations:
                     params = ModelParams(2, k, omega, delta, g, deformation=phi)
-                    numeric = eigenvalues_only(build_block(params, n).matrix)
+                    numeric = eigendecompose(build_block(params, n).matrix).eigenvalues
                     if phi.kind == "undeformed":
                         exact = exact_f2_undeformed(k, n, omega, delta, g)
                     else:
@@ -98,7 +98,8 @@ def test_criterion_03_f3_cubic(capsys):
     ok = True
     for n in range(3, 9):
         for omega, delta, g in itertools.product(COUPLING_GRID, repeat=3):
-            numeric = eigenvalues_only(build_block(ModelParams(3, 1, omega, delta, g), n).matrix)
+            block = build_block(ModelParams(3, 1, omega, delta, g), n)
+            numeric = eigendecompose(block.matrix).eigenvalues
             exact = exact_f3_k1(n, omega, delta, g).values()
             ok = ok and np.max(np.abs(numeric - exact) / (1 + np.abs(numeric))) <= 1e-8
     report(capsys, 3, "F=3, k=1 cubic formula matches numerics to 1e-8 (n=3..8, 27 couplings)", ok)
@@ -115,14 +116,14 @@ def test_criterion_04_spin_equivalence(capsys):
         for n in (1, 2, 4, 6):
             for omega, delta, g in ((1.0, 1.0, 1.0), (0.5, 2.0, 1.3), (2.0, 0.3, 0.7)):
                 p2 = ModelParams(2, 1, omega, delta, g, deformation=phi)
-                spin = eigenvalues_only(build_higher_spin_block(p2, n).matrix)
-                para = eigenvalues_only(build_block(p2, n).matrix)
+                spin = eigendecompose(build_higher_spin_block(p2, n).matrix).eigenvalues
+                para = eigendecompose(build_block(p2, n).matrix).eigenvalues
                 ok = ok and np.max(np.abs(spin - para) / (1 + np.abs(spin))) <= 1e-10
 
                 p3 = ModelParams(3, 1, omega, delta, g, deformation=phi)
                 p3_scaled = ModelParams(3, 1, omega, delta, math.sqrt(2.0) * g, deformation=phi)
-                spin = eigenvalues_only(build_higher_spin_block(p3, n).matrix)
-                para = eigenvalues_only(build_block(p3_scaled, n).matrix)
+                spin = eigendecompose(build_higher_spin_block(p3, n).matrix).eigenvalues
+                para = eigendecompose(build_block(p3_scaled, n).matrix).eigenvalues
                 ok = ok and np.max(np.abs(spin - para) / (1 + np.abs(spin))) <= 1e-10
     # hop-ratio structure: constant for F in {2, 3}, non-constant for F=4
     for F, constant in ((2, True), (3, True), (4, False)):
@@ -151,7 +152,7 @@ def test_criterion_05_semiclassical_agreement(capsys):
             levels = semiclassical_level_table(F, k, n, hbar, grid, delta, g)
             for omega, log_z in zip(grid, log_sum_exp(levels, -beta)):
                 block = build_block(params.with_omega(float(omega)), n)
-                f_num = -log_sum_exp(-beta * eigenvalues_only(block.matrix)) / beta
+                f_num = -log_sum_exp(-beta * eigendecompose(block.matrix).eigenvalues) / beta
                 rel = abs(f_num - (-log_z / beta)) / abs(f_num)
                 in_crossover = 0.5 * delta / hbar < omega < 2.0 * delta / hbar
                 if everywhere or not in_crossover:
@@ -268,9 +269,9 @@ def test_criterion_10_block_full_equivalence(capsys):
         params = ModelParams(F, k, 0.8, 1.9, 0.6)
         n_max = k * (F - 1) + 4
         H, _ = build_full_truncated(params, n_max)
-        remaining = list(eigenvalues_only(H))
+        remaining = list(eigendecompose(H).eigenvalues)
         for n in range(0, n_max):
-            for value in eigenvalues_only(build_block(params, n).matrix):
+            for value in eigendecompose(build_block(params, n).matrix).eigenvalues:
                 gaps = np.abs(np.asarray(remaining) - value)
                 idx = int(np.argmin(gaps))
                 ok = ok and gaps[idx] <= 1e-9 * (1 + abs(value))

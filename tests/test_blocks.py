@@ -17,7 +17,7 @@ from parafermi_jc import (
     build_block,
     build_higher_spin_block,
     build_mode_matrix,
-    eigenvalues_only,
+    eigendecompose,
     enumerate_block_basis,
     weight,
 )
@@ -190,7 +190,7 @@ class TestBuildBlock:
         block = build_block(params(), 1)
         assert block.basis == ((0,), (1,))
         assert np.allclose(block.matrix, [[1, 1], [1, 1]], atol=1e-14)
-        assert eigenvalues_only(block.matrix) == pytest.approx([0.0, 2.0], abs=1e-12)
+        assert eigendecompose(block.matrix).eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
     def test_interaction_off_is_diagonal(self):
         p = params(F=3, k=2, omega=1.3, delta=0.4, g=0.0)
@@ -318,10 +318,10 @@ class TestFullTruncated:
         p = params(F=F, k=k, omega=0.8, delta=1.9, g=0.6)
         n_max = k * (F - 1) + 4
         H, labels = build_full_truncated(p, n_max)
-        full = np.sort(eigenvalues_only(H))
+        full = np.sort(eigendecompose(H).eigenvalues)
         remaining = list(full)
         for n in range(0, n_max):
-            for value in eigenvalues_only(build_block(p, n).matrix):
+            for value in eigendecompose(build_block(p, n).matrix).eigenvalues:
                 idx = int(np.argmin(np.abs(np.array(remaining) - value)))
                 assert abs(remaining[idx] - value) <= 1e-9 * (1 + abs(value))
                 remaining.pop(idx)

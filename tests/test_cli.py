@@ -444,6 +444,19 @@ def test_json_params_record_holds_the_command_inputs(capsys, command):
     assert list(json.loads(out)["params"]) == ["command", *COMMAND_KEYS[command]]
 
 
+@pytest.mark.parametrize("command", ["thermo-scan", "semiclassical-compare"])
+def test_log_grid_ends_are_the_requested_omegas(capsys, command):
+    # 10**log10(0.3) is 0.29999999999999993: the grid's ends are the flags' values
+    argv = (command, "--F", "2", "--k", "1", "--n", "2", "--omega-min", "0.3", "--omega-max", "7")
+    code, out, _ = run_cli(capsys, *argv, "--omega-count", "3")
+    assert code == 0
+    omegas = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+    assert (omegas[0], omegas[-1]) == ("0.3", "7.0")
+    code, out, _ = run_cli(capsys, *argv, "--omega-count", "1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["0.3"]
+
+
 @pytest.mark.parametrize("argv", [
     ("dims", "--F", "2", "--k", "1", "--n-max", "2", "--delta", "2"),
     ("verify", "--F", "2"),

@@ -17,7 +17,6 @@ from parafermi_jc import (
     build_block,
     build_higher_spin_block,
     eigendecompose,
-    eigenvalues_only,
 )
 from parafermi_jc import divide, eigensolver
 from parafermi_jc.divide import _secular_roots
@@ -61,18 +60,18 @@ class TestBasicCases:
 
     def test_one_by_one_and_zero(self):
         assert eigendecompose(np.array([[4.0]])).eigenvalues == pytest.approx([4.0])
-        assert eigenvalues_only(np.zeros((3, 3))) == pytest.approx([0.0, 0.0, 0.0])
+        assert eigendecompose(np.zeros((3, 3))).eigenvalues == pytest.approx([0.0, 0.0, 0.0])
         one = eigendecompose(np.array([[4.0]]), want_vectors=True)
         assert one.eigenvectors.tolist() == [[1.0]]
         empty = eigendecompose(np.zeros((0, 0)), want_vectors=True)
         assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (0, 0)
         # an empty stack of 0 x 0 matrices, as the (0, 3, 3) and (2, 0, 0) stacks
         for shape in ((0, 0, 0), (0, 3, 3), (2, 0, 0)):
-            assert eigenvalues_only(np.zeros(shape)).shape == shape[:2]
+            assert eigendecompose(np.zeros(shape)).eigenvalues.shape == shape[:2]
             assert eigendecompose(np.zeros(shape), want_vectors=True).eigenvectors.shape == shape
 
     def test_ascending_order(self):
-        w = eigenvalues_only(random_hermitian(40, 3))
+        w = eigendecompose(random_hermitian(40, 3)).eigenvalues
         assert np.all(np.diff(w) >= 0)
 
     def test_non_hermitian_rejected(self):
@@ -240,14 +239,14 @@ class TestContracts:
     @pytest.mark.parametrize("n,seed", [(50, 5), (120, 6)])
     def test_trace_and_frobenius_identities(self, n, seed):
         H = random_hermitian(n, seed)
-        w = eigenvalues_only(H)
+        w = eigendecompose(H).eigenvalues
         assert np.sum(w) == pytest.approx(np.trace(H).real, rel=1e-9, abs=1e-9)
         assert np.sum(w**2) == pytest.approx(np.linalg.norm(H, "fro") ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("n,seed", [(20, 7), (77, 8), (256, 9)])
     def test_matches_lapack(self, n, seed):
         H = random_hermitian(n, seed)
-        w = eigenvalues_only(H)
+        w = eigendecompose(H).eigenvalues
         ref = np.linalg.eigvalsh(H)
         scale = 1.0 + np.abs(ref)
         assert np.max(np.abs(w - ref) / scale) <= 1e-11
@@ -259,8 +258,8 @@ class TestContracts:
         phases = np.exp(2j * np.pi * rng.random(30))
         U = np.zeros((30, 30), dtype=complex)
         U[np.arange(30), perm] = phases
-        w1 = eigenvalues_only(H)
-        w2 = eigenvalues_only(U @ H @ U.conj().T)
+        w1 = eigendecompose(H).eigenvalues
+        w2 = eigendecompose(U @ H @ U.conj().T).eigenvalues
         assert np.max(np.abs(w1 - w2) / (1 + np.abs(w1))) <= 1e-9
 
     def test_degenerate_spectrum(self):
@@ -481,7 +480,7 @@ class TestRootFreeQL:
         params = ModelParams(2, 3, 1.0, 20.0, 1.0, hbar=1.0)
         omegas = np.logspace(math.log10(0.5), math.log10(80.0), 161)
         stack = np.array([build_block(params.with_omega(w), 6).matrix for w in omegas])
-        w = eigenvalues_only(stack)
+        w = eigendecompose(stack).eigenvalues
         ref = np.linalg.eigvalsh(stack)
         assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert_stack_contracts(stack)
@@ -494,7 +493,8 @@ class TestRootFreeQL:
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1) + 0j
         H = np.ldexp(T.real, exponent) + 0j
         assert_contracts(H)
-        assert np.array_equal(eigenvalues_only(H), np.ldexp(eigenvalues_only(T), exponent))
+        assert np.array_equal(eigendecompose(H).eigenvalues,
+                              np.ldexp(eigendecompose(T).eigenvalues, exponent))
 
     def test_subnormal_off_diagonals(self):
         # squares of subnormal off-diagonals beside unit diagonals are 0: every
@@ -632,7 +632,7 @@ def assert_contracts(H):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigendecompose(H, want_vectors=True)
-        values = eigenvalues_only(H)
+        values = eigendecompose(H).eigenvalues
     V, w = spec.eigenvectors, spec.eigenvalues
     assert_values_only(values, w, H)
     assert np.all(np.diff(w) >= 0)
@@ -724,10 +724,12 @@ class TestPanels:
             assert np.max(np.abs(Q[g] - expected)) <= 1e-14
 
     def test_eigensolver_solves_no_linear_system(self):
-        # a stack's compact-WY T comes by zlarft's recurrence and a lone
-        # matrix's by one triangular inverse, so no panel solves a linear
-        # system; QR and that inverse are the LAPACK calls left
-        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")):
+        # every panel's compact-WY T comes by zlarft's recurrence, for a lone
+        # matrix (one leaf or a tree) as for a stack, so no panel solves or
+        # inverts; QR is the one LAPACK call left
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")), \
+                mock.patch.object(np.linalg, "inv", side_effect=AssertionError("inv called")):
+            assert_contracts(random_hermitian(40, 61))
             assert_contracts(random_hermitian(70, 59))
             assert_stack_contracts(np.array([random_hermitian(40, 60 + g) for g in range(3)]))
 
@@ -778,11 +780,11 @@ def assert_stack_contracts(stack):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = eigendecompose(stack, want_vectors=True)
-        values = eigenvalues_only(stack)
+        values = eigendecompose(stack).eigenvalues
     assert_values_only(values, spec.eigenvalues, stack)
     n = stack.shape[-1]
     for H, w, V in zip(stack, spec.eigenvalues, spec.eigenvectors):
-        alone = eigenvalues_only(H)
+        alone = eigendecompose(H).eigenvalues
         assert np.max(np.abs(w - alone)) <= 1e-13 * np.max(np.abs(alone))
         assert max_residual(H, V, w) <= residual_bound(H)
         assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= RESIDUAL_RTOL
@@ -1073,7 +1075,7 @@ def test_window_stop_over_full_range(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = eigendecompose(stack, window=window).eigenvalues
-        unwindowed = eigenvalues_only(stack)
+        unwindowed = eigendecompose(stack).eigenvalues
     computed = np.isfinite(values)
     assert np.array_equal(values[computed], unwindowed[computed])
     assert np.all(values[~computed] == math.inf)
@@ -1124,10 +1126,10 @@ def assert_schedules_agree(stack):
     assert len(stack) >= eigensolver.LOCKSTEP
     with warnings.catch_warnings(), lockstep_spy() as spy:
         warnings.simplefilter("error")
-        values = eigenvalues_only(stack)
+        values = eigendecompose(stack).eigenvalues
     assert spy.call_count == 1
     with row_by_row():
-        scalar = eigenvalues_only(stack)
+        scalar = eigendecompose(stack).eigenvalues
     scale = np.max(np.abs(scalar), axis=1)
     assert np.all(np.max(np.abs(values - scalar), axis=1) <= 1e-14 * scale)
     ref = np.linalg.eigvalsh(stack)
@@ -1329,10 +1331,11 @@ class TestDivideAndConquer:
         e = rng.uniform(0.1, 1.0, 63)
         e[31] = sys.float_info.epsilon
         H = tridiagonal(d, e)
-        halves = np.sort(np.concatenate([eigenvalues_only(H[:32, :32]), eigenvalues_only(H[32:, 32:])]))
+        halves = np.sort(np.concatenate([eigendecompose(H[:32, :32]).eigenvalues,
+                                         eigendecompose(H[32:, 32:]).eigenvalues]))
         assert np.array_equal(eigendecompose(H, want_vectors=True).eigenvalues, halves)
         # the values-only solve's one QL splits at the zeroed coupling as well
-        assert np.array_equal(eigenvalues_only(H), halves)
+        assert np.array_equal(eigendecompose(H).eigenvalues, halves)
 
     @pytest.mark.parametrize("leaf", [16, 32])
     def test_exactly_zero_off_diagonal_at_tears(self, monkeypatch, leaf):
@@ -1441,7 +1444,7 @@ class TestDivideAndConquer:
         forbidden = mock.Mock(side_effect=AssertionError("the values-only path reached the tree"))
         with mock.patch.object(eigensolver, "_inverse_iteration", forbidden), \
                 mock.patch.object(divide, "_merge_level", forbidden):
-            values = eigenvalues_only(H)
+            values = eigendecompose(H).eigenvalues
         ref = np.linalg.eigvalsh(H)
         assert np.max(np.abs(values - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -1527,7 +1530,7 @@ def hermitian_cases(draw):
 def test_contracts_over_full_range(H):
     n = H.shape[0]
     spec = eigendecompose(H, want_vectors=True)
-    values = eigenvalues_only(H)
+    values = eigendecompose(H).eigenvalues
     assert np.array_equal(values, spec.eigenvalues)
     assert spec.eigenvectors.shape == (n, n)
     if n == 0:
