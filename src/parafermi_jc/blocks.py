@@ -41,6 +41,7 @@ from .algebra import (
     OccupationConfig,
     _check_integer,
     _check_order_and_modes,
+    block_dimension,
     build_mode_matrix,
     enumerate_block_basis,
     root_of_unity_power,
@@ -49,6 +50,11 @@ from .algebra import (
 from .deformations import Deformation, evaluate
 from .eigensolver import _require_hermitian
 from .errors import NumericalError, ParameterError
+
+#: The most rows a block may have: a 256 MiB complex matrix, whose solve with
+#: eigenvectors peaks at about three times that.  A larger block is refused
+#: before its basis is enumerated.
+MAX_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,11 @@ def _hops(F: int, k: int, n: int) -> _Hops:
     """The hops of block (F, k, n), cached: a scan and each of its derivative
     checks build the same block, and tiny blocks would otherwise pay numpy's
     call overhead once per request."""
+    dim = block_dimension(F, k, n)
+    if dim > MAX_BLOCK_ROWS:
+        raise ParameterError(f"block (F={F}, k={k}, n={n}) has {dim} rows, "
+                             f"above the limit of {MAX_BLOCK_ROWS}")
     basis = tuple(enumerate_block_basis(F, k, n))
-    dim = len(basis)
     occupations = np.array(basis, dtype=np.int64).reshape(dim, k)
     # mixed-radix codes, no digit above n, ascend in the basis's lexicographic
     # order; Python ints once the codes could pass int64

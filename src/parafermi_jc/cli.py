@@ -56,6 +56,10 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
 
+#: The names ``--deformation`` takes; each kind's tagged record takes its
+#: parameter from ``--hbar`` or ``--F``.
+_NAMED_DEFORMATIONS = ("undeformed", "linear", "qexp", "parafermionic")
+
 #: Every input, declared once: key -> (type or choices, default, help).  The
 #: flag is ``--`` plus the key with ``-`` for ``_``.  A ``--config`` value is
 #: read as the same text typed after the flag would be, and ``null`` means
@@ -75,7 +79,7 @@ _INPUTS = {
     "g": (float, 1.0, "coupling strength (default 1)"),
     "hbar": (float, 1.0, "deformation scale (default 1)"),
     "beta": (float, 1.0, "inverse temperature (default 1)"),
-    "deformation": (str, "undeformed", "undeformed|linear|qexp|parafermionic (default undeformed)"),
+    "deformation": (str, "undeformed", f"{'|'.join(_NAMED_DEFORMATIONS)} (default undeformed)"),
     "mu_step": (float, 1e-4, None),
     "scope": (("all", *SCOPES), "all", None),
     "out": (str, "-", "output path, '-' for stdout"),
@@ -84,10 +88,6 @@ _INPUTS = {
 
 _GRID = ("omega_min", "omega_max", "omega_count", "omega_scale")
 _OUTPUT = ("out", "format")
-
-#: ``--deformation`` names, each with the inputs that fill its tagged record.
-_NAMED_DEFORMATIONS = {"undeformed": (), "linear": ("hbar",), "qexp": ("hbar",),
-                       "parafermionic": ("F",)}
 
 
 def _flag(key: str) -> str:
@@ -155,10 +155,10 @@ def _deformation(cfg: argparse.Namespace) -> Deformation:
     if isinstance(choice, str):
         if choice not in _NAMED_DEFORMATIONS:
             raise ParameterError(
-                f"unknown deformation {choice!r}; use undeformed|linear|qexp|parafermionic "
+                f"unknown deformation {choice!r}; use {'|'.join(_NAMED_DEFORMATIONS)} "
                 "or a tagged record such as {\"type\": \"qexp\", \"hbar\": 1.0}"
             )
-        choice = {"type": choice, **{key: getattr(cfg, key) for key in _NAMED_DEFORMATIONS[choice]}}
+        choice = {"type": choice, "hbar": cfg.hbar, "F": cfg.F}
     return Deformation.from_dict(choice)
 
 

@@ -32,7 +32,9 @@ from typing import Callable, Optional
 
 from .errors import DeformationError, NumericalError, ParameterError
 
-_KINDS = ("undeformed", "linear", "qexp", "qsym", "parafermionic", "custom")
+#: kind -> the key of its parameter in a tagged record (None: no parameter)
+_KINDS = {"undeformed": None, "linear": "hbar", "qexp": "hbar", "qsym": "q",
+          "parafermionic": "F", "custom": None}
 
 # |phi(0)| and negative-value slack before declaring a contract violation
 _CONTRACT_TOL = 1e-12
@@ -57,7 +59,7 @@ class Deformation:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown deformation kind {self.kind!r}")
-        if self.kind in ("linear", "qexp", "qsym", "parafermionic") and self.param is None:
+        if _KINDS[self.kind] and self.param is None:
             raise ParameterError(f"{self.kind} deformation needs a parameter")
         if self.param is not None and not math.isfinite(self.param):
             raise ParameterError(f"{self.kind} deformation needs a finite parameter, got {self.param}")
@@ -119,30 +121,26 @@ class Deformation:
 
     def to_dict(self) -> dict:
         """Tagged-record form used by CLI config files."""
-        if self.kind == "undeformed":
-            return {"type": "undeformed"}
-        if self.kind in ("linear", "qexp"):
-            return {"type": self.kind, "hbar": self.param}
-        if self.kind == "qsym":
-            return {"type": "qsym", "q": self.param}
-        if self.kind == "parafermionic":
-            return {"type": "parafermionic", "F": int(self.param)}
-        raise ParameterError("custom deformations are not serializable")
+        if self.kind == "custom":
+            raise ParameterError("custom deformations are not serializable")
+        key = _KINDS[self.kind]
+        if key is None:
+            return {"type": self.kind}
+        return {"type": self.kind, key: int(self.param) if key == "F" else self.param}
 
     @classmethod
     def from_dict(cls, record: dict) -> "Deformation":
         if not isinstance(record, dict) or "type" not in record:
             raise ParameterError(f"deformation record must be a dict with a 'type' key, got {record!r}")
         kind = record["type"]
-        extra = set(record) - {"type", "hbar", "q", "F"}
+        extra = set(record) - {"type", *filter(None, _KINDS.values())}
         if extra:
             raise ParameterError(f"unknown deformation keys: {sorted(extra)}")
-        needs = {"undeformed": None, "linear": "hbar", "qexp": "hbar", "qsym": "q", "parafermionic": "F"}
-        if kind not in needs:
+        if kind not in _KINDS or kind == "custom":
             raise ParameterError(f"unknown deformation type {kind!r}")
-        key = needs[kind]
+        key = _KINDS[kind]
         if key is None:
-            return cls.undeformed()
+            return cls(kind)
         if key not in record:
             raise ParameterError(f"{kind} deformation record needs a {key!r} entry")
         try:
@@ -151,9 +149,7 @@ class Deformation:
             raise ParameterError(
                 f"{kind} deformation needs a number for {key!r}, got {record[key]!r}"
             ) from None
-        constructor = {"linear": cls.linear, "qexp": cls.q_exp, "qsym": cls.q_sym,
-                       "parafermionic": cls.parafermionic}[kind]
-        return constructor(value)
+        return cls(kind, value)
 
 
 def evaluate(phi: Deformation, x: float) -> float:

@@ -33,10 +33,7 @@ def _deflate(p: list, z: list, rho: float):
     the rotation zeroing z_i leaves an off-diagonal of at most tol, the
     first deflates.
     """
-    big = max(map(abs, z))
-    tol = 8.0 * sys.float_info.epsilon * max(max(map(abs, p)), big)
-    if rho * big <= tol:
-        return [], list(range(len(p))), []
+    tol = 8.0 * sys.float_info.epsilon * max(max(map(abs, p)), max(map(abs, z)))
     kept, gone, turns = [], [], []
     i = -1
     for j in range(len(p)):

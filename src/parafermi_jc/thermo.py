@@ -47,6 +47,7 @@ the calling frame keeps it until the solve returns).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -330,24 +331,18 @@ def detect_plateaus(
         raise ParameterError(f"tol must lie in (0, 0.5), got {tol}")
     if not hbar > 0:
         raise ParameterError(f"hbar must be positive, got {hbar}")
-    runs: list[tuple[float, float, int]] = []
-    current: tuple[float, float, int] | None = None
-    for omega, obs in scan:
-        value = obs.n_expect / hbar
-        level = round(value)
-        inside = abs(value - level) < tol
-        if inside and current is not None and current[2] == level:
-            current = (current[0], omega, level)
-        elif inside:
-            if current is not None:
-                runs.append(current)
-            current = (omega, omega, level)
-        else:
-            if current is not None:
-                runs.append(current)
-            current = None
-    if current is not None:
-        runs.append(current)
+
+    def level(point: tuple[float, ThermoObservables]) -> int | None:
+        """The integer the point's value lies within tol of, if any."""
+        value = point[1].n_expect / hbar
+        nearest = round(value)
+        return nearest if abs(value - nearest) < tol else None
+
+    runs = []
+    for nearest, group in itertools.groupby(scan, level):
+        if nearest is not None:
+            omegas = [omega for omega, _ in group]
+            runs.append((omegas[0], omegas[-1], nearest))
     crossovers = tuple(
         0.5 * (runs[i][1] + runs[i + 1][0]) for i in range(len(runs) - 1)
     )

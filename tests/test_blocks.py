@@ -21,6 +21,7 @@ from parafermi_jc import (
     enumerate_block_basis,
     weight,
 )
+from parafermi_jc import blocks
 from parafermi_jc.algebra import root_of_unity_power
 from parafermi_jc.blocks import build_full_truncated
 from parafermi_jc.deformations import evaluate
@@ -254,6 +255,18 @@ class TestBuildBlock:
         assert twin.basis == block.basis and not twin.matrix.flags.writeable
         with pytest.raises(ValueError):
             twin.matrix[0, 0] = 9.0
+
+    def test_row_limit_admits_the_limit_and_refuses_a_row_more(self, monkeypatch):
+        # F=2, k=2 has d = 3 at n = 1 and d = 4 at n = 2; the cache is cleared
+        # so that both blocks meet the patched limit
+        monkeypatch.setattr(blocks, "MAX_BLOCK_ROWS", 3)
+        blocks._hops.cache_clear()
+        assert build_block(params(k=2), 1).dim == 3
+        with pytest.raises(ParameterError,
+                           match=r"^block \(F=2, k=2, n=2\) has 4 rows, above the limit of 3$"):
+            build_block(params(k=2), 2)
+        with pytest.raises(ParameterError, match="above the limit"):
+            build_higher_spin_block(params(k=2), 2)
 
     def test_deformation_contract_error_propagates(self):
         # boson occupation exceeds the support of the parafermionic-oscillator

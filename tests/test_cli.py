@@ -7,6 +7,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -186,6 +187,22 @@ class TestSpectrum:
         index, numeric, exact, _ = (float(x) for x in out.strip().split("\n")[1].split(","))
         assert index == 0 and numeric == 6.0
         assert abs(exact - numeric) <= 1e-12 * abs(numeric)
+
+    @pytest.mark.parametrize("F,k,n,rows", [(2, 30, 30, 2 ** 30), (4, 8, 24, 4 ** 8)],
+                             ids=["enumeration_2e30", "matrix_64GiB"])
+    def test_block_above_the_row_limit_refused_from_its_dimension(self, capsys, monkeypatch,
+                                                                    F, k, n, rows):
+        # 2**30 occupation tuples to list, or a 64 GiB matrix to assemble: the
+        # refusal comes from d alone, so no basis may be enumerated here
+        def enumerate_nothing(*args):
+            raise AssertionError(f"enumerated the basis of block {args}")
+        monkeypatch.setattr(blocks, "enumerate_block_basis", enumerate_nothing)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "spectrum", "--F", str(F), "--k", str(k), "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == (f"parameter error: block (F={F}, k={k}, n={n}) has {rows} rows, "
+                       f"above the limit of {blocks.MAX_BLOCK_ROWS}\n")
 
     @pytest.mark.parametrize("F,k,n", [(2, 3, 6), (4, 2, 2)])
     def test_huge_delta_never_hits_the_sweep_cap(self, capsys, F, k, n):

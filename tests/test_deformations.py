@@ -140,10 +140,29 @@ def test_dict_round_trip():
     for phi in ALL_VARIANTS[:-1]:
         again = Deformation.from_dict(phi.to_dict())
         assert again == phi
+    assert [phi.to_dict() for phi in ALL_VARIANTS[:-1]] == [
+        {"type": "undeformed"}, {"type": "linear", "hbar": 2.0}, {"type": "qexp", "hbar": 1.0},
+        {"type": "qsym", "q": 1.5}, {"type": "parafermionic", "F": 4}]
     assert Deformation.from_dict({"type": "qexp", "hbar": 1.0}) == Deformation.q_exp(1.0)
     with pytest.raises(ParameterError):
         Deformation.from_dict({"type": "qexp", "hbar": 1.0, "bogus": 2})
     with pytest.raises(ParameterError):
         Deformation.from_dict({"hbar": 1.0})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^custom deformations are not serializable$"):
         Deformation.custom(lambda x: x).to_dict()
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"type": "custom"}, "unknown deformation type 'custom'"),
+    ({"type": "qsym2"}, "unknown deformation type 'qsym2'"),
+    ({"type": "qexp"}, "qexp deformation record needs a 'hbar' entry"),
+    ({"type": "parafermionic", "hbar": 1.0}, "parafermionic deformation record needs a 'F' entry"),
+    ({"type": "qsym", "q": "a"}, "qsym deformation needs a number for 'q', got 'a'"),
+    ({"type": "linear", "hbar": 1.0, "x": 1}, "unknown deformation keys: ['x']"),
+    ({"type": "parafermionic", "F": 2.5}, "parafermionic deformation needs integer order >= 2"),
+], ids=["custom", "unknown", "missing_hbar", "missing_F", "not_a_number", "extra_key",
+        "bad_order"])
+def test_dict_record_refusals_named(record, message):
+    with pytest.raises(ParameterError) as info:
+        Deformation.from_dict(record)
+    assert str(info.value) == message

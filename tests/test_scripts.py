@@ -1,9 +1,14 @@
-"""The experiment scripts in scripts/ run end to end on coarse grids."""
+"""The experiment scripts in scripts/ and the README's library quickstart run end
+to end (the scripts on coarse grids)."""
 
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -30,3 +35,13 @@ def test_free_energy_scan(tmp_path, capsys):
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 161 and lines[0].startswith("omega,")
     assert capsys.readouterr().out.count("wrote ") == 5
+
+
+def test_readme_library_quickstart_runs():
+    # the README's Python block, in a fresh process on the checkout's sources
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert len(proc.stdout.splitlines()) == block.count("print(")
