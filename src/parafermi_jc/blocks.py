@@ -93,8 +93,8 @@ class BlockHamiltonian:
     """One conserved-number block: its label n, basis, and dense Hermitian matrix.
 
     The block keeps a read-only complex copy of the matrix it is given, so no
-    view of the caller's array can change it once checked, and the solver
-    can skip the check (thermo_from_block).
+    view of the caller's array can change it once checked; the solver checks
+    it again all the same, as numpy lets any caller make it writeable.
     """
 
     n: int

@@ -193,14 +193,13 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H as a complex array, and max|H| per matrix, once H is known to be a
     square matrix or a stack of them, finite and Hermitian.
 
-    The package's one Hermiticity check, made once per matrix: block
-    assembly calls it on each block, and eigendecompose on its input, while
-    thermo_from_block solves a block's already checked matrix through
-    _solve.  A matrix is rejected when max|H - H^dag| exceeds
-    HERMITICITY_RTOL * max(1, max|H|), compared in squares a few ulps on the
-    safe side, so it rejects every matrix that the comparison of the
-    deviations themselves, by hypot, rejects.  Raises ParameterError
-    otherwise.
+    The package's one Hermiticity check: block assembly calls it on each
+    block, and eigendecompose, the only way into the solver, on its input,
+    so a block's matrix is checked again when it is solved.  A matrix is
+    rejected when max|H - H^dag| exceeds HERMITICITY_RTOL * max(1, max|H|),
+    compared in squares a few ulps on the safe side, so it rejects every
+    matrix that the comparison of the deviations themselves, by hypot,
+    rejects.  Raises ParameterError otherwise.
     """
     A = np.asarray(H, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -902,14 +901,6 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
         raise ParameterError(f"window must be >= 0, got {window}")
     A, peak = _require_hermitian(H)
     del H
-    # A goes in unnamed, so that _solve frees an input the caller does not keep
-    return _solve((A, A := None)[0], peak, want_vectors, window)
-
-
-def _solve(A: np.ndarray, peak: np.ndarray, want_vectors: bool, window: float) -> Spectrum:
-    """eigendecompose of a complex matrix or (G, d, d) stack A that is known to
-    be square, finite and Hermitian, max|A| per matrix given as peak: the
-    solve without the check, for a caller whose matrix has passed it."""
     single = A.ndim == 2
     if single:
         A = A[np.newaxis]

@@ -28,10 +28,9 @@ H(omega) with op = N recovers <N>.  A NumericalError at one matrix of a stack
 names its omega (or mu) and (F, k, n); a step that takes a diagonal beyond
 the float range is a ParameterError.
 
-The Hermiticity check runs once per matrix: thermo_from_block solves the
-block's matrix, checked when the block was built, without checking it
-again, while a scan's stack H + x * diag(op), a new array, goes through
-eigendecompose and its check.
+Every solve goes through eigendecompose and its Hermiticity check:
+thermo_from_block's block matrix, checked once already when the block was
+built, as a scan's stack H + x * diag(op), a new array.
 
 A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
 stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
@@ -135,8 +134,19 @@ class PlateauReport:
 
 
 def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndarray:
-    """The diagonal operators N = n - W, W and phi(n - W) as the columns of a (dim, 3) array."""
+    """The diagonal operators N = n - W, W and phi(n - W) as the columns of a (dim, 3) array.
+
+    Raises ParameterError if the block's basis is not that of params' (F, k)
+    at its n, naming the (F, k) that its basis reads as: the largest
+    occupation plus one for F, or F > n when every F above n has that basis.
+    """
     hops = _hops(params.F, params.k, block.n)
+    if hops.basis != tuple(block.basis):
+        k = len(block.basis[0]) if block.basis else 0
+        top = max(itertools.chain.from_iterable(block.basis), default=0)
+        F = f"F={top + 1}" if top < block.n else f"F>{block.n}"
+        raise ParameterError(f"params (F={params.F}, k={params.k}) do not fit block n={block.n}, "
+                             f"whose basis reads as ({F}, k={k})")
     W = hops.weights
     phi = _structure_values(params.deformation, block.n, hops.top)
     return np.column_stack([block.n - W, W, phi[W]])
@@ -187,14 +197,15 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
 def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObservables:
     """Observables of an already-assembled block: the reduction of a scan, on a stack of one.
 
-    The block's matrix passed the Hermiticity check when the block was built,
-    so the solve skips it.
+    The block's matrix goes through eigendecompose and its Hermiticity check,
+    so a matrix edited after the block was built is refused.  Raises
+    ParameterError if params' (F, k) does not give the block's basis.
     """
-    H = block.matrix
-    spectrum = eigensolver._solve(H, np.abs(H).max(axis=(-2, -1), initial=0.0), True,
-                                  -math.log(NEGLIGIBLE_WEIGHT) / params.beta)
+    ops = _diagonal_operators(block, params)
+    spectrum = eigensolver.eigendecompose(block.matrix, True,
+                                          window=-math.log(NEGLIGIBLE_WEIGHT) / params.beta)
     return _observables(spectrum.eigenvalues[np.newaxis], spectrum.eigenvectors[np.newaxis],
-                        _diagonal_operators(block, params), params.beta, block.n)[0]
+                        ops, params.beta, block.n)[0]
 
 
 def _diagonal_stack(H: np.ndarray, op: np.ndarray, xs: Sequence[float]) -> np.ndarray:
@@ -329,12 +340,15 @@ def detect_plateaus(
     """
     if not 0.0 < tol < 0.5:
         raise ParameterError(f"tol must lie in (0, 0.5), got {tol}")
-    if not hbar > 0:
-        raise ParameterError(f"hbar must be positive, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ParameterError(f"hbar must be positive and finite, got {hbar}")
 
     def level(point: tuple[float, ThermoObservables]) -> int | None:
         """The integer the point's value lies within tol of, if any."""
         value = point[1].n_expect / hbar
+        if not math.isfinite(value):
+            raise ParameterError(f"n_expect / hbar is not finite at omega={point[0]!r}: "
+                                 f"n_expect = {point[1].n_expect!r}, hbar = {hbar!r}")
         nearest = round(value)
         return nearest if abs(value - nearest) < tol else None
 

@@ -114,6 +114,40 @@ class TestThermoFromSpectrum:
         obs = thermo_from_block(build_block(params, 3), params)
         assert obs.n_expect == pytest.approx(3.0, abs=0.02)
 
+    def test_edited_matrix_refused(self):
+        # numpy lets a caller lift the read-only flag; the solve checks again
+        params = ModelParams(3, 2, 1.0, 1.0, 1.0)
+        block = build_block(params, 3)
+        block.matrix.setflags(write=True)
+        block.matrix[1, 0] += 1.0
+        with pytest.raises(ParameterError, match="not Hermitian"):
+            thermo_from_block(block, params)
+
+    def test_one_public_solve(self, monkeypatch):
+        # the solve goes through the module's eigendecompose, where a tracer wraps it
+        calls = []
+        solve = thermo.eigensolver.eigendecompose
+
+        def spy(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(thermo.eigensolver, "eigendecompose", spy)
+        params = ModelParams(3, 2, 1.0, 1.0, 1.0, beta=0.7)
+        thermo_from_block(build_block(params, 3), params)
+        assert calls == [((True,), {"window": pytest.approx(60.0 * math.log(2.0) / 0.7, rel=1e-15)})]
+
+    @pytest.mark.parametrize("block_fk,params_fk,named", [
+        ((3, 2), (2, 2), r"params \(F=2, k=2\) do not fit block n=3, whose basis reads as \(F=3, k=2\)"),
+        # both have d = 8 at n = 3: the bases differ, not the dimensions
+        ((2, 3), (3, 2), r"params \(F=3, k=2\) do not fit block n=3, whose basis reads as \(F=2, k=3\)"),
+        ((5, 2), (3, 2), r"params \(F=3, k=2\) do not fit block n=3, whose basis reads as \(F>3, k=2\)"),
+    ], ids=["other_F", "same_dimension", "F_above_n"])
+    def test_params_of_another_block_refused(self, block_fk, params_fk, named):
+        block = build_block(ModelParams(*block_fk, 1.0, 1.0, 1.0), 3)
+        with pytest.raises(ParameterError, match=named):
+            thermo_from_block(block, ModelParams(*params_fk, 1.0, 1.0, 1.0))
+
     def test_deep_suppression_underflows_z_but_not_logz(self):
         params = ModelParams(4, 1, 700.0, 1000.0, 1.0, deformation=Deformation.q_exp(1.0))
         obs = thermo_from_block(build_block(params, 5), params)
@@ -487,8 +521,15 @@ class TestDetectPlateaus:
     def test_tolerance_validated(self):
         with pytest.raises(ParameterError):
             detect_plateaus([(1.0, obs_stub(1.0))], tol=0.6)
-        with pytest.raises(ParameterError):
-            detect_plateaus([(1.0, obs_stub(1.0))], hbar=0.0)
+        for hbar in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="hbar must be positive and finite"):
+                detect_plateaus([(1.0, obs_stub(1.0))], hbar=hbar)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=r"not finite at omega=2\.5"):
+                detect_plateaus([(1.0, obs_stub(1.0)), (2.5, obs_stub(value))])
+        # a finite value whose quotient by hbar overflows
+        with pytest.raises(ParameterError, match=r"not finite at omega=1\.0"):
+            detect_plateaus([(1.0, obs_stub(1e300))], hbar=1e-10)
 
 
 class TestStaircasePhysics:
