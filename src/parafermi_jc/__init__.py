@@ -9,7 +9,6 @@ from .algebra import (
     build_mode_matrix,
     clifford_mode,
     clifford_triple,
-    destruction_phase_exponent,
     enumerate_block_basis,
     number_operator_matrix,
     weight,
@@ -72,7 +71,6 @@ __all__ = [
     "build_mode_matrix",
     "clifford_mode",
     "clifford_triple",
-    "destruction_phase_exponent",
     "detect_plateaus",
     "eigendecompose",
     "enumerate_block_basis",

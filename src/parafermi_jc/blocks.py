@@ -93,8 +93,9 @@ class BlockHamiltonian:
     """One conserved-number block: its label n, basis, and dense Hermitian matrix.
 
     The block keeps a read-only complex copy of the matrix it is given, so no
-    view of the caller's array can change it once checked; the solver checks
-    it again all the same, as numpy lets any caller make it writeable.
+    view of the caller's array can change it once checked; its real form
+    (module ``thermo``) and the solver check it again all the same, as numpy
+    lets any caller make it writeable.
     """
 
     n: int
@@ -140,7 +141,9 @@ class _Hops(NamedTuple):
     matrix.  Both take phi(n + 1 - W) = phi(n - (W - 1)) from raised = W - 1
     and carry P's occupation occ = i_l; tail = sum_{s>l} i_s indexes the
     q-phases at the first entry and, offset by top + 1, their conjugates at
-    the second."""
+    the second.  The mode-reversal data: mirror[i] is the row of state i's
+    occupations in reverse order, and e2[i] = sum_{s<t} i_s i_t, the same
+    for both."""
 
     basis: tuple[OccupationConfig, ...]
     weights: np.ndarray
@@ -149,6 +152,8 @@ class _Hops(NamedTuple):
     raised: np.ndarray
     occ: np.ndarray
     tail: np.ndarray
+    mirror: np.ndarray
+    e2: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,7 +180,9 @@ def _hops(F: int, k: int, n: int) -> _Hops:
     tail = (np.cumsum(occupations[:, ::-1], axis=1)[:, ::-1] - occupations)[cols, modes]
     hops = _Hops(basis, weights, top, np.concatenate([rows * dim + cols, cols * dim + rows]),
                  np.tile(weights[cols] - 1, 2), np.tile(occupations[cols, modes], 2),
-                 np.concatenate([tail, tail + top + 1]))
+                 np.concatenate([tail, tail + top + 1]),
+                 np.searchsorted(codes, occupations @ place[::-1]),
+                 (weights * weights - np.sum(occupations * occupations, axis=1)) // 2)
     for array in hops:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False

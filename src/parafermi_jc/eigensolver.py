@@ -1,4 +1,4 @@
-"""Dense complex Hermitian eigensolver.
+"""Dense Hermitian eigensolver, for complex Hermitian or real symmetric input.
 
 Self-contained two-stage reduction, no LAPACK eigenroutine involved.  Every
 stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
@@ -8,22 +8,28 @@ its eigenvectors' rows are put back in the input's order at the end; larger
 matrices and larger stacks keep the input's order, as the ordering only
 helps QL on the row-by-row schedule stop at a window (see 2.).
 
+A real input stays real: the Hermiticity check, Householder and the
+back-transform then run in float64 on the same lines, the phases below are
+signs, and the eigenvectors are real.  The package's blocks reach the solver
+in their real form (module ``thermo``): at d = 256, Householder then takes
+about two thirds of its complex time, and the back-transform under half.
+
 1. Householder similarity transformations bring each Hermitian matrix to
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
    a panel each column is brought up to date from the panel's reflectors
    when it is reached, and the trailing matrix takes the whole panel as one
    rank-2*PANEL product; no operand of these products is a view of negative
    stride, which would take numpy's matmul off BLAS.  A lone matrix takes
-   each column's reflector scalars on Python numbers, as zlarfg does, and a
-   stack on (G,) arrays.  A diagonal phase rotation then makes the
-   off-diagonal real and nonnegative.  With eigenvectors requested, the
-   reduction keeps its reflectors, scaled to unit norm; once stage 2 is done
-   they are applied to the tridiagonal's eigenvectors, one panel per
-   compact-WY product as in zunmtr (the back-transform), so the Householder
-   unitary is never formed.  The panel's triangular factor T comes from its
-   Gram matrix by zlarft's recurrence.  Each matrix is first scaled by the
-   power of two of its largest entry, and its eigenvalues scaled back, as
-   LAPACK's zheev does for extreme matrices.
+   each column's reflector scalars on Python numbers, as zlarfg (dlarfg for
+   real input) does, and a stack on (G,) arrays.  A diagonal phase rotation
+   (a sign for real input) then makes the off-diagonal real and nonnegative.
+   With eigenvectors requested, the reduction keeps its reflectors, scaled to
+   unit norm; once stage 2 is done they are applied to the tridiagonal's
+   eigenvectors, one panel per compact-WY product as in zunmtr (the
+   back-transform), so the Householder unitary is never formed.  The panel's
+   triangular factor T comes from its Gram matrix by zlarft's recurrence.
+   Each matrix is first scaled by the power of two of its largest entry, and
+   its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
@@ -68,9 +74,10 @@ helps QL on the row-by-row schedule stop at a window (see 2.).
    once a Sturm count certifies that no undeflated eigenvalue reaches the kept
    chain, QL returns, and every level beyond the chain is +inf.  The finite
    levels are then the kept ones, with the bits of the full solve; on the
-   staircase stack (d = 27, 40 matrices, beta = 1) QL finds 177 of the 1,080
-   eigenvalues, in 413 sweeps instead of 1,906.  The pieces of a larger matrix
-   solved with eigenvectors are then merged back level by level (Cuppen's
+   staircase scan's real stack (d = 27, 40 matrices, beta = 1) QL finds 177
+   of the 1,080 eigenvalues, in 414 sweeps instead of 1,918 (413 of 1,906 on
+   the complex blocks).  The pieces of a larger matrix solved with
+   eigenvectors are then merged back level by level (Cuppen's
    divide and conquer, as LAPACK's dstedc; module ``divide``, imported on
    first use): each merge is a rank-one update of the two pieces' eigenvalues,
    deflated as in dlaed2, its secular equations solved all at once by dlaed4's
@@ -93,10 +100,12 @@ it with no other reference, so it frees them once phase-rotated.  A merge
 holds the two pieces' vectors, its own, one d x d coefficient matrix, and
 d x d arrays of the secular solver's rows (the roots' distances to the
 poles, and while a level has several equations, their weights), which
-shrink as roots converge.  With eigenvectors the traced peak is about 4.9
-times the complex stack at d = 27, and 3.3 times at d = 256; the staircase
-stack (d = 27, 40 matrices) with the window of beta = 1 keeps 135 of its
-1,080 vectors and peaks at 4.0.
+shrink as roots converge.  With eigenvectors the traced peak, input aside,
+is about 4.9 times a complex stack at d = 27, and 3.3 times at d = 256; a
+real stack peaks at 4.3 and 3.1 times the bytes of its complex counterpart.
+The staircase stack (d = 27, 40 matrices) with the window of beta = 1 keeps
+135 of its 1,080 vectors and peaks at 4.0 times the complex stack, or 2.0
+for its real form.
 
 Contracts: eigenvalues ascending, with +inf for the levels a window leaves
 out; when vectors are requested, per-pair residual
@@ -166,10 +175,11 @@ LOCKSTEP = 128
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending), optionally the unitary of column eigenvectors,
-    and the number of QL implicit-shift sweeps the solve took, those of its
-    leaves.  A lockstep sweep counts once for every leaf it moves, so both
-    schedules count the sweeps that each leaf took.
+    """Eigenvalues (ascending), optionally the unitary of column eigenvectors
+    (real orthogonal for a real input), and the number of QL implicit-shift
+    sweeps the solve took, those of its leaves.  A lockstep sweep counts once
+    for every leaf it moves, so both schedules count the sweeps that each
+    leaf took.
 
     For a (G, d, d) stack, eigenvalues is (G, d), eigenvectors (G, d, d) and
     sweeps the total over the stack.  A solve with a window returns the
@@ -190,37 +200,40 @@ class Spectrum:
 
 
 def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H as a complex array, and max|H| per matrix, once H is known to be a
-    square matrix or a stack of them, finite and Hermitian.
+    """H as a complex array, or a float64 one when H is real, and max|H| per
+    matrix, once H is known to be a square matrix or a stack of them, finite
+    and Hermitian (for a real H, symmetric).
 
     The package's one Hermiticity check: block assembly calls it on each
     block, and eigendecompose, the only way into the solver, on its input,
-    so a block's matrix is checked again when it is solved.  A matrix is
-    rejected when max|H - H^dag| exceeds HERMITICITY_RTOL * max(1, max|H|),
-    compared in squares a few ulps on the safe side, so it rejects every
-    matrix that the comparison of the deviations themselves, by hypot,
-    rejects.  Raises ParameterError otherwise.
+    so a block's matrix is checked again, in its real form, when it is
+    solved.  A matrix is rejected when max|H - H^dag| exceeds
+    HERMITICITY_RTOL * max(1, max|H|), compared in squares a few ulps on the
+    safe side, so it rejects every matrix that the comparison of the
+    deviations themselves, by hypot, rejects.  Raises ParameterError
+    otherwise.
     """
-    A = np.asarray(H, dtype=np.complex128)
+    A = np.asarray(H, dtype=np.complex128 if np.iscomplexobj(H) else np.float64)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ParameterError(f"matrix must be square, got shape {A.shape}")
     peak = np.abs(A).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(peak).all():
         raise ParameterError("matrix has non-finite entries")
     # |H - H^dag|^2 from the real parts' antisymmetric part and the imaginary
-    # parts' symmetric part, in half-size arrays, in units of the power of two
+    # parts' symmetric part (a real H has none), in units of the power of two
     # of max(1, max|H|), where the squares stay in range for any finite H
     scale = np.maximum(1.0, peak)
     unit = np.ldexp(1.0, -np.frexp(scale)[1])
+    units = unit[..., np.newaxis, np.newaxis]
     with np.errstate(over="ignore"):  # a deviation beyond the float range is inf, and rejected
         dev2 = A.real - A.real.swapaxes(-1, -2)
-        im = A.imag + A.imag.swapaxes(-1, -2)
-    units = unit[..., np.newaxis, np.newaxis]
-    dev2 *= units
-    im *= units
-    dev2 *= dev2
-    im *= im
-    dev2 += im
+        dev2 *= units
+        dev2 *= dev2
+        if A.dtype == np.complex128:
+            im = A.imag + A.imag.swapaxes(-1, -2)
+            im *= units
+            im *= im
+            dev2 += im
     # hypot rounds by one ulp, the squares and their sum by a few: the bound's
     # square, 8 ulps smaller, keeps every deviation rejected that hypot would
     bound = HERMITICITY_RTOL * scale * unit
@@ -263,6 +276,8 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     keep test, the phase, u[0], alpha) as Python numbers and its products as
     plain 2-D ones, as numpy calls on 0-d arrays cost more than their
     arithmetic; a stack keeps (G,) arrays, whose calls serve all G matrices.
+    The work, the reflectors and the phases take A's dtype, so a real A is
+    reduced in real arithmetic, its phases signs.
     """
     n = A.shape[-1]
     stack = A.shape[:-2]
@@ -271,7 +286,7 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     # mid+k, so the panel's first k pairs fill the contiguous columns
     # [mid-k, mid+k), and reversing those columns pairs each u with its w
     mid = min(PANEL, max(n - 2, 0))
-    work = np.empty(stack + (n, 2 * mid), dtype=np.complex128)
+    work = np.empty(stack + (n, 2 * mid), dtype=A.dtype)
     zeros = np.zeros(stack)
     panels = [] if want_vectors else None
     for j0 in range(0, n - 2, PANEL):
@@ -281,7 +296,7 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
             col = A[..., j:, j]
             if k:
                 pairs = work[..., j:, mid - k:mid + k]
-                col -= _mv(pairs, pairs[..., 0, ::-1].conj())
+                col -= _mv(pairs, np.conjugate(pairs[..., 0, ::-1]))
             x = col[..., 1:]
             u = work[..., j + 1:, mid - 1 - k]
             w = work[..., j + 1:, mid + k]
@@ -289,21 +304,25 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
                 # a lone matrix: the steps below on Python numbers, and a
                 # skipped u stays the zero column the panel started with
                 xnorm = math.sqrt(np.vdot(x, x).real)
-                x0 = complex(x[0])
+                x0 = x[0].item()
                 ax0 = abs(x0)
                 vnorm2 = 2.0 * xnorm * (xnorm + ax0)
                 if vnorm2 >= tiny:
-                    phase = complex(x0.real / ax0, x0.imag / ax0) if ax0 > 0.0 else 1.0
+                    phase = 1.0
+                    if ax0 > 0.0:  # x0 / |x0|: a sign for a real matrix
+                        phase = (complex(x0.real / ax0, x0.imag / ax0) if isinstance(x0, complex)
+                                 else x0 / ax0)
                     vnorm = math.sqrt(vnorm2)
                     np.multiply(x, 1.0 / vnorm, out=u)
                     u[0] = phase * ((ax0 + xnorm) / vnorm)
                     col[1] = -phase * xnorm
                 p = A[j + 1:, j + 1:] @ u
                 if k:
-                    # reversed before conj(), which copies: a vector of
-                    # negative stride would take matmul off BLAS
+                    # reversed inside np.conjugate, which copies for either
+                    # dtype: a vector of negative stride would take matmul
+                    # off BLAS
                     pairs = work[j + 1:, mid - k:mid + k]
-                    p -= pairs @ (u.conj() @ pairs)[::-1].conj()
+                    p -= pairs @ np.conjugate((u.conj() @ pairs)[::-1])
                 p *= 2.0
                 np.multiply(u, -np.vdot(u, p), out=w)
                 w += p
@@ -331,13 +350,13 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
             p = _mv(A[..., j + 1:, j + 1:], u)
             if k:
                 pairs = work[..., j + 1:, mid - k:mid + k]
-                p -= _mv(pairs, _vh(u, pairs)[..., ::-1].conj())
+                p -= _mv(pairs, np.conjugate(_vh(u, pairs)[..., ::-1]))
             p *= 2.0
             np.multiply(u, -_vh(u, p[..., np.newaxis]), out=w)
             w += p
         nb = j1 - j0
         pairs = work[..., j1:, mid - nb:mid + nb]
-        A[..., j1:, j1:] -= pairs @ pairs[..., ::-1].conj().swapaxes(-1, -2)
+        A[..., j1:, j1:] -= pairs @ np.conjugate(pairs[..., ::-1]).swapaxes(-1, -2)
         if panels is not None:
             panels.append((j0 + 1, work[..., j0 + 1:, mid - nb:mid][..., ::-1].copy()))
     d = np.diagonal(A, axis1=-2, axis2=-1).real.copy()
@@ -349,7 +368,7 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     # subnormal |e_j| would overflow the division and is zero to working
     # precision anyway, so the phase carries over unchanged
     unit = np.divide(e, mag, out=np.ones_like(e), where=mag >= tiny)
-    phases = np.concatenate([np.ones(stack + (1,), dtype=np.complex128),
+    phases = np.concatenate([np.ones(stack + (1,), dtype=A.dtype),
                              np.cumprod(unit, axis=-1)], axis=-1)
     return d, mag, (phases, panels)
 
@@ -880,6 +899,9 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
 def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
                    window: float = math.inf) -> Spectrum:
     """Eigendecompose a dense complex Hermitian matrix, or a (G, d, d) stack of them.
+
+    A real input is taken as real symmetric and solved in float64 throughout:
+    its eigenvectors are real.
 
     A finite window >= 0 asks a matrix of at most LEAF rows for the
     eigenvectors of its eigenvalues up to its smallest plus window only, and

@@ -17,11 +17,22 @@ sums run over the levels and kept columns it returns, so the states left
 out move Z by at most d * 2**-60 relative, and an average <O> over d states
 by at most d * 2**-60 * max|O|.
 
-One scan solves every stack: for an assembled block H and a diagonal
-operator op, it solves H + x * diag(op) at each point x of a finite,
-ascending sequence, each chunk of the points as one (G, d, d) stack, and
-reduces each chunk.  The omega scans run it along x = omega on H0 with
-op = phi(n - W), for the observables or for log Z alone.  One central
+Every solve is of a block's real form.  Reversing the order of the modes,
+conjugating and multiplying state P by q^e2(P), e2(P) = sum_{s<t} i_s i_t,
+is an antiunitary symmetry of every block whose square is 1, so each block
+is real symmetric in a basis that the symmetry fixes (Dyson's threefold
+way), with the same diagonal and the same diagonal operators N, W and
+phi(N).  _real_form takes it there by a few block-wise passes over the
+block's matrix, once per scan and once per thermo_from_block, and refuses a
+matrix that breaks the symmetry; a matrix whose imaginary part is
+negligible is taken as its real part.  The solver then works in float64
+alone.
+
+One scan solves every stack: for the real form H of an assembled block and
+a diagonal operator op, it solves H + x * diag(op) at each point x of a
+finite, ascending sequence, each chunk of the points as one (G, d, d)
+stack, and reduces each chunk.  The omega scans run it along x = omega on
+H0 with op = phi(n - W), for the observables or for log Z alone.  One central
 difference of log Z over the two points x -+ step cross-checks the trace
 values: x = omega on H0 with op = phi(N) recovers <phi(N)>, and x = mu = 0 on
 H(omega) with op = N recovers <N>.  A NumericalError at one matrix of a stack
@@ -29,19 +40,21 @@ names its omega (or mu) and (F, k, n); a step that takes a diagonal beyond
 the float range is a ParameterError.
 
 Every solve goes through eigendecompose and its Hermiticity check:
-thermo_from_block's block matrix, checked once already when the block was
-built, as a scan's stack H + x * diag(op), a new array.
+thermo_from_block's real form, and a scan's stack H + x * diag(op), each a
+new array.
 
-A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 512 KiB complex
-stack: 512 matrices at d = 8, 44 at d = 27, and one at d = 256 (a lone
-matrix may exceed the cap).  A scan's traced peak is at most about 5.9
-times its complex stack with eigenvectors, reached when every vector is kept
-(5.9 at d = 8, 4.9 at d = 27, 4.3 at d = 256, which keeps them all
+A chunk holds SCAN_CHUNK_ENTRIES = 2**15 matrix entries, a 256 KiB real
+stack (512 KiB as a complex one): 512 matrices at d = 8, 44 at d = 27, and
+one at d = 256 (a lone matrix may exceed the cap).  A scan's traced peak,
+complex block and real form included, is at most about 4.9 times the bytes
+of its stack as a complex one with eigenvectors, reached when every vector
+is kept (4.9 at d = 8, 4.3 at d = 27, 3.5 at d = 256, which keeps them all
 anyway); the staircase grid (d = 27, delta = 1000, beta = 1) keeps 12% of
-them and peaks at 3.9.  Without eigenvectors the peak is 3.2 to 3.3 times
-the stack, so a full chunk peaks near 3 MB.  The solver gets the only
-reference to the stack and frees it once copied (from Python 3.11; on 3.10
-the calling frame keeps it until the solve returns).
+them and peaks at 2.0.  Without eigenvectors the peak is 1.6 to 1.7 times
+at d = 8 and 27, and 3.1 at d = 256, where the complex block and its
+conversion dominate.  The solver gets the only reference to the stack, and
+thermo_from_block's to its real form, and frees it once copied (from
+Python 3.11; on 3.10 the calling frame keeps it until the solve returns).
 """
 
 from __future__ import annotations
@@ -49,11 +62,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import eigensolver
+from .algebra import root_of_unity_power
 from .blocks import BlockHamiltonian, ModelParams, _hops, _structure_values, build_block
 from .eigensolver import Spectrum
 from .errors import NumericalError, ParameterError
@@ -61,9 +75,10 @@ from .errors import NumericalError, ParameterError
 #: Matrix entries per stacked solve of a scan: a chunk of the grid holds at most
 #: this many (and at least one matrix), which bounds a scan's memory whatever
 #: the block dimension.  2**15 entries are 512 matrices at d = 8, 44 at d = 27
-#: and one at d = 256; the solve's traced peak is at most about 5.9 times the
-#: chunk's complex stack.  Past 2**15 the per-stack call overhead is mostly
-#: paid off: 2**16 saves a few percent more per point and doubles the peak.
+#: and one at d = 256; the scan's traced peak is at most about 4.9 times the
+#: bytes of the chunk as a complex stack.  Past 2**15 the per-stack call
+#: overhead is mostly paid off: 2**16 saves a few percent more per point and
+#: doubles the peak.
 SCAN_CHUNK_ENTRIES = 2**15
 
 #: Boltzmann weight, relative to the ground state's, below which a state's
@@ -152,6 +167,90 @@ def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndar
     return np.column_stack([block.n - W, W, phi[W]])
 
 
+def _real_basis(block: BlockHamiltonian,
+                params: ModelParams) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(order, ops): the block's state behind each row of its real form, and
+    the diagonal operators of _diagonal_operators in that order.  Order is
+    None for a matrix whose imaginary part is at most HERMITICITY_RTOL, so
+    within HERMITICITY_RTOL * max(1, max|H|): its real form is its real part.
+    Spin blocks and k = 1 chains have no imaginary part, and F = 2 blocks
+    only the rounding of their phases +-1 at couplings of order 1.
+
+    The real basis, which the mode-reversal symmetry fixes: e_P for each
+    palindrome P; then (e_P + e_pi P) / sqrt(2) for each other pair
+    (P, pi P), pi the reversal and P the lower row; then i (e_P - e_pi P) /
+    sqrt(2) for each pair.  Both vectors of a pair have P's weight, so their
+    operators are P's.
+    """
+    ops = _diagonal_operators(block, params)
+    if np.abs(block.matrix.imag).max(initial=0.0) <= eigensolver.HERMITICITY_RTOL:
+        return None, ops
+    mirror = _hops(params.F, params.k, block.n).mirror
+    rows = np.arange(block.dim)
+    pairs = np.flatnonzero(rows < mirror)
+    order = np.concatenate([np.flatnonzero(rows == mirror), pairs, mirror[pairs]])
+    return order, ops[order]
+
+
+def _real_form(block: BlockHamiltonian, params: ModelParams,
+               order: Optional[np.ndarray]) -> np.ndarray:
+    """The block's matrix as a real symmetric one, in _real_basis' basis of
+    rows order (its real part, in the block's order, when order is None).
+
+    With c_P = q^(e2(P) / 2), the same for P and pi P, G = C* H C has
+    G[pi P, pi Q] = conj(G[P, Q]).  The real form is taken from the rows of
+    the palindromes and of the pairs' lower states, by a few block-wise
+    passes; what that drops is at most the largest defect
+    |G[pi P, pi Q] - conj(G[P, Q])|, and a defect above HERMITICITY_RTOL *
+    max(1, max|H|) raises ParameterError naming the reversal symmetry and
+    (F, k, n), or the eigensolver's "not Hermitian" when H is not Hermitian.
+    No hop joins P and pi P, so the diagonal is H's, bit for bit.
+    """
+    H = block.matrix
+    if order is None:
+        return H.real.copy()
+    hops = _hops(params.F, params.k, block.n)
+    d, m = block.dim, np.count_nonzero(np.arange(block.dim) < hops.mirror)
+    P, A, B = slice(0, d - 2 * m), slice(d - 2 * m, d - m), slice(d - m, d)
+    table = np.array([root_of_unity_power(2 * params.F, e) for e in range(2 * params.F)])
+    c = table[hops.e2[order] % (2 * params.F)]
+    G = H[np.ix_(order, order)]
+    G *= c.conj()[:, np.newaxis]
+    G *= c
+    G.reshape(-1)[::d + 1] = H.diagonal()[order]  # c* c, exactly 1
+    Gr, Gi = G.real, G.imag
+    R = np.empty((d, d))
+    root2 = math.sqrt(2.0)
+    where = f"block (F={params.F}, k={params.k}, n={block.n})"
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        R[P, P] = Gr[P, P]
+        np.multiply(Gr[P, A], root2, out=R[P, A])
+        np.multiply(Gi[P, A], -root2, out=R[P, B])
+        np.multiply(Gr[A, P], root2, out=R[A, P])
+        np.multiply(Gi[A, P], root2, out=R[B, P])
+        np.add(Gr[A, A], Gr[A, B], out=R[A, A])
+        np.subtract(Gi[A, B], Gi[A, A], out=R[A, B])
+        np.add(Gi[A, A], Gi[A, B], out=R[B, A])
+        np.subtract(Gr[A, A], Gr[A, B], out=R[B, B])
+        defect = max(np.abs(Gi[P, P]).max(initial=0.0),
+                     *(np.abs(G[X, Y] - G[U, V].conj()).max(initial=0.0)
+                       for X, Y, U, V in ((P, B, P, A), (B, P, A, P), (B, B, A, A), (B, A, A, B))))
+    if not defect <= eigensolver.HERMITICITY_RTOL * np.abs(H).max(initial=1.0):
+        eigensolver._require_hermitian(H)
+        raise ParameterError(f"matrix breaks the mode-reversal symmetry of {where} by {defect:.3e}")
+    if not np.isfinite(R).all():  # entries of up to twice max|H|
+        raise NumericalError(f"the real form of {where} leaves the float range")
+    return R
+
+
+def _real_block(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real form of block n of params and its diagonal operators in the
+    form's order; the complex block is not kept."""
+    block = build_block(params, n)
+    order, ops = _real_basis(block, params)
+    return _real_form(block, params, order), ops
+
+
 def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta: float,
                  n: int) -> list[ThermoObservables]:
     """Observables of every block of a stack, from its (G, d) eigenvalues and
@@ -197,12 +296,14 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
 def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObservables:
     """Observables of an already-assembled block: the reduction of a scan, on a stack of one.
 
-    The block's matrix goes through eigendecompose and its Hermiticity check,
-    so a matrix edited after the block was built is refused.  Raises
-    ParameterError if params' (F, k) does not give the block's basis.
+    The block's matrix, in its real form, goes through eigendecompose and its
+    Hermiticity check, so a matrix edited after the block was built is
+    refused.  Raises ParameterError if params' (F, k) does not give the
+    block's basis, or if the matrix breaks the mode-reversal symmetry.
     """
-    ops = _diagonal_operators(block, params)
-    spectrum = eigensolver.eigendecompose(block.matrix, True,
+    order, ops = _real_basis(block, params)
+    # the real form is passed on unnamed, so the solver can free it once copied
+    spectrum = eigensolver.eigendecompose(_real_form(block, params, order), True,
                                           window=-math.log(NEGLIGIBLE_WEIGHT) / params.beta)
     return _observables(spectrum.eigenvalues[np.newaxis], spectrum.eigenvectors[np.newaxis],
                         ops, params.beta, block.n)[0]
@@ -225,11 +326,11 @@ def _diagonal_stack(H: np.ndarray, op: np.ndarray, xs: Sequence[float]) -> np.nd
     return stack
 
 
-def _scan(block: BlockHamiltonian, op: np.ndarray, points: Sequence[float], label: str,
+def _scan(H: np.ndarray, op: np.ndarray, points: Sequence[float], label: str,
           want_vectors: bool, reduce: Callable[[Spectrum], list],
-          params: ModelParams) -> list[tuple[float, object]]:
+          params: ModelParams, n: int) -> list[tuple[float, object]]:
     """(x, reduce's value) at each x of a finite, ascending sequence of points,
-    from the spectra of H + x * diag(op), H the block's matrix.
+    from the spectra of H + x * diag(op), H the real form of block n.
 
     Each chunk of the points is solved as one stack and reduced by
     reduce(spectrum).  A failure that names a matrix of the stack is raised
@@ -243,28 +344,28 @@ def _scan(block: BlockHamiltonian, op: np.ndarray, points: Sequence[float], labe
             raise ParameterError(f"{label} grid point {x!r} is not finite")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ParameterError(f"{label} grid must be strictly ascending")
-    chunk = max(1, SCAN_CHUNK_ENTRIES // block.dim ** 2)
+    chunk = max(1, SCAN_CHUNK_ENTRIES // H.shape[0] ** 2)
     window = -math.log(NEGLIGIBLE_WEIGHT) / params.beta
     values = []
     for start in range(0, len(points), chunk):
         try:
             # the stack is not kept here: the solver frees it once copied
             values += reduce(eigensolver.eigendecompose(
-                _diagonal_stack(block.matrix, op, points[start:start + chunk]), want_vectors,
+                _diagonal_stack(H, op, points[start:start + chunk]), want_vectors,
                 window=window))
         except NumericalError as exc:
             if exc.index is None:
                 raise
             raise type(exc)(f"{exc} at {label}={points[start + exc.index]!r} "
-                            f"(F={params.F}, k={params.k}, n={block.n})") from None
+                            f"(F={params.F}, k={params.k}, n={n})") from None
     return list(zip(points, values))
 
 
-def _central_difference(block: BlockHamiltonian, op: np.ndarray, x: float, step: float,
-                        label: str, params: ModelParams) -> float:
+def _central_difference(H: np.ndarray, op: np.ndarray, x: float, step: float,
+                        label: str, params: ModelParams, n: int) -> float:
     """-(log Z(x + step) - log Z(x - step)) / (2 step beta), Z(x) the partition
-    function of H + x * diag(op), H the block's matrix, from a values-only
-    scan of the two points.
+    function of H + x * diag(op), H the real form of block n, from a
+    values-only scan of the two points.
 
     A step that is not positive and finite, that takes a diagonal entry
     beyond the float range, or that leaves one where op is nonzero unchanged
@@ -275,9 +376,9 @@ def _central_difference(block: BlockHamiltonian, op: np.ndarray, x: float, step:
     points = [x - step, x + step]
     if not points[0] < points[1]:
         raise ParameterError(f"step {step!r} vanishes against {label}={x!r}")
-    where = f"(F={params.F}, k={params.k}, n={block.n})"
+    where = f"(F={params.F}, k={params.k}, n={n})"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lower, upper = (block.matrix.diagonal().real + point * op for point in points)
+        lower, upper = (H.diagonal() + point * op for point in points)
     for point, entries in zip(points, (lower, upper)):
         if not np.isfinite(entries).all():
             raise ParameterError(f"step {step!r} takes a diagonal entry beyond the float range "
@@ -285,24 +386,22 @@ def _central_difference(block: BlockHamiltonian, op: np.ndarray, x: float, step:
     if np.any((lower == upper) & (op != 0.0)):
         raise ParameterError(f"step {step!r} vanishes against a diagonal entry of H {where}")
     (_, log_lo), (_, log_hi) = _scan(
-        block, op, points, label, False,
-        lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(), params)
+        H, op, points, label, False,
+        lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(), params, n)
     return -(log_hi - log_lo) / (2.0 * step * params.beta)
 
 
 def phi_n_via_omega_derivative(params: ModelParams, n: int, step: float) -> float:
     """<phi(N)> as the central frequency derivative -(1/beta) d(log Z)/d(omega)
     of H0 + omega * diag(phi(N))."""
-    base = build_block(params.with_omega(0.0), n)
-    return _central_difference(base, _diagonal_operators(base, params)[:, 2],
-                               params.omega, step, "omega", params)
+    H, ops = _real_block(params.with_omega(0.0), n)
+    return _central_difference(H, ops[:, 2], params.omega, step, "omega", params, n)
 
 
 def n_via_mu_derivative(params: ModelParams, n: int, step: float) -> float:
     """<N> from the mu-perturbation H + mu * diag(N), differentiated at mu = 0."""
-    block = build_block(params, n)
-    return _central_difference(block, _diagonal_operators(block, params)[:, 0],
-                               0.0, step, "mu", params)
+    H, ops = _real_block(params, n)
+    return _central_difference(H, ops[:, 0], 0.0, step, "mu", params, n)
 
 
 def omega_scan(
@@ -311,19 +410,19 @@ def omega_scan(
     omega_grid: Sequence[float],
 ) -> list[tuple[float, ThermoObservables]]:
     """Thermal observables of block n at each frequency of an ascending grid."""
-    base = build_block(params.with_omega(0.0), n)
-    ops = _diagonal_operators(base, params)
-    return _scan(base, ops[:, 2], omega_grid, "omega", True,
+    H, ops = _real_block(params.with_omega(0.0), n)
+    return _scan(H, ops[:, 2], omega_grid, "omega", True,
                  lambda spectrum: _observables(spectrum.eigenvalues, spectrum.eigenvectors,
-                                               ops, params.beta, n), params)
+                                               ops, params.beta, n), params, n)
 
 
 def log_partition_scan(params: ModelParams, n: int,
                        omega_grid: Sequence[float]) -> list[tuple[float, float]]:
     """log Z of block n at each frequency of an ascending grid, from eigenvalues alone."""
-    base = build_block(params.with_omega(0.0), n)
-    return _scan(base, _diagonal_operators(base, params)[:, 2], omega_grid, "omega", False,
-                 lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(), params)
+    H, ops = _real_block(params.with_omega(0.0), n)
+    return _scan(H, ops[:, 2], omega_grid, "omega", False,
+                 lambda spectrum: log_sum_exp(spectrum.eigenvalues, -params.beta).tolist(),
+                 params, n)
 
 
 def detect_plateaus(

@@ -30,6 +30,8 @@ from .exact import (
     semiclassical_z_f2_closed_form,
 )
 from .thermo import (
+    _real_basis,
+    _real_form,
     log_sum_exp,
     n_via_mu_derivative,
     phi_n_via_omega_derivative,
@@ -203,6 +205,38 @@ def block_structure() -> CheckResult:
         "commutator over max(1, max|H|))"))
 
 
+def reversal_symmetry() -> CheckResult:
+    """Every block is real symmetric in the basis of its mode-reversal
+    symmetry: for F = 2..5, k = 1..4 with F^k <= 256, at n = k(F - 1) - 1
+    and k(F - 1) + 1, the deformations taken in turn, the block's real form
+    is built, which checks that the symmetry holds within HERMITICITY_RTOL *
+    max(1, max|H|) (or that the imaginary part is negligible), and its
+    eigenvalues, by the package solver, match the complex block's within
+    1e-12 * max(1, max|lambda|).  A failure names its case."""
+    deformations = (Deformation.undeformed(), Deformation.q_exp(0.3), Deformation.linear(0.7))
+    cases = [(F, k, n) for F in range(2, 6) for k in range(1, 5) if F ** k <= 256
+             for n in (k * (F - 1) - 1, k * (F - 1) + 1)]
+    worst, failures = 0.0, []
+    for index, (F, k, n) in enumerate(cases):
+        phi = deformations[index % len(deformations)]
+        params = ModelParams(F, k, 1.3, 0.7, 0.9, deformation=phi)
+        case = f"F={F}, k={k}, n={n}, {phi.kind}"
+        block = build_block(params, n)
+        try:
+            real = _real_form(block, params, _real_basis(block, params)[0])
+        except ParameterError as exc:
+            failures.append(f"{case}: {exc}")
+            continue
+        values = eigendecompose(block.matrix).eigenvalues
+        dev = _maxabs(eigendecompose(real).eigenvalues - values) / max(1.0, _maxabs(values))
+        worst = max(worst, dev)
+        if not dev <= 1e-12:
+            failures.append(f"{case}: eigenvalues apart by {dev:.3e} (tol 1e-12)")
+    return CheckResult("reversal_symmetry", not failures, "; ".join(failures) or (
+        f"max deviation {worst:.3e} over {len(cases)} blocks (tol 1e-12, relative to "
+        "max(1, max|lambda|))"))
+
+
 def oracle_checks() -> list[CheckResult]:
     results = []
     grid = (0.5, 2.0)
@@ -242,6 +276,7 @@ def oracle_checks() -> list[CheckResult]:
     results.append(_result("closed_form_trace_identity", worst, 1e-9))
     results.append(spin_equivalence())
     results.append(block_structure())
+    results.append(reversal_symmetry())
     return results
 
 

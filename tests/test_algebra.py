@@ -20,7 +20,6 @@ from parafermi_jc import (
     build_mode_matrix,
     clifford_mode,
     clifford_triple,
-    destruction_phase_exponent,
     enumerate_block_basis,
     exact_f2_deformed,
     exact_f2_undeformed,
@@ -33,6 +32,7 @@ from parafermi_jc import (
     semiclassical_z_f2_closed_form,
     weight,
 )
+from parafermi_jc.algebra import destruction_phase_exponent
 from parafermi_jc.algebra import root_of_unity_power
 from parafermi_jc.blocks import build_full_truncated
 from parafermi_jc.thermo import log_partition_scan

@@ -396,3 +396,13 @@ def test_mode_matrix_consistency_with_block_couplings():
             expected[a, b] += total
             expected[b, a] += np.conj(total)
     assert np.allclose(block.matrix, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("F,k,n", [(2, 1, 0), (2, 4, 3), (3, 3, 8), (4, 3, 5), (5, 2, 9)])
+def test_reversal_data(F, k, n):
+    # each state's mirror is the row of its occupations reversed, and e2 = sum_{s<t} i_s i_t
+    hops = blocks._hops(F, k, n)
+    for P, mirror, e2 in zip(hops.basis, hops.mirror.tolist(), hops.e2.tolist()):
+        assert hops.basis[mirror] == P[::-1]
+        assert e2 == sum(P[s] * P[t] for t in range(k) for s in range(t))
+    assert not hops.mirror.flags.writeable and not hops.e2.flags.writeable

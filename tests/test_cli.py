@@ -743,6 +743,24 @@ class TestVerify:
         assert check.detail.startswith("F=2, k=2, n=1: block deviation ")
         assert "F=3, k=2, n=1: block deviation " in check.detail
 
+    def test_reversal_symmetry_in_oracles(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--scope", "oracles")
+        assert code == 0
+        check, = [c for c in json.loads(out)["checks"] if c["name"] == "reversal_symmetry"]
+        assert check["passed"] and check["detail"].startswith("max deviation ")
+        assert " over 30 blocks " in check["detail"]
+
+    def test_wrong_reversal_gauge_is_caught(self, monkeypatch):
+        # the conjugate gauge q^(-e2 / 2) leaves the blocks of F >= 3 and k >= 2
+        # complex; every such case fails by name
+        good = thermo.root_of_unity_power
+        monkeypatch.setattr(thermo, "root_of_unity_power", lambda F, e: good(F, -e))
+        check = verify.reversal_symmetry()
+        assert not check.passed
+        assert check.detail.startswith("F=3, k=2, n=3, qexp: matrix breaks the mode-reversal "
+                                       "symmetry of block (F=3, k=2, n=3) by ")
+        assert "F=4, k=4, n=13, " in check.detail and "F=2, " not in check.detail
+
     def test_number_changing_coupling_is_caught(self, monkeypatch):
         good = verify.build_full_truncated
 

@@ -1539,3 +1539,95 @@ def test_contracts_over_full_range(H):
     assert np.all(np.diff(w) >= 0)
     assert max_residual(H, V, w) <= residual_bound(H)
     assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= RESIDUAL_RTOL
+
+
+def random_symmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    return (A + A.T) / 2
+
+
+class TestRealInput:
+    """A real matrix or stack is taken as real symmetric, solved in float64
+    throughout, and gets real eigenvectors."""
+
+    @pytest.mark.parametrize("window", [math.inf, 1.5], ids=["full", "window"])
+    @pytest.mark.parametrize("shape", [(5,), (eigensolver.LEAF,), (eigensolver.LEAF + 37,),
+                                       (3, 12), (2, eigensolver.LEAF + 9)],
+                             ids=["lone", "lone_leaf", "lone_tree", "stack", "stack_tree"])
+    def test_contracts(self, shape, window):
+        *stacked, n = shape
+        H = np.array([random_symmetric(n, 940 + g) for g in range(stacked[0] if stacked else 1)])
+        spec = eigendecompose(H if stacked else H[0], want_vectors=True, window=window)
+        assert spec.eigenvectors.dtype == np.float64
+        values = np.atleast_2d(spec.eigenvalues)
+        vectors = spec.eigenvectors if stacked else spec.eigenvectors[np.newaxis]
+        for M, w, V, c in zip(H, values, vectors, kept_columns(vectors)):
+            if window == math.inf or n > eigensolver.LEAF:
+                assert c == n  # a tree ignores the window
+            assert max_residual(M, V[:, :c], w[:c]) <= residual_bound(M)
+            assert np.max(np.abs(V[:, :c].T @ V[:, :c] - np.eye(c))) <= RESIDUAL_RTOL
+            finite = np.isfinite(w)
+            assert np.max(np.abs(w[finite] - np.linalg.eigvalsh(M)[finite])) <= 1e-12 * n
+
+    def test_matches_the_complex_solve(self):
+        # the same matrix as complex input: the same levels to rounding, and
+        # the same vectors up to each one's sign
+        H = random_symmetric(40, 950)
+        real = eigendecompose(H, want_vectors=True)
+        complex_ = eigendecompose(H.astype(complex), want_vectors=True)
+        assert complex_.eigenvectors.dtype == np.complex128
+        assert np.max(np.abs(real.eigenvalues - complex_.eigenvalues)) <= 1e-13
+        overlap = np.abs(np.sum(real.eigenvectors * complex_.eigenvectors.conj(), axis=0))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-10
+
+    def test_integer_input_is_float64(self):
+        spec = eigendecompose(np.array([[2, 1], [1, 2]]), want_vectors=True)
+        assert spec.eigenvalues.tolist() == pytest.approx([1.0, 3.0], abs=1e-15)
+        assert spec.eigenvectors.dtype == np.float64
+
+    def test_non_symmetric_refused(self):
+        H = random_symmetric(6, 951)
+        H[4, 1] += 1e-6
+        with pytest.raises(ParameterError, match="not Hermitian"):
+            eigendecompose(H)
+        with pytest.raises(ParameterError, match="not Hermitian"):
+            eigendecompose(np.stack([random_symmetric(6, 952), H]), want_vectors=True)
+
+    def test_no_complex_work(self, monkeypatch):
+        # Householder's workspace, its phases and the back-transform stay real
+        dtypes = []
+        tridiagonalize, back_transform = eigensolver._tridiagonalize, eigensolver._back_transform
+
+        def reduce(A, want_vectors):
+            d, e, reflectors = tridiagonalize(A, want_vectors)
+            dtypes.extend([A.dtype, reflectors[0].dtype] + [V.dtype for _, V in reflectors[1]])
+            return d, e, reflectors
+
+        def transform(reflectors, Z):
+            X = back_transform(reflectors, Z)
+            dtypes.append(X.dtype)
+            return X
+
+        monkeypatch.setattr(eigensolver, "_tridiagonalize", reduce)
+        monkeypatch.setattr(eigensolver, "_back_transform", transform)
+        eigendecompose(random_symmetric(eigensolver.LEAF + 37, 953), want_vectors=True)
+        eigendecompose(np.array([random_symmetric(40, 954)] * 2), want_vectors=True)
+        assert len(dtypes) > 4 and set(dtypes) == {np.dtype(np.float64)}
+
+
+@given(hermitian_cases())
+@settings(max_examples=40, deadline=None)
+def test_real_contracts_over_full_range(H):
+    # the real part of a Hermitian matrix is real symmetric
+    H = H.real
+    n = H.shape[0]
+    spec = eigendecompose(H, want_vectors=True)
+    assert np.array_equal(eigendecompose(H).eigenvalues, spec.eigenvalues)
+    assert spec.eigenvectors.shape == (n, n) and spec.eigenvectors.dtype == np.float64
+    if n == 0:
+        return
+    V, w = spec.eigenvectors, spec.eigenvalues
+    assert np.all(np.diff(w) >= 0)
+    assert max_residual(H, V, w) <= residual_bound(H)
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= RESIDUAL_RTOL

@@ -66,9 +66,11 @@ def test_guard_sees_code_but_not_prose(tmp_path):
 
 
 #: x.conj()[::-1] and x.conj()[..., ::-1]: the copy that conj() makes, viewed
-#: with a negative stride, which takes matmul off BLAS; x[::-1].conj() gives
-#: the same values contiguous.
-REVERSED_AFTER_CONJ = re.compile(r"\.conj\(\)\[(\.\.\.,)?::-1\]")
+#: with a negative stride, which takes matmul off BLAS; and x[::-1].conj(),
+#: x[..., ::-1].conj() or any subscript whose last index is ::-1, before
+#: conj(), which stay that view for a real x, as conj() returns a real array
+#: itself.  np.conjugate(x[::-1]) copies for either dtype.
+REVERSED_AFTER_CONJ = re.compile(r"\.conj\(\)\[([^\[\]]*,)?::-1\]|\[([^\[\]]*,)?::-1\]\.conj\(\)")
 
 
 def compact_code(path):
@@ -85,16 +87,29 @@ def compact_code(path):
 def test_no_operand_reversed_after_conj(name):
     hits = [f"{name}:{row}: {text}" for row, text in compact_code(PACKAGE / name).items()
             if REVERSED_AFTER_CONJ.search(text)]
-    assert not hits, "reverse before conj(), so products stay on BLAS:\n" + "\n".join(hits)
+    assert not hits, ("reverse inside np.conjugate, so products stay on BLAS:\n"
+                      + "\n".join(hits))
 
 
 def test_reversal_guard_sees_code_but_not_prose(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text('"""u.conj()[::-1] in a docstring"""\n# v.conj()[..., ::-1] in a comment\n'
                       "p = M @ u.conj() [::-1]\nq = _mv(M, v.conj()[..., ::-1])\n"
-                      "r = M @ u[::-1].conj() + _vh(v[..., ::-1].conj(), M)\n")
+                      "r = M @ np.conjugate(u[::-1]) + _vh(np.conjugate(v[..., ::-1]), M)\n")
     assert [row for row, text in compact_code(sample).items()
             if REVERSED_AFTER_CONJ.search(text)] == [3, 4]
+
+
+def test_reversal_guard_sees_conj_after_the_reversal(tmp_path):
+    # a real array's conj() is the array itself, so the reversed view stays
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""u[::-1].conj() in a docstring"""\n# v[..., ::-1].conj() in a comment\n'
+                      "p = M @ u [::-1] . conj()\nq = _mv(M, v[..., ::-1].conj())\n"
+                      "r = pairs @ pairs[..., ::-1].conj().swapaxes(-1, -2)\n"
+                      "c = _mv(pairs, pairs[..., 0, ::-1].conj())\n"
+                      "s = u[::-1].conjugate() + v[::2].conj() + w[::-1][0].conj()\n")
+    assert [row for row, text in compact_code(sample).items()
+            if REVERSED_AFTER_CONJ.search(text)] == [3, 4, 5, 6]
 
 
 def test_no_solve_reaches_a_lapack_eigenroutine(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from parafermi_jc import (
     ParameterError,
     ThermoObservables,
     build_block,
+    build_higher_spin_block,
     detect_plateaus,
     eigendecompose,
     log_sum_exp,
@@ -88,6 +89,20 @@ class TestLogSumExp:
         assert caught.value.index == 1
 
 
+def assert_matches_lapack(obs, block, params, rel=1e-10):
+    """obs against the reduction of LAPACK's eigenpairs of the complex block,
+    to rel of max(1, |x|)."""
+    w, V = np.linalg.eigh(block.matrix)
+    ops = thermo._diagonal_operators(block, params)
+    weights = np.exp(-params.beta * (w - w[0]))
+    weights /= weights.sum()
+    n_expect, w_expect, phi_expect = weights @ (np.abs(V) ** 2).T @ ops
+    log_z = -params.beta * w[0] + math.log(np.sum(np.exp(-params.beta * (w - w[0]))))
+    for value, expected in ((obs.log_z, log_z), (obs.n_expect, n_expect),
+                            (obs.w_expect, w_expect), (obs.phi_n_expect, phi_expect)):
+        assert abs(value - expected) <= rel * max(1.0, abs(expected))
+
+
 class TestThermoFromSpectrum:
     def test_conservation_error_on_staircase_block(self):
         # the F=3, k=3, n=8 qexp staircase of acceptance criterion 07 (d = 27)
@@ -122,6 +137,31 @@ class TestThermoFromSpectrum:
         block.matrix[1, 0] += 1.0
         with pytest.raises(ParameterError, match="not Hermitian"):
             thermo_from_block(block, params)
+
+    def test_reversal_breaking_edit_refused(self):
+        # a Hermitian edit that the mode reversal does not carry to the mirror entry
+        params = ModelParams(3, 2, 1.0, 1.0, 1.0)
+        block = build_block(params, 3)
+        block.matrix.setflags(write=True)
+        block.matrix[1, 0] += 0.5
+        block.matrix[0, 1] += 0.5
+        with pytest.raises(ParameterError, match=r"^matrix breaks the mode-reversal symmetry of "
+                                                 r"block \(F=3, k=2, n=3\) by 5\.000e-01$"):
+            thermo_from_block(block, params)
+
+    def test_real_form_overflow_named(self):
+        # hops near the float limit: the real form adds two of them
+        params = ModelParams(3, 2, 0.0, 0.0, 1.2e308)
+        with pytest.raises(NumericalError, match=r"^the real form of block \(F=3, k=2, n=2\) "
+                                                 r"leaves the float range$"):
+            thermo_from_block(build_block(params, 2), params)
+
+    def test_spin_block_matches_lapack(self):
+        # a spin block has no imaginary part, so it is solved as it is
+        params = ModelParams(3, 2, 1.3, 0.7, 0.9, beta=0.8)
+        block = build_higher_spin_block(params, 3)
+        assert thermo._real_basis(block, params)[0] is None
+        assert_matches_lapack(thermo_from_block(block, params), block, params)
 
     def test_one_public_solve(self, monkeypatch):
         # the solve goes through the module's eigendecompose, where a tracer wraps it
@@ -357,10 +397,11 @@ class TestOmegaScan:
 STAIRCASE = ModelParams(3, 3, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))
 STAIRCASE_GRID = np.logspace(math.log10(0.2), math.log10(2000.0), 40)
 
-#: Traced peak of a one-stack scan over the bytes of its complex (G, d, d)
-#: stack.  The 40-point dim-27 staircase grid measures 3.94 (numpy 2.4,
-#: Python 3.11), and 5.48 with every eigenvector solved; before the
-#: eigensolver's working set was trimmed it was 7.2.
+#: Traced peak of a one-stack scan over the bytes of its stack as a complex
+#: (G, d, d) one.  The 40-point dim-27 staircase grid, solved in its real
+#: form, measures 2.03 (numpy 2.4, Python 3.11), and 4.31 with every
+#: eigenvector solved; solved complex it read 3.94 and 5.48, and before the
+#: eigensolver's working set was trimmed 7.2.
 PEAK_PER_STACK = 6.0
 
 
@@ -409,10 +450,11 @@ class TestWindow:
 
     @staticmethod
     def full_reduction(params, n, grid):
-        """The observables of a scan's stack from every eigenvector."""
+        """The observables of a scan's stack, the real form's, from every eigenvector."""
         base = build_block(params.with_omega(0.0), n)
-        ops = thermo._diagonal_operators(base, params)
-        spec = eigendecompose(thermo._diagonal_stack(base.matrix, ops[:, 2], grid), want_vectors=True)
+        order, ops = thermo._real_basis(base, params)
+        H = thermo._real_form(base, params, order)
+        spec = eigendecompose(thermo._diagonal_stack(H, ops[:, 2], grid), want_vectors=True)
         return thermo._observables(spec.eigenvalues, spec.eigenvectors, ops, params.beta, n)
 
     def test_staircase_matches_full_reduction(self, monkeypatch):
@@ -440,9 +482,10 @@ class TestWindow:
         for omega in (0.5, 68.0, 1500.0):
             params = STAIRCASE.with_omega(omega)
             block = build_block(params, 8)
-            spec = eigendecompose(block.matrix, want_vectors=True)
+            order, ops = thermo._real_basis(block, params)
+            spec = eigendecompose(thermo._real_form(block, params, order), want_vectors=True)
             [full] = thermo._observables(spec.eigenvalues[np.newaxis], spec.eigenvectors[np.newaxis],
-                                         thermo._diagonal_operators(block, params), 1.0, 8)
+                                         ops, 1.0, 8)
             obs = thermo.thermo_from_block(block, params)
             for field in ("n_expect", "w_expect", "phi_n_expect"):
                 assert getattr(obs, field) == pytest.approx(getattr(full, field), rel=1e-14)
@@ -491,6 +534,86 @@ def test_scan_over_full_range(case):
         assert all(math.isfinite(getattr(obs, field)) for field in
                    ("z", "log_z", "free_energy", "phi_n_expect", "n_expect", "w_expect"))
         assert obs.conservation_error <= 1e-9
+
+
+@st.composite
+def block_cases(draw):
+    """Blocks of F = 2 to 5 and k = 1 to 3 (d up to 125), below, at and
+    above k(F - 1), of every deformation kind."""
+    F, k = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, k * (F - 1) + 2))
+    deformation = draw(st.sampled_from([Deformation.undeformed(), Deformation.q_exp(0.3),
+                                        Deformation.linear(0.7)]))
+    omega, delta, g = (draw(st.floats(0.05, 3.0)) for _ in range(3))
+    return ModelParams(F, k, omega, delta, g, beta=draw(st.floats(0.1, 5.0)),
+                       deformation=deformation), n
+
+
+@given(block_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_matches_lapack(case):
+    params, n = case
+    block = build_block(params, n)
+    assert_matches_lapack(thermo_from_block(block, params), block, params)
+
+
+class TestRealForm:
+    """The block in the basis of its mode-reversal symmetry."""
+
+    # at g = 1e5 the rounding of an F = 2 block's phases passes 1e-12, so it
+    # takes the gauge too
+    @pytest.mark.parametrize("F,k,n,g", [(2, 3, 2, 1e5), (3, 2, 3, 0.9), (3, 3, 8, 0.9),
+                                         (4, 4, 12, 0.9), (5, 2, 9, 0.9)])
+    def test_real_symmetric_with_the_block_spectrum(self, F, k, n, g):
+        params = ModelParams(F, k, 1.3, 0.7, g, deformation=Deformation.q_exp(0.3))
+        block = build_block(params, n)
+        order, ops = thermo._real_basis(block, params)
+        R = thermo._real_form(block, params, order)
+        assert R.dtype == np.float64 and R.flags.c_contiguous
+        assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
+        # a permutation of the basis, whose diagonal and operators are the block's, bit for bit
+        assert sorted(order.tolist()) == list(range(block.dim))
+        assert R.diagonal().tobytes() == block.matrix.diagonal().real[order].tobytes()
+        assert ops.tobytes() == thermo._diagonal_operators(block, params)[order].tobytes()
+        w = np.linalg.eigvalsh(block.matrix)
+        assert np.max(np.abs(np.linalg.eigvalsh(R) - w)) <= 1e-13 * np.max(np.abs(w))
+
+    def test_palindromes_lead_then_the_pairs(self):
+        # F=3, k=2, n=3: palindromes (0,0) and (1,1), then the pairs' lower
+        # states (0,1), (0,2), (1,2) and their mirrors (1,0), (2,0), (2,1)
+        params = ModelParams(3, 2, 1.0, 1.0, 1.0)
+        block = build_block(params, 3)
+        order, _ = thermo._real_basis(block, params)
+        assert [block.basis[i] for i in order] == [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2),
+                                                    (1, 0), (2, 0), (2, 1)]
+
+    @pytest.mark.parametrize("F,k,n", [(4, 1, 5), (2, 3, 2)], ids=["chain", "F2"])
+    def test_negligible_imaginary_part_dropped(self, F, k, n):
+        # k = 1 chains carry no phase at all, F = 2 blocks only the rounding
+        # of q = -1; their real form is their real part, in the block's order
+        params = ModelParams(F, k, 1.0, 1.0, 1.0)
+        block = build_block(params, n)
+        imag = np.max(np.abs(block.matrix.imag))
+        assert 0.0 < imag <= 1e-15 if k > 1 else imag == 0.0
+        order, ops = thermo._real_basis(block, params)
+        assert order is None
+        assert ops.tobytes() == thermo._diagonal_operators(block, params).tobytes()
+        assert thermo._real_form(block, params, None).tobytes() == block.matrix.real.tobytes()
+
+    def test_once_per_scan(self, monkeypatch):
+        calls = []
+        form = thermo._real_form
+
+        def spy(*args):
+            calls.append(args[0].n)
+            return form(*args)
+
+        monkeypatch.setattr(thermo, "_real_form", spy)
+        monkeypatch.setattr(thermo, "SCAN_CHUNK_ENTRIES", 1)  # a stack per point
+        omega_scan(STAIRCASE, 8, STAIRCASE_GRID[:5])
+        log_partition_scan(STAIRCASE, 8, STAIRCASE_GRID[:5])
+        phi_n_via_omega_derivative(STAIRCASE, 8, 1e-3)
+        assert calls == [8, 8, 8]
 
 
 class TestDetectPlateaus:
