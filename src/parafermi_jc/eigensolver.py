@@ -8,13 +8,31 @@ its eigenvectors' rows are put back in the input's order at the end; larger
 matrices and larger stacks keep the input's order, as the ordering only
 helps QL on the row-by-row schedule stop at a window (see 2.).
 
-A real input stays real: the Hermiticity check, Householder and the
-back-transform then run in float64 on the same lines, the phases below are
+A real input stays real: the Hermiticity check, both reductions and the
+back-transforms then run in float64 on the same lines, the phases below are
 signs, and the eigenvectors are real.  The package's blocks reach the solver
 in their real form (module ``thermo``): at d = 256, Householder then takes
 about two thirds of its complex time, and the back-transform under half.
+Each matrix is first scaled by the power of two of its largest entry, and
+its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 
-1. Householder similarity transformations bring each Hermitian matrix to
+1. Each matrix is brought to a real tridiagonal T with a nonnegative
+   off-diagonal.  A matrix solved in its ordered basis is tridiagonalized
+   by Lanczos from q_0 = e_0, its state of lowest diagonal, one pass for the
+   whole stack (Golub and Van Loan, 10.3, with complete reorthogonalization):
+   each step projects A q_j off every earlier q by two classical
+   Gram-Schmidt passes, about a dozen numpy calls, where Householder's stack
+   route takes about 38 per column.  A reorthogonalized vector at the
+   rounding level, as where a Krylov space turns invariant, splits T, and a
+   basis state, orthogonalized twice, continues.  The basis Q is kept, so
+   the back-transform is one product Q Z.  From e_0, T's top row is the
+   ordered basis' lowest state, as Householder keeps row 0 in place, which
+   the window stop of 2. relies on.  On the staircase stack (40 real
+   27 x 27 matrices) the reduction and its back-transform take 1.1 ms
+   against 2.1 ms by Householder.  Lanczos lost where Householder stays: its
+   BLAS-2 reorthogonalization costs about 6 n**3 flops against 4/3 n**3, and
+   on lockstep stacks its restarts left couplings that QL keeps.
+   Householder similarity transformations bring every other matrix to
    tridiagonal form, PANEL reflectors at a time as in LAPACK's zhetrd: within
    a panel each column is brought up to date from the panel's reflectors
    when it is reached, and the trailing matrix takes the whole panel as one
@@ -28,8 +46,6 @@ about two thirds of its complex time, and the back-transform under half.
    eigenvectors, one panel per compact-WY product as in zunmtr (the
    back-transform), so the Householder unitary is never formed.  The panel's
    triangular factor T comes from its Gram matrix by zlarft's recurrence.
-   Each matrix is first scaled by the power of two of its largest entry, and
-   its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
@@ -75,7 +91,7 @@ about two thirds of its complex time, and the back-transform under half.
    chain, QL returns, and every level beyond the chain is +inf.  The finite
    levels are then the kept ones, with the bits of the full solve; on the
    staircase scan's real stack (d = 27, 40 matrices, beta = 1) QL finds 177
-   of the 1,080 eigenvalues, in 414 sweeps instead of 1,918 (413 of 1,906 on
+   of the 1,080 eigenvalues, in 414 sweeps instead of 1,904 (413 of 1,904 on
    the complex blocks).  The pieces of a larger matrix solved with
    eigenvectors are then merged back level by level (Cuppen's
    divide and conquer, as LAPACK's dstedc; module ``divide``, imported on
@@ -92,7 +108,9 @@ reference to it, freed (from Python 3.11); for an ordered matrix the copy
 is one gather into the ascending order, through an integer index the size
 of the stack, and the eigenvectors return to the input's order through one
 scatter into a new array.  The lockstep holds its group's diagonals and
-squares, and per sweep a few arrays of the rows it moves.  The Householder
+squares, and per sweep a few arrays of the rows it moves.  Lanczos holds
+the stack and its basis Q, of the stack's size, and with eigenvectors
+keeps Q to the back-transform.  The Householder
 workspace has 2 * min(PANEL, d - 2) columns, inverse iteration holds its
 factors only through the solves, and the back-transform applies a panel's
 nb x nb factor T to the nb x m product V^H X; the root's eigenvectors reach
@@ -101,10 +119,10 @@ holds the two pieces' vectors, its own, one d x d coefficient matrix, and
 d x d arrays of the secular solver's rows (the roots' distances to the
 poles, and while a level has several equations, their weights), which
 shrink as roots converge.  With eigenvectors the traced peak, input aside,
-is about 4.9 times a complex stack at d = 27, and 3.3 times at d = 256; a
+is about 4.8 times a complex stack at d = 27, and 3.3 times at d = 256; a
 real stack peaks at 4.3 and 3.1 times the bytes of its complex counterpart.
 The staircase stack (d = 27, 40 matrices) with the window of beta = 1 keeps
-135 of its 1,080 vectors and peaks at 4.0 times the complex stack, or 2.0
+135 of its 1,080 vectors and peaks at 2.3 times the complex stack, or 1.25
 for its real form.
 
 Contracts: eigenvalues ascending, with +inf for the levels a window leaves
@@ -172,6 +190,13 @@ LEAF = 64
 #: matrices, and 0.6 to 1.3 times at 64.
 LOCKSTEP = 128
 
+#: After step 0, Lanczos takes a reorthogonalized vector of norm at most
+#: ROUNDING * n * eps, on a matrix scaled to entries below 1, for rounding:
+#: T splits there and Lanczos restarts.  Where the Krylov spaces of random
+#: matrices of 8 to 64 rows with 2 to 5 distinct eigenvalues turned
+#: invariant, that norm had a median of 4 to 17 eps.
+ROUNDING = 4.0
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -187,6 +212,10 @@ class Spectrum:
     matrix keeps; column j of a matrix that keeps fewer than j + 1 is zero.
     A row of eigenvalues whose QL stopped at the window holds the kept
     levels, ascending, followed by +inf.
+
+    A matrix of at most LEAF rows in a stack of fewer than LOCKSTEP is
+    tridiagonalized by Lanczos in its ordered basis, others by Householder;
+    the sweeps count QL on whichever tridiagonal that gave.
     """
 
     eigenvalues: np.ndarray
@@ -401,6 +430,88 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
             T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
         X[..., r0:, :] -= V @ (T @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
     return X
+
+
+def _lanczos(A: np.ndarray):
+    """Lanczos tridiagonalization of each matrix of the stack A (G, n, n), from q_0 = e_0.
+
+    Returns (diag, offdiag >= 0, Q) of shapes (G, n), (G, n - 1) and (G, n,
+    n), where row j of Q is q_j, so that Q^T takes the tridiagonal's
+    eigenvectors back to A's.  Golub and Van Loan's Lanczos with complete
+    reorthogonalization: A q_j is projected off every q_i, i <= j, by two
+    classical Gram-Schmidt passes, the first of which gives alpha_j, and
+    beta_j is the norm of what is left, w.  At step 0, q_0 = e_0, so w is
+    A's first column below its top, exact: only a zero one splits T, and a
+    small one is normalized in units of its largest entry.  At a later step
+    a w of norm at most ROUNDING * n * eps is rounding: T splits there
+    (beta_j = 0), and q_j+1 is the first basis state whose weight
+    sum_i |q_i[k]|**2 is at most the mean, j / n, orthogonalized against
+    q_0..q_j twice.
+    """
+    G, n = A.shape[:2]
+    d = np.zeros((G, n))
+    e = np.zeros((G, max(n - 1, 0)))
+    Q = np.zeros_like(A)
+    if n == 0:
+        return d, e, Q
+    Q[:, 0, 0] = 1.0
+    floor = ROUNDING * n * sys.float_info.epsilon
+    w = A[:, :, 0].copy()
+    d[:, 0] = w[:, 0].real
+    w[:, 0] = 0.0
+    for j in range(1, n):
+        beta = np.sqrt(np.einsum("gi,gi->g", w.conj(), w).real)
+        q = Q[:, j]
+        low = np.flatnonzero(beta <= floor)
+        if low.size:
+            # the rows of low are set below
+            np.divide(w, np.where(beta > floor, beta, 1.0)[:, np.newaxis], out=q)
+            if j == 1:
+                beta[low], q[low] = _normalize(w[low])
+                low = low[beta[low] == 0.0]
+            beta[low] = 0.0
+            if low.size:
+                q[low] = _restart(Q[low, :j])
+        else:
+            np.divide(w, beta[:, np.newaxis], out=q)
+        e[:, j - 1] = beta
+        basis = Q[:, :j + 1]
+        p = _mv(A, q)
+        # the conjugated coefficients q_i^H p, so sum_i (q_i^H p) q_i is
+        # _vh of them; conj() of a real array is the array itself
+        h = _mv(basis, p.conj())
+        d[:, j] = h[:, j].real
+        if j == n - 1:
+            break
+        w = p - _vh(h, basis)
+        w -= _vh(_mv(basis, w.conj()), basis)
+    return d, e, Q
+
+
+def _normalize(w: np.ndarray):
+    """(||w||, w / ||w||) for each row of the stack w (S, m), in units of the
+    row's largest part, so that neither the squares nor the quotients lose
+    digits to underflow; a zero row stays zero.  Real and imaginary parts
+    are taken as float64 pairs: numpy's complex division overflows when the
+    divisor is subnormal."""
+    parts = w.view(np.float64)
+    peak = np.max(np.abs(parts), axis=1, initial=0.0)
+    parts = parts / np.where(peak > 0.0, peak, 1.0)[:, np.newaxis]
+    size = np.sqrt(np.einsum("si,si->s", parts, parts))
+    parts /= np.where(size > 0.0, size, 1.0)[:, np.newaxis]
+    return peak * size, parts.view(w.dtype)
+
+
+def _restart(Q: np.ndarray) -> np.ndarray:
+    """The unit vector that continues Lanczos on each matrix of a stack whose
+    q_0..q_j-1 are the rows of Q (S, j, n): the first basis state whose weight
+    sum_i |q_i[k]|**2 is at most j / n, orthogonalized against them twice."""
+    S, j, n = Q.shape
+    v = np.zeros((S, n), dtype=Q.dtype)
+    v[np.arange(S), np.argmax(np.einsum("sik,sik->sk", Q.conj(), Q).real <= j / n, axis=1)] = 1.0
+    for _ in range(2):
+        v -= _vh(_mv(Q, v.conj()), Q)
+    return _normalize(v)[1]
 
 
 def _sturm_count(d: list, e2: list, first: int, x: float) -> int:
@@ -826,19 +937,22 @@ def _window_counts(values: np.ndarray, norm: np.ndarray, window: np.ndarray) -> 
     return np.count_nonzero(chain <= last[:, np.newaxis], axis=1)
 
 
-def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optional[np.ndarray],
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, basis, window: Optional[np.ndarray],
                        norm: np.ndarray):
     """Ascending eigenvalues (G, n) of the scaled tridiagonals (d, e), whose
     negligible off-diagonals are zero, the eigenvectors (G, n, n) of the
-    matrices they came from when reflectors is not None (else None), and the
-    QL sweeps.  d is overwritten.  Given a window (G,), scaled as the
+    matrices they came from when basis is not None (else None), and the QL
+    sweeps.  basis is Lanczos' Q (G, n, n), whose rows q_j the eigenvectors
+    of a one-leaf solve in the ordered basis are taken back through, one
+    product Q^T Z; or Householder's reflectors, applied by _back_transform.
+    d is overwritten.  Given a window (G,), scaled as the
     eigenvalues are, a single leaf solves only _window_counts' vectors, its
     chains taken within CLUSTER_RTOL * norm (G,), ||T||_1 before the split:
     they are (G, n, m), m the largest count, with zero columns beyond each
     count; below LOCKSTEP matrices its QL also stops at the window.
 
-    Without reflectors each tridiagonal is a single leaf, whatever its size,
-    and QL alone solves it.  With them, T is halved, the odd row going to the
+    Without a basis each tridiagonal is a single leaf, whatever its size,
+    and QL alone solves it.  With one, T is halved, the odd row going to the
     upper half, until no piece has more than LEAF rows.  Each tear takes its
     off-diagonal beta off the two diagonal entries beside it, T =
     diag(pieces) + beta u u^T with u the sum of the unit vectors of the two
@@ -848,7 +962,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
     """
     G, n = d.shape
     tree = [[(0, n)]]
-    while reflectors is not None and max(hi - lo for lo, hi in tree[-1]) > LEAF:
+    while basis is not None and max(hi - lo for lo, hi in tree[-1]) > LEAF:
         tree.append([half for lo, hi in tree[-1]
                      for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))])
         window = None  # the merges need every leaf's vectors
@@ -870,7 +984,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
             else:
                 levels, spent = _ql_rows(ld, le, window, norm)
             values = np.sort(levels, axis=1).reshape(G, len(group), size)
-            if reflectors is not None:
+            if basis is not None:
                 counts = None if window is None else _window_counts(values[:, 0], norm, window)
                 vectors = _inverse_iteration(ld, le, levels, counts)
                 vectors = vectors.reshape(G, len(group), size, vectors.shape[-1])
@@ -891,8 +1005,13 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, reflectors, window: Optiona
             [(pieces.pop((lo, (lo + hi) // 2)), pieces.pop(((lo + hi) // 2, hi)),
               e[:, (lo + hi) // 2 - 1]) for lo, hi in tree[depth]])))
     values = pieces[(0, n)][0]
-    # the root's vectors are passed on unnamed, so _back_transform can free them early
-    vectors = None if reflectors is None else _back_transform(reflectors, pieces.pop((0, n))[1])
+    if basis is None:
+        vectors = None
+    elif isinstance(basis, np.ndarray):
+        vectors = basis.swapaxes(-1, -2) @ pieces.pop((0, n))[1]
+    else:
+        # the root's vectors are passed on unnamed, so _back_transform can free them early
+        vectors = _back_transform(basis, pieces.pop((0, n))[1])
     return values, vectors, sweeps
 
 
@@ -912,6 +1031,12 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     stack of fewer than LOCKSTEP matrices, may have its QL stop before it
     reaches the other eigenvalues: each eigenvalue it leaves out is +inf,
     after the kept ones, which have the bits of a solve without a window.
+
+    Those matrices, solved in the ordered basis, are tridiagonalized by
+    Lanczos from its first state, so T's top row is the state of lowest
+    diagonal, where QL deflates first and the window stops it; the others by
+    Householder, which is faster above LEAF rows and leaves no restart's
+    rounding couplings for the lockstep to sweep through.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input
     or a window that is not >= 0, NumericalError if the tridiagonal stage or
@@ -940,16 +1065,22 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
         work = A.copy()
     del A  # an input that the caller does not keep is freed here (Python 3.11+)
     # scale each matrix by the power of two of its largest entry, as LAPACK's
-    # zheev does for extreme ones, so the Householder norms neither overflow
+    # zheev does for extreme ones, so the reductions' norms neither overflow
     # nor drop columns that underflow; every sum of squares scales by an even
     # power of two and its square root exactly, so a matrix whose squares are
     # normal floats either way keeps the bits of an unscaled solve
     exponent = np.frexp(peak.reshape(G))[1]
     parts = work.view(np.float64)
     np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
-    # a lone matrix goes in without its stack axis, for Householder's scalar route
-    d, e, reflectors = _tridiagonalize(work[0] if G == 1 else work, want_vectors)
-    d, e = np.atleast_2d(d, e)
+    if order is not None:
+        d, e, basis = _lanczos(work)
+        route = "Lanczos"
+        basis = basis if want_vectors else None
+    else:
+        # a lone matrix goes in without its stack axis, for Householder's scalar route
+        d, e, basis = _tridiagonalize(work[0] if G == 1 else work, want_vectors)
+        route = "Householder"
+        d, e = np.atleast_2d(d, e)
     del work, parts  # the view parts would keep work alive
     # entries of the tridiagonal are at most about n, so its 1-norm is finite
     # exactly when every entry is
@@ -957,7 +1088,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
         raise NumericalError(
-            f"Householder tridiagonalization of a {n}x{n} matrix left non-finite entries",
+            f"{route} tridiagonalization of a {n}x{n} matrix left non-finite entries",
             index=int(bad[0]),
         )
     # scale each tridiagonal by the power of two nearest its 1-norm, so the
@@ -972,7 +1103,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     e[e * e <= sys.float_info.epsilon ** 2 * t * t] = 0.0
     with np.errstate(over="ignore"):  # a window beyond the float range keeps every vector
         window = None if window == math.inf else np.ldexp(window, -(exponent + scale))
-    values, vectors, sweeps = _solve_tridiagonal(d, e, reflectors, window, np.ldexp(norm, -scale))
+    values, vectors, sweeps = _solve_tridiagonal(d, e, basis, window, np.ldexp(norm, -scale))
     left_out = values == math.inf
     with np.errstate(over="ignore"):
         values = np.ldexp(values, (exponent + scale)[:, np.newaxis])

@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import math
 import sys
 import warnings
@@ -218,13 +220,18 @@ class TestHermiticityCheck:
 
 class TestContracts:
     def test_tiny_reflector_skipped(self):
-        # the column below the subdiagonal has norm 1e-160: 2/||v||^2 would overflow
-        H = np.array([[0.0, 0.0, 1e-160], [0.0, 1.0, 0.0], [1e-160, 0.0, 2.0]], dtype=complex)
+        # more than LEAF rows, so Householder reduces it: column 0 below its
+        # subdiagonal has norm 1e-160, and 2/||v||^2 would overflow
+        n = eigensolver.LEAF + 3
+        H = np.diag(np.arange(n, dtype=complex))
+        H[0, 2] = H[2, 0] = 1e-160
+        _, _, (_, panels) = _tridiagonalize(H.copy(), True)
+        assert not np.any(panels[0][1][:, 0])  # reflector 0 skipped
         spec = eigendecompose(H, want_vectors=True)
         V, w = spec.eigenvectors, spec.eigenvalues
-        assert w == pytest.approx([0.0, 1.0, 2.0], abs=1e-15)
+        assert w == pytest.approx(np.arange(n), abs=1e-13)
         assert np.max(np.linalg.norm(H @ V - V * w, axis=0)) <= residual_bound(H)
-        assert np.max(np.abs(V.conj().T @ V - np.eye(3))) <= 1e-10
+        assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-10
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1), (50, 2), (128, 3), (256, 4)])
     def test_residual_and_orthonormality(self, n, seed):
@@ -643,7 +650,13 @@ def assert_contracts(H):
 
 
 class TestPanels:
-    """Matrices large enough that the Householder stage runs more than one panel."""
+    """Matrices large enough that the Householder stage runs more than one
+    panel.  LEAF is 8 here, so each has more rows and Householder, not
+    Lanczos, reduces it, alone or in a stack."""
+
+    @pytest.fixture(autouse=True)
+    def householder(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "LEAF", 8)
 
     # a matrix of size n has n - 2 reflectors: up to size PANEL + 2 they form
     # one panel, and size 2 * PANEL + 2 is the last with two
@@ -941,8 +954,8 @@ class TestWindow:
     def test_staircase_stops_early(self, monkeypatch):
         # with each basis in ascending order of its diagonal, QL reaches the
         # low-lying levels first and stops after 177 of the 1,080 eigenvalues,
-        # in 413 of the full solve's 1,906 sweeps; unordered, it would stop
-        # after 808 in 1,430
+        # in 413 of the full solve's 1,904 sweeps (1,906 on Householder's
+        # tridiagonals); unordered, it would stop after 808 in 1,430
         computed = []
         ql = eigensolver._ql_implicit_shift
 
@@ -957,7 +970,7 @@ class TestWindow:
         assert np.count_nonzero(np.isfinite(spec.eigenvalues)) == 135
         computed.clear()
         full = eigendecompose(staircase_stack(), want_vectors=True)
-        assert (sum(computed), full.sweeps) == (1080, 1906)
+        assert (sum(computed), full.sweeps) == (1080, 1904)
 
     def test_kept_vectors_are_the_full_solves(self):
         # the back-transform of fewer columns rounds differently, by about eps
@@ -1322,15 +1335,18 @@ class TestDivideAndConquer:
     @pytest.mark.usefixtures("halves")
     def test_negligible_tear_keeps_the_pieces_bits(self):
         # e = eps beside diagonals of 1 is negligible (e**2 <= eps**2 * 2**2):
-        # the tear takes nothing off the diagonal, so the eigenvalues are the
-        # halves' own, bit for bit; taking e off would move both by an ulp
-        # each half's diagonal ascends, so solved alone it is not reordered
+        # the tear at row 32 takes nothing off the diagonal, so the eigenvalues
+        # are the halves' own, bit for bit; taking e off would move both by an
+        # ulp.  The 64 rows take Householder, and each half, LEAF rows, takes
+        # Lanczos; either keeps a real tridiagonal's bits (Lanczos' complex
+        # products round some entries by an ulp).  Each half's diagonal
+        # ascends, so solved alone it is not reordered
         rng = np.random.default_rng(69)
         d = np.concatenate([np.sort(rng.uniform(-1.0, 1.0, 32)), np.sort(rng.uniform(1.0, 3.0, 32))])
         d[31] = d[32] = 1.0
         e = rng.uniform(0.1, 1.0, 63)
         e[31] = sys.float_info.epsilon
-        H = tridiagonal(d, e)
+        H = tridiagonal(d, e).real
         halves = np.sort(np.concatenate([eigendecompose(H[:32, :32]).eigenvalues,
                                          eigendecompose(H[32:, 32:]).eigenvalues]))
         assert np.array_equal(eigendecompose(H, want_vectors=True).eigenvalues, halves)
@@ -1492,12 +1508,25 @@ class TestExtremeMagnitudes:
             eigendecompose(H)
 
     def test_non_finite_tridiagonal_named(self, monkeypatch):
+        # more than LEAF rows: Householder
         def broken(A, want_vectors):
             n = A.shape[-1]
             return np.full(A.shape[:-1], np.nan), np.zeros(A.shape[:-2] + (n - 1,)), None
         monkeypatch.setattr(eigensolver, "_tridiagonalize", broken)
-        with pytest.raises(NumericalError, match="tridiagonal"):
-            eigendecompose(np.eye(3))
+        with pytest.raises(NumericalError, match="Householder tridiagonalization"):
+            eigendecompose(np.eye(eigensolver.LEAF + 1))
+
+    def test_non_finite_lanczos_named(self, monkeypatch):
+        # up to LEAF rows: Lanczos, which names the matrix of the stack
+        def broken(A):
+            G, n = A.shape[:2]
+            d = np.zeros((G, n))
+            d[1] = np.nan
+            return d, np.zeros((G, n - 1)), np.zeros_like(A)
+        monkeypatch.setattr(eigensolver, "_lanczos", broken)
+        with pytest.raises(NumericalError, match="Lanczos tridiagonalization") as info:
+            eigendecompose(np.array([np.eye(3)] * 3), want_vectors=True)
+        assert info.value.index == 1
 
 
 @st.composite
@@ -1595,7 +1624,8 @@ class TestRealInput:
             eigendecompose(np.stack([random_symmetric(6, 952), H]), want_vectors=True)
 
     def test_no_complex_work(self, monkeypatch):
-        # Householder's workspace, its phases and the back-transform stay real
+        # Householder's workspace, its phases and the back-transform stay
+        # real, and so do Lanczos' basis and its product
         dtypes = []
         tridiagonalize, back_transform = eigensolver._tridiagonalize, eigensolver._back_transform
 
@@ -1609,11 +1639,21 @@ class TestRealInput:
             dtypes.append(X.dtype)
             return X
 
+        def lanczos(A):
+            d, e, Q = lanczos_(A)
+            dtypes.extend([A.dtype, Q.dtype])
+            return d, e, Q
+
+        lanczos_ = eigensolver._lanczos
         monkeypatch.setattr(eigensolver, "_tridiagonalize", reduce)
         monkeypatch.setattr(eigensolver, "_back_transform", transform)
+        monkeypatch.setattr(eigensolver, "_lanczos", lanczos)
         eigendecompose(random_symmetric(eigensolver.LEAF + 37, 953), want_vectors=True)
-        eigendecompose(np.array([random_symmetric(40, 954)] * 2), want_vectors=True)
-        assert len(dtypes) > 4 and set(dtypes) == {np.dtype(np.float64)}
+        eigendecompose(np.array([random_symmetric(eigensolver.LEAF + 9, 954)] * 2), want_vectors=True)
+        eigendecompose(np.array([random_symmetric(40, 955)] * 2), want_vectors=True)
+        assert len(dtypes) > 6 and set(dtypes) == {np.dtype(np.float64)}
+        spec = eigendecompose(random_symmetric(40, 956), want_vectors=True)
+        assert spec.eigenvectors.dtype == np.float64
 
 
 @given(hermitian_cases())
@@ -1631,3 +1671,174 @@ def test_real_contracts_over_full_range(H):
     assert np.all(np.diff(w) >= 0)
     assert max_residual(H, V, w) <= residual_bound(H)
     assert np.max(np.abs(V.T @ V - np.eye(n))) <= RESIDUAL_RTOL
+
+
+def lanczos_factors(stack):
+    """(A, T, U) for each matrix of a stack: A scaled by the power of two of
+    its largest entry, as eigendecompose scales it, and the tridiagonal T and
+    basis U (q_j as column j) of eigensolver._lanczos on that stack."""
+    stack = np.asarray(stack)
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(stack), axis=(-2, -1)))[1])
+    A = stack * scale[:, np.newaxis, np.newaxis]
+    d, e, Q = eigensolver._lanczos(A.copy())
+    T = np.zeros(A.shape)
+    n = A.shape[-1]
+    T[:, np.arange(n), np.arange(n)] = d
+    T[:, np.arange(1, n), np.arange(n - 1)] = T[:, np.arange(n - 1), np.arange(1, n)] = e
+    return A, T, Q.swapaxes(-1, -2)
+
+
+def assert_lanczos_contracts(stack):
+    """U is orthonormal within 4 n eps, and ||A U - U T|| within a few n eps of
+    max|A| (below 1 once scaled): a restart drops a w of at most
+    ROUNDING * n * eps."""
+    A, T, U = lanczos_factors(stack)
+    n = A.shape[-1]
+    eps = sys.float_info.epsilon
+    assert np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(n)), initial=0.0) <= 4 * n * eps
+    assert np.max(np.abs(A @ U - U @ T), initial=0.0) <= 2 * eigensolver.ROUNDING * n * eps
+
+
+def assert_one_is_alone(stack):
+    """Each matrix solved as a stack of one has the bits of its lone solve,
+    and its values-only eigenvalues those of the vectors path."""
+    for H in stack:
+        lone = eigendecompose(H, want_vectors=True)
+        one = eigendecompose(H[np.newaxis], want_vectors=True)
+        assert np.array_equal(one.eigenvalues[0], lone.eigenvalues)
+        assert np.array_equal(one.eigenvectors[0], lone.eigenvectors)
+        assert np.array_equal(eigendecompose(H).eigenvalues, lone.eigenvalues)
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """A list that counts the matrices of each Lanczos restart."""
+    counted = []
+    restart = eigensolver._restart
+
+    def counting(Q):
+        counted.append(len(Q))
+        return restart(Q)
+
+    monkeypatch.setattr(eigensolver, "_restart", counting)
+    return counted
+
+
+OMEGAS = np.logspace(-1.0, 2.0, 12)
+
+
+def diagonal_stack():
+    return np.array([np.diag(np.random.default_rng(g).permutation(9) - 4.5 + g) for g in range(3)])
+
+
+def zero_coupling_stack():
+    # two random blocks that the ascending order interleaves: the first
+    # block's Krylov space is invariant, its w rounding inside the block
+    # and exactly zero outside
+    return np.array([block_diagonal((6, 6), seed).real + np.diag(np.arange(12) % 2 * 40.0)
+                     for seed in (990, 992)])
+
+
+#: Stacks whose Krylov spaces from e_0 turn invariant before they span the basis.
+INVARIANT_STACKS = {
+    "f2_k3": lambda: np.array([build_block(ModelParams(2, 3, w, 20.0, 1.0), 6).matrix
+                               for w in OMEGAS]),
+    "f2_k3_real": lambda: np.array([build_block(ModelParams(2, 3, w, 20.0, 1.0), 6).matrix.real
+                                    for w in OMEGAS]),
+    "spin": lambda: np.array([build_higher_spin_block(ModelParams(3, 3, w, 3.0, 1.0), 4).matrix
+                              for w in OMEGAS]),
+    "diagonal": diagonal_stack,
+    "zero_coupling": zero_coupling_stack,
+}
+
+
+def tiny_coupling(c, row):
+    """A 4 x 4 matrix in ascending order whose row 3 couples to row `row` alone, by c."""
+    H = np.diag([0.0, 1.0, 2.0, 3.0])
+    H[0, 1] = H[1, 0] = 0.3 if row else 0.0
+    H[1, 2] = H[2, 1] = 0.5
+    H[3, row] = H[row, 3] = c
+    return H
+
+
+class TestLanczos:
+    """Matrices of at most LEAF rows in stacks of fewer than LOCKSTEP are
+    tridiagonalized by Lanczos from e_0 of their ordered basis."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 27, eigensolver.LEAF])
+    def test_basis_and_tridiagonal(self, n, dtype):
+        stack = np.array([random_hermitian(n, 970 + g) for g in range(3)])
+        assert_lanczos_contracts(stack.real if dtype == np.float64 else stack)
+
+    @pytest.mark.parametrize("name", INVARIANT_STACKS)
+    def test_restarts_on_invariant_subspaces(self, name, restarts):
+        stack = INVARIANT_STACKS[name]()
+        assert_lanczos_contracts(stack)
+        assert sum(restarts) >= len(stack)
+        assert_stack_contracts(stack)
+        assert_one_is_alone(stack[:3])
+
+    def test_diagonal_is_exact(self, restarts):
+        # every w is exactly zero: each step restarts at the next basis
+        # state, so T is the diagonal itself and QL takes no sweep
+        H = np.diag([3.0, -1.0, 2.0, 0.5])
+        A, T, U = lanczos_factors(H[np.newaxis])
+        assert np.array_equal(T, A) and np.array_equal(U[0], np.eye(4))
+        assert sum(restarts) == 3
+        spec = eigendecompose(H, want_vectors=True)
+        assert spec.sweeps == 0 and spec.eigenvalues.tolist() == [-1.0, 0.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("c", [5e-161, 1e-310])
+    def test_tiny_coupling_at_step_zero_is_kept(self, c):
+        # step 0's w is A's first column, exact: a coupling whose square
+        # underflows is normalized in units of its largest entry, so q_1 has
+        # unit norm and T keeps the coupling (scaled by 2**-2) for QL's split
+        H = tiny_coupling(c, 0)
+        A, T, U = lanczos_factors(H[np.newaxis])
+        assert T[0, 1, 0] == A[0, 3, 0] > 0.0
+        assert abs(np.linalg.norm(U[0, :, 1]) - 1.0) <= sys.float_info.epsilon
+        assert_lanczos_contracts(H[np.newaxis])
+        assert_contracts(H)
+        assert_contracts(H + 0j)
+
+    @pytest.mark.parametrize("c", [5e-161, 1e-310])
+    def test_tiny_coupling_later_restarts(self, c, restarts):
+        # at step 1 the same coupling is below the rounding floor: T splits
+        H = tiny_coupling(c, 1)
+        _, T, _ = lanczos_factors(H[np.newaxis])
+        assert sum(restarts) == 1 and np.count_nonzero(np.diag(T[0], -1)) == 2
+        assert_lanczos_contracts(H[np.newaxis])
+        assert_contracts(H)
+
+    @pytest.mark.parametrize("g", [1e-160, 1e-310])
+    def test_blocks_at_tiny_coupling(self, g):
+        # blocks whose hops are far below their diagonal: every step-0
+        # coupling is tiny, and its q_1 must keep unit norm
+        stack = np.array([build_block(ModelParams(3, 2, w, 20.0, g), 4).matrix for w in OMEGAS])
+        assert_lanczos_contracts(stack)
+        assert_stack_contracts(stack)
+        assert_stack_contracts(stack.real)
+        for H, w in zip(stack, eigendecompose(stack).eigenvalues):
+            ref = np.linalg.eigvalsh(H)
+            assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_step_zero_leaves_the_split_to_ql(self, ulps):
+        # the 2 x 2 of TestRootFreeQL.test_deflation_boundary: Lanczos keeps
+        # its coupling whether or not QL's split test drops it
+        boundary = 0.75 * sys.float_info.epsilon
+        e = float(np.nextafter(boundary, np.inf if ulps > 0 else 0.0)) if ulps else boundary
+        _, T, _ = lanczos_factors(np.array([[[0.5, e], [e, 0.25]]]))
+        assert T[0, 1, 0] == e
+
+    def test_calls_no_linalg(self):
+        stacks = [np.array([random_hermitian(n, 980 + n)] * 2) for n in (1, 5, 30)]
+        stacks += [build() for build in INVARIANT_STACKS.values()]
+        with contextlib.ExitStack() as patches:
+            for name in dir(np.linalg):
+                if not name.startswith("_") and inspect.isfunction(getattr(np.linalg, name)):
+                    patches.enter_context(mock.patch.object(
+                        np.linalg, name, side_effect=AssertionError(f"np.linalg.{name} called")))
+            for stack in stacks:
+                eigensolver._lanczos(stack.copy())
