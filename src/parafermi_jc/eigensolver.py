@@ -1,12 +1,8 @@
 """Dense Hermitian eigensolver, for complex Hermitian or real symmetric input.
 
 Self-contained two-stage reduction, no LAPACK eigenroutine involved.  Every
-stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one.
-A matrix of at most LEAF rows, in a stack of fewer than LOCKSTEP matrices, is
-solved in its basis reordered by ascending real diagonal (a stable sort), and
-its eigenvectors' rows are put back in the input's order at the end; larger
-matrices and larger stacks keep the input's order, as the ordering only
-helps QL on the row-by-row schedule stop at a window (see 2.).
+stage takes a (G, d, d) stack of matrices; a single matrix is a stack of one,
+and every matrix is solved in the input's basis.
 
 A real input stays real: the Hermiticity check, both reductions and the
 back-transforms then run in float64 on the same lines, the phases below are
@@ -17,19 +13,21 @@ Each matrix is first scaled by the power of two of its largest entry, and
 its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
 
 1. Each matrix is brought to a real tridiagonal T with a nonnegative
-   off-diagonal.  A matrix solved in its ordered basis is tridiagonalized
-   by Lanczos from q_0 = e_0, its state of lowest diagonal, one pass for the
+   off-diagonal.  A matrix of at most LEAF rows, in a stack of fewer than
+   LOCKSTEP matrices, is tridiagonalized by Lanczos from q_0 = e_s, s its
+   basis state of lowest real diagonal (the first on ties), one pass for the
    whole stack (Golub and Van Loan, 10.3, with complete reorthogonalization):
    each step projects A q_j off every earlier q by two classical
    Gram-Schmidt passes, about a dozen numpy calls, where Householder's stack
    route takes about 38 per column.  A reorthogonalized vector at the
-   rounding level, as where a Krylov space turns invariant, splits T, and a
-   basis state, orthogonalized twice, continues.  The basis Q is kept, so
-   the back-transform is one product Q Z.  From e_0, T's top row is the
-   ordered basis' lowest state, as Householder keeps row 0 in place, which
-   the window stop of 2. relies on.  On the staircase stack (40 real
-   27 x 27 matrices) the reduction and its back-transform take 1.1 ms
-   against 2.1 ms by Householder.  Lanczos lost where Householder stays: its
+   rounding level, as where a Krylov space turns invariant, splits T, and
+   the lowest-diagonal basis state of at most mean weight on that space,
+   orthogonalized twice, continues.  The basis Q is kept, so the
+   back-transform is one product Q Z, already in the input's basis.  From
+   e_s, T's top row is the lowest state, which the window stop of 2. relies
+   on.  On the staircase stack (40 real 27 x 27
+   matrices) the reduction and its back-transform take 1.1 ms against
+   2.1 ms by Householder.  Lanczos lost where Householder stays: its
    BLAS-2 reorthogonalization costs about 6 n**3 flops against 4/3 n**3, and
    on lockstep stacks its restarts left couplings that QL keeps.
    Householder similarity transformations bring every other matrix to
@@ -85,13 +83,14 @@ its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
    window, and of the chain of neighbours closer than CLUSTER_RTOL * ||T||_1
    that continues from the last of them, so no cluster straddles the cut; the
    other shifts are not solved, and their columns are zero.  On the row-by-row
-   schedule the window also stops that leaf's QL, which in the ascending order
-   deflates the low-lying states first (the lockstep computes every level):
+   schedule the window also stops that leaf's QL, which from Lanczos'
+   lowest state deflates the low-lying levels first (the lockstep computes
+   every level):
    once a Sturm count certifies that no undeflated eigenvalue reaches the kept
    chain, QL returns, and every level beyond the chain is +inf.  The finite
    levels are then the kept ones, with the bits of the full solve; on the
    staircase scan's real stack (d = 27, 40 matrices, beta = 1) QL finds 177
-   of the 1,080 eigenvalues, in 414 sweeps instead of 1,904 (413 of 1,904 on
+   of the 1,080 eigenvalues, in 414 sweeps instead of 1,898 (413 of 1,902 on
    the complex blocks).  The pieces of a larger matrix solved with
    eigenvectors are then merged back level by level (Cuppen's
    divide and conquer, as LAPACK's dstedc; module ``divide``, imported on
@@ -104,13 +103,10 @@ its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
    and the merges agree to rounding.
 
 Working set: the input is copied once and, when the caller keeps no
-reference to it, freed (from Python 3.11); for an ordered matrix the copy
-is one gather into the ascending order, through an integer index the size
-of the stack, and the eigenvectors return to the input's order through one
-scatter into a new array.  The lockstep holds its group's diagonals and
-squares, and per sweep a few arrays of the rows it moves.  Lanczos holds
-the stack and its basis Q, of the stack's size, and with eigenvectors
-keeps Q to the back-transform.  The Householder
+reference to it, freed (from Python 3.11).  The lockstep holds its group's
+diagonals and squares, and per sweep a few arrays of the rows it moves.
+Lanczos holds the stack and its basis Q, of the stack's size, and with
+eigenvectors keeps Q to the back-transform.  The Householder
 workspace has 2 * min(PANEL, d - 2) columns, inverse iteration holds its
 factors only through the solves, and the back-transform applies a panel's
 nb x nb factor T to the nb x m product V^H X; the root's eigenvectors reach
@@ -119,11 +115,11 @@ holds the two pieces' vectors, its own, one d x d coefficient matrix, and
 d x d arrays of the secular solver's rows (the roots' distances to the
 poles, and while a level has several equations, their weights), which
 shrink as roots converge.  With eigenvectors the traced peak, input aside,
-is about 4.8 times a complex stack at d = 27, and 3.3 times at d = 256; a
-real stack peaks at 4.3 and 3.1 times the bytes of its complex counterpart.
-The staircase stack (d = 27, 40 matrices) with the window of beta = 1 keeps
-135 of its 1,080 vectors and peaks at 2.3 times the complex stack, or 1.25
-for its real form.
+is about 4.8 times a complex stack at d = 27 (40 matrices), and 3.3 times
+at d = 256; a real stack peaks at 4.3 and 3.05 times the bytes of its
+complex counterpart.  The staircase stack (d = 27, 40 matrices) with the
+window of beta = 1 keeps 135 of its 1,080 vectors and peaks at 2.27 times
+the complex stack, or 1.21 for its real form.
 
 Contracts: eigenvalues ascending, with +inf for the levels a window leaves
 out; when vectors are requested, per-pair residual
@@ -214,8 +210,8 @@ class Spectrum:
     levels, ascending, followed by +inf.
 
     A matrix of at most LEAF rows in a stack of fewer than LOCKSTEP is
-    tridiagonalized by Lanczos in its ordered basis, others by Householder;
-    the sweeps count QL on whichever tridiagonal that gave.
+    tridiagonalized by Lanczos from its state of lowest diagonal, others by
+    Householder; the sweeps count QL on whichever tridiagonal that gave.
     """
 
     eigenvalues: np.ndarray
@@ -433,20 +429,20 @@ def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
 
 
 def _lanczos(A: np.ndarray):
-    """Lanczos tridiagonalization of each matrix of the stack A (G, n, n), from q_0 = e_0.
+    """Lanczos tridiagonalization of each matrix of the stack A (G, n, n),
+    from q_0 = e_s, s its basis state of lowest real diagonal (the first on
+    ties).
 
     Returns (diag, offdiag >= 0, Q) of shapes (G, n), (G, n - 1) and (G, n,
     n), where row j of Q is q_j, so that Q^T takes the tridiagonal's
     eigenvectors back to A's.  Golub and Van Loan's Lanczos with complete
     reorthogonalization: A q_j is projected off every q_i, i <= j, by two
     classical Gram-Schmidt passes, the first of which gives alpha_j, and
-    beta_j is the norm of what is left, w.  At step 0, q_0 = e_0, so w is
-    A's first column below its top, exact: only a zero one splits T, and a
-    small one is normalized in units of its largest entry.  At a later step
-    a w of norm at most ROUNDING * n * eps is rounding: T splits there
-    (beta_j = 0), and q_j+1 is the first basis state whose weight
-    sum_i |q_i[k]|**2 is at most the mean, j / n, orthogonalized against
-    q_0..q_j twice.
+    beta_j is the norm of what is left, w.  At step 0 w is A's column s off
+    its diagonal, exact: only a zero one splits T, and a small one is
+    normalized in units of its largest entry.  At a later step a w of norm
+    at most ROUNDING * n * eps is rounding: T splits there (beta_j = 0), and
+    _restart gives q_j+1.
     """
     G, n = A.shape[:2]
     d = np.zeros((G, n))
@@ -454,11 +450,13 @@ def _lanczos(A: np.ndarray):
     Q = np.zeros_like(A)
     if n == 0:
         return d, e, Q
-    Q[:, 0, 0] = 1.0
+    diag = A.diagonal(axis1=1, axis2=2).real
+    matrices, s = np.arange(G), np.argmin(diag, axis=1)
+    Q[matrices, 0, s] = 1.0
     floor = ROUNDING * n * sys.float_info.epsilon
-    w = A[:, :, 0].copy()
-    d[:, 0] = w[:, 0].real
-    w[:, 0] = 0.0
+    w = A[matrices, :, s]
+    d[:, 0] = w[matrices, s].real
+    w[matrices, s] = 0.0
     for j in range(1, n):
         beta = np.sqrt(np.einsum("gi,gi->g", w.conj(), w).real)
         q = Q[:, j]
@@ -471,7 +469,7 @@ def _lanczos(A: np.ndarray):
                 low = low[beta[low] == 0.0]
             beta[low] = 0.0
             if low.size:
-                q[low] = _restart(Q[low, :j])
+                q[low] = _restart(Q[low, :j], diag[low])
         else:
             np.divide(w, beta[:, np.newaxis], out=q)
         e[:, j - 1] = beta
@@ -502,13 +500,16 @@ def _normalize(w: np.ndarray):
     return peak * size, parts.view(w.dtype)
 
 
-def _restart(Q: np.ndarray) -> np.ndarray:
+def _restart(Q: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """The unit vector that continues Lanczos on each matrix of a stack whose
-    q_0..q_j-1 are the rows of Q (S, j, n): the first basis state whose weight
-    sum_i |q_i[k]|**2 is at most j / n, orthogonalized against them twice."""
+    q_0..q_j-1 are the rows of Q (S, j, n) and whose real diagonal is diag
+    (S, n): of the basis states whose weight sum_i |q_i[k]|**2 is at most
+    j / n, the one of lowest diagonal (the first on ties), orthogonalized
+    against them twice."""
     S, j, n = Q.shape
+    weight = np.einsum("sik,sik->sk", Q.conj(), Q).real
     v = np.zeros((S, n), dtype=Q.dtype)
-    v[np.arange(S), np.argmax(np.einsum("sik,sik->sk", Q.conj(), Q).real <= j / n, axis=1)] = 1.0
+    v[np.arange(S), np.argmin(np.where(weight <= j / n, diag, np.inf), axis=1)] = 1.0
     for _ in range(2):
         v -= _vh(_mv(Q, v.conj()), Q)
     return _normalize(v)[1]
@@ -943,8 +944,8 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, basis, window: Optional[np.
     negligible off-diagonals are zero, the eigenvectors (G, n, n) of the
     matrices they came from when basis is not None (else None), and the QL
     sweeps.  basis is Lanczos' Q (G, n, n), whose rows q_j the eigenvectors
-    of a one-leaf solve in the ordered basis are taken back through, one
-    product Q^T Z; or Householder's reflectors, applied by _back_transform.
+    of a one-leaf solve are taken back through, one product Q^T Z; or
+    Householder's reflectors, applied by _back_transform.
     d is overwritten.  Given a window (G,), scaled as the
     eigenvalues are, a single leaf solves only _window_counts' vectors, its
     chains taken within CLUSTER_RTOL * norm (G,), ||T||_1 before the split:
@@ -1032,11 +1033,11 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     reaches the other eigenvalues: each eigenvalue it leaves out is +inf,
     after the kept ones, which have the bits of a solve without a window.
 
-    Those matrices, solved in the ordered basis, are tridiagonalized by
-    Lanczos from its first state, so T's top row is the state of lowest
-    diagonal, where QL deflates first and the window stops it; the others by
-    Householder, which is faster above LEAF rows and leaves no restart's
-    rounding couplings for the lockstep to sweep through.
+    A matrix of at most LEAF rows in a stack of fewer than LOCKSTEP is
+    tridiagonalized by Lanczos from its state of lowest diagonal, so T's top
+    row is that state, where QL deflates first and the window stops it;
+    others by Householder, which is faster above LEAF rows and leaves no
+    restart's rounding couplings for the lockstep to sweep through.
 
     Raises ParameterError for non-square, non-finite or non-Hermitian input
     or a window that is not >= 0, NumericalError if the tridiagonal stage or
@@ -1052,17 +1053,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     if single:
         A = A[np.newaxis]
     G, n = A.shape[:2]
-    # the working copy; a matrix solved as one leaf has its basis in ascending
-    # order of its diagonal, so the tridiagonal's top holds the low-lying
-    # states, which QL deflates first, and a windowed solve stops sooner
-    order = None
-    if n <= LEAF and G < LOCKSTEP:
-        order = np.argsort(A.diagonal(axis1=-2, axis2=-1).real, axis=-1, kind="stable")
-        # one flat gather: entry (i, j) of matrix g is A[g, order[g, i], order[g, j]]
-        rows = order * n + n * n * np.arange(G)[:, np.newaxis]
-        work = A.reshape(-1).take(rows[:, :, np.newaxis] + order[:, np.newaxis, :])
-    else:
-        work = A.copy()
+    work = A.copy()
     del A  # an input that the caller does not keep is freed here (Python 3.11+)
     # scale each matrix by the power of two of its largest entry, as LAPACK's
     # zheev does for extreme ones, so the reductions' norms neither overflow
@@ -1072,7 +1063,7 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     exponent = np.frexp(peak.reshape(G))[1]
     parts = work.view(np.float64)
     np.ldexp(parts, -exponent[:, np.newaxis, np.newaxis], out=parts)
-    if order is not None:
+    if n <= LEAF and G < LOCKSTEP:
         d, e, basis = _lanczos(work)
         route = "Lanczos"
         basis = basis if want_vectors else None
@@ -1111,11 +1102,6 @@ def eigendecompose(H: np.ndarray, want_vectors: bool = False, *,
     if bad.size:
         raise NumericalError(f"eigenvalues of a {n}x{n} matrix exceed the float range",
                              index=int(bad[0]))
-    if vectors is not None and order is not None:
-        # back from the ordered basis: row i of a matrix's vectors is its basis state order[i]
-        unordered = np.empty_like(vectors)
-        unordered[np.arange(G)[:, np.newaxis], order] = vectors
-        vectors = unordered
     if single:
         values = values[0]
         vectors = None if vectors is None else vectors[0]

@@ -749,8 +749,9 @@ class TestPanels:
     def test_subnormal_x0_on_both_routes(self):
         # column 0's x0 is 1e-310 / 8 once scaled by the power of two of the
         # largest entry, beside O(1) entries, and the basis is already in
-        # ascending order of the diagonal: the phase x0 / |x0| is taken part
-        # by part on both routes, and the two routes' eigenvalues agree
+        # ascending order of the diagonal, so Lanczos starts at row 0 as well:
+        # the phase x0 / |x0| is taken part by part on both routes, and the
+        # two routes' eigenvalues agree
         n = 12
         H = random_hermitian(n, 70) + np.diag(10.0 * np.arange(n))
         H[1, 0] = 1e-310 * (1.0 + 1.0j)
@@ -889,8 +890,9 @@ STAIRCASE_WINDOW = 60.0 * math.log(2.0)
 def window_count(H, window):
     """The solver's count of kept vectors, from LAPACK's eigenvalues: those up
     to the smallest plus window, then each next one within CLUSTER_RTOL *
-    ||T||_1 of the last one kept, T the tridiagonal of H in ascending order of
-    its diagonal, as the solver orders it."""
+    ||T||_1 of the last one kept, T Householder's tridiagonal of H in
+    ascending order of its diagonal, which by the implicit-Q theorem is the
+    solver's Lanczos T from H's state of lowest diagonal."""
     w = np.linalg.eigvalsh(H)
     order = np.argsort(H.diagonal().real, kind="stable")
     d, e, _ = _tridiagonalize(np.array(H[np.ix_(order, order)], dtype=complex), False)
@@ -952,10 +954,11 @@ class TestWindow:
         assert (counts.min(), counts.max(), counts.sum()) == (1, 9, 135)
 
     def test_staircase_stops_early(self, monkeypatch):
-        # with each basis in ascending order of its diagonal, QL reaches the
-        # low-lying levels first and stops after 177 of the 1,080 eigenvalues,
-        # in 413 of the full solve's 1,904 sweeps (1,906 on Householder's
-        # tridiagonals); unordered, it would stop after 808 in 1,430
+        # with each tridiagonal's top at its matrix's state of lowest
+        # diagonal, QL reaches the low-lying levels first and stops after 177
+        # of the 1,080 eigenvalues, in 413 of the full solve's 1,902 sweeps
+        # (1,906 on Householder's tridiagonals of the ascending-diagonal
+        # basis); from each row 0, it would stop after 808 in 1,430
         computed = []
         ql = eigensolver._ql_implicit_shift
 
@@ -970,7 +973,7 @@ class TestWindow:
         assert np.count_nonzero(np.isfinite(spec.eigenvalues)) == 135
         computed.clear()
         full = eigendecompose(staircase_stack(), want_vectors=True)
-        assert (sum(computed), full.sweeps) == (1080, 1904)
+        assert (sum(computed), full.sweeps) == (1080, 1902)
 
     def test_kept_vectors_are_the_full_solves(self):
         # the back-transform of fewer columns rounds differently, by about eps
@@ -1235,11 +1238,13 @@ class TestLockstep:
             eigendecompose(stack, want_vectors=True)
         assert spy.call_count == 1 and caught.value.index == 41
 
-    def test_skips_the_ordering(self):
-        # the ordering only helps a windowed scalar QL stop early: a lockstep
-        # stack is solved in the input's basis, one below the threshold ordered
-        # (the tridiagonal's top is the first basis state's diagonal entry, scaled)
+    def test_only_lanczos_starts_at_the_lowest_state(self):
+        # below the threshold Lanczos starts from the state of lowest
+        # diagonal, which helps a windowed scalar QL stop early; a lockstep
+        # stack takes Householder, whose tridiagonal starts at row 0's entry
+        # (each top scaled by powers of two, which keep the mantissa)
         H = np.diag([3.0, 1.0, 2.0]) + 0.1 * random_hermitian(3, 880)
+        assert np.argmin(H.diagonal().real) == 1
         tridiagonal_tops = []
         solve = eigensolver._solve_tridiagonal
 
@@ -1250,8 +1255,9 @@ class TestLockstep:
         with mock.patch.object(eigensolver, "_solve_tridiagonal", recorded):
             for count in (eigensolver.LOCKSTEP - 1, eigensolver.LOCKSTEP):
                 eigendecompose(np.array([H] * count))
-        ordered, unordered = tridiagonal_tops
-        assert unordered > 2.0 * ordered > 0.0
+        lanczos, householder = tridiagonal_tops
+        assert math.frexp(lanczos)[0] == math.frexp(H[1, 1].real)[0]
+        assert math.frexp(householder)[0] == math.frexp(H[0, 0].real)[0]
 
 
 @given(windowed_stacks(st.integers(1, 16),
@@ -1340,7 +1346,7 @@ class TestDivideAndConquer:
         # ulp.  The 64 rows take Householder, and each half, LEAF rows, takes
         # Lanczos; either keeps a real tridiagonal's bits (Lanczos' complex
         # products round some entries by an ulp).  Each half's diagonal
-        # ascends, so solved alone it is not reordered
+        # ascends, so solved alone its Lanczos starts at row 0, as Householder
         rng = np.random.default_rng(69)
         d = np.concatenate([np.sort(rng.uniform(-1.0, 1.0, 32)), np.sort(rng.uniform(1.0, 3.0, 32))])
         d[31] = d[32] = 1.0
@@ -1390,8 +1396,9 @@ class TestDivideAndConquer:
         # solve takes the sweeps of the two blocks solved alone; so does the
         # values-only solve, whose one QL ends a block at the zero coupling
         H = block_diagonal((32, 32), 63)
-        # each block's basis in ascending order of its diagonal, as a solve of
-        # the block alone orders it; the tree keeps the input's order
+        # each block's basis in ascending order of its diagonal, so that
+        # Householder on the whole starts each block at its lowest state, as
+        # Lanczos does on the block alone
         order = np.concatenate([np.argsort(H.diagonal()[:32].real),
                                 32 + np.argsort(H.diagonal()[32:].real)])
         H = H[np.ix_(order, order)]
@@ -1716,9 +1723,9 @@ def restarts(monkeypatch):
     counted = []
     restart = eigensolver._restart
 
-    def counting(Q):
+    def counting(Q, diag):
         counted.append(len(Q))
-        return restart(Q)
+        return restart(Q, diag)
 
     monkeypatch.setattr(eigensolver, "_restart", counting)
     return counted
@@ -1732,14 +1739,14 @@ def diagonal_stack():
 
 
 def zero_coupling_stack():
-    # two random blocks that the ascending order interleaves: the first
-    # block's Krylov space is invariant, its w rounding inside the block
-    # and exactly zero outside
+    # two random blocks, each with states at both diagonal levels: the
+    # Krylov space from the lowest state is invariant in that state's block,
+    # its w rounding inside the block and exactly zero outside
     return np.array([block_diagonal((6, 6), seed).real + np.diag(np.arange(12) % 2 * 40.0)
                      for seed in (990, 992)])
 
 
-#: Stacks whose Krylov spaces from e_0 turn invariant before they span the basis.
+#: Stacks whose Krylov spaces from the lowest state turn invariant before they span the basis.
 INVARIANT_STACKS = {
     "f2_k3": lambda: np.array([build_block(ModelParams(2, 3, w, 20.0, 1.0), 6).matrix
                                for w in OMEGAS]),
@@ -1763,7 +1770,7 @@ def tiny_coupling(c, row):
 
 class TestLanczos:
     """Matrices of at most LEAF rows in stacks of fewer than LOCKSTEP are
-    tridiagonalized by Lanczos from e_0 of their ordered basis."""
+    tridiagonalized by Lanczos from their basis state of lowest diagonal."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 27, eigensolver.LEAF])
@@ -1780,20 +1787,25 @@ class TestLanczos:
         assert_one_is_alone(stack[:3])
 
     def test_diagonal_is_exact(self, restarts):
-        # every w is exactly zero: each step restarts at the next basis
-        # state, so T is the diagonal itself and QL takes no sweep
-        H = np.diag([3.0, -1.0, 2.0, 0.5])
+        # every w is exactly zero: each step restarts at the unvisited basis
+        # state of lowest diagonal, the first of the two at 2.0, so T is the
+        # sorted diagonal, U the permutation that sorts it, and QL takes no
+        # sweep
+        H = np.diag([3.0, -1.0, 2.0, 0.5, 2.0])
+        order = [1, 3, 2, 4, 0]
         A, T, U = lanczos_factors(H[np.newaxis])
-        assert np.array_equal(T, A) and np.array_equal(U[0], np.eye(4))
-        assert sum(restarts) == 3
+        assert np.array_equal(T[0], A[0][np.ix_(order, order)])
+        assert np.array_equal(U[0], np.eye(5)[:, order])
+        assert sum(restarts) == 4
         spec = eigendecompose(H, want_vectors=True)
-        assert spec.sweeps == 0 and spec.eigenvalues.tolist() == [-1.0, 0.5, 2.0, 3.0]
+        assert spec.sweeps == 0 and spec.eigenvalues.tolist() == [-1.0, 0.5, 2.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("c", [5e-161, 1e-310])
     def test_tiny_coupling_at_step_zero_is_kept(self, c):
-        # step 0's w is A's first column, exact: a coupling whose square
-        # underflows is normalized in units of its largest entry, so q_1 has
-        # unit norm and T keeps the coupling (scaled by 2**-2) for QL's split
+        # step 0's w is the column of A's lowest state, row 0 here, exact: a
+        # coupling whose square underflows is normalized in units of its
+        # largest entry, so q_1 has unit norm and T keeps the coupling (scaled
+        # by 2**-2) for QL's split
         H = tiny_coupling(c, 0)
         A, T, U = lanczos_factors(H[np.newaxis])
         assert T[0, 1, 0] == A[0, 3, 0] > 0.0

@@ -399,8 +399,9 @@ STAIRCASE_GRID = np.logspace(math.log10(0.2), math.log10(2000.0), 40)
 
 #: Traced peak of a one-stack scan over the bytes of its stack as a complex
 #: (G, d, d) one.  The 40-point dim-27 staircase grid, solved in its real
-#: form, measures 1.56 (numpy 2.4, Python 3.11; 2.03 by Householder), and
-#: 4.33 with every eigenvector solved; solved complex by Householder it read
+#: form, measures 1.23 (numpy 2.4, Python 3.11; 1.56 with the basis
+#: reordered by its diagonal, 2.03 by Householder), and 4.31 with every
+#: eigenvector solved (beta = 1e-300); solved complex by Householder it read
 #: 3.94 and 5.48, and before the eigensolver's working set was trimmed 7.2.
 PEAK_PER_STACK = 6.0
 
