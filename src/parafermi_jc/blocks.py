@@ -26,6 +26,16 @@ for bit those of a loop over the states and their hops (the tests keep one
 as the reference), and phi is evaluated at that loop's arguments in its
 order, phi(n) first, so a failure names the same x.  The index arrays of the
 last 64 (F, k, n) are cached.
+
+Every solve is of a block's real form.  Reversing the order of the modes,
+conjugating and multiplying state P by q^e2(P), e2(P) = sum_{s<t} i_s i_t,
+is an antiunitary symmetry of every block whose square is 1, so each block
+is real symmetric in a basis that the symmetry fixes (Dyson's threefold
+way), with the same diagonal and the same diagonal operators N, W and
+phi(N).  _real_form takes it there by a few block-wise passes over the
+block's matrix, and refuses a matrix that breaks the symmetry; a matrix
+whose imaginary part is negligible against its largest entry is taken as
+its real part.  The solver then works in float64 alone.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .algebra import (
     weight,
 )
 from .deformations import Deformation, evaluate
-from .eigensolver import _require_hermitian
+from .eigensolver import HERMITICITY_RTOL, _require_hermitian
 from .errors import NumericalError, ParameterError
 
 #: The most rows a block may have: a 256 MiB complex matrix, whose solve with
@@ -94,7 +104,7 @@ class BlockHamiltonian:
 
     The block keeps a read-only complex copy of the matrix it is given, so no
     view of the caller's array can change it once checked; its real form
-    (module ``thermo``) and the solver check it again all the same, as numpy
+    (``_real_form``) and the solver check it again all the same, as numpy
     lets any caller make it writeable.
     """
 
@@ -242,6 +252,83 @@ def build_higher_spin_block(params: ModelParams, n: int) -> BlockHamiltonian:
     """
     return _assemble(params, n, lambda hops: np.array(
         [math.sqrt(i * (params.F - i)) for i in range(min(params.F, hops.top + 1))])[hops.occ])
+
+
+def _real_form(block: BlockHamiltonian, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(R, ops): the block's matrix as a real symmetric one, and the diagonal
+    operators N = n - W, W and phi(n - W) of R's rows as the columns of a
+    (dim, 3) array.
+
+    Raises ParameterError if the block's basis is not that of params' (F, k)
+    at its n, naming the (F, k) that its basis reads as: the largest
+    occupation plus one for F, or F > n when every F above n has that basis.
+
+    R is the matrix's real part, in the block's order, when its imaginary
+    part is at most HERMITICITY_RTOL * max|H|: spin blocks and k = 1 chains
+    have none, and F = 2 blocks only the rounding of their phases +-1.
+    Otherwise R is in the basis that the mode-reversal symmetry fixes: e_P
+    for each palindrome P; then (e_P + e_pi P) / sqrt(2) for each other pair
+    (P, pi P), pi the reversal and P the lower row; then i (e_P - e_pi P) /
+    sqrt(2) for each pair.  Both vectors of a pair have P's weight, so their
+    operators are P's.
+
+    With c_P = q^(e2(P) / 2), the same for P and pi P, G = C* H C has
+    G[pi P, pi Q] = conj(G[P, Q]).  R is taken from the rows of the
+    palindromes and of the pairs' lower states, by a few block-wise passes;
+    what that drops is at most the largest defect
+    |G[pi P, pi Q] - conj(G[P, Q])|, and a defect above HERMITICITY_RTOL *
+    max(1, max|H|) raises ParameterError naming the reversal symmetry and
+    (F, k, n), or the eigensolver's "not Hermitian" when H is not Hermitian.
+    No hop joins P and pi P, so the diagonal is H's, bit for bit.
+    """
+    hops = _hops(params.F, params.k, block.n)
+    if hops.basis != tuple(block.basis):
+        k = len(block.basis[0]) if block.basis else 0
+        top = max((i for state in block.basis for i in state), default=0)
+        F = f"F={top + 1}" if top < block.n else f"F>{block.n}"
+        raise ParameterError(f"params (F={params.F}, k={params.k}) do not fit block n={block.n}, "
+                             f"whose basis reads as ({F}, k={k})")
+    W = hops.weights
+    phi = _structure_values(params.deformation, block.n, hops.top)
+    ops = np.column_stack([block.n - W, W, phi[W]])
+    H = block.matrix
+    scale = np.abs(H).max(initial=0.0)  # inf only for an edited matrix, which takes the gauge
+    if np.abs(H.imag).max(initial=0.0) <= HERMITICITY_RTOL * scale < math.inf:
+        return H.real.copy(), ops
+    rows = np.arange(block.dim)
+    pairs = np.flatnonzero(rows < hops.mirror)
+    order = np.concatenate([np.flatnonzero(rows == hops.mirror), pairs, hops.mirror[pairs]])
+    d, m = block.dim, pairs.size
+    P, A, B = slice(0, d - 2 * m), slice(d - 2 * m, d - m), slice(d - m, d)
+    table = np.array([root_of_unity_power(2 * params.F, e) for e in range(2 * params.F)])
+    c = table[hops.e2[order] % (2 * params.F)]
+    G = H[np.ix_(order, order)]
+    G *= c.conj()[:, np.newaxis]
+    G *= c
+    G.reshape(-1)[::d + 1] = H.diagonal()[order]  # c* c, exactly 1
+    Gr, Gi = G.real, G.imag
+    R = np.empty((d, d))
+    root2 = math.sqrt(2.0)
+    where = f"block (F={params.F}, k={params.k}, n={block.n})"
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        R[P, P] = Gr[P, P]
+        np.multiply(Gr[P, A], root2, out=R[P, A])
+        np.multiply(Gi[P, A], -root2, out=R[P, B])
+        np.multiply(Gr[A, P], root2, out=R[A, P])
+        np.multiply(Gi[A, P], root2, out=R[B, P])
+        np.add(Gr[A, A], Gr[A, B], out=R[A, A])
+        np.subtract(Gi[A, B], Gi[A, A], out=R[A, B])
+        np.add(Gi[A, A], Gi[A, B], out=R[B, A])
+        np.subtract(Gr[A, A], Gr[A, B], out=R[B, B])
+        defect = max(np.abs(Gi[P, P]).max(initial=0.0),
+                     *(np.abs(G[X, Y] - G[U, V].conj()).max(initial=0.0)
+                       for X, Y, U, V in ((P, B, P, A), (B, P, A, P), (B, B, A, A), (B, A, A, B))))
+    if not defect <= HERMITICITY_RTOL * np.maximum(1.0, scale):
+        _require_hermitian(H)
+        raise ParameterError(f"matrix breaks the mode-reversal symmetry of {where} by {defect:.3e}")
+    if not np.isfinite(R).all():  # entries of up to twice max|H|
+        raise NumericalError(f"the real form of {where} leaves the float range")
+    return R, ops[order]
 
 
 def build_full_truncated(

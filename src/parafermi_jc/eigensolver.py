@@ -7,7 +7,7 @@ and every matrix is solved in the input's basis.
 A real input stays real: the Hermiticity check, both reductions and the
 back-transforms then run in float64 on the same lines, the phases below are
 signs, and the eigenvectors are real.  The package's blocks reach the solver
-in their real form (module ``thermo``): at d = 256, Householder then takes
+in their real form (module ``blocks``): at d = 256, Householder then takes
 about two thirds of its complex time, and the back-transform under half.
 Each matrix is first scaled by the power of two of its largest entry, and
 its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.

@@ -17,16 +17,9 @@ sums run over the levels and kept columns it returns, so the states left
 out move Z by at most d * 2**-60 relative, and an average <O> over d states
 by at most d * 2**-60 * max|O|.
 
-Every solve is of a block's real form.  Reversing the order of the modes,
-conjugating and multiplying state P by q^e2(P), e2(P) = sum_{s<t} i_s i_t,
-is an antiunitary symmetry of every block whose square is 1, so each block
-is real symmetric in a basis that the symmetry fixes (Dyson's threefold
-way), with the same diagonal and the same diagonal operators N, W and
-phi(N).  _real_form takes it there by a few block-wise passes over the
-block's matrix, once per scan and once per thermo_from_block, and refuses a
-matrix that breaks the symmetry; a matrix whose imaginary part is
-negligible is taken as its real part.  The solver then works in float64
-alone.
+Every solve is of a block's real form (module ``blocks``), taken once per
+scan and once per thermo_from_block, with its diagonal operators in its
+order.
 
 One scan solves every stack: for the real form H of an assembled block and
 a diagonal operator op, it solves H + x * diag(op) at each point x of a
@@ -62,13 +55,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import eigensolver
-from .algebra import root_of_unity_power
-from .blocks import BlockHamiltonian, ModelParams, _hops, _structure_values, build_block
+from .blocks import BlockHamiltonian, ModelParams, _real_form, build_block
 from .eigensolver import Spectrum
 from .errors import NumericalError, ParameterError
 
@@ -148,107 +140,10 @@ class PlateauReport:
     crossover_points: tuple[float, ...]
 
 
-def _diagonal_operators(block: BlockHamiltonian, params: ModelParams) -> np.ndarray:
-    """The diagonal operators N = n - W, W and phi(n - W) as the columns of a (dim, 3) array.
-
-    Raises ParameterError if the block's basis is not that of params' (F, k)
-    at its n, naming the (F, k) that its basis reads as: the largest
-    occupation plus one for F, or F > n when every F above n has that basis.
-    """
-    hops = _hops(params.F, params.k, block.n)
-    if hops.basis != tuple(block.basis):
-        k = len(block.basis[0]) if block.basis else 0
-        top = max(itertools.chain.from_iterable(block.basis), default=0)
-        F = f"F={top + 1}" if top < block.n else f"F>{block.n}"
-        raise ParameterError(f"params (F={params.F}, k={params.k}) do not fit block n={block.n}, "
-                             f"whose basis reads as ({F}, k={k})")
-    W = hops.weights
-    phi = _structure_values(params.deformation, block.n, hops.top)
-    return np.column_stack([block.n - W, W, phi[W]])
-
-
-def _real_basis(block: BlockHamiltonian,
-                params: ModelParams) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """(order, ops): the block's state behind each row of its real form, and
-    the diagonal operators of _diagonal_operators in that order.  Order is
-    None for a matrix whose imaginary part is at most HERMITICITY_RTOL, so
-    within HERMITICITY_RTOL * max(1, max|H|): its real form is its real part.
-    Spin blocks and k = 1 chains have no imaginary part, and F = 2 blocks
-    only the rounding of their phases +-1 at couplings of order 1.
-
-    The real basis, which the mode-reversal symmetry fixes: e_P for each
-    palindrome P; then (e_P + e_pi P) / sqrt(2) for each other pair
-    (P, pi P), pi the reversal and P the lower row; then i (e_P - e_pi P) /
-    sqrt(2) for each pair.  Both vectors of a pair have P's weight, so their
-    operators are P's.
-    """
-    ops = _diagonal_operators(block, params)
-    if np.abs(block.matrix.imag).max(initial=0.0) <= eigensolver.HERMITICITY_RTOL:
-        return None, ops
-    mirror = _hops(params.F, params.k, block.n).mirror
-    rows = np.arange(block.dim)
-    pairs = np.flatnonzero(rows < mirror)
-    order = np.concatenate([np.flatnonzero(rows == mirror), pairs, mirror[pairs]])
-    return order, ops[order]
-
-
-def _real_form(block: BlockHamiltonian, params: ModelParams,
-               order: Optional[np.ndarray]) -> np.ndarray:
-    """The block's matrix as a real symmetric one, in _real_basis' basis of
-    rows order (its real part, in the block's order, when order is None).
-
-    With c_P = q^(e2(P) / 2), the same for P and pi P, G = C* H C has
-    G[pi P, pi Q] = conj(G[P, Q]).  The real form is taken from the rows of
-    the palindromes and of the pairs' lower states, by a few block-wise
-    passes; what that drops is at most the largest defect
-    |G[pi P, pi Q] - conj(G[P, Q])|, and a defect above HERMITICITY_RTOL *
-    max(1, max|H|) raises ParameterError naming the reversal symmetry and
-    (F, k, n), or the eigensolver's "not Hermitian" when H is not Hermitian.
-    No hop joins P and pi P, so the diagonal is H's, bit for bit.
-    """
-    H = block.matrix
-    if order is None:
-        return H.real.copy()
-    hops = _hops(params.F, params.k, block.n)
-    d, m = block.dim, np.count_nonzero(np.arange(block.dim) < hops.mirror)
-    P, A, B = slice(0, d - 2 * m), slice(d - 2 * m, d - m), slice(d - m, d)
-    table = np.array([root_of_unity_power(2 * params.F, e) for e in range(2 * params.F)])
-    c = table[hops.e2[order] % (2 * params.F)]
-    G = H[np.ix_(order, order)]
-    G *= c.conj()[:, np.newaxis]
-    G *= c
-    G.reshape(-1)[::d + 1] = H.diagonal()[order]  # c* c, exactly 1
-    Gr, Gi = G.real, G.imag
-    R = np.empty((d, d))
-    root2 = math.sqrt(2.0)
-    where = f"block (F={params.F}, k={params.k}, n={block.n})"
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        R[P, P] = Gr[P, P]
-        np.multiply(Gr[P, A], root2, out=R[P, A])
-        np.multiply(Gi[P, A], -root2, out=R[P, B])
-        np.multiply(Gr[A, P], root2, out=R[A, P])
-        np.multiply(Gi[A, P], root2, out=R[B, P])
-        np.add(Gr[A, A], Gr[A, B], out=R[A, A])
-        np.subtract(Gi[A, B], Gi[A, A], out=R[A, B])
-        np.add(Gi[A, A], Gi[A, B], out=R[B, A])
-        np.subtract(Gr[A, A], Gr[A, B], out=R[B, B])
-        defect = max(np.abs(Gi[P, P]).max(initial=0.0),
-                     *(np.abs(G[X, Y] - G[U, V].conj()).max(initial=0.0)
-                       for X, Y, U, V in ((P, B, P, A), (B, P, A, P), (B, B, A, A), (B, A, A, B))))
-    if not defect <= eigensolver.HERMITICITY_RTOL * np.abs(H).max(initial=1.0):
-        eigensolver._require_hermitian(H)
-        raise ParameterError(f"matrix breaks the mode-reversal symmetry of {where} by {defect:.3e}")
-    if not np.isfinite(R).all():  # entries of up to twice max|H|
-        raise NumericalError(f"the real form of {where} leaves the float range")
-    return R
-
-
 def _real_block(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The real form of block n of params and its diagonal operators in the
     form's order; the complex block is not kept."""
-    block = build_block(params, n)
-    order, ops = _real_basis(block, params)
-    return _real_form(block, params, order), ops
+    return _real_form(build_block(params, n), params)
 
 
 def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta: float,
@@ -301,9 +196,10 @@ def thermo_from_block(block: BlockHamiltonian, params: ModelParams) -> ThermoObs
     refused.  Raises ParameterError if params' (F, k) does not give the
     block's basis, or if the matrix breaks the mode-reversal symmetry.
     """
-    order, ops = _real_basis(block, params)
-    # the real form is passed on unnamed, so the solver can free it once copied
-    spectrum = eigensolver.eigendecompose(_real_form(block, params, order), True,
+    form = list(_real_form(block, params))
+    ops = form.pop()
+    # the real form is passed on unreferenced, so the solver can free it once copied
+    spectrum = eigensolver.eigendecompose(form.pop(), True,
                                           window=-math.log(NEGLIGIBLE_WEIGHT) / params.beta)
     return _observables(spectrum.eigenvalues[np.newaxis], spectrum.eigenvectors[np.newaxis],
                         ops, params.beta, block.n)[0]

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .blocks import ModelParams, build_block, build_full_truncated, build_higher_spin_block
+from .blocks import (
+    ModelParams,
+    _real_form,
+    build_block,
+    build_full_truncated,
+    build_higher_spin_block,
+)
 from .deformations import Deformation
 from .eigensolver import eigendecompose
 from .errors import ParameterError
@@ -30,8 +36,6 @@ from .exact import (
     semiclassical_z_f2_closed_form,
 )
 from .thermo import (
-    _real_basis,
-    _real_form,
     log_sum_exp,
     n_via_mu_derivative,
     phi_n_via_omega_derivative,
@@ -210,9 +214,9 @@ def reversal_symmetry() -> CheckResult:
     symmetry: for F = 2..5, k = 1..4 with F^k <= 256, at n = k(F - 1) - 1
     and k(F - 1) + 1, the deformations taken in turn, the block's real form
     is built, which checks that the symmetry holds within HERMITICITY_RTOL *
-    max(1, max|H|) (or that the imaginary part is negligible), and its
-    eigenvalues, by the package solver, match the complex block's within
-    1e-12 * max(1, max|lambda|).  A failure names its case."""
+    max(1, max|H|) (or that the imaginary part is negligible against
+    max|H|), and its eigenvalues, by the package solver, match the complex
+    block's within 1e-12 * max(1, max|lambda|).  A failure names its case."""
     deformations = (Deformation.undeformed(), Deformation.q_exp(0.3), Deformation.linear(0.7))
     cases = [(F, k, n) for F in range(2, 6) for k in range(1, 5) if F ** k <= 256
              for n in (k * (F - 1) - 1, k * (F - 1) + 1)]
@@ -223,7 +227,7 @@ def reversal_symmetry() -> CheckResult:
         case = f"F={F}, k={k}, n={n}, {phi.kind}"
         block = build_block(params, n)
         try:
-            real = _real_form(block, params, _real_basis(block, params)[0])
+            real, _ = _real_form(block, params)
         except ParameterError as exc:
             failures.append(f"{case}: {exc}")
             continue

@@ -752,9 +752,15 @@ class TestVerify:
 
     def test_wrong_reversal_gauge_is_caught(self, monkeypatch):
         # the conjugate gauge q^(-e2 / 2) leaves the blocks of F >= 3 and k >= 2
-        # complex; every such case fails by name
-        good = thermo.root_of_unity_power
-        monkeypatch.setattr(thermo, "root_of_unity_power", lambda F, e: good(F, -e))
+        # complex; every such case fails by name.  Only e2 is negated: patching
+        # the roots of unity would conjugate the block's own phases too
+        good = blocks._hops
+
+        def conjugate_gauge(F, k, n):
+            hops = good(F, k, n)
+            return hops._replace(e2=-hops.e2)
+
+        monkeypatch.setattr(blocks, "_hops", conjugate_gauge)
         check = verify.reversal_symmetry()
         assert not check.passed
         assert check.detail.startswith("F=3, k=2, n=3, qexp: matrix breaks the mode-reversal "

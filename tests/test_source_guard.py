@@ -1,8 +1,8 @@
 """Static guards: the library solves its own eigenproblems and runs serially,
-the solver's products take no operand reversed after conj(), every public
-name has a caller outside the tests, every module-level function and class
-is referenced, and no two modules import each other, directly or around a
-ring.  One run-time guard patches numpy's eigenroutines to raise and runs
+the solver's products take no operand reversed after conj(), only the blocks
+module reads a block's hop arrays, every public name has a caller outside
+the tests, every module-level function and class is referenced, and no two
+modules import each other, directly or around a ring.  One run-time guard patches numpy's eigenroutines to raise and runs
 every solver route and the commands built on them.
 
 LAPACK eigenroutines and polynomial root finders (which call them) belong to
@@ -136,6 +136,18 @@ def test_no_solve_reaches_a_lapack_eigenroutine(monkeypatch, capsys):
     assert len(omega_scan(params, 4, [0.5, 1.0])) == len(log_partition_scan(params, 4, [0.5, 1.0])) == 2
     assert main(["spectrum", "--F", "2", "--k", "2", "--n", "3"]) == 0
     assert capsys.readouterr().out
+
+
+HOP_ARRAYS = re.compile(r"\b(_hops|_Hops|_structure_values)\b")
+
+
+def test_hop_arrays_stay_in_blocks():
+    # a block's index arrays are the blocks module's own: the rest of the
+    # package takes a block's real form and diagonal operators from _real_form
+    hits = [f"{path.name}:{row}: {text}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "blocks.py"
+            for row, text in code_text(path).items() if HOP_ARRAYS.search(text)]
+    assert not hits, "hop arrays read outside blocks.py:\n" + "\n".join(hits)
 
 
 def test_every_export_has_a_caller_outside_the_tests():

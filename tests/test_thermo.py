@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parafermi_jc import thermo
+from parafermi_jc import blocks, thermo
 from parafermi_jc import (
     Deformation,
     ModelParams,
@@ -89,11 +90,46 @@ class TestLogSumExp:
         assert caught.value.index == 1
 
 
+def loop_operators(block, params):
+    """N = n - W, W and phi(n - W) for each basis state, as a loop over the basis gives them."""
+    n, phi = block.n, params.deformation
+    return np.array([[n - sum(p), sum(p), evaluate(phi, n - sum(p))] for p in block.basis],
+                    dtype=np.float64)
+
+
+def reversal_basis(block):
+    """(order, U): the states behind the real basis that the mode reversal
+    fixes, as documented, and that basis as U's columns: e_P for each
+    palindrome P, then (e_P + e_pi P) / sqrt(2) for each other pair, P the
+    lower row, then i (e_P - e_pi P) / sqrt(2) for each pair."""
+    row = {state: i for i, state in enumerate(block.basis)}
+    mirror = [row[state[::-1]] for state in block.basis]
+    palindromes = [i for i, j in enumerate(mirror) if i == j]
+    pairs = [i for i, j in enumerate(mirror) if i < j]
+    U = np.zeros((block.dim, block.dim), dtype=np.complex128)
+    U[palindromes, range(len(palindromes))] = 1.0
+    plus = np.arange(len(palindromes), len(palindromes) + len(pairs))
+    U[pairs, plus] = U[[mirror[i] for i in pairs], plus] = 1.0 / math.sqrt(2.0)
+    U[pairs, plus + len(pairs)] = 1j / math.sqrt(2.0)
+    U[[mirror[i] for i in pairs], plus + len(pairs)] = -1j / math.sqrt(2.0)
+    return palindromes + pairs + [mirror[i] for i in pairs], U
+
+
+def reference_real_form(block, F):
+    """Re(U^H C* H C U), dense, with c_P = q^(e2(P) / 2), e2(P) = sum_{s<t} i_s i_t."""
+    order, U = reversal_basis(block)
+    e2 = [sum(p[s] * p[t] for t in range(len(p)) for s in range(t)) for p in block.basis]
+    C = np.diag([cmath.exp(1j * math.pi * e / F) for e in e2])
+    G = U.conj().T @ C.conj() @ block.matrix @ C @ U
+    assert np.max(np.abs(G.imag)) <= 1e-14 * np.max(np.abs(block.matrix))
+    return order, G.real
+
+
 def assert_matches_lapack(obs, block, params, rel=1e-10):
     """obs against the reduction of LAPACK's eigenpairs of the complex block,
     to rel of max(1, |x|)."""
     w, V = np.linalg.eigh(block.matrix)
-    ops = thermo._diagonal_operators(block, params)
+    ops = loop_operators(block, params)
     weights = np.exp(-params.beta * (w - w[0]))
     weights /= weights.sum()
     n_expect, w_expect, phi_expect = weights @ (np.abs(V) ** 2).T @ ops
@@ -156,11 +192,23 @@ class TestThermoFromSpectrum:
                                                  r"leaves the float range$"):
             thermo_from_block(build_block(params, 2), params)
 
+    def test_entry_beyond_the_float_range_keeps_its_imaginary_part(self):
+        # a Hermitian edit whose |entry| overflows: no scale makes its
+        # imaginary part negligible, so the real form takes the gauge and fails
+        params = ModelParams(2, 2, 1.0, 1.0, 1.0)
+        block = build_block(params, 2)
+        block.matrix.setflags(write=True)
+        block.matrix[0, 1] = 1.5e308 + 1.5e308j
+        block.matrix[1, 0] = 1.5e308 - 1.5e308j
+        with pytest.raises(NumericalError, match=r"^the real form of block \(F=2, k=2, n=2\) "
+                                                 r"leaves the float range$"):
+            thermo_from_block(block, params)
+
     def test_spin_block_matches_lapack(self):
         # a spin block has no imaginary part, so it is solved as it is
         params = ModelParams(3, 2, 1.3, 0.7, 0.9, beta=0.8)
         block = build_higher_spin_block(params, 3)
-        assert thermo._real_basis(block, params)[0] is None
+        assert blocks._real_form(block, params)[0].tobytes() == block.matrix.real.tobytes()
         assert_matches_lapack(thermo_from_block(block, params), block, params)
 
     def test_one_public_solve(self, monkeypatch):
@@ -452,9 +500,7 @@ class TestWindow:
     @staticmethod
     def full_reduction(params, n, grid):
         """The observables of a scan's stack, the real form's, from every eigenvector."""
-        base = build_block(params.with_omega(0.0), n)
-        order, ops = thermo._real_basis(base, params)
-        H = thermo._real_form(base, params, order)
+        H, ops = blocks._real_form(build_block(params.with_omega(0.0), n), params)
         spec = eigendecompose(thermo._diagonal_stack(H, ops[:, 2], grid), want_vectors=True)
         return thermo._observables(spec.eigenvalues, spec.eigenvectors, ops, params.beta, n)
 
@@ -483,8 +529,8 @@ class TestWindow:
         for omega in (0.5, 68.0, 1500.0):
             params = STAIRCASE.with_omega(omega)
             block = build_block(params, 8)
-            order, ops = thermo._real_basis(block, params)
-            spec = eigendecompose(thermo._real_form(block, params, order), want_vectors=True)
+            R, ops = blocks._real_form(block, params)
+            spec = eigendecompose(R, want_vectors=True)
             [full] = thermo._observables(spec.eigenvalues[np.newaxis], spec.eigenvectors[np.newaxis],
                                          ops, 1.0, 8)
             obs = thermo.thermo_from_block(block, params)
@@ -561,21 +607,22 @@ def test_block_matches_lapack(case):
 class TestRealForm:
     """The block in the basis of its mode-reversal symmetry."""
 
-    # at g = 1e5 the rounding of an F = 2 block's phases passes 1e-12, so it
-    # takes the gauge too
-    @pytest.mark.parametrize("F,k,n,g", [(2, 3, 2, 1e5), (3, 2, 3, 0.9), (3, 3, 8, 0.9),
-                                         (4, 4, 12, 0.9), (5, 2, 9, 0.9)])
-    def test_real_symmetric_with_the_block_spectrum(self, F, k, n, g):
-        params = ModelParams(F, k, 1.3, 0.7, g, deformation=Deformation.q_exp(0.3))
+    # the F=3, k=2 block at scale 1e-13: its imaginary part, though below
+    # 1e-12, is no rounding error against its entries, so it takes the gauge
+    @pytest.mark.parametrize("F,k,n,scale", [(3, 2, 3, 1.0), (3, 2, 3, 1e-13), (3, 3, 8, 1.0),
+                                             (4, 4, 12, 1.0), (5, 2, 9, 1.0)])
+    def test_real_symmetric_with_the_block_spectrum(self, F, k, n, scale):
+        params = ModelParams(F, k, 1.3 * scale, 0.7 * scale, 0.9 * scale,
+                             deformation=Deformation.q_exp(0.3))
         block = build_block(params, n)
-        order, ops = thermo._real_basis(block, params)
-        R = thermo._real_form(block, params, order)
+        R, ops = blocks._real_form(block, params)
         assert R.dtype == np.float64 and R.flags.c_contiguous
         assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
-        # a permutation of the basis, whose diagonal and operators are the block's, bit for bit
-        assert sorted(order.tolist()) == list(range(block.dim))
+        # the documented basis, whose diagonal and operators are the block's, bit for bit
+        order, expected = reference_real_form(block, F)
+        assert np.max(np.abs(R - expected)) <= 1e-14 * np.max(np.abs(block.matrix))
         assert R.diagonal().tobytes() == block.matrix.diagonal().real[order].tobytes()
-        assert ops.tobytes() == thermo._diagonal_operators(block, params)[order].tobytes()
+        assert ops.tobytes() == loop_operators(block, params)[order].tobytes()
         w = np.linalg.eigvalsh(block.matrix)
         assert np.max(np.abs(np.linalg.eigvalsh(R) - w)) <= 1e-13 * np.max(np.abs(w))
 
@@ -584,22 +631,26 @@ class TestRealForm:
         # states (0,1), (0,2), (1,2) and their mirrors (1,0), (2,0), (2,1)
         params = ModelParams(3, 2, 1.0, 1.0, 1.0)
         block = build_block(params, 3)
-        order, _ = thermo._real_basis(block, params)
+        order, expected = reference_real_form(block, 3)
         assert [block.basis[i] for i in order] == [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2),
                                                     (1, 0), (2, 0), (2, 1)]
+        R, _ = blocks._real_form(block, params)
+        assert np.max(np.abs(R - expected)) <= 1e-14 * np.max(np.abs(block.matrix))
 
-    @pytest.mark.parametrize("F,k,n", [(4, 1, 5), (2, 3, 2)], ids=["chain", "F2"])
-    def test_negligible_imaginary_part_dropped(self, F, k, n):
+    # at g = 1e5 the rounding of an F = 2 block's phases passes 1e-12, but not
+    # 1e-12 of its largest entry
+    @pytest.mark.parametrize("F,k,n,g", [(4, 1, 5, 1.0), (2, 3, 2, 1.0), (2, 3, 2, 1e5)],
+                             ids=["chain", "F2", "F2_strong"])
+    def test_negligible_imaginary_part_dropped(self, F, k, n, g):
         # k = 1 chains carry no phase at all, F = 2 blocks only the rounding
         # of q = -1; their real form is their real part, in the block's order
-        params = ModelParams(F, k, 1.0, 1.0, 1.0)
+        params = ModelParams(F, k, 1.0, 1.0, g)
         block = build_block(params, n)
         imag = np.max(np.abs(block.matrix.imag))
-        assert 0.0 < imag <= 1e-15 if k > 1 else imag == 0.0
-        order, ops = thermo._real_basis(block, params)
-        assert order is None
-        assert ops.tobytes() == thermo._diagonal_operators(block, params).tobytes()
-        assert thermo._real_form(block, params, None).tobytes() == block.matrix.real.tobytes()
+        assert 0.0 < imag <= 1e-15 * g if k > 1 else imag == 0.0
+        R, ops = blocks._real_form(block, params)
+        assert ops.tobytes() == loop_operators(block, params).tobytes()
+        assert R.tobytes() == block.matrix.real.tobytes()
 
     def test_once_per_scan(self, monkeypatch):
         calls = []
@@ -615,6 +666,44 @@ class TestRealForm:
         log_partition_scan(STAIRCASE, 8, STAIRCASE_GRID[:5])
         phi_n_via_omega_derivative(STAIRCASE, 8, 1e-3)
         assert calls == [8, 8, 8]
+
+
+class TestScaleCovariance:
+    """H -> s H with beta -> beta / s leaves every observable unchanged: a
+    block's imaginary part is negligible only against its own entries, so a
+    complex block keeps its q-phases at any scale."""
+
+    SCALES = [1e-100, 1e-20, 1e-16, 1e-14, 1e-13, 1e-6, 1e6, 1e100]
+
+    @staticmethod
+    def assert_unchanged(scaled, base):
+        for field in ("log_z", "n_expect", "w_expect", "phi_n_expect"):
+            assert getattr(scaled, field) == pytest.approx(getattr(base, field),
+                                                           rel=1e-12, abs=1e-12), field
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_block(self, scale):
+        def observe(s):
+            params = ModelParams(3, 2, 1.3 * s, 0.7 * s, 0.9 * s, beta=1.0 / s)
+            return thermo_from_block(build_block(params, 3), params)
+        self.assert_unchanged(observe(scale), observe(1.0))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("F,k,n,phi", [(3, 2, 3, Deformation.undeformed()),
+                                           (3, 3, 8, Deformation.q_exp(1.0)),
+                                           (4, 2, 5, Deformation.linear(0.5)),
+                                           (2, 3, 4, Deformation.undeformed())],
+                             ids=["F3", "staircase", "F4_linear", "F2"])
+    def test_scans(self, F, k, n, phi, scale):
+        def scans(s):
+            params = ModelParams(F, k, 1.3 * s, 0.7 * s, 0.9 * s, beta=1.0 / s, deformation=phi)
+            grid = [s * omega for omega in (0.3, 1.1, 2.5)]
+            return omega_scan(params, n, grid), log_partition_scan(params, n, grid)
+        (observed, log_z), (base, base_log_z) = scans(scale), scans(1.0)
+        for (_, a), (_, b) in zip(observed, base):
+            self.assert_unchanged(a, b)
+        assert [z for _, z in log_z] == pytest.approx([z for _, z in base_log_z],
+                                                      rel=1e-12, abs=1e-12)
 
 
 class TestDetectPlateaus:
@@ -694,9 +783,10 @@ class TestStaircasePhysics:
                                  Deformation.parafermionic(9)], ids=["undeformed", "qexp", "parafermionic"])
 @pytest.mark.parametrize("F,k,n", [(2, 1, 0), (2, 3, 6), (3, 3, 8), (4, 2, 9)])
 def test_diagonal_operators_match_the_per_state_loop(F, k, n, phi):
-    # N = n - W, W and phi(n - W) for each basis state, as a loop over the basis gives them
+    # in the real form's order: the documented basis for a complex block,
+    # the block's own for F = 2 and k = 1, whose real form is its real part
     params = ModelParams(F, k, 1.0, 1.0, 1.0, deformation=phi)
     block = build_block(params, n)
-    expected = np.array([[n - sum(p), sum(p), evaluate(phi, n - sum(p))] for p in block.basis],
-                        dtype=np.float64)
-    assert thermo._diagonal_operators(block, params).tobytes() == expected.tobytes()
+    order = reversal_basis(block)[0] if F > 2 and k > 1 else list(range(block.dim))
+    expected = loop_operators(block, params)[order]
+    assert blocks._real_form(block, params)[1].tobytes() == expected.tobytes()
