@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -276,9 +277,12 @@ def _real_form(block: BlockHamiltonian, params: ModelParams) -> tuple[np.ndarray
     G[pi P, pi Q] = conj(G[P, Q]).  R is taken from the rows of the
     palindromes and of the pairs' lower states, by a few block-wise passes;
     what that drops is at most the largest defect
-    |G[pi P, pi Q] - conj(G[P, Q])|, and a defect above HERMITICITY_RTOL *
-    max(1, max|H|) raises ParameterError naming the reversal symmetry and
-    (F, k, n), or the eigensolver's "not Hermitian" when H is not Hermitian.
+    |G[pi P, pi Q] - conj(G[P, Q])|.  A defect above HERMITICITY_RTOL *
+    max|H|, relative at any scale as the test of the imaginary part is (but
+    for subnormal entries, whose rounding is absolute: there max|H| counts
+    as the smallest normal float), raises ParameterError naming the reversal
+    symmetry and (F, k, n), or the eigensolver's "not Hermitian" when H is
+    not Hermitian.
     No hop joins P and pi P, so the diagonal is H's, bit for bit.
     """
     hops = _hops(params.F, params.k, block.n)
@@ -323,7 +327,7 @@ def _real_form(block: BlockHamiltonian, params: ModelParams) -> tuple[np.ndarray
         defect = max(np.abs(Gi[P, P]).max(initial=0.0),
                      *(np.abs(G[X, Y] - G[U, V].conj()).max(initial=0.0)
                        for X, Y, U, V in ((P, B, P, A), (B, P, A, P), (B, B, A, A), (B, A, A, B))))
-    if not defect <= HERMITICITY_RTOL * np.maximum(1.0, scale):
+    if not defect <= HERMITICITY_RTOL * max(scale, sys.float_info.min):
         _require_hermitian(H)
         raise ParameterError(f"matrix breaks the mode-reversal symmetry of {where} by {defect:.3e}")
     if not np.isfinite(R).all():  # entries of up to twice max|H|

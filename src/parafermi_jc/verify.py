@@ -214,9 +214,9 @@ def reversal_symmetry() -> CheckResult:
     symmetry: for F = 2..5, k = 1..4 with F^k <= 256, at n = k(F - 1) - 1
     and k(F - 1) + 1, the deformations taken in turn, the block's real form
     is built, which checks that the symmetry holds within HERMITICITY_RTOL *
-    max(1, max|H|) (or that the imaginary part is negligible against
-    max|H|), and its eigenvalues, by the package solver, match the complex
-    block's within 1e-12 * max(1, max|lambda|).  A failure names its case."""
+    max|H| (or that the imaginary part is negligible against max|H|), and
+    its eigenvalues, by the package solver, match the complex block's within
+    1e-12 * max(1, max|lambda|).  A failure names its case."""
     deformations = (Deformation.undeformed(), Deformation.q_exp(0.3), Deformation.linear(0.7))
     cases = [(F, k, n) for F in range(2, 6) for k in range(1, 5) if F ** k <= 256
              for n in (k * (F - 1) - 1, k * (F - 1) + 1)]

@@ -955,10 +955,12 @@ class TestWindow:
 
     def test_staircase_stops_early(self, monkeypatch):
         # with each tridiagonal's top at its matrix's state of lowest
-        # diagonal, QL reaches the low-lying levels first and stops after 177
-        # of the 1,080 eigenvalues, in 413 of the full solve's 1,902 sweeps
+        # diagonal, QL reaches the low-lying levels first and stops after 140
+        # of the 1,080 eigenvalues, in 287 of the full solve's 1,902 sweeps
         # (1,906 on Householder's tridiagonals of the ascending-diagonal
-        # basis); from each row 0, it would stop after 808 in 1,430
+        # basis): the stop is tried as soon as the next undeflated diagonal
+        # lies past the window.  From each row 0, it would stop after 795 in
+        # 1,389
         computed = []
         ql = eigensolver._ql_implicit_shift
 
@@ -969,7 +971,7 @@ class TestWindow:
 
         monkeypatch.setattr(eigensolver, "_ql_implicit_shift", recorded)
         spec = eigendecompose(staircase_stack(), want_vectors=True, window=STAIRCASE_WINDOW)
-        assert (sum(computed), spec.sweeps) == (177, 413)
+        assert (sum(computed), spec.sweeps) == (140, 287)
         assert np.count_nonzero(np.isfinite(spec.eigenvalues)) == 135
         computed.clear()
         full = eigendecompose(staircase_stack(), want_vectors=True)
@@ -1032,7 +1034,7 @@ class TestWindow:
     def test_values_only_stops_above_leaf(self):
         # a values-only solve of 243 rows is one leaf, so its QL stops at the
         # window: with the basis already in ascending order of its diagonal,
-        # after 15 levels in 35 of the full solve's 490 sweeps
+        # after 15 levels in 30 of the full solve's 490 sweeps
         params = ModelParams(3, 5, 1.0, 1000.0, 1.0, hbar=1.0, deformation=Deformation.q_exp(1.0))
         H = build_block(params, 10).matrix
         order = np.argsort(H.diagonal().real, kind="stable")
@@ -1040,10 +1042,33 @@ class TestWindow:
         spec = eigendecompose(H, window=STAIRCASE_WINDOW)
         full = eigendecompose(H)
         computed = np.isfinite(spec.eigenvalues)
-        assert (np.count_nonzero(computed), spec.sweeps, full.sweeps) == (15, 35, 490)
+        assert (np.count_nonzero(computed), spec.sweeps, full.sweeps) == (15, 30, 490)
         assert np.array_equal(spec.eigenvalues[computed], full.eigenvalues[:15])
         ref = np.linalg.eigvalsh(H)
         assert ref[15] > ref[0] + STAIRCASE_WINDOW
+
+    @pytest.mark.parametrize("e0,counts", [(0.0, [1, 0]), (0.1, [0])])
+    def test_stop_refused_while_a_level_remains(self, monkeypatch, e0, counts):
+        # eigenvalues near 0, 1, 19, 50 and 60, window 5.  Split off by e0 = 0,
+        # row 0 deflates at once, and the next diagonal, 10, lies past the
+        # window while rows 1.. still hold the level near 1: the Sturm count
+        # refuses the stop.  At e0 = 0.1 the sweeps of row 0 bring d[1] near
+        # 1 first.  Either way QL keeps both levels in the window, with the
+        # bits of the unwindowed QL, and leaves out the other three.
+        d, e = [0.0, 10.0, 10.0, 50.0, 60.0], [e0, 9.0, 0.5, 0.5]
+        full = d.copy()
+        eigensolver._ql_implicit_shift(full, [x * x for x in e])
+        recorded = []
+        sturm = eigensolver._sturm_count
+
+        def recorded_count(*args):
+            recorded.append(sturm(*args))
+            return recorded[-1]
+
+        monkeypatch.setattr(eigensolver, "_sturm_count", recorded_count)
+        eigensolver._ql_implicit_shift(d, [x * x for x in e], window=5.0)
+        assert recorded == counts
+        assert d == full[:2] and max(d) < d[0] + 5.0 < min(full[2:])
 
     @pytest.mark.parametrize("window", [-1.0, -math.inf, math.nan])
     def test_window_validated(self, window):

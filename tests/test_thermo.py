@@ -185,6 +185,27 @@ class TestThermoFromSpectrum:
                                                  r"block \(F=3, k=2, n=3\) by 5\.000e-01$"):
             thermo_from_block(block, params)
 
+    def test_reversal_breaking_edit_refused_below_scale_one(self):
+        # the same edit, relative to the entries, on a block of 1e-13: the
+        # symmetry is checked against max|H|, not against max(1, max|H|)
+        params = ModelParams(3, 2, 1e-13, 1e-13, 1e-13, beta=1e13)
+        block = build_block(params, 3)
+        block.matrix.setflags(write=True)
+        block.matrix[1, 0] += 0.5e-13
+        block.matrix[0, 1] += 0.5e-13
+        with pytest.raises(ParameterError, match=r"^matrix breaks the mode-reversal symmetry of "
+                                                 r"block \(F=3, k=2, n=3\) by 5\.000e-14$"):
+            thermo_from_block(block, params)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-315])
+    def test_tiny_blocks_accepted(self, scale):
+        # at beta = 1 every level of a block of 1e-300 weighs the same; below
+        # the normal floats rounding is absolute, and the symmetry check takes
+        # max|H| as the smallest normal float there
+        params = ModelParams(3, 2, 1.3 * scale, 0.7 * scale, 0.9 * scale)
+        obs = thermo_from_block(build_block(params, 3), params)
+        assert obs.log_z == pytest.approx(math.log(8.0), rel=1e-15)
+
     def test_real_form_overflow_named(self):
         # hops near the float limit: the real form adds two of them
         params = ModelParams(3, 2, 0.0, 0.0, 1.2e308)
