@@ -66,20 +66,23 @@ its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
    last row, across any exactly zero coupling (no rotation there).  On the
    semiclassical comparison's 161-point scans (d = 2 to 8, values only) the
    lockstep took 0.2 to 0.5 of the row-by-row QL time.  When eigenvectors are
-   requested, inverse iteration on the same leaves finds their vectors, as
-   LAPACK's dstein does, for every eigenvalue of the leaves of one size at
-   once: each eigenvalue is its own shift, T - lambda I is factored with
-   partial pivoting for every shift in one loop over the rows, and
-   INVERSE_SOLVES solves from a fixed start follow.  Neighbouring eigenvalues
-   closer than CLUSTER_RTOL * ||T||_1 form a cluster, and those closer than
-   GROUP_RTOL * ||T||_1 a group.  A QR factorization orthonormalizes each
-   group after every solve but the last, and each cluster, in ascending order,
-   after the last.  Inverse iteration splits T at its zero off-diagonals,
-   where QL's blocks end; a matrix whose shifts include a group also splits at
-   its couplings under GROUP_RTOL * ||T||_1, its shifts then from QL on the
-   split tridiagonal, so that each piece solves its own copy of an eigenvalue
-   that several pieces share.  Given a window, a matrix solved as a single
-   leaf keeps only the vectors of its eigenvalues up to its smallest plus the
+   requested, every eigenvalue of the leaves of one size is a shift, all at
+   once.  Neighbours in one block of T closer than CLUSTER_RTOL * ||T||_1 form
+   a cluster, and those closer than GROUP_RTOL * ||T||_1 a group.  Without a
+   group, each vector comes from one twisted factorization of T - lambda I
+   (LAPACK's dlar1v; Dhillon and Parlett, 2004), whose pivots take five numpy
+   calls per row; with one, inverse iteration finds them all, as dsyevr falls
+   back from MRRR to dstein: T - lambda I is factored with partial pivoting,
+   INVERSE_SOLVES solves from a fixed start follow (about 46 calls per row),
+   and QR orthonormalizes each group after every solve but the last.  Either
+   way QR then orthonormalizes each cluster, in ascending order.  The twisted
+   vectors take 0.55 of inverse iteration's time on the staircase stack, and
+   0.38 at d = 256.  Both split T at its zero off-diagonals, where QL's blocks
+   end; a matrix with two shifts closer than GROUP_RTOL * ||T||_1 also splits
+   at its couplings under that, its shifts then from QL on the split
+   tridiagonal, so that each piece solves its own copy of an eigenvalue that
+   several pieces share.  Given a window, a matrix solved as a single leaf
+   keeps only the vectors of its eigenvalues up to its smallest plus the
    window, and of the chain of neighbours closer than CLUSTER_RTOL * ||T||_1
    that continues from the last of them, so no cluster straddles the cut; the
    other shifts are not solved, and their columns are zero.  On the row-by-row
@@ -102,24 +105,23 @@ its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
    eigenvalues are those of the vectors path, bit for bit; above, its one QL
    and the merges agree to rounding.
 
-Working set: the input is copied once and, when the caller keeps no
-reference to it, freed (from Python 3.11).  The lockstep holds its group's
-diagonals and squares, and per sweep a few arrays of the rows it moves.
-Lanczos holds the stack and its basis Q, of the stack's size, and with
-eigenvectors keeps Q to the back-transform.  The Householder
-workspace has 2 * min(PANEL, d - 2) columns, inverse iteration holds its
-factors only through the solves, and the back-transform applies a panel's
-nb x nb factor T to the nb x m product V^H X; the root's eigenvectors reach
-it with no other reference, so it frees them once phase-rotated.  A merge
-holds the two pieces' vectors, its own, one d x d coefficient matrix, and
-d x d arrays of the secular solver's rows (the roots' distances to the
-poles, and while a level has several equations, their weights), which
-shrink as roots converge.  With eigenvectors the traced peak, input aside,
-is about 4.8 times a complex stack at d = 27 (40 matrices), and 3.3 times
-at d = 256; a real stack peaks at 4.3 and 3.05 times the bytes of its
-complex counterpart.  The staircase stack (d = 27, 40 matrices) with the
-window of beta = 1 keeps 135 of its 1,080 vectors and peaks at 2.27 times
-the complex stack, or 1.21 for its real form.
+Working set: the input is copied once and, when the caller keeps no reference
+to it, freed (from Python 3.11).  The lockstep holds its group's diagonals
+and squares, and per sweep a few arrays of the rows it moves.  Lanczos holds
+the stack and its basis Q, of the stack's size, and with eigenvectors keeps Q
+to the back-transform.  The Householder workspace has 2 * min(PANEL, d - 2)
+columns, inverse iteration holds its factors or pivots only through the
+solves, and the back-transform applies a panel's nb x nb factor T to the nb x
+m product V^H X; the root's eigenvectors reach it with no other reference, so
+it frees them once phase-rotated.  A merge holds the two pieces' vectors, its
+own, one d x d coefficient matrix, and d x d arrays of the secular solver's
+rows (the roots' distances to the poles, and while a level has several
+equations, their weights), which shrink as roots converge.  With eigenvectors
+the traced peak, input aside, is about 4.8 times a complex stack at d = 27
+(40 matrices), and 3.3 times at d = 256; a real stack peaks at 4.3 and 3.05
+times the bytes of its complex counterpart.  The staircase stack (d = 27, 40
+matrices) with the window of beta = 1 keeps 135 of its 1,080 vectors and
+peaks at 2.27 times the complex stack, or 1.21 for its real form.
 
 Contracts: eigenvalues ascending, with +inf for the levels a window leaves
 out; when vectors are requested, per-pair residual
@@ -146,7 +148,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ParameterError
 
-#: Hermiticity tolerance for accepting a matrix, relative to max(1, max|H|).
+#: Hermiticity tolerance for accepting a matrix, relative to max|H|.
 HERMITICITY_RTOL = 1e-12
 
 #: Residual/orthonormality contract for returned eigenpairs.
@@ -233,10 +235,10 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block, and eigendecompose, the only way into the solver, on its input,
     so a block's matrix is checked again, in its real form, when it is
     solved.  A matrix is rejected when max|H - H^dag| exceeds
-    HERMITICITY_RTOL * max(1, max|H|), compared in squares a few ulps on the
-    safe side, so it rejects every matrix that the comparison of the
-    deviations themselves, by hypot, rejects.  Raises ParameterError
-    otherwise.
+    HERMITICITY_RTOL * max|H| (the smallest normal float for a subnormal H,
+    as in blocks._real_form), compared in squares a few ulps on the safe
+    side, so it rejects every matrix that the comparison of the deviations
+    themselves, by hypot, rejects.  Raises ParameterError otherwise.
     """
     A = np.asarray(H, dtype=np.complex128 if np.iscomplexobj(H) else np.float64)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -246,8 +248,8 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("matrix has non-finite entries")
     # |H - H^dag|^2 from the real parts' antisymmetric part and the imaginary
     # parts' symmetric part (a real H has none), in units of the power of two
-    # of max(1, max|H|), where the squares stay in range for any finite H
-    scale = np.maximum(1.0, peak)
+    # of the scale, where the squares stay in range for any finite H
+    scale = np.maximum(peak, sys.float_info.min)
     unit = np.ldexp(1.0, -np.frexp(scale)[1])
     units = unit[..., np.newaxis, np.newaxis]
     with np.errstate(over="ignore"):  # a deviation beyond the float range is inf, and rejected
@@ -261,7 +263,7 @@ def _require_hermitian(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             dev2 += im
     # hypot rounds by one ulp, the squares and their sum by a few: the bound's
     # square, 8 ulps smaller, keeps every deviation rejected that hypot would
-    bound = HERMITICITY_RTOL * scale * unit
+    bound = HERMITICITY_RTOL * (scale * unit)  # scale * unit exact, never subnormal
     if (dev2.max(axis=(-2, -1), initial=0.0)
             > bound * bound * (1.0 - 8.0 * sys.float_info.epsilon)).any():
         with np.errstate(over="ignore"):
@@ -816,6 +818,37 @@ def _orthonormalize(Y: np.ndarray, firsts: np.ndarray, sizes: np.ndarray) -> Non
         Y[idx] = np.linalg.qr(Y[idx].transpose(0, 2, 1))[0].transpose(0, 2, 1)
 
 
+def _twisted_vectors(a: np.ndarray, b: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """The unnormalized vector x (n, S) of each column's twisted factorization
+    of T - sigma I (dlar1v's), from its diagonal a (n, S) and off-diagonal
+    b (n - 1, S) >= 0, zero where T's blocks end; outside (n, S) marks the
+    rows off the column's block.  The pivots D+_i = a_i - b_i-1**2 / D+_i-1
+    and D-_i = a_i - b_i**2 / D-_i+1 run in one loop, a pivot no larger
+    than pivmin counting as -pivmin, as in _sturm_count; the twist r is the
+    row of the block with the least |D+_r + D-_r - a_r|, and x_r = 1, x_i =
+    -(b_i / D+_i) x_i+1 above r and x_i+1 = -(b_i / D-_i+1) x_i below, one
+    cumulative product each, zero past the block's ends."""
+    n, S = a.shape
+    b2 = b * b
+    pivmin = sys.float_info.min * max(1.0, np.max(b2, initial=0.0))
+    # the bottom-up pivots are the top-down pivots of the reversed rows
+    P = np.concatenate([a, a[::-1]], axis=1)
+    E = np.concatenate([b2, b2[::-1]], axis=1)
+    for i in range(n):
+        pivot = P[i]
+        if i:
+            pivot -= E[i - 1] / P[i - 1]
+        pivot[np.abs(pivot) <= pivmin] = -pivmin
+    down, up = P[::-1, S:], P[:, :S]
+    gamma = np.abs(up + down - a)
+    gamma[outside] = np.inf
+    above = np.arange(n - 1)[:, np.newaxis] < np.argmin(gamma, axis=0)
+    x = np.ones((n, S))
+    x[:-1] = np.cumprod(np.where(above, -b / up[:-1], 1.0)[::-1], axis=0)[::-1]
+    x[1:] *= np.cumprod(np.where(above, 1.0, -b / down[1:]), axis=0)
+    return x
+
+
 def _one_norm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """||T||_1 of each tridiagonal of the stack (d (G, n), e (G, n - 1) >= 0)."""
     row_norm = np.abs(d)
@@ -826,7 +859,7 @@ def _one_norm(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray,
                        counts: Optional[np.ndarray]):
-    """Eigenvectors of the real symmetric tridiagonals (d, e) by inverse iteration.
+    """Eigenvectors of the real symmetric tridiagonals (d, e), twisted or by inverse iteration.
 
     d (G, n) and e (G, n - 1) >= 0 are the stack's tridiagonals, each scaled
     by a power of two near its 1-norm so the tolerances are absolute, and
@@ -839,21 +872,25 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray,
     cluster is solved whole.
 
     T splits at its zero off-diagonals, where QL's blocks end, so QL leaves
-    the eigenvalues of a split block in its rows; a shift's start
-    vector is zero outside its block, which the factorization keeps so.  A
-    matrix whose shifts include a group also splits at its couplings under
-    GROUP_RTOL * ||T||_1, and QL on that split tridiagonal gives its shifts,
-    rank for rank: one factorization across pieces that share an eigenvalue
-    amplifies one piece's vector by up to eps**-k for k tiny pivots, and the
-    group's other vectors drown in its rounding (residuals up to 1e-2, in
-    about 1 of 8,000 random matrices of repeated eigenvalues).  The split
-    moves no eigenvalue by more than GROUP_RTOL * ||T||_1, nor a residual by
-    more than twice that.  The eigenvalues are sorted by (matrix, block,
-    value), and each is its own shift.  Neighbours closer than GROUP_RTOL
-    form a group and neighbours closer than CLUSTER_RTOL a cluster.  All
-    shifts make INVERSE_SOLVES solves together; after each but the last,
-    every group is orthonormalized by one QR factorization, and after the
-    last every cluster is, in ascending order of its eigenvalues.
+    the eigenvalues of a split block in its rows, and a shift's vector is
+    zero outside its block.  A matrix with two shifts closer than
+    GROUP_RTOL * ||T||_1 also splits at its couplings under that, and QL on
+    the split tridiagonal gives its shifts, rank for rank: one factorization
+    across pieces that share an eigenvalue amplifies one piece's vector by
+    up to eps**-k for k tiny pivots, and the group's other vectors drown in
+    its rounding (residuals up to 1e-2, in about 1 of 8,000 random matrices
+    of repeated eigenvalues).  The split moves no eigenvalue by more than
+    GROUP_RTOL * ||T||_1, nor a residual by more than twice that.  The
+    eigenvalues are sorted by (matrix, block, value), and each is its own
+    shift.  Neighbours of one block closer than GROUP_RTOL form a group and
+    neighbours closer than CLUSTER_RTOL a cluster.
+
+    Without a group each vector is _twisted_vectors' of its shift (a group's
+    members gave parallel vectors, or at distinct twists divided by zero).
+    With one, every shift takes INVERSE_SOLVES pivoted solves together, from
+    starts zero outside their blocks, and QR orthonormalizes every group
+    after each solve but the last.  Either way every cluster is then
+    orthonormalized, in ascending order of its eigenvalues.
     """
     G, n = d.shape
     if n == 0:
@@ -907,13 +944,19 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, levels: np.ndarray,
     lo = np.searchsorted(keys, first + sb, side="left") - first
     hi = np.searchsorted(keys, first + sb, side="right") - first
     rows = np.arange(n)[:, np.newaxis]
-    Y = _start_vectors(n)[:, sj]
-    Y[(rows < lo) | (rows >= hi)] = 0.0
-    factors = _factor_shifted(a[:, matrix] - sv, b[:, matrix])
-    for it in range(INVERSE_SOLVES):
-        _solve_shifted(factors, Y, forward=it > 0)
-        _orthonormalize(Y.T, *(clusters if it == INVERSE_SOLVES - 1 else groups))
-    del factors
+    outside = (rows < lo) | (rows >= hi)
+    if groups[0].size == S:  # no group: one twisted factorization per shift
+        Y = _twisted_vectors(a[:, matrix] - sv, b[:, matrix], outside)
+    else:
+        Y = _start_vectors(n)[:, sj]
+        Y[outside] = 0.0
+        factors = _factor_shifted(a[:, matrix] - sv, b[:, matrix])
+        for it in range(INVERSE_SOLVES):
+            _solve_shifted(factors, Y, forward=it > 0)
+            if it < INVERSE_SOLVES - 1:
+                _orthonormalize(Y.T, *groups)
+        del factors
+    _orthonormalize(Y.T, *clusters)
     # sign as in dstein: the largest component positive
     Y *= np.sign(Y[np.argmax(np.abs(Y), axis=0), np.arange(S)])
     Z = np.zeros((G * m, n))

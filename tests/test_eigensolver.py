@@ -20,7 +20,7 @@ from parafermi_jc import (
     build_higher_spin_block,
     eigendecompose,
 )
-from parafermi_jc import divide, eigensolver
+from parafermi_jc import divide, eigensolver, thermo
 from parafermi_jc.divide import _secular_roots
 from parafermi_jc.eigensolver import (
     CLUSTER_RTOL,
@@ -90,17 +90,28 @@ class TestBasicCases:
             eigendecompose(H)
 
 
+def relative_deviations(A):
+    """max|H - H^dag| / max|H| of each matrix, by hypot, max|H| floored at the
+    smallest normal float.  The deviations are taken in units of the power of
+    two of that scale, exactly, so that subnormal ones keep their digits, and
+    deviations beyond the float range are inf."""
+    scale = np.maximum(np.max(np.abs(A), axis=(-2, -1), initial=0.0), sys.float_info.min)
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])[..., np.newaxis, np.newaxis]
+    with np.errstate(over="ignore"):
+        dev = np.hypot((A.real - A.real.swapaxes(-1, -2)) * unit,
+                       (A.imag + A.imag.swapaxes(-1, -2)) * unit)
+    return np.max(dev, axis=(-2, -1), initial=0.0) / (scale * unit[..., 0, 0])
+
+
 def hypot_rejection(A):
     """The message with which the deviations' own comparison, by hypot,
     rejects a finite square matrix or stack, or None if it accepts: the
     reference that the check's comparison in squares must never be looser
     than."""
-    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
-    with np.errstate(over="ignore"):
-        dev = np.max(np.hypot(A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2)),
-                     axis=(-2, -1), initial=0.0)
-    if (dev > HERMITICITY_RTOL * np.maximum(1.0, peak)).any():
-        return f"matrix is not Hermitian: max|H - H^dag| = {np.max(dev):.3e}"
+    if (relative_deviations(A) > HERMITICITY_RTOL).any():
+        with np.errstate(over="ignore"):
+            dev = np.max(np.hypot(A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2)))
+        return f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}"
     return None
 
 
@@ -114,11 +125,8 @@ def check_rejection(A):
 
 
 def relative_excess(A):
-    """max over the matrices of max|H - H^dag| / (HERMITICITY_RTOL * max(1, max|H|)) - 1, by hypot."""
-    peak = np.max(np.abs(A), axis=(-2, -1), initial=0.0)
-    dev = np.max(np.hypot(A.real - A.real.swapaxes(-1, -2), A.imag + A.imag.swapaxes(-1, -2)),
-                 axis=(-2, -1), initial=0.0)
-    return float(np.max(dev / (HERMITICITY_RTOL * np.maximum(1.0, peak)))) - 1.0
+    """max over the matrices of max|H - H^dag| / (HERMITICITY_RTOL * max|H|) - 1, by hypot."""
+    return float(np.max(relative_deviations(A))) / HERMITICITY_RTOL - 1.0
 
 
 @st.composite
@@ -137,7 +145,7 @@ def perturbed_hermitian(draw, factors):
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     matrix = A.reshape(-1, n, n)[g]
     matrix[i, j] = matrix[j, i] = matrix[i, j].real
-    tol = HERMITICITY_RTOL * max(1.0, float(np.max(np.abs(matrix))))
+    tol = HERMITICITY_RTOL * max(float(np.max(np.abs(matrix))), sys.float_info.min)
     size = draw(factors) * tol
     if i == j:
         matrix[i, i] += 0.5j * size
@@ -167,12 +175,13 @@ class TestHermiticityCheck:
     def test_never_looser_on_random_trials(self):
         # 2 x 2 matrices whose one deviation lies within an ulp of the
         # tolerance, where the squares round to the other side of it about
-        # once in 250 matrices; scales put max(1, max|H|) on either side of 1
+        # once in 250 matrices; the tolerance is relative at scales from
+        # 1e-3 to 1e3
         rng = np.random.default_rng(2024)
         tighter = 0
         for trial in range(3000):
             a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3)
-            tol = HERMITICITY_RTOL * max(1.0, abs(a), abs(b))
+            tol = HERMITICITY_RTOL * max(abs(a), abs(b))
             ulps = rng.integers(0, 2)
             H = np.array([[a, 0.0], [0.0, b]], dtype=complex)
             H[0, 1] = tol * (1.0 + ulps * sys.float_info.epsilon) * np.exp(1j * rng.uniform(0, 7))
@@ -185,7 +194,7 @@ class TestHermiticityCheck:
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e307])
     def test_message_reports_the_deviation(self, scale):
         A = random_hermitian(5, 7) * scale
-        A[1, 3] += 1e-6 * max(1.0, scale)
+        A[1, 3] += 1e-6 * scale
         message = check_rejection(A)
         assert message is not None and message == hypot_rejection(A)
         stack = np.array([random_hermitian(5, 8) * scale, A])
@@ -937,10 +946,16 @@ def assert_kept_contracts(stack, window):
     counts = kept_columns(spec.eigenvectors)
     assert spec.eigenvectors.shape == stack.shape[:-1] + (np.max(counts),)
     assert counts.tolist() == [window_count(H, window) for H in stack]
-    for H, w, V, c in zip(stack, spec.eigenvalues, spec.eigenvectors, counts):
+    assert_kept_pairs(stack, spec)
+    return counts
+
+
+def assert_kept_pairs(stack, spec):
+    """The nonzero columns of a windowed solve meet the residual and
+    orthonormality contracts."""
+    for H, w, V, c in zip(stack, spec.eigenvalues, spec.eigenvectors, kept_columns(spec.eigenvectors)):
         assert max_residual(H, V[:, :c], w[:c]) <= residual_bound(H)
         assert np.max(np.abs(V[:, :c].conj().T @ V[:, :c] - np.eye(c))) <= RESIDUAL_RTOL
-    return counts
 
 
 class TestWindow:
@@ -1136,6 +1151,85 @@ def test_window_stop_over_full_range(case):
     assert np.array_equal(unstopped.eigenvalues, full.eigenvalues)
     assert np.array_equal(spec.eigenvectors, unstopped.eigenvectors)
     assert spec.sweeps <= full.sweeps
+
+
+@pytest.fixture
+def pivoted_factorizations(monkeypatch):
+    """The shift counts of every call of _factor_shifted, the pivoted inverse
+    iteration kept for shifts within GROUP_RTOL * ||T||_1 of each other in
+    one block of T."""
+    calls = []
+    factor = eigensolver._factor_shifted
+
+    def recorded(a, b):
+        calls.append(a.shape[1])
+        return factor(a, b)
+
+    monkeypatch.setattr(eigensolver, "_factor_shifted", recorded)
+    return calls
+
+
+class TestTwistedVectors:
+    """A call of _inverse_iteration whose shifts hold no group takes each
+    vector from one twisted factorization; a group takes the pivoted
+    solves."""
+
+    def test_workload_solves_take_the_twisted_kernel(self, pivoted_factorizations):
+        stack = staircase_stack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            windowed = eigendecompose(stack, want_vectors=True, window=STAIRCASE_WINDOW)
+            H = build_block(ModelParams(4, 4, 1.0, 2.0, 1.0), 12).matrix
+            assert H.shape == (256, 256)
+            spec = eigendecompose(H, want_vectors=True)
+        assert pivoted_factorizations == []
+        assert_kept_pairs(stack, windowed)
+        assert max_residual(H, spec.eigenvectors, spec.eigenvalues) <= residual_bound(H)
+        assert np.max(np.abs(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(256))) <= RESIDUAL_RTOL
+
+    def test_scan_takes_both_paths(self, pivoted_factorizations):
+        # the 160-point F = 2, k = 4, n = 7 scan solves chunks of 128 and 32
+        # d = 16 blocks: the first, by Householder, holds eigenvalues equal
+        # within a block of T and takes the pivoted solves; the second, by
+        # Lanczos, the twisted kernel
+        params = ModelParams(2, 4, 1.0, 20.0, 1.0)
+        omegas = np.linspace(0.5, 80.0, 160)
+        thermo.omega_scan(params, 7, omegas)
+        assert len(pivoted_factorizations) == 1
+        H, ops = thermo._real_block(params.with_omega(0.0), 7)
+        window = -math.log(thermo.NEGLIGIBLE_WEIGHT) / params.beta
+        assert thermo.SCAN_CHUNK_ENTRIES // H.shape[0] ** 2 == 128
+        for chunk, pivoted in ((omegas[:128], True), (omegas[128:], False)):
+            stack = thermo._diagonal_stack(H, ops[:, 2], chunk)
+            before = len(pivoted_factorizations)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_kept_pairs(stack, eigendecompose(stack, want_vectors=True, window=window))
+            assert (len(pivoted_factorizations) > before) == pivoted
+
+    def test_zero_pivot(self, pivoted_factorizations):
+        # at lambda = 1 the top-down pivot D+_0 of T - I is exactly 0, and
+        # counts as -pivmin
+        d, e = np.array([[1.0, 1.0, 1.0]]), np.array([[1.0, 1.0]])
+        levels = np.array([[1.0 - math.sqrt(2.0), 1.0, 1.0 + math.sqrt(2.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = eigensolver._inverse_iteration(d, e, levels, None)[0]
+        assert pivoted_factorizations == []
+        v = Z[:, 1] * np.sign(Z[0, 1])
+        assert np.max(np.abs(v - np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0))) <= 1e-15
+        assert np.max(np.abs(Z.T @ Z - np.eye(3))) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clusters_without_groups(self, seed, pivoted_factorizations):
+        # five clusters of four eigenvalues each, with relative gaps of 1e-11
+        # to 1e-4 inside them: every vector comes from the twisted kernel, and
+        # each cluster's QR orthonormalizes it
+        rng = np.random.default_rng(seed)
+        gaps = 10.0 ** np.array([-11.0, -9.0, -7.0, -5.0, -4.0])
+        levels = (np.linspace(-1.0, 1.0, 5)[:, np.newaxis] + gaps[:, np.newaxis] * np.arange(4)).ravel()
+        assert_stack_contracts(np.array([with_levels(rng.permutation(levels), rng) for _ in range(3)]))
+        assert pivoted_factorizations == []
 
 
 #: The (F, k) of the free-energy scans, n = k(F - 1) + 3: over 161 frequencies

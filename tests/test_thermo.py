@@ -197,6 +197,23 @@ class TestThermoFromSpectrum:
                                                  r"block \(F=3, k=2, n=3\) by 5\.000e-14$"):
             thermo_from_block(block, params)
 
+    def test_non_hermitian_edit_refused_below_scale_one(self):
+        # half an entry added to H[1, 0] alone of an F = 2 block of 1e-13,
+        # whose real part is solved with no symmetry check: Hermiticity is
+        # checked against max|H|, not against max(1, max|H|), which accepted
+        # it and gave <N> = 1.2137
+        params = ModelParams(2, 2, 1e-13, 1e-13, 1e-13, beta=1e13)
+        block = build_block(params, 2)
+        matrix = block.matrix.copy()
+        matrix[1, 0] += 0.5e-13
+        refused = r"^matrix is not Hermitian: max\|H - H\^dag\| = 5\.000e-14$"
+        with pytest.raises(ParameterError, match=refused):
+            dataclasses.replace(block, matrix=matrix)
+        block.matrix.setflags(write=True)
+        block.matrix[1, 0] += 0.5e-13
+        with pytest.raises(ParameterError, match=refused):
+            thermo_from_block(block, params)
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-315])
     def test_tiny_blocks_accepted(self, scale):
         # at beta = 1 every level of a block of 1e-300 weighs the same; below
