@@ -27,8 +27,7 @@ def run(outdir: pathlib.Path, delta: float, hbar: float, per_decade: int) -> Non
         lo, hi = case["omega_min"], case["omega_max"]
         count = int(per_decade * np.log10(hi / lo)) + 1
         grid = np.geomspace(lo, hi, count)
-        params = ModelParams(F, k, 1.0, delta, 1.0, hbar=hbar,
-                             deformation=Deformation.q_exp(hbar))
+        params = ModelParams(F, k, 1.0, delta, 1.0, deformation=Deformation.q_exp(hbar))
         scan = omega_scan(params, n, grid)
         out = outdir / f"staircase_F{F}_k{k}_n{n}.csv"
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -77,6 +77,9 @@ class ModelParams:
     omega: float
     delta: float
     g: float
+    #: Validated and stored, but nothing in the model reads it: each
+    #: Deformation carries its own hbar.  Removing the field waits for a
+    #: change to the benchmark, whose oracle (bench/oracle.py) passes it.
     hbar: float = 1.0
     beta: float = 1.0
     deformation: Deformation = Deformation.undeformed()

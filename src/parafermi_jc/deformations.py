@@ -15,9 +15,6 @@ Named variants:
 * ``qexp``            phi(x) = (e^{hbar x} - e^{-hbar x})/(e^hbar - e^{-hbar}),
                       the q-number with real q = e^hbar, evaluated as
                       sinh(hbar x)/sinh(hbar).
-* ``qsym``            phi(x) = (q^{-x} - q^x)/(q^{-1} - q) for real q > 0.
-                      Identical to ``qexp`` with hbar = ln q (both numerator
-                      and denominator flip sign together), and evaluated so.
 * ``parafermionic``   phi(x) = x*(F - x); realizes spin-(F-1)/2 ladder
                       operators, vanishing at x = 0 and x = F.
 * ``custom``          any user callable with phi(0) = 0.
@@ -33,15 +30,15 @@ from typing import Callable, Optional
 from .errors import DeformationError, NumericalError, ParameterError
 
 #: kind -> the key of its parameter in a tagged record (None: no parameter)
-_KINDS = {"undeformed": None, "linear": "hbar", "qexp": "hbar", "qsym": "q",
-          "parafermionic": "F", "custom": None}
+_KINDS = {"undeformed": None, "linear": "hbar", "qexp": "hbar", "parafermionic": "F",
+          "custom": None}
 
 # |phi(0)| and negative-value slack before declaring a contract violation
 _CONTRACT_TOL = 1e-12
 
 
 def _normal_sinh(hbar: float) -> bool:
-    """Whether sinh(hbar) (hbar > 0), the denominator of the q-numbers, is a normal float."""
+    """Whether sinh(hbar) (hbar > 0), the denominator of the q-number, is a normal float."""
     try:
         return math.sinh(hbar) >= sys.float_info.min
     except OverflowError:
@@ -69,10 +66,6 @@ class Deformation:
             raise ParameterError(
                 f"qexp deformation needs hbar > 0 with sinh(hbar) a normal float, got {self.param}"
             )
-        if self.kind == "qsym" and not (self.param > 0 and _normal_sinh(abs(math.log(self.param)))):
-            raise ParameterError(
-                f"qsym deformation needs q > 0 with sinh(|ln q|) a normal float, got {self.param}"
-            )
         if self.kind == "parafermionic" and (int(self.param) != self.param or self.param < 2):
             raise ParameterError("parafermionic deformation needs integer order >= 2")
         if self.kind == "custom":
@@ -94,10 +87,6 @@ class Deformation:
         return cls("qexp", float(hbar))
 
     @classmethod
-    def q_sym(cls, q: float) -> "Deformation":
-        return cls("qsym", float(q))
-
-    @classmethod
     def parafermionic(cls, order: int) -> "Deformation":
         return cls("parafermionic", float(order))
 
@@ -110,11 +99,10 @@ class Deformation:
             return float(x)
         if self.kind == "linear":
             return self.param * x
-        if self.kind in ("qexp", "qsym"):
+        if self.kind == "qexp":
             # the sinh form keeps full relative accuracy for small hbar, where
             # the differences of exponentials cancel
-            h = self.param if self.kind == "qexp" else math.log(self.param)
-            return math.sinh(h * x) / math.sinh(h)
+            return math.sinh(self.param * x) / math.sinh(self.param)
         if self.kind == "parafermionic":
             return x * (self.param - x)
         return float(self.fn(x))
@@ -133,11 +121,11 @@ class Deformation:
         if not isinstance(record, dict) or "type" not in record:
             raise ParameterError(f"deformation record must be a dict with a 'type' key, got {record!r}")
         kind = record["type"]
+        if not isinstance(kind, str) or kind not in _KINDS or kind == "custom":
+            raise ParameterError(f"unknown deformation type {kind!r}")
         extra = set(record) - {"type", *filter(None, _KINDS.values())}
         if extra:
             raise ParameterError(f"unknown deformation keys: {sorted(extra)}")
-        if kind not in _KINDS or kind == "custom":
-            raise ParameterError(f"unknown deformation type {kind!r}")
         key = _KINDS[kind]
         if key is None:
             return cls(kind)

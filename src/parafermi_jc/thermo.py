@@ -81,16 +81,12 @@ SCAN_CHUNK_ENTRIES = 2**15
 NEGLIGIBLE_WEIGHT = 2.0**-60
 
 
-def log_sum_exp(values: np.ndarray, scale: float = 1.0):
-    """log(sum(exp(scale * values))) over the last axis, shifted by the largest term so nothing overflows.
+def _shifted_exp(values: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The largest term of scale * values over the last axis, and exp(scale * values - it).
 
-    A float for one sequence, an array for a stack of them; a sequence gets
-    the bits it would get as a row of a stack.  A value of +inf under a
-    negative scale is a zero term, the limit of its exp: a windowed solve
-    leaves such levels out.  Any other term scale * value beyond the float
-    range, and a row whose every term is zero, raises NumericalError (its
-    shift would be inf - inf) instead of a numpy warning; for a stack the
-    error's ``index`` is the row.  An empty sequence raises ParameterError.
+    The module's one log-sum-exp: log_sum_exp sums these exponentials, and
+    _observables also normalizes them into Boltzmann weights.  Its checks
+    and errors are those log_sum_exp documents.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -107,9 +103,23 @@ def log_sum_exp(values: np.ndarray, scale: float = 1.0):
             index=int(bad[0]) if values.ndim > 1 else None,
         )
     with np.errstate(over="ignore"):  # a difference beyond -max float only makes exp 0
-        total = np.sum(np.exp(terms - shift[..., np.newaxis]), axis=-1)
-    result = shift + np.log(total)
-    return float(result) if values.ndim == 1 else result
+        return shift, np.exp(terms - shift[..., np.newaxis])
+
+
+def log_sum_exp(values: np.ndarray, scale: float = 1.0):
+    """log(sum(exp(scale * values))) over the last axis, shifted by the largest term so nothing overflows.
+
+    A float for one sequence, an array for a stack of them; a sequence gets
+    the bits it would get as a row of a stack.  A value of +inf under a
+    negative scale is a zero term, the limit of its exp: a windowed solve
+    leaves such levels out.  Any other term scale * value beyond the float
+    range, and a row whose every term is zero, raises NumericalError (its
+    shift would be inf - inf) instead of a numpy warning; for a stack the
+    error's ``index`` is the row.  An empty sequence raises ParameterError.
+    """
+    shift, exps = _shifted_exp(values, scale)
+    result = shift + np.log(np.sum(exps, axis=-1))
+    return float(result) if exps.ndim == 1 else result
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,9 @@ class ThermoObservables:
 class PlateauReport:
     """Integer staircase structure of a frequency scan.
 
-    plateaus: (omega_lo, omega_hi, level) spans where the observable sits
-    within tolerance of an integer level; crossover_points: midpoints between
-    consecutive plateau edges.
+    plateaus: (omega_lo, omega_hi, level) spans where <N> sits within 0.1 of
+    an integer level; crossover_points: midpoints between consecutive plateau
+    edges.
     """
 
     plateaus: tuple[tuple[float, float, int], ...]
@@ -152,13 +162,12 @@ def _observables(values: np.ndarray, vectors: np.ndarray, ops: np.ndarray, beta:
     (G, d, m) eigenvectors, the first m of each block's states; a zero column
     (a state the solver left out) adds nothing.  A failure names the block's
     position as ``index``."""
-    log_z = log_sum_exp(values, -beta)
+    shift, weights = _shifted_exp(values, -beta)
+    total = np.sum(weights, axis=1)
+    log_z = shift + np.log(total)
     # normalized explicitly: exp(-beta * lambda - log Z) sums to 1 only to
     # about eps * beta * |lambda|, and <N> + <W> = n needs the sum exact
-    terms = -beta * values
-    with np.errstate(over="ignore"):
-        weights = np.exp(terms - np.max(terms, axis=1, keepdims=True))
-    weights /= np.sum(weights, axis=1, keepdims=True)
+    weights /= total[:, np.newaxis]
     occupancy = np.abs(vectors) ** 2  # column j: |<P|v_j>|^2
     per_state = occupancy.swapaxes(1, 2) @ ops  # row j: <v_j|O|v_j> for each operator
     expect = (weights[:, np.newaxis, :vectors.shape[-1]] @ per_state)[:, 0, :]
@@ -321,31 +330,23 @@ def log_partition_scan(params: ModelParams, n: int,
                  params, n)
 
 
-def detect_plateaus(
-    scan: Sequence[tuple[float, ThermoObservables]],
-    hbar: float = 1.0,
-    tol: float = 0.1,
-) -> PlateauReport:
-    """Detect integer plateaus of the boson-number staircase n_expect / hbar.
+def detect_plateaus(scan: Sequence[tuple[float, ThermoObservables]]) -> PlateauReport:
+    """Detect integer plateaus of the boson-number staircase <N> (n_expect).
 
-    A plateau is a maximal run of consecutive grid points whose value stays
-    within tol of one integer; neighbouring runs with different integers stay
-    distinct even without an out-of-tolerance gap.  An empty report is a valid
-    outcome on coarse grids.
+    <N> is a count, so its levels are integers whatever the deformation's
+    hbar.  A plateau is a maximal run of consecutive grid points whose <N>
+    stays within 0.1 of one integer; neighbouring runs with different
+    integers stay distinct even without a gap between them.  An empty report
+    is a valid outcome on coarse grids.  A value that is not finite raises
+    ParameterError naming its omega.
     """
-    if not 0.0 < tol < 0.5:
-        raise ParameterError(f"tol must lie in (0, 0.5), got {tol}")
-    if not 0.0 < hbar < math.inf:
-        raise ParameterError(f"hbar must be positive and finite, got {hbar}")
-
     def level(point: tuple[float, ThermoObservables]) -> int | None:
-        """The integer the point's value lies within tol of, if any."""
-        value = point[1].n_expect / hbar
+        """The integer the point's <N> lies within 0.1 of, if any."""
+        value = point[1].n_expect
         if not math.isfinite(value):
-            raise ParameterError(f"n_expect / hbar is not finite at omega={point[0]!r}: "
-                                 f"n_expect = {point[1].n_expect!r}, hbar = {hbar!r}")
+            raise ParameterError(f"n_expect is not finite at omega={point[0]!r}: n_expect = {value!r}")
         nearest = round(value)
-        return nearest if abs(value - nearest) < tol else None
+        return nearest if abs(value - nearest) < 0.1 else None
 
     runs = []
     for nearest, group in itertools.groupby(scan, level):

@@ -167,7 +167,7 @@ def test_criterion_06_undeformed_crossover(capsys):
     ok = True
     for n in (3, 4, 6):
         params = ModelParams(2, 1, 1.0, delta, 1.0, hbar=hbar)
-        report_ = detect_plateaus(omega_scan(params, n, grid), hbar=hbar)
+        report_ = detect_plateaus(omega_scan(params, n, grid))
         levels = [level for _, _, level in report_.plateaus]
         ok = ok and levels == [n + 1 - 1, n - 1]  # k(F-1) = 1
         ok = ok and len(report_.crossover_points) == 1

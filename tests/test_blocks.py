@@ -79,7 +79,6 @@ DEFORMATIONS = {
     "undeformed": Deformation.undeformed(),
     "linear": Deformation.linear(0.7),
     "qexp": Deformation.q_exp(0.3),
-    "qsym": Deformation.q_sym(1.7),
     # negative past x = 6, so the larger blocks raise DeformationError
     "parafermionic": Deformation.parafermionic(6),
     "custom": Deformation.custom(lambda x: math.log1p(x) * (1.0 - 0.3 * x)),

@@ -234,13 +234,11 @@ class TestThermoScan:
         for line in out.strip().split("\n")[1:]:
             assert float(line.split(",")[4]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_byte_identical_reruns_across_thread_counts(self, capsys, monkeypatch):
+    def test_byte_identical_reruns(self, capsys):
         argv = ["thermo-scan", "--F", "3", "--k", "1", "--n", "3",
                 "--omega-min", "0.5", "--omega-max", "50", "--omega-count", "21",
                 "--delta", "20", "--deformation", "qexp"]
-        monkeypatch.setenv("PARAFERMI_JC_THREADS", "1")
         _, out1, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("PARAFERMI_JC_THREADS", "3")
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
@@ -270,12 +268,6 @@ class TestThermoScan:
                                  "--beta=nan", *GRID_1_2)
         assert code == 1 and out == ""
         assert "must be finite" in err
-
-    def test_thread_env_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARAFERMI_JC_THREADS", "many")
-        code, _, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "1",
-                               "--omega-min", "1", "--omega-max", "2", "--omega-count", "2")
-        assert code == 0 and err == ""
 
     def test_tiny_qexp_hbar_accepted(self, capsys):
         code, out, err = run_cli(capsys, "thermo-scan", "--F", "2", "--k", "1", "--n", "2",
@@ -416,6 +408,8 @@ class TestInputs:
         {"type": "parafermionic", "F": "x"},
         {"type": "linear", "hbar": [1]},
         {"type": "parafermionic", "F": float("nan")},
+        {"type": "qsym", "q": 2.0},
+        {"type": ["qexp"], "hbar": 1.0},
     ])
     def test_bad_deformation_record(self, capsys, tmp_path, record):
         code, out, err = run_with_config(capsys, tmp_path, {"deformation": record})
@@ -514,7 +508,7 @@ POOLS = {
     "omega_max": ([20.0, 80.0], None),
     "omega_scale": (["linear", "log"], ["linear", "log", None]),
     "deformation": (["undeformed", "linear", "qexp", "parafermionic"],
-                    [None, {"type": "qexp", "hbar": 0.5}, {"type": "qsym", "q": 2.0},
+                    [None, {"type": "qexp", "hbar": 0.5}, {"type": "qexp", "hbar": 2.0}, {"type": []},
                      {"type": "parafermionic", "F": 3}]),
     "scope": (["algebra", "oracles", "thermo"], None),
     "mu_step": ([1e-4, 1e-5], None),

@@ -749,38 +749,30 @@ class TestDetectPlateaus:
         omegas = [1, 2, 3, 4, 5, 6, 7, 8]
         values = [3.01, 2.98, 2.6, 2.05, 1.97, 1.5, 1.02, 0.99]
         scan = [(float(w), obs_stub(v)) for w, v in zip(omegas, values)]
-        report = detect_plateaus(scan, tol=0.1)
+        report = detect_plateaus(scan)
         assert [p[2] for p in report.plateaus] == [3, 2, 1]
         assert report.plateaus[0][:2] == (1.0, 2.0)
         assert report.crossover_points == (pytest.approx(3.0), pytest.approx(6.0))
 
     def test_adjacent_runs_split_on_level_change(self):
         scan = [(1.0, obs_stub(2.02)), (2.0, obs_stub(1.98)), (3.0, obs_stub(1.04)), (4.0, obs_stub(0.97))]
-        report = detect_plateaus(scan, tol=0.1)
+        report = detect_plateaus(scan)
         assert [p[2] for p in report.plateaus] == [2, 1]
 
     def test_no_plateau_is_valid(self):
         scan = [(1.0, obs_stub(0.5)), (2.0, obs_stub(1.5))]
-        report = detect_plateaus(scan, tol=0.1)
+        report = detect_plateaus(scan)
         assert report.plateaus == ()
         assert report.crossover_points == ()
 
-    def test_hbar_rescaling(self):
-        scan = [(1.0, obs_stub(1.5)), (2.0, obs_stub(1.5))]
-        assert detect_plateaus(scan, hbar=0.5, tol=0.1).plateaus[0][2] == 3
-
-    def test_tolerance_validated(self):
-        with pytest.raises(ParameterError):
-            detect_plateaus([(1.0, obs_stub(1.0))], tol=0.6)
-        for hbar in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ParameterError, match="hbar must be positive and finite"):
-                detect_plateaus([(1.0, obs_stub(1.0))], hbar=hbar)
+    def test_non_finite_value_rejected(self):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError, match=r"not finite at omega=2\.5"):
                 detect_plateaus([(1.0, obs_stub(1.0)), (2.5, obs_stub(value))])
-        # a finite value whose quotient by hbar overflows
-        with pytest.raises(ParameterError, match=r"not finite at omega=1\.0"):
-            detect_plateaus([(1.0, obs_stub(1e300))], hbar=1e-10)
+
+    def test_tolerance_is_a_tenth(self):
+        scan = [(1.0, obs_stub(2.0999)), (2.0, obs_stub(2.0 - 0.1)), (3.0, obs_stub(1.0999))]
+        assert detect_plateaus(scan).plateaus == ((1.0, 1.0, 2), (3.0, 3.0, 1))
 
 
 class TestStaircasePhysics:
@@ -791,6 +783,14 @@ class TestStaircasePhysics:
         assert [p[2] for p in report.plateaus] == [4, 3]
         assert len(report.crossover_points) == 1
         assert abs(report.crossover_points[0] - 20.0) <= 4.0
+
+    @pytest.mark.parametrize("hbar", [0.5, 0.3])
+    def test_linear_deformation_keeps_integer_levels(self, hbar):
+        # <N> is a count whatever phi(x) = hbar * x: its levels stay 3 and 2
+        params = ModelParams(2, 1, 1.0, 20.0, 1.0, deformation=Deformation.linear(hbar))
+        grid = np.logspace(math.log10(2.0 / hbar), math.log10(200.0 / hbar), 800)
+        report = detect_plateaus(omega_scan(params, 3, grid))
+        assert [p[2] for p in report.plateaus] == [3, 2]
 
     def test_deformed_staircase_small(self):
         params = ModelParams(4, 1, 1.0, 1000.0, 1.0, deformation=Deformation.q_exp(1.0))
