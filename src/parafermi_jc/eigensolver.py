@@ -37,13 +37,18 @@ its eigenvalues scaled back, as LAPACK's zheev does for extreme matrices.
    rank-2*PANEL product; no operand of these products is a view of negative
    stride, which would take numpy's matmul off BLAS.  A lone matrix takes
    each column's reflector scalars on Python numbers, as zlarfg (dlarfg for
-   real input) does, and a stack on (G,) arrays.  A diagonal phase rotation
-   (a sign for real input) then makes the off-diagonal real and nonnegative.
+   real input) does, and a stack on (G,) arrays.  An input with no nonzero
+   entry below the subdiagonal, a chain (as every k = 1 block is) or a stack
+   of chains, is tridiagonal already and runs no panel.  A diagonal phase
+   rotation (a sign for real input) then makes the off-diagonal real and
+   nonnegative.
    With eigenvectors requested, the reduction keeps its reflectors, scaled to
    unit norm; once stage 2 is done they are applied to the tridiagonal's
    eigenvectors, one panel per compact-WY product as in zunmtr (the
-   back-transform), so the Householder unitary is never formed.  The panel's
-   triangular factor T comes from its Gram matrix by zlarft's recurrence.
+   back-transform), so the Householder unitary is never formed, and a chain's
+   back-transform is the phase rotation alone.  Each panel's triangular
+   factor T comes from its Gram matrix by zlarft's recurrence, one run of it
+   over the stacked Gram matrices of every panel.
 2. Each tridiagonal is scaled by the power of two nearest its 1-norm, and its
    eigenvalues scaled back exactly; every off-diagonal that the split test
    e_i**2 <= eps**2 * (|d_i| + |d_i+1|)**2 calls negligible is then set to
@@ -111,12 +116,13 @@ and squares, and per sweep a few arrays of the rows it moves.  Lanczos holds
 the stack and its basis Q, of the stack's size, and with eigenvectors keeps Q
 to the back-transform.  The Householder workspace has 2 * min(PANEL, d - 2)
 columns, inverse iteration holds its factors or pivots only through the
-solves, and the back-transform applies a panel's nb x nb factor T to the nb x
-m product V^H X; the root's eigenvectors reach it with no other reference, so
-it frees them once phase-rotated.  A merge holds the two pieces' vectors, its
-own, one d x d coefficient matrix, and d x d arrays of the secular solver's
-rows (the roots' distances to the poles, and while a level has several
-equations, their weights), which shrink as roots converge.  With eigenvectors
+solves, and the back-transform holds every panel's nb x nb factor T at once
+(8 x 32**2 entries at d = 256), each applied to the nb x m product V^H X; the
+root's eigenvectors reach it with no other reference, so it frees them once
+phase-rotated.  A merge holds the two pieces' vectors, its own, one d x d
+coefficient matrix, and d x d arrays of the secular solver's rows (the
+roots' distances to the poles, and while a level has several equations,
+their weights), which shrink as roots converge.  With eigenvectors
 the traced peak, input aside, is about 4.8 times a complex stack at d = 27
 (40 matrices), and 3.3 times at d = 256; a real stack peaks at 4.3 and 3.05
 times the bytes of its complex counterpart.  The staircase stack (d = 27, 40
@@ -291,7 +297,10 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     and Q = H_0 H_1 ... H_{n-3} diag(phases) takes the tridiagonal back to A.
     reflectors is None unless want_vectors; then it is (phases, panels) for
     _back_transform, where each panel is (r0, V) with the panel's u_j as the
-    columns of V over rows r0..  A skipped reflector is a zero column.
+    columns of V over rows r0..  A skipped reflector is a zero column.  An A
+    whose every matrix is a chain, with no nonzero entry below the
+    subdiagonal, is tridiagonal already and runs no panel: d and |e| are
+    read off it, panels is empty, and Q = diag(phases).
 
     Within a panel the reflectors' rank-2 updates are not applied: each
     column is brought up to date from the panel's (V, W) when it is reached,
@@ -309,15 +318,20 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     n = A.shape[-1]
     stack = A.shape[:-2]
     tiny = sys.float_info.min
+    # the columns to reduce, none for a chain; the lower diagonals are read
+    # one at a time, so any other input stops at its first nonzero one
+    columns = 0
+    if any(np.diagonal(A, -k, axis1=-2, axis2=-1).any() for k in range(2, n)):
+        columns = n - 2
     # reflector k of a panel is stored in column mid-1-k and its w in column
     # mid+k, so the panel's first k pairs fill the contiguous columns
     # [mid-k, mid+k), and reversing those columns pairs each u with its w
-    mid = min(PANEL, max(n - 2, 0))
+    mid = min(PANEL, columns)
     work = np.empty(stack + (n, 2 * mid), dtype=A.dtype)
     zeros = np.zeros(stack)
     panels = [] if want_vectors else None
-    for j0 in range(0, n - 2, PANEL):
-        j1 = min(j0 + PANEL, n - 2)
+    for j0 in range(0, columns, PANEL):
+        j1 = min(j0 + PANEL, columns)
         work[..., j0:, :] = 0.0
         for k, j in enumerate(range(j0, j1)):
             col = A[..., j:, j]
@@ -400,33 +414,53 @@ def _tridiagonalize(A: np.ndarray, want_vectors: bool):
     return d, mag, (phases, panels)
 
 
+def _panel_factors(panels) -> np.ndarray:
+    """The triangular factor T of each panel's compact-WY form, as one
+    (panels, ..., nb, nb) stack, nb the first panel's width.
+
+    The product of a panel's reflectors H_j = I - tau_j v_j v_j^H is
+    I - V T V^H, with the upper triangular T of LAPACK's zlarft (forward,
+    columnwise) by its recurrence from S = V^H V and tau_j = 2 / S_jj:
+    T_jj = tau_j and T[:j, j] = -tau_j T[:j, :j] S[:j, j].  A skipped
+    reflector takes tau_j = 0, which its zero column of V makes irrelevant,
+    and so does the zero padding of a narrower last panel: its T is the
+    leading block of its entry.  Every panel's S goes into the stack first,
+    so one run of the recurrence serves them all, and no panel solves a
+    linear system.
+    """
+    first = panels[0][1]
+    nb = first.shape[-1]
+    # each S = V^H V, of which T keeps the part above the diagonal
+    T = np.zeros((len(panels),) + first.shape[:-2] + (nb, nb), dtype=first.dtype)
+    for S, (_, V) in zip(T, panels):
+        width = V.shape[-1]
+        S[..., :width, :width] = V.conj().swapaxes(-1, -2) @ V
+    norms = np.diagonal(T, axis1=-2, axis2=-1).real.copy()
+    T *= np.tri(nb, nb, -1, dtype=bool).T
+    # column j of T needs S's column j and T's columns before it
+    tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    T[..., np.arange(nb), np.arange(nb)] = tau
+    for j in range(1, nb):
+        T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
+    return T
+
+
 def _back_transform(reflectors, Z: np.ndarray) -> np.ndarray:
     """Q Z for the unitary Q = H_0 H_1 ... diag(phases) that _tridiagonalize stored.
 
-    The product of a panel's reflectors H_j = I - tau_j v_j v_j^H is
-    I - V T V^H in compact-WY form, with the upper triangular T of LAPACK's
-    zlarft (forward, columnwise) by its recurrence from S = V^H V and
-    tau_j = 2 / S_jj: T_jj = tau_j and T[:j, j] = -tau_j T[:j, :j] S[:j, j].
-    A skipped reflector takes tau_j = 0, which its zero column of V makes
-    irrelevant.  No panel solves a linear system.  The panels are applied
-    last first, as X - V (T (V^H X)), so Q is never formed.  Z is a (G, n, m)
-    stack; a lone matrix's reflectors apply to a stack of one.
+    The panels are applied last first, each as X - V (T (V^H X)) with its T
+    from _panel_factors, so Q is never formed; without panels, as for a
+    chain, Q Z is the phase multiply alone.  Z is a (G, n, m) stack; a lone
+    matrix's reflectors apply to a stack of one.
     """
     phases, panels = reflectors
     X = phases[..., :, np.newaxis] * Z
     del Z
-    for r0, V in reversed(panels):
-        nb = V.shape[-1]
-        # S = V^H V, of which T keeps the part above the diagonal
-        T = V.conj().swapaxes(-1, -2) @ V
-        norms = np.diagonal(T, axis1=-2, axis2=-1).real.copy()
-        T *= np.tri(nb, nb, -1, dtype=bool).T
-        # column j of T needs S's column j and T's columns before it
-        tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-        T[..., np.arange(nb), np.arange(nb)] = tau
-        for j in range(1, nb):
-            T[..., :j, j] = -tau[..., j, np.newaxis] * _mv(T[..., :j, :j], T[..., :j, j])
-        X[..., r0:, :] -= V @ (T @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
+    if not panels:
+        return X
+    for (r0, V), T in zip(reversed(panels), _panel_factors(panels)[::-1]):
+        width = V.shape[-1]
+        X[..., r0:, :] -= V @ (T[..., :width, :width] @ (V.conj().swapaxes(-1, -2) @ X[..., r0:, :]))
     return X
 
 

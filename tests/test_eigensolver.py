@@ -20,11 +20,12 @@ from parafermi_jc import (
     build_higher_spin_block,
     eigendecompose,
 )
-from parafermi_jc import divide, eigensolver, thermo
+from parafermi_jc import blocks, divide, eigensolver, thermo
 from parafermi_jc.divide import _secular_roots
 from parafermi_jc.eigensolver import (
     CLUSTER_RTOL,
     HERMITICITY_RTOL,
+    PANEL,
     RESIDUAL_RTOL,
     _back_transform,
     _ql_implicit_shift,
@@ -628,6 +629,39 @@ def apply_reflectors_one_by_one(reflectors, Z):
     return X
 
 
+def panel_factor_alone(V):
+    """zlarft's T of one panel, by the recurrence run on that panel alone:
+    the reference for the stacked run of eigensolver._panel_factors."""
+    nb = V.shape[-1]
+    T = V.conj().swapaxes(-1, -2) @ V
+    norms = np.diagonal(T, axis1=-2, axis2=-1).real.copy()
+    T *= np.tri(nb, nb, -1, dtype=bool).T
+    tau = np.divide(2.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    T[..., np.arange(nb), np.arange(nb)] = tau
+    for j in range(1, nb):
+        T[..., :j, j] = -tau[..., j, np.newaxis] * (T[..., :j, :j] @ T[..., :j, j, np.newaxis])[..., 0]
+    return T
+
+
+def random_chain(n, seed, dtype=complex):
+    """A random tridiagonal Hermitian matrix of n rows, real symmetric for a
+    real dtype, with one zero coupling: nothing below its subdiagonal for
+    Householder to annihilate."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n - 1).astype(dtype)
+    if dtype == complex:
+        e += 1j * rng.standard_normal(n - 1)
+    e[n // 3] = 0.0
+    return np.diag(rng.standard_normal(n)).astype(dtype) + np.diag(e, -1) + np.diag(e.conj(), 1)
+
+
+def real_block_256():
+    """The real form of the d = 256 F = 4, k = 4, n = 12 block: 254 reflectors,
+    in seven panels of PANEL and a last one of 30."""
+    params = ModelParams(4, 4, 1.0, 2.0, 1.0)
+    return blocks._real_form(build_block(params, 12), params)[0]
+
+
 def assert_values_only(values, with_vectors, stack):
     """Values-only eigenvalues of a stack: those of the vectors path, bit for
     bit, up to LEAF rows, where both solve one leaf; above it, one QL on the
@@ -668,10 +702,14 @@ class TestPanels:
         monkeypatch.setattr(eigensolver, "LEAF", 8)
 
     # a matrix of size n has n - 2 reflectors: up to size PANEL + 2 they form
-    # one panel, and size 2 * PANEL + 2 is the last with two
-    @pytest.mark.parametrize("n", [31, 32, 33, 34, 35, 36, 63, 64, 65, 66, 100])
+    # one panel, and size 2 * PANEL + 2 is the last with two; a real chain of
+    # 100 rows runs none
+    @pytest.mark.parametrize("n", [31, 32, 33, 34, 35, 36, 63, 64, 65, 66, 100, "real_chain"])
     def test_contracts_across_panels(self, n):
-        assert_contracts(random_hermitian(n, 300 + n))
+        if n == "real_chain":
+            assert_contracts(random_chain(100, 310, float))
+        else:
+            assert_contracts(random_hermitian(n, 300 + n))
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     @pytest.mark.parametrize("n", [34, 66])
@@ -698,8 +736,9 @@ class TestPanels:
                                        lambda: random_hermitian(66, 51),
                                        lambda: random_hermitian(100, 52),
                                        lambda: block_diagonal(SKIPPING_SIZES, 53),
-                                       skipping_with_tiny_columns],
-                             ids=["n35", "n66", "n100", "block_diagonal", "tiny_columns"])
+                                       skipping_with_tiny_columns,
+                                       lambda: random_chain(100, 54)],
+                             ids=["n35", "n66", "n100", "block_diagonal", "tiny_columns", "chain"])
     @pytest.mark.parametrize("route", ROUTES)
     def test_back_transform_matches_reflectors_one_by_one(self, build, route):
         stack = on_route(build(), route)
@@ -723,8 +762,9 @@ class TestPanels:
                                        lambda: random_hermitian(35, 56),
                                        lambda: random_hermitian(70, 57),
                                        lambda: block_diagonal(SKIPPING_SIZES, 58),
-                                       skipping_with_tiny_columns],
-                             ids=["n34", "n35", "n70", "block_diagonal", "tiny_columns"])
+                                       skipping_with_tiny_columns,
+                                       lambda: random_chain(70, 59)],
+                             ids=["n34", "n35", "n70", "block_diagonal", "tiny_columns", "chain"])
     @pytest.mark.parametrize("route", ROUTES)
     def test_back_transform_is_the_reflector_product(self, build, route):
         # Q = H_0 H_1 ... H_{n-3} diag(phases) formed explicitly, each
@@ -745,10 +785,44 @@ class TestPanels:
             expected = expected * phases
             assert np.max(np.abs(Q[g] - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("build,widths", [
+        (real_block_256, [32] * 7 + [30]),
+        (lambda: random_symmetric(100, 62), [32, 32, 32, 2]),
+        (lambda: np.array([random_symmetric(100, 63), random_symmetric(100, 64)]), [32, 32, 32, 2]),
+    ], ids=["block_256", "random_100", "stack_of_two"])
+    def test_stacked_panel_factors_are_each_panels_own(self, build, widths):
+        # one run of the recurrence over every panel's Gram matrix, the last
+        # panel padded with zero columns, gives each panel's T bit for bit
+        _, _, (_, panels) = _tridiagonalize(build(), True)
+        assert [V.shape[-1] for _, V in panels] == widths
+        T = eigensolver._panel_factors(panels)
+        assert T.shape[0] == len(panels) and T.shape[-1] == PANEL
+        for factor, (_, V) in zip(T, panels):
+            width = V.shape[-1]
+            assert factor[..., :width, :width].tobytes() == panel_factor_alone(V).tobytes()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_chain_runs_no_panel(self, route):
+        # a chain's d and |e| are its own diagonals and its panels none, so
+        # its back-transform is the phase rotation; one entry two below the
+        # diagonal, in one matrix of a stack, brings back every panel
+        H = random_chain(100, 320)
+        if route != "lone":
+            H = np.array([H, random_chain(100, 321)])
+        d, e, (_, panels) = _tridiagonalize(H.copy(), True)
+        assert panels == []
+        assert d.tobytes() == np.diagonal(H, axis1=-2, axis2=-1).real.tobytes()
+        assert e.tobytes() == np.abs(np.diagonal(H, -1, axis1=-2, axis2=-1)).tobytes()
+        last = H.reshape(-1, 100, 100)[-1]
+        last[5, 3] = last[3, 5] = 1e-3
+        _, _, (_, panels) = _tridiagonalize(H.copy(), True)
+        assert [V.shape[-1] for _, V in panels] == [32, 32, 32, 2]
+
     def test_eigensolver_solves_no_linear_system(self):
-        # every panel's compact-WY T comes by zlarft's recurrence, for a lone
-        # matrix (one leaf or a tree) as for a stack, so no panel solves or
-        # inverts; QR is the one LAPACK call left
+        # every panel's compact-WY T comes from one run of zlarft's
+        # recurrence over all panels, for a lone matrix (one leaf or a tree)
+        # as for a stack, so no panel solves or inverts; QR is the one LAPACK
+        # call left
         with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solve called")), \
                 mock.patch.object(np.linalg, "inv", side_effect=AssertionError("inv called")):
             assert_contracts(random_hermitian(40, 61))

@@ -445,6 +445,19 @@ class TestOmegaScan:
             assert log_z == pytest.approx(
                 log_sum_exp(eigendecompose(block.matrix).eigenvalues, -params.beta), rel=1e-12)
 
+    # 160 points make stacks of at least LOCKSTEP blocks, which Householder
+    # reduces with eigenvectors: the F = 4, k = 1 chains (d = 4), one stack,
+    # run no panel; the F = 2, k = 4 blocks (d = 16) go in chunks of 128 and
+    # 32, and the first runs one
+    @pytest.mark.parametrize("F,k,n", [(4, 1, 6), (2, 4, 7)])
+    def test_lockstep_scan_matches_lapack(self, F, k, n):
+        params = ModelParams(F, k, 1.0, 20.0, 1.0)
+        grid = np.linspace(0.5, 80.0, 160)
+        assert len(grid) >= thermo.eigensolver.LOCKSTEP
+        for omega, obs in omega_scan(params, n, grid):
+            point = params.with_omega(omega)
+            assert_matches_lapack(obs, build_block(point, n), point)
+
     def test_grid_validation(self):
         params = ModelParams(2, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
