@@ -27,7 +27,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -226,11 +228,30 @@ def _emit(cfg: argparse.Namespace, header: list[str], rows: list[list]) -> None:
 
 def _write_text(out: str, text: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise ParameterError("cannot write output: standard output is closed")
+        try:  # a full or broken stdout raises here or on the flush
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ParameterError(f"cannot write output: {exc}") from exc
         return
+    # rewritten in place, then cut to length: truncating a file to zero makes
+    # ext4 (auto_da_alloc) free its blocks, allocate new ones and start their
+    # writeback on close, which the next rewrite of the file can wait on
+    data = memoryview(text.encode("utf-8"))
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            try:
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:  # a failed write leaves no old byte after the ones it wrote
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParameterError(f"cannot write output file: {exc}") from exc
 

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
 import subprocess
@@ -333,6 +335,92 @@ class TestThermoScan:
         data = out_path.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")
 
+
+
+DIMS_ARGV = ("dims", "--F", "4", "--k", "3", "--n-max", "10")
+
+
+class TestOutput:
+    """--out is rewritten in place and cut to the new length; stdout failures exit 1."""
+
+    def test_short_output_over_longer_file(self, capsys, tmp_path):
+        out_path = tmp_path / "dims.csv"
+        out_path.write_bytes(b"x" * 10_000)
+        code, expected, _ = run_cli(capsys, *DIMS_ARGV)
+        assert run_cli(capsys, *DIMS_ARGV, "--out", str(out_path))[0] == code == 0
+        assert out_path.read_bytes() == expected.encode()
+
+    def test_symlinked_out_rewrites_target_and_keeps_link(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        code, expected, _ = run_cli(capsys, *DIMS_ARGV)
+        assert run_cli(capsys, *DIMS_ARGV, "--out", str(link))[0] == code == 0
+        assert link.is_symlink() and target.read_bytes() == expected.encode()
+
+    def test_out_devnull(self, capsys):
+        code, out, err = run_cli(capsys, *DIMS_ARGV, "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_failed_write_leaves_only_written_bytes(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "dims.csv"
+        out_path.write_bytes(b"x" * 10_000)
+        _, expected, _ = run_cli(capsys, *DIMS_ARGV)
+        real_write, calls = os.write, []
+
+        def full_after_five_bytes(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:5])
+
+        monkeypatch.setattr(os, "write", full_after_five_bytes)
+        code, out, err = run_cli(capsys, *DIMS_ARGV, "--out", str(out_path))
+        assert code == 1 and out == "" and "cannot write output file" in err
+        assert len(calls) == 2 and out_path.read_bytes() == expected.encode()[:5]
+
+    def test_existing_file_opened_once_without_truncate(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "dims.csv"
+        out_path.write_bytes(b"x" * 10_000)
+        real_open, opens = os.open, []
+
+        def spy(path, flags, *args, **kwargs):
+            opens.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run_cli(capsys, *DIMS_ARGV, "--out", str(out_path))[0] == 0
+        assert [path for path, _ in opens] == [str(out_path)] and out_path.is_file()
+        assert not opens[0][1] & os.O_TRUNC
+
+    def test_closed_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run_cli(capsys, *DIMS_ARGV)
+        assert code == 1 and err == "parameter error: cannot write output: standard output is closed\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_full_stdout(self, capsys, monkeypatch, failing):
+        class FullStream(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stream = FullStream()
+        setattr(stream, failing, stream.fail)
+        monkeypatch.setattr(sys, "stdout", stream)
+        code, _, err = run_cli(capsys, *DIMS_ARGV)
+        assert code == 1 and err.startswith("parameter error: cannot write output: [Errno 28]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a POSIX shell and /dev/full")
+    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"])
+    def test_stdout_failure_in_a_process(self, redirect):
+        # no traceback, and no "Exception ignored" from the flush at interpreter exit
+        command = shlex.join([sys.executable, "-m", "parafermi_jc", *DIMS_ARGV])
+        proc = subprocess.run(f"{command} {redirect}", shell=True, stderr=subprocess.PIPE,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("parameter error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
 
 BASE_CONFIG = {"F": 2, "k": 1, "n": 2, "omega_min": 1.0, "omega_max": 10.0, "omega_count": 3}
 
