@@ -385,7 +385,18 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # the interpreter flushes stdout again at exit, and a failure there prints
+    # "Exception ignored" and exits 120: bytes a failed write may have left in
+    # stdout's buffer are sent to the null device instead
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

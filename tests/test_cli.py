@@ -9,6 +9,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 from dataclasses import replace
@@ -336,7 +337,6 @@ class TestThermoScan:
         assert b"\r" not in data and data.endswith(b"\n")
 
 
-
 DIMS_ARGV = ("dims", "--F", "4", "--k", "3", "--n-max", "10")
 
 
@@ -421,6 +421,37 @@ class TestOutput:
         assert proc.returncode == 1
         assert proc.stderr.startswith("parameter error: cannot write output: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a POSIX shell and /dev/full")
+    def test_stdout_that_keeps_unwritten_bytes(self):
+        # a stdout whose buffer keeps the bytes a failed flush could not write
+        # fails again at the interpreter's own flush at exit, unless the process
+        # sends them elsewhere: "Exception ignored" and exit 120
+        script = textwrap.dedent(f"""
+            import io, os, sys
+            from parafermi_jc import cli
+
+            class Fd1(io.RawIOBase):
+                def writable(self):
+                    return True
+
+                def fileno(self):
+                    return 1
+
+                def write(self, data):
+                    return os.write(1, data)
+
+            sys.stdout = io.TextIOWrapper(io.BufferedWriter(Fd1()))
+            sys.argv = ["parafermi-jc", *{list(DIMS_ARGV)!r}]
+            cli.entrypoint()
+        """)
+        command = shlex.join([sys.executable, "-c", script])
+        proc = subprocess.run(f"{command} >/dev/full", shell=True, stderr=subprocess.PIPE,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"parameter error: cannot write output: [Errno {errno.ENOSPC}] "
+                               f"{os.strerror(errno.ENOSPC)}\n")
+
 
 BASE_CONFIG = {"F": 2, "k": 1, "n": 2, "omega_min": 1.0, "omega_max": 10.0, "omega_count": 3}
 
